@@ -46,6 +46,25 @@ def logsumexp(a, **kw):
     return special.logsumexp(a, **kw)
 
 
+def horner(rows, x):
+    """sum_k rows[k] x^k by Horner's rule, bit-for-bit equal to numpy's polyval.
+
+    ``rows`` is a coefficient vector, or a (degree+1, n) matrix whose columns
+    are evaluated at the matching entries of a length-n ``x``.  Each step is
+    polyval's ``acc * x + rows[k]`` in the same order, written into two
+    preallocated buffers instead of two fresh arrays.  The product never
+    writes onto one of its own inputs: for one-element and 0-d arrays, numpy
+    on AVX-512 then takes a non-SIMD complex-multiply loop, which rounds
+    differently from polyval's fresh-output product.
+    """
+    acc = np.asarray(rows[-1] + x * 0)
+    prod = np.empty_like(acc)
+    for k in range(len(rows) - 2, -1, -1):
+        np.multiply(acc, x, out=prod)
+        np.add(prod, rows[k], out=acc)
+    return acc
+
+
 def lchoose(n, k):
     """log of the binomial coefficient, via log-gamma."""
     return special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)

@@ -635,7 +635,7 @@ def verify_domination(ev: EventSpec, draw: CoefficientDraw) -> bool:
     w[m] = 0.0
 
     def rest(z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), w)
+        return _num.horner(w, np.asarray(z, dtype=complex))
 
     rest_max = max_modulus(rest, r, rel_tol=1e-6)
     tail = event_tail_sup_bound(ev, draw.degree)

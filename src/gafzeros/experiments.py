@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, events, models, radial, zeros
+from . import _num, bounds, events, models, radial, zeros
 from .models import GafModel
 from .radial import RadialEnsemble
 
@@ -247,7 +247,7 @@ def _run_exact_tail(cfg: RunConfig, out_dir, tag):
             elif ens is RadialEnsemble.HYPERBOLIC_ONE:
                 blo = m * (m + 1) * math.log(r)
                 bhi = float(np.logaddexp(
-                    _num_lchoose(m * m, m) + m * (m + 1) * math.log(r),
+                    _num.lchoose(m * m, m) + m * (m + 1) * math.log(r),
                     (2 * m * m + 2) * math.log(r) - math.log1p(-r * r)))
                 contained = blo <= br.log_lower <= bhi
             else:
@@ -260,11 +260,6 @@ def _run_exact_tail(cfg: RunConfig, out_dir, tag):
                     "bound_lower", "bound_upper", "contained", "config_hash",
                     "seed"], rows)
     return [path]
-
-
-def _num_lchoose(n, k):
-    from ._num import lchoose
-    return float(lchoose(n, k))
 
 
 def _run_event_bound(cfg: RunConfig, out_dir, tag):
@@ -346,8 +341,7 @@ def _jensen_chunk(args):
         try:
             res, _ = zeros.count_with_retry(gaf, r, floor)
             check = zeros.jensen_residual(gaf, r, big_r, quad_tol=quad_tol)
-            roots = zeros.find_roots(gaf.weighted_coefficients)
-            root_count = zeros.count_in_disk(roots, r)
+            root_count = zeros.count_in_disk(check.roots, r)
             ineq = res.count * math.log(big_r / r) <= check.integral_n_over_u + 1e-9
             out.append((block * CHUNK + j, r, big_r, res.count, root_count,
                         check.residual, ineq, True))

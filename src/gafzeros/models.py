@@ -237,7 +237,7 @@ class TruncatedGaf:
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) > self.radius_of_use * (1.0 + 1e-5)):
             raise ValueError("evaluation point outside radius_of_use")
-        out = np.polynomial.polynomial.polyval(z, self.weighted)
+        out = _num.horner(self.weighted, z)
         return complex(out) if out.ndim == 0 else out
 
 

@@ -165,7 +165,9 @@ def poisson_binomial_tail_log(profile: BernoulliProfile, m: int) -> TailBracket:
     if m == 0:
         return TailBracket(0.0, 0.0)
     state = _dp_log_pmf(profile, m)
-    log_lower = float(state[m])
+    # where P is within rounding of 1 the log-space sums can land a few ulps
+    # above 0; both ends are clamped so the bracket stays <= 0 and ordered
+    log_lower = min(float(state[m]), 0.0)
     # survival[k] = log P[S >= k]
     survival = np.logaddexp.accumulate(state[::-1])[::-1]
     j = np.arange(0, m + 1)

@@ -11,10 +11,11 @@ count transferable to the full series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _num
 from .models import TruncatedGaf
 
 _TWO_PI = 2.0 * math.pi
@@ -51,6 +52,7 @@ class JensenCheck:
     mean_log_r: float
     integral_n_over_u: float
     residual: float
+    roots: np.ndarray = field(repr=False, compare=False)
 
 
 def _circle_values(f, r, n):
@@ -165,8 +167,15 @@ def _initial_root_guesses(coeffs):
     return np.concatenate(guesses)
 
 
-def _polyval_many(coeffs, z):
-    return np.polynomial.polynomial.polyval(z, coeffs)
+def _value_and_slope_rows(c):
+    """Horner rows whose one pass over [z, z] gives p(z), then p'(z).
+
+    The first deg columns hold c, the last deg the derivative coefficients,
+    padded with a top 0 to the same length.
+    """
+    deg = len(c) - 1
+    dc = c[1:] * np.arange(1, deg + 1)
+    return np.repeat(np.stack([c, np.append(dc, 0)], axis=1), deg, axis=1)
 
 
 def find_roots(coeffs, *, residual_tol=1e-10, max_iter=200) -> np.ndarray:
@@ -189,23 +198,27 @@ def find_roots(coeffs, *, residual_tol=1e-10, max_iter=200) -> np.ndarray:
     if deg == 1:
         return np.concatenate([roots_at_zero, [-c[0] / c[1]]])
 
-    dc = c[1:] * np.arange(1, deg + 1)
+    cc = _value_and_slope_rows(c)
     z = _initial_root_guesses(c)
     done = np.zeros(deg, dtype=bool)
+
+    def values(z):
+        pdp = _num.horner(cc, np.concatenate([z, z]))
+        return pdp[:deg], pdp[deg:]
 
     def values_with_pullback(z):
         # overflowing iterates (giant initial radii at high degree) are pulled
         # toward the origin until evaluation is finite
         with np.errstate(over="ignore", invalid="ignore"):
-            p = _polyval_many(c, z)
-            dp = _polyval_many(dc, z)
+            p, dp = values(z)
             for _ in range(200):
                 nonfin = ~(np.isfinite(p) & np.isfinite(dp))
                 if not np.any(nonfin):
                     break
                 z = np.where(nonfin, 0.7 * z, z)
-                p = np.where(nonfin, _polyval_many(c, z), p)
-                dp = np.where(nonfin, _polyval_many(dc, z), dp)
+                p_new, dp_new = values(z)
+                p = np.where(nonfin, p_new, p)
+                dp = np.where(nonfin, dp_new, dp)
         return z, p, dp
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,8 +244,8 @@ def find_roots(coeffs, *, residual_tol=1e-10, max_iter=200) -> np.ndarray:
             step = p / dp
             z = z - np.where(np.isfinite(step), step, 0.0)
 
-        scale = _polyval_many(np.abs(c), np.abs(z)).real
-        resid = np.abs(_polyval_many(c, z))
+        scale = _num.horner(np.abs(c), np.abs(z))
+        resid = np.abs(_num.horner(c, z))
     roots = np.concatenate([roots_at_zero, z])
     rel = resid / np.maximum(scale, 1e-300)
     # NaN must count as failure, never as a pass
@@ -280,7 +293,9 @@ def jensen_residual(gaf: TruncatedGaf, r: float, R: float, *, quad_tol=1e-8) -> 
     """Residual of the circular-mean identity for log |f| between radii r < R.
 
     The radial zero-count integral is assembled exactly from the polynomial
-    roots: a root of modulus u < R contributes log(R / max(u, r)).
+    roots: a root of modulus u < R contributes log(R / max(u, r)).  The roots
+    (``find_roots`` of the weighted coefficients) are returned with the check,
+    so a caller that also counts them needs no second root solve.
     """
     if not (0 < r < R <= gaf.radius_of_use * (1 + 1e-12)):
         raise ValueError("need 0 < r < R <= radius_of_use")
@@ -295,7 +310,7 @@ def jensen_residual(gaf: TruncatedGaf, r: float, R: float, *, quad_tol=1e-8) -> 
     mean_r = circle_mean_log_abs(gaf, r, quad_tol)
     return JensenCheck(r=r, R=R, mean_log_R=mean_R, mean_log_r=mean_r,
                        integral_n_over_u=integral,
-                       residual=abs(mean_R - mean_r - integral))
+                       residual=abs(mean_R - mean_r - integral), roots=roots)
 
 
 def rouche_certify(gaf: TruncatedGaf, r: float, tail_bound: float,

@@ -132,6 +132,33 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             gaf(2.0)
 
+    def test_matches_polyval_bitwise(self):
+        # the in-place Horner kernel repeats polyval's operations exactly
+        def same_bits(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        def polyval(z, w):
+            return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), w)
+
+        rng = stream(56)
+        for degree in (0, 1, 7, 43):
+            gaf = sample_truncated(PLANAR, 2.0, rng, degree=degree)
+            w = gaf.weighted_coefficients
+            for shape in ((1,), (2,), (257,), (3, 5)):
+                z = 1.9 * rng.random(shape) * np.exp(2j * math.pi * rng.random(shape))
+                z.flat[0] = complex(math.nan, 0.5)
+                got = gaf(z)
+                assert isinstance(got, np.ndarray)
+                assert same_bits(got, polyval(z, w))
+            for z in (1.3 - 0.7j, -0.9, np.asarray(0.2 + 1.1j), [0.5j, -1.25]):
+                got = gaf(z)
+                want = polyval(z, w)
+                if np.ndim(z) == 0:
+                    assert isinstance(got, complex)
+                    want = complex(want)
+                assert same_bits(got, want)
+
 
 class TestTailSd:
     def test_monotone_decreasing_to_zero(self):

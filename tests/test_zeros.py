@@ -7,10 +7,65 @@ import pytest
 
 from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge,
                       circle_mean_log_abs, count_in_disk, count_with_retry,
-                      count_zeros_winding, find_roots, jensen_residual,
-                      max_modulus, rouche_certify, sample_truncated, stream)
+                      count_zeros_winding, experiments, find_roots,
+                      jensen_residual, max_modulus, rouche_certify,
+                      sample_truncated, stream, zeros)
+from gafzeros._num import horner
 
 PLANAR = GafModel.planar()
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def polyval(x, c):
+    return np.polynomial.polynomial.polyval(x, c)
+
+
+class TestHorner:
+    def test_matches_polyval_bitwise(self):
+        rng = np.random.default_rng(7)
+        for degree in (0, 1, 2, 9, 43, 120):
+            c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            c *= np.exp(3.0 * rng.standard_normal(degree + 1))
+            for n in (1, 2, 3, 64, 513):
+                z = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                assert same_bits(horner(c, z), polyval(z, c))
+                assert same_bits(horner(np.abs(c), np.abs(z)), polyval(np.abs(z), np.abs(c)))
+
+    def test_scalar_points(self):
+        rng = np.random.default_rng(9)
+        c = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+        for _ in range(50):
+            z = np.asarray(complex(*(1.5 * rng.standard_normal(2))))
+            got = horner(c, z)
+            assert got.ndim == 0
+            assert same_bits(got, polyval(z, c))
+        assert same_bits(horner(c[:1], np.asarray(0.5j)), polyval(np.asarray(0.5j), c[:1]))
+
+    def test_nonfinite_points(self):
+        c = np.array([1.0 + 2.0j, -0.5j, 0.25, 1e-3 - 1j])
+        z = np.array([np.inf, -np.inf + 1j, complex(np.nan, 0.0), complex(1.0, np.inf),
+                      1e200 + 1e200j, 0.5 + 0.5j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = horner(c, z), polyval(z, c)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        fin = np.isfinite(want)
+        assert same_bits(got[fin], want[fin])
+        assert same_bits(got[np.isinf(want)], want[np.isinf(want)])
+
+    def test_value_and_slope_rows(self):
+        # one pass over [z, z] gives polyval(c, z), then polyval(c', z)
+        rng = np.random.default_rng(8)
+        for degree in (2, 5, 43, 150):
+            c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            dc = c[1:] * np.arange(1, degree + 1)
+            z = 1.5 * (rng.standard_normal(degree) + 1j * rng.standard_normal(degree))
+            pdp = horner(zeros._value_and_slope_rows(c), np.concatenate([z, z]))
+            assert same_bits(pdp[:degree], polyval(z, c))
+            assert same_bits(pdp[degree:], polyval(z, dc))
 
 
 class TestWinding:
@@ -157,6 +212,29 @@ class TestJensen:
         check = jensen_residual(gaf, 1.0, 2.0)
         assert check.integral_n_over_u == pytest.approx(math.log(2.0), rel=1e-12)
         assert check.residual < 1e-8
+
+    def test_returns_the_roots_it_used(self):
+        gaf = sample_truncated(PLANAR, 2.5, stream(33))
+        check = jensen_residual(gaf, 2.0, 2.5)
+        assert same_bits(check.roots, find_roots(gaf.weighted_coefficients))
+        assert "roots" not in repr(check)
+
+    def test_jensen_chunk_solves_roots_once_per_trial(self, monkeypatch):
+        calls = {"find_roots": 0, "jensen_residual": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(zeros, name, counted(name, getattr(zeros, name)))
+        trials = 24
+        _, rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, 100.0, 0, 0, trials))
+        assert len(rows) == trials
+        assert calls["jensen_residual"] > 0
+        assert calls["find_roots"] == calls["jensen_residual"]
 
     def test_count_inequality(self):
         rng = stream(32)
