@@ -16,11 +16,11 @@ from .zeros import (CountResult, InconclusiveCount, JensenCheck,
                     jensen_residual, max_modulus, rouche_certify)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
                      bernoulli_probs, poisson_binomial_tail_log, sample_radii,
-                     tail_log_bracket)
-from .bounds import (ExponentRegime, SumNLogN, ginibre_tail_brackets, kappa,
-                     kappa_argmax, poisson_kernel_bounds,
-                     poisson_tail_log_upper, predicted_exponent, sum_n_log_n,
-                     sum_n_log_n_closed_form)
+                     tail_log_bracket, tail_log_brackets)
+from .bounds import (ExponentRegime, SumNLogN, ginibre_tail_brackets,
+                     hyperbolic_one_tail_brackets, kappa, kappa_argmax,
+                     poisson_kernel_bounds, poisson_tail_log_upper,
+                     predicted_exponent, sum_n_log_n, sum_n_log_n_closed_form)
 from .events import (AggregateBlock, EventConstructionError, EventKind,
                      EventLogProb, EventSpec, FitResult, IndexBlock, Method,
                      TailEstimate, build_event, certified_event_count,

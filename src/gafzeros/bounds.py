@@ -189,8 +189,8 @@ def _golden_max(f, lo, hi, tol):
     return x, f(x)
 
 
-def kappa(r: float, *, tol=1e-12) -> float:
-    """sup over eps in (0, r) of B_eps^2 / |log eps| with B_eps = (r-eps)/(r+eps).
+def _kappa_search(r: float, tol: float):
+    """(maximizer, golden value, grid maximum) of B_eps^2 / |log eps| over (0, r).
 
     Coarse log-spaced grid to bracket the maximizer, then golden-section
     refinement of the bracketing interval.
@@ -205,24 +205,19 @@ def kappa(r: float, *, tol=1e-12) -> float:
     grid = np.exp(np.linspace(math.log(1e-12), math.log(r) - 1e-9, 4096))
     vals = (((r - grid) / (r + grid)) ** 2) / (-np.log(grid))
     i = int(np.clip(np.argmax(vals), 1, len(grid) - 2))
-    _, best = _golden_max(g, grid[i - 1], grid[i + 1], tol * grid[i])
-    return float(max(best, vals.max()))
+    x, best = _golden_max(g, grid[i - 1], grid[i + 1], tol * grid[i])
+    return x, best, vals.max()
+
+
+def kappa(r: float, *, tol=1e-12) -> float:
+    """sup over eps in (0, r) of B_eps^2 / |log eps| with B_eps = (r-eps)/(r+eps)."""
+    _, best, grid_best = _kappa_search(r, tol)
+    return float(max(best, grid_best))
 
 
 def kappa_argmax(r: float, *, tol=1e-12) -> float:
     """The maximizing eps for kappa(r); exposed for diagnostics."""
-    if not 0 < r < 1:
-        raise ValueError("need 0 < r < 1")
-
-    def g(e):
-        b = (r - e) / (r + e)
-        return (b * b) / (-math.log(e))
-
-    grid = np.exp(np.linspace(math.log(1e-12), math.log(r) - 1e-9, 4096))
-    vals = (((r - grid) / (r + grid)) ** 2) / (-np.log(grid))
-    i = int(np.clip(np.argmax(vals), 1, len(grid) - 2))
-    x, _ = _golden_max(g, grid[i - 1], grid[i + 1], tol * grid[i])
-    return float(x)
+    return float(_kappa_search(r, tol)[0])
 
 
 def ginibre_tail_brackets(r: float, m: int) -> TailBracket:
@@ -245,3 +240,20 @@ def ginibre_tail_brackets(r: float, m: int) -> TailBracket:
     log_resid = _poisson_tail_bound_series(lam, m * m + 1)
     log_upper = float(np.logaddexp(main, log_resid))
     return TailBracket(log_lower, min(log_upper, 0.0))
+
+
+def hyperbolic_one_tail_brackets(r: float, m: int) -> TailBracket:
+    """Analytic bracket on log P[hyperbolic index-one count in D(0,r) >= m].
+
+    With p_n = r^{2n}, lower: the first m indices all inside, r^{m(m+1)}.
+    Upper: some m of the first m^2 indices inside, each such set costing at
+    most r^{m(m+1)}, plus any index past m^2 inside, r^{2(m^2+1)}/(1-r^2).
+    The upper end is not clamped at 0.
+    """
+    if not 0 < r < 1 or m < 0:
+        raise ValueError("bracket needs 0 < r < 1 and m >= 0")
+    log_lower = m * (m + 1) * math.log(r)
+    log_upper = float(np.logaddexp(
+        _num.lchoose(m * m, m) + m * (m + 1) * math.log(r),
+        (2 * m * m + 2) * math.log(r) - math.log1p(-r * r)))
+    return TailBracket(log_lower, log_upper)

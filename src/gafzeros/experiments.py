@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _num, bounds, events, models, radial, zeros
+from . import bounds, events, models, radial, zeros
 from .models import GafModel
 from .radial import RadialEnsemble
 
@@ -236,19 +236,15 @@ def _run_exact_tail(cfg: RunConfig, out_dir, tag):
     m_min = cfg.require("m_min", int, cond=lambda v: v >= 0, msg="must be >= 0")
     m_max = cfg.require("m_max", int, cond=lambda v: v >= m_min,
                         msg="must be >= m_min")
+    ms = range(m_min, m_max + 1)
     rows = []
     for r in radii:
-        for m in range(m_min, m_max + 1):
-            br = radial.tail_log_bracket(ens, r, m)
+        for m, br in zip(ms, radial.tail_log_brackets(ens, r, ms)):
             if ens is RadialEnsemble.GINIBRE and m >= max(1.0, r * r):
-                bk = bounds.ginibre_tail_brackets(r, m)
-                blo, bhi = bk.log_lower, bk.log_upper
+                blo, bhi = bounds.ginibre_tail_brackets(r, m)
                 contained = blo <= br.log_lower <= bhi
             elif ens is RadialEnsemble.HYPERBOLIC_ONE:
-                blo = m * (m + 1) * math.log(r)
-                bhi = float(np.logaddexp(
-                    _num.lchoose(m * m, m) + m * (m + 1) * math.log(r),
-                    (2 * m * m + 2) * math.log(r) - math.log1p(-r * r)))
+                blo, bhi = bounds.hyperbolic_one_tail_brackets(r, m)
                 contained = blo <= br.log_lower <= bhi
             else:
                 blo = bhi = float("nan")
@@ -312,8 +308,7 @@ def _run_exponent_fit(cfg: RunConfig, out_dir, tag):
     basis = cfg.optional("basis", "m2logm+m2")
     pts = []
     point_rows = []
-    for m in m_grid:
-        br = radial.tail_log_bracket(ens, r, m)
+    for m, br in zip(m_grid, radial.tail_log_brackets(ens, r, m_grid)):
         pts.append((m, -br.log_lower))
         point_rows.append([ens.value, r, m, br.log_lower, br.log_upper, tag, cfg.seed])
     fit = events.exponent_fit(pts, basis)

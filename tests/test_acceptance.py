@@ -186,12 +186,11 @@ def test_criterion_09_counting_identities():
         assert gaf.degree <= 200
         try:
             res, _ = gz.count_with_retry(gaf, r, 100.0 * gaf.tail_sd)
-            roots = gz.find_roots(gaf.weighted_coefficients)
             check = gz.jensen_residual(gaf, r, big_r, quad_tol=1e-8)
         except (gz.InconclusiveCount, gz.RootsDidNotConverge):
             continue
         done += 1
-        agree += res.count == gz.count_in_disk(roots, r)
+        agree += res.count == gz.count_in_disk(check.roots, r)
         jensen_ok += check.residual < 1e-6
         ineq_ok += res.count * math.log(big_r / r) <= check.integral_n_over_u + 1e-9
     ok = done == 1000 and agree == 1000 and jensen_ok == 1000 and ineq_ok == 1000

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy import special
 
 from gafzeros import (ExponentRegime, RadialEnsemble, ginibre_tail_brackets,
-                      kappa, kappa_argmax, poisson_kernel_bounds,
-                      poisson_tail_log_upper, predicted_exponent, sum_n_log_n,
-                      sum_n_log_n_closed_form, tail_log_bracket)
+                      hyperbolic_one_tail_brackets, kappa, kappa_argmax,
+                      poisson_kernel_bounds, poisson_tail_log_upper,
+                      predicted_exponent, sum_n_log_n, sum_n_log_n_closed_form,
+                      tail_log_bracket, tail_log_brackets)
 
 
 class TestSumNLogN:
@@ -162,3 +163,20 @@ class TestGinibreBrackets:
     def test_precondition(self):
         with pytest.raises(ValueError):
             ginibre_tail_brackets(2.0, 3)
+
+
+class TestHyperbolicOneBrackets:
+    def test_contains_dp(self):
+        ms = [1, 2, 5, 10, 25, 60]
+        for r in (0.5, 0.9):
+            for m, dp in zip(ms, tail_log_brackets(RadialEnsemble.HYPERBOLIC_ONE, r, ms)):
+                bk = hyperbolic_one_tail_brackets(r, m)
+                assert bk.log_lower <= dp.log_lower <= bk.log_upper
+
+    def test_lower_is_first_m_indices_inside(self):
+        assert hyperbolic_one_tail_brackets(0.5, 3).log_lower == 12 * math.log(0.5)
+
+    def test_domain(self):
+        for r, m in ((1.0, 3), (0.0, 3), (0.5, -1)):
+            with pytest.raises(ValueError):
+                hyperbolic_one_tail_brackets(r, m)

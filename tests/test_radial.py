@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gafzeros import (BernoulliProfile, RadialEnsemble, bernoulli_probs,
+from gafzeros import (BernoulliProfile, RadialEnsemble, _num, bernoulli_probs,
                       poisson_binomial_tail_log, sample_radii, stream,
-                      tail_log_bracket)
+                      tail_log_bracket, tail_log_brackets)
 
 GIN = RadialEnsemble.GINIBRE
 HYP = RadialEnsemble.HYPERBOLIC_ONE
@@ -29,6 +29,51 @@ def enumerate_tail_log(log_p, log_q, m):
     logw = np.where(bits, log_p, log_q).sum(axis=1)
     keep = logw[counts >= m]
     return float(special.logsumexp(keep))
+
+
+def reference_dp(profile, m):
+    # the per-level absorbing DP, restarted at index 1 for every m
+    state = np.full(m + 1, -np.inf)
+    state[0] = 0.0
+    for lp, lq in zip(profile.log_probs, profile.log_one_minus):
+        up = state[m - 1] + lp
+        shifted = np.concatenate(([-np.inf], state[:m-1] + lp))
+        state[:m] = np.logaddexp(state[:m] + lq, shifted)
+        state[m] = np.logaddexp(state[m], up)
+    return state
+
+
+def reference_tail(profile, m):
+    # bracket from the per-level DP: clamped survival plus the neglected-mass term
+    state = reference_dp(profile, m)
+    survival = np.logaddexp.accumulate(state[::-1])[::-1]
+    j = np.arange(0, m + 1)
+    with np.errstate(invalid="ignore"):
+        corr = j * profile.log_neglected - special.gammaln(j + 1) + survival[::-1]
+    if not np.isfinite(profile.log_neglected):
+        corr = np.where(j == 0, survival[m], -np.inf)
+    return (min(float(state[m]), 0.0), min(float(_num.logsumexp(corr)), 0.0)), survival
+
+
+def reference_bracket(ens, r, m, eps=1e-9, target_width=1e-6):
+    # per-level refinement: deepen the profile until the bracket meets the target
+    if m == 0:
+        return (0.0, 0.0)
+    profile = bernoulli_probs(ens, r, eps, min_terms=m + 8)
+    br, survival = reference_tail(profile, m)
+    for _ in range(4):
+        if br[1] - br[0] <= target_width:
+            return br
+        needed = math.log(target_width / 2.0) + survival[m] - survival[m - 1]
+        n = profile.size
+        if ens is HYP:
+            n = max(n + 8, math.ceil((needed + math.log1p(-r * r)) / (2.0 * math.log(r)) - 1.0))
+        else:
+            while _num.log_poisson_tail_remainder(r * r, n + 1) >= needed:
+                n = int(n * 1.4) + 4
+        profile = bernoulli_probs(ens, r, eps, min_terms=n)
+        br, survival = reference_tail(profile, m)
+    return br
 
 
 class TestProfiles:
@@ -157,6 +202,57 @@ class TestTailDP:
         assert np.isfinite(br.log_lower)
         assert br.log_lower < -1e4
         assert br.log_upper - br.log_lower <= 1e-6
+
+
+class TestSweep:
+    @pytest.mark.parametrize("ens, r, ms, refines", [
+        (GIN, 1.0, [0, 1, 2, 5, 17, 40, 5, 0, 120], False),
+        (GIN, 6.0, [0, 3, 36, 71, 90, 120, 36, 150], True),
+        (GIN, 10.0, [0, 1, 100, 180, 200, 250, 200], True),
+        (HYP, 0.5, [0, 1, 3, 6, 10, 25, 3], True),
+        (HYP, 0.9, [0, 1, 20, 34, 60, 120, 20], True),
+    ])
+    def test_batch_equals_per_level(self, ens, r, ms, refines):
+        ms = [int(m) for m in stream(83).permutation(ms)]
+        batch = tail_log_brackets(ens, r, ms)
+        single = [tail_log_bracket(ens, r, m) for m in ms]
+        assert [tuple(b) for b in batch] == [tuple(b) for b in single]
+        assert [tuple(b) for b in batch] == [reference_bracket(ens, r, m) for m in ms]
+        # refines: some level's first-depth bracket misses the target width
+        first = [reference_tail(bernoulli_probs(ens, r, min_terms=m + 8), m)[0]
+                 for m in ms if m > 0]
+        assert any(hi - lo > 1e-6 for lo, hi in first) == refines
+
+    def test_other_eps_and_width(self):
+        for ens, r, eps, width in ((GIN, 2.0, 1e-6, 1e-3), (HYP, 0.8, 1e-4, 1e-10),
+                                   (GIN, 6.0, 1e-9, 1e-12)):
+            ms = [9, 1, 30, 4, 0, 17]
+            batch = tail_log_brackets(ens, r, ms, eps, target_width=width)
+            assert [tuple(b) for b in batch] == \
+                [reference_bracket(ens, r, m, eps, width) for m in ms]
+
+    def test_dp_matches_reference_bitwise(self):
+        rng = stream(84)
+        p = rng.random(40) * 0.9 + 0.05
+        p[3] = 1.0
+        with np.errstate(divide="ignore"):
+            manual = BernoulliProfile(GIN, 1.0, np.log(p), np.log1p(-p), -np.inf)
+        profiles = [manual, bernoulli_probs(GIN, 10.0, min_terms=130),
+                    bernoulli_probs(GIN, 1.0, min_terms=60), bernoulli_probs(HYP, 0.9)]
+        for prof in profiles:
+            for m in (1, 2, 7, 33, 60):
+                got = poisson_binomial_tail_log(prof, m)
+                assert tuple(got) == reference_tail(prof, m)[0]
+
+    def test_empty_and_negative_levels(self):
+        assert tail_log_brackets(GIN, 1.0, []) == []
+        assert tail_log_brackets(HYP, 1.5, [0, 0]) == [(0.0, 0.0), (0.0, 0.0)]
+        with pytest.raises(ValueError):
+            tail_log_brackets(GIN, 1.0, [3, -1, 5])
+        with pytest.raises(ValueError):
+            tail_log_brackets(HYP, 0.5, [-2])
+        with pytest.raises(ValueError):
+            tail_log_brackets(HYP, 1.5, [0, 2])
 
 
 class TestSandwiches:
