@@ -12,7 +12,7 @@ from .models import (CoefficientDraw, GafModel, Kind, TruncatedGaf,
                      sigma, split_streams, stream, tail_sd)
 from .zeros import (CountResult, InconclusiveCount, JensenCheck,
                     RootsDidNotConverge, circle_mean_log_abs, count_in_disk,
-                    count_with_retry, count_zeros_winding, find_roots,
+                    count_replicas, count_with_retry, count_zeros_winding, find_roots,
                     jensen_residual, max_modulus, rouche_certify)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
                      bernoulli_probs, poisson_binomial_tail_log, sample_radii,

@@ -20,9 +20,9 @@ from scipy import optimize, special, stats
 
 from . import _num
 from .models import (CoefficientDraw, GafModel, Kind, choose_truncation,
-                     log_sigma, make_truncated, sample_truncated, stream)
+                     log_sigma, make_truncated, stream)
 from .radial import RadialEnsemble, bernoulli_probs
-from .zeros import InconclusiveCount, count_with_retry, max_modulus
+from .zeros import count_replicas, count_with_retry, max_modulus
 
 
 class EventKind(Enum):
@@ -385,13 +385,17 @@ def _shifted_log(shift: float):
 _ANCHOR_MARGIN = 2e-9
 
 
-def _sup_units(b: IndexBlock, model: GafModel, r: float, lw_ref: float) -> float:
-    """sum_n c_n w_n / w_ref over a 'le' block of a planar event.
+def _sup_units(b: IndexBlock, model: GafModel, r: float, lw_ref: float,
+               lo: int | None = None) -> float:
+    """sum_n c_n w_n / w_ref over the indices of a 'le' block from ``lo`` on.
 
     An unbounded block is summed as a certified series.
     """
+    start = b.lo if lo is None else max(b.lo, lo)
     if b.hi is not None:
-        n = b.indices_upto(b.hi)
+        if b.hi < start:
+            return 0.0
+        n = np.arange(start, b.hi + 1)
         return float(np.exp(b.log_threshold(n) + _log_weight(model, n, r) - lw_ref).sum())
 
     def log_term(n):
@@ -400,13 +404,19 @@ def _sup_units(b: IndexBlock, model: GafModel, r: float, lw_ref: float) -> float
     def ratio(n):
         th0 = float(b.log_threshold(np.array([n]))[0])
         th1 = float(b.log_threshold(np.array([n + 1]))[0])
-        return math.exp(th1 - th0) * r / math.sqrt(n + 1.0)
+        if model.kind is Kind.PLANAR:
+            wr = r / math.sqrt(n + 1.0)
+        else:
+            wr = r * math.sqrt((n + model.rho) / (n + 1.0))
+        return math.exp(th1 - th0) * wr
 
-    n0 = b.lo
+    n0 = start
     head = -math.inf
     while ratio(n0) >= 0.999999:
         head = np.logaddexp(head, log_term(n0))
         n0 += 1
+        if n0 > start + 10**6:
+            raise RuntimeError("tail bound does not contract")
     tail = _num.certified_log_series(log_term, n0, ratio, rel_tol=1e-14)
     return math.exp(float(np.logaddexp(head, tail)))
 
@@ -434,41 +444,8 @@ def event_tail_sup_bound(ev: EventSpec, n_max: int) -> float:
     the caps times the weights; this is what certifies counts of truncated
     conditioned samples.
     """
-    model, r = ev.model, ev.r
-    out = 0.0
-    for b in ev.blocks:
-        if b.mode != "le":
-            continue
-        lo = max(b.lo, n_max + 1)
-        if b.hi is not None:
-            if b.hi < lo:
-                continue
-            n = np.arange(lo, b.hi + 1)
-            out += float(np.exp(b.log_threshold(n) + _log_weight(model, n, r)).sum())
-        else:
-            def log_term(n):
-                return float(b.log_threshold(np.array([n]))[0]
-                             + _log_weight(model, n, r))
-
-            def ratio(n):
-                th0 = float(b.log_threshold(np.array([n]))[0])
-                th1 = float(b.log_threshold(np.array([n + 1]))[0])
-                if model.kind is Kind.PLANAR:
-                    wr = r / math.sqrt(n + 1.0)
-                else:
-                    wr = r * math.sqrt((n + model.rho) / (n + 1.0))
-                return math.exp(th1 - th0) * wr
-
-            n0 = lo
-            head = -math.inf
-            while ratio(n0) >= 0.999999:
-                head = np.logaddexp(head, log_term(n0))
-                n0 += 1
-                if n0 > lo + 10**6:
-                    raise RuntimeError("tail bound does not contract")
-            tail = _num.certified_log_series(log_term, n0, ratio, rel_tol=1e-14)
-            out += math.exp(float(np.logaddexp(head, tail)))
-    return out
+    return sum((_sup_units(b, ev.model, ev.r, 0.0, lo=n_max + 1)
+                for b in ev.blocks if b.mode == "le"), 0.0)
 
 
 def _le_block_log_prob(block: IndexBlock, exact=True):
@@ -690,8 +667,6 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hits = 0
-    retries = 0
-    unresolved = 0
     extras = {}
     if isinstance(target, RadialEnsemble):
         profile = bernoulli_probs(target, r, 1e-9, min_terms=m + 8)
@@ -715,20 +690,11 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
             done += take
             block += 1
     elif isinstance(target, GafModel):
-        degree = choose_truncation(target, r)
-        for i in range(trials):
-            rng = stream(seed, i)
-            gaf = sample_truncated(target, r, rng, degree=degree)
-            floor = tail_guard * gaf.tail_sd
-            try:
-                res, used = count_with_retry(gaf, r, floor)
-                retries += used
-                if res.count >= m:
-                    hits += 1
-            except InconclusiveCount:
-                unresolved += 1
+        counts, retries = count_replicas(target, r, choose_truncation(target, r),
+                                         tail_guard, seed, range(trials))
+        hits = int((counts >= m).sum())
         extras["retries"] = retries
-        extras["unresolved_as_failure"] = unresolved
+        extras["unresolved_as_failure"] = int((counts < 0).sum())
     else:
         raise TypeError("target must be a GafModel or RadialEnsemble")
 

@@ -171,20 +171,23 @@ def _run_scatter(cfg: RunConfig, out_dir, tag):
     return [path]
 
 
-def _mc_gaf_chunk(args):
-    (kind, rho, r, m, degree, tail_guard, seed, block, count) = args
-    model = GafModel.planar() if kind == "planar" else GafModel.hyperbolic(rho)
-    hits = retries = unresolved = 0
-    for j in range(count):
-        rng = models.stream(seed, block * CHUNK + j)
-        gaf = models.sample_truncated(model, r, rng, degree=degree)
-        try:
-            res, used = zeros.count_with_retry(gaf, r, tail_guard * gaf.tail_sd)
-            retries += used
-            hits += res.count >= m
-        except zeros.InconclusiveCount:
-            unresolved += 1
-    return block, hits, retries, unresolved
+def _count_chunk(args):
+    (model, r, degree, guard, seed, block, count) = args
+    start = block * CHUNK
+    counts, retries = zeros.count_replicas(model, r, degree, guard, seed,
+                                           range(start, start + count))
+    return block, counts, retries
+
+
+def _replica_counts(cfg: RunConfig, model: GafModel, r: float, replicas: int):
+    """Certified counts of replicas 0..replicas-1 (-1 if unresolved) and their retries."""
+    degree = models.choose_truncation(model, r)
+    guard = float(cfg.optional("tail_guard", 100.0))
+    blocks = [(model, r, degree, guard, cfg.seed, b, min(CHUNK, replicas - b * CHUNK))
+              for b in range((replicas + CHUNK - 1) // CHUNK)]
+    results = _map_blocks(_count_chunk, blocks, cfg.threads)
+    return (np.concatenate([c for _, c, _ in results]),
+            sum(x for _, _, x in results))
 
 
 def _run_mc_tail(cfg: RunConfig, out_dir, tag):
@@ -201,24 +204,12 @@ def _run_mc_tail(cfg: RunConfig, out_dir, tag):
         rows.append([target_name, r, m, trials, est.extras["hits"], est.log_p,
                      est.log_lo, est.log_hi, 0, 0, tag, cfg.seed])
     else:
-        if target_name == "planar":
-            model = GafModel.planar()
-            rho = 0.0
-        elif target_name == "hyperbolic":
-            rho = cfg.require("rho", float, cond=lambda v: v > 0, msg="rho must be > 0")
-            model = GafModel.hyperbolic(rho)
-        else:
+        if target_name not in ("planar", "hyperbolic"):
             raise ConfigError("config.target: must be one of planar, hyperbolic, "
                               "ginibre, hyperbolic-one")
-        degree = models.choose_truncation(model, r)
-        guard = float(cfg.optional("tail_guard", 100.0))
-        blocks = [(target_name, rho, r, m, degree, guard, cfg.seed, b,
-                   min(CHUNK, trials - b * CHUNK))
-                  for b in range((trials + CHUNK - 1) // CHUNK)]
-        results = _map_blocks(_mc_gaf_chunk, blocks, cfg.threads)
-        hits = sum(h for _, h, _, _ in results)
-        retries = sum(x for _, _, x, _ in results)
-        unresolved = sum(u for _, _, _, u in results)
+        counts, retries = _replica_counts(cfg, _model_from(cfg, "target"), r, trials)
+        hits = int((counts >= m).sum())
+        unresolved = int((counts < 0).sum())
         log_lo, log_hi = events._clopper_pearson_log(hits, trials, level)
         with np.errstate(divide="ignore"):
             log_p = float(np.log(hits / trials))
@@ -371,47 +362,21 @@ def _run_jensen_check(cfg: RunConfig, out_dir, tag):
     return [path]
 
 
-def _intensity_chunk(args):
-    (kind, rho, r, degree, guard, seed, block, count) = args
-    model = GafModel.planar() if kind == "planar" else GafModel.hyperbolic(rho)
-    total = 0
-    total_sq = 0
-    unresolved = 0
-    for j in range(count):
-        rng = models.stream(seed, block * CHUNK + j)
-        gaf = models.sample_truncated(model, r, rng, degree=degree)
-        try:
-            res, _ = zeros.count_with_retry(gaf, r, guard * gaf.tail_sd)
-            total += res.count
-            total_sq += res.count ** 2
-        except zeros.InconclusiveCount:
-            unresolved += 1
-    return block, total, total_sq, unresolved
-
-
 def _run_intensity_check(cfg: RunConfig, out_dir, tag):
     model = _model_from(cfg)
     r = cfg.require("r", float, cond=lambda v: v > 0, msg="must be > 0")
     samples = cfg.require("samples", int, cond=lambda v: v >= 1, msg="must be >= 1")
-    guard = float(cfg.optional("tail_guard", 100.0))
-    degree = models.choose_truncation(model, r)
-    kind = "planar" if model.kind.value == "planar" else "hyperbolic"
-    blocks = [(kind, model.rho or 0.0, r, degree, guard, cfg.seed, b,
-               min(CHUNK, samples - b * CHUNK))
-              for b in range((samples + CHUNK - 1) // CHUNK)]
-    results = _map_blocks(_intensity_chunk, blocks, cfg.threads)
-    total = sum(t for _, t, _, _ in results)
-    total_sq = sum(t for _, _, t, _ in results)
-    unresolved = sum(u for _, _, _, u in results)
-    n_ok = samples - unresolved
-    mean = total / n_ok
-    var = total_sq / n_ok - mean * mean
+    counts, _ = _replica_counts(cfg, model, r, samples)
+    ok = counts[counts >= 0]
+    n_ok = len(ok)
+    mean = int(ok.sum()) / n_ok
+    var = int((ok * ok).sum()) / n_ok - mean * mean
     stderr = math.sqrt(max(var, 0.0) / n_ok)
     expected = models.expected_count(model, r)
     path = os.path.join(out_dir, "intensity_check.csv")
     emit_csv(path, ["model", "r", "samples", "resolved", "mean_count",
                     "expected", "stderr", "config_hash", "seed"],
-             [[kind, r, samples, n_ok, mean, expected, stderr, tag, cfg.seed]])
+             [[model.kind.value, r, samples, n_ok, mean, expected, stderr, tag, cfg.seed]])
     return [path]
 
 

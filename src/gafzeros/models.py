@@ -147,11 +147,11 @@ def log_tail_variance(model: GafModel, degree: int, r: float) -> float:
         return float(special.gammaln(n + rho) - special.gammaln(n + 1) - special.gammaln(rho)) + n * math.log(x)
 
     def ratio_bound(n):
-        # term ratio x*(n+rho)/(n+1); decreasing in n once n+1 > rho
+        # the term ratio x*(n+rho)/(n+1) itself when it decreases in n
+        # (rho > 1), else its limit x
         if rho <= 1.0:
             return x
-        k = max(n, 0)
-        return min(x * (k + 1 + rho) / (k + 2), 0.999999999999)
+        return x * (n + rho) / (n + 1)
 
     # for rho > 1 the first few term ratios can sit at or above 1; add those
     # head terms directly, then certify the geometric stage

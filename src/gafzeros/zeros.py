@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _num
-from .models import TruncatedGaf
+from .models import GafModel, TruncatedGaf, sample_truncated, stream
 
 _TWO_PI = 2.0 * math.pi
 PHASE_LIMIT = math.pi / 2.0
@@ -55,19 +55,27 @@ class JensenCheck:
     roots: np.ndarray = field(repr=False, compare=False)
 
 
-def _circle_values(f, r, n):
-    theta = np.linspace(0.0, _TWO_PI, n, endpoint=False)
-    return theta, np.asarray(f(r * np.exp(1j * theta)), dtype=complex)
+def _circle_grids(f, r, start_nodes, max_nodes):
+    """Values of f on |z| = r over uniform grids that double up to max_nodes.
 
-
-def _interleave(f, r, old_vals):
-    n = len(old_vals)
-    theta_new = (np.arange(n) + 0.5) * (_TWO_PI / n)
-    new_vals = np.asarray(f(r * np.exp(1j * theta_new)), dtype=complex)
-    out = np.empty(2 * n, dtype=complex)
-    out[0::2] = old_vals
-    out[1::2] = new_vals
-    return out
+    The first grid has start_nodes nodes from angle 0; each later grid adds
+    the midpoints of the one before, so f is called once per grid, on the new
+    nodes only.  A consumer ends the walk by leaving its loop.
+    """
+    theta = np.linspace(0.0, _TWO_PI, start_nodes, endpoint=False)
+    vals = np.asarray(f(r * np.exp(1j * theta)), dtype=complex)
+    yield vals
+    while len(vals) < max_nodes:
+        n = len(vals)
+        theta_new = (np.arange(n) + 0.5) * (_TWO_PI / n)
+        new_vals = np.asarray(f(r * np.exp(1j * theta_new)), dtype=complex)
+        doubled = np.empty(2 * n, dtype=complex)
+        doubled[0::2] = vals
+        doubled[1::2] = new_vals
+        vals = doubled
+        # while suspended, hold no array but the grid it yields
+        del theta_new, new_vals, doubled
+        yield vals
 
 
 def count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES) -> CountResult:
@@ -84,8 +92,7 @@ def count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES) ->
         raise ValueError("radius must be positive")
     if not floor >= 0:
         raise ValueError("floor must be nonnegative")
-    _, vals = _circle_values(f, r, start_nodes)
-    while True:
+    for vals in _circle_grids(f, r, start_nodes, max_nodes):
         mods = np.abs(vals)
         mn = float(mods.min())
         if mn <= max(floor, HARD_FLOOR):
@@ -102,10 +109,9 @@ def count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES) ->
         certified = arc_floor > floor
         if phase_ok and (certified or len(vals) >= max_nodes):
             break
-        if len(vals) >= max_nodes:
-            raise InconclusiveCount(
-                f"phase increments unresolved at {len(vals)} nodes on |z| = {r}")
-        vals = _interleave(f, r, vals)
+    else:
+        raise InconclusiveCount(
+            f"phase increments unresolved at {len(vals)} nodes on |z| = {r}")
     total = float(diffs.sum())
     winding = total / _TWO_PI
     count = int(round(winding))
@@ -137,6 +143,28 @@ def count_with_retry(f, r, floor, *, max_retries=3, require_certified=True,
         except InconclusiveCount as exc:
             last_exc = exc
     raise last_exc
+
+
+def count_replicas(model: GafModel, r, degree, guard, seed, keys):
+    """Certified zero counts in |z| < r of independent truncated draws.
+
+    Replica k samples ``model`` at ``degree`` from ``stream(seed, k)`` and is
+    counted by ``count_with_retry`` with floor ``guard * tail_sd``.  Returns
+    (counts, retries): one count per key, -1 where the replica stayed
+    unresolved, and the retries used by the resolved replicas.
+    """
+    counts = np.empty(len(keys), dtype=int)
+    retries = 0
+    for i, k in enumerate(keys):
+        gaf = sample_truncated(model, r, stream(seed, k), degree=degree)
+        try:
+            res, used = count_with_retry(gaf, r, guard * gaf.tail_sd)
+        except InconclusiveCount:
+            counts[i] = -1
+            continue
+        counts[i] = res.count
+        retries += used
+    return counts, retries
 
 
 def _initial_root_guesses(coeffs):
@@ -270,23 +298,17 @@ def circle_mean_log_abs(f, s, tol, *, start_nodes=128, max_nodes=MAX_NODES) -> f
     """
     if not s > 0:
         raise ValueError("radius must be positive")
-    _, vals = _circle_values(f, s, start_nodes)
-    mods = np.abs(vals)
-    if mods.min() <= HARD_FLOOR:
-        raise InconclusiveCount("modulus below 1e-300 on the quadrature circle")
-    est = float(np.mean(np.log(mods)))
-    while True:
-        vals = _interleave(f, s, vals)
+    est = None
+    # at least two grids, so that every mean is checked against a refinement
+    for vals in _circle_grids(f, s, start_nodes, max(max_nodes, 2 * start_nodes)):
         mods = np.abs(vals)
         if mods.min() <= HARD_FLOOR:
             raise InconclusiveCount("modulus below 1e-300 on the quadrature circle")
         new = float(np.mean(np.log(mods)))
-        if abs(new - est) < tol:
+        if est is not None and abs(new - est) < tol:
             return new
-        if len(vals) >= max_nodes:
-            raise InconclusiveCount(
-                f"quadrature unstable at node cap ({len(vals)} nodes)")
         est = new
+    raise InconclusiveCount(f"quadrature unstable at node cap ({len(vals)} nodes)")
 
 
 def jensen_residual(gaf: TruncatedGaf, r: float, R: float, *, quad_tol=1e-8) -> JensenCheck:
@@ -318,23 +340,16 @@ def rouche_certify(gaf: TruncatedGaf, r: float, tail_bound: float,
     """True iff min |f| on |z| = r, less a continuity margin, beats tail_bound.
 
     A True certificate means the truncation has the same zero count in the
-    disk as anything within tail_bound of it on the circle; never raises.
+    disk as anything within tail_bound of it on the circle.  This is the
+    ``certified`` flag of ``count_zeros_winding`` with tail_bound as its
+    floor; an inconclusive count gives False, and a negative tail_bound
+    raises ValueError.
     """
-    _, vals = _circle_values(gaf, r, start_nodes)
-    while True:
-        mods = np.abs(vals)
-        mn = float(mods.min())
-        nxt = np.roll(vals, -1)
-        jumps = np.abs(nxt - vals)
-        arc_floor = float((np.minimum(mods, np.abs(nxt)) - jumps).min())
-        phase_ok = float(np.abs(np.angle(nxt / vals)).max()) < PHASE_LIMIT
-        if phase_ok and arc_floor > tail_bound:
-            return True
-        if len(vals) >= max_nodes:
-            return False
-        if phase_ok and mn <= tail_bound:
-            return False
-        vals = _interleave(gaf, r, vals)
+    try:
+        return count_zeros_winding(gaf, r, tail_bound, start_nodes=start_nodes,
+                                   max_nodes=max_nodes).certified
+    except InconclusiveCount:
+        return False
 
 
 def _polished_circle_max(f, r, vals):
@@ -361,12 +376,10 @@ def _polished_circle_max(f, r, vals):
 
 def max_modulus(f, r, *, rel_tol=1e-9, start_nodes=128, max_nodes=MAX_NODES) -> float:
     """max |f| over |z| = r (equals the disk max, by the maximum principle)."""
-    _, vals = _circle_values(f, r, start_nodes)
-    best = _polished_circle_max(f, r, vals)
-    while len(vals) < max_nodes:
-        vals = _interleave(f, r, vals)
+    best = None
+    for vals in _circle_grids(f, r, start_nodes, max_nodes):
         new = _polished_circle_max(f, r, vals)
-        if abs(new - best) <= rel_tol * max(new, best, 1e-300):
+        if best is not None and abs(new - best) <= rel_tol * max(new, best, 1e-300):
             return max(new, best)
         best = new
     return best

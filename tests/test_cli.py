@@ -8,7 +8,7 @@ import os
 import pytest
 
 from gafzeros.cli import main
-from gafzeros.experiments import ConfigError, RunConfig, emit_csv
+from gafzeros.experiments import CHUNK, ConfigError, RunConfig, emit_csv
 
 
 def write_config(tmp_path, name, data):
@@ -77,17 +77,21 @@ class TestDeterminism:
         assert read_bytes(out1 / "exact_tail.csv") == read_bytes(out2 / "exact_tail.csv")
 
     def test_threads_do_not_change_output(self, tmp_path, capsys):
-        base = {"experiment": "mc-tail", "seed": 9, "target": "planar",
-                "r": 1.0, "m": 2, "trials": 600}
-        cfg1 = write_config(tmp_path, "t1.json", dict(base, threads=1))
-        cfg2 = write_config(tmp_path, "t2.json", dict(base, threads=1))
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["mc-tail", "--config", cfg1, "--out", str(out1)]) == 0
-        assert main(["mc-tail", "--config", cfg2, "--out", str(out2),
-                     "--threads", "3"]) == 0
-        b1 = read_bytes(out1 / "mc_tail.csv")
-        b2 = read_bytes(out2 / "mc_tail.csv")
-        assert b1 == b2
+        # past one chunk, so that --threads 3 runs the chunks in a process pool
+        n = CHUNK + 300
+        for base, artifact in (
+                ({"experiment": "mc-tail", "seed": 9, "target": "planar",
+                  "r": 1.0, "m": 2, "trials": n}, "mc_tail.csv"),
+                ({"experiment": "intensity-check", "seed": 9, "model": "hyperbolic",
+                  "rho": 2.0, "r": 0.6, "samples": n}, "intensity_check.csv")):
+            name = base["experiment"]
+            cfg1 = write_config(tmp_path, "t1.json", dict(base, threads=1))
+            cfg2 = write_config(tmp_path, "t2.json", dict(base, threads=1))
+            out1, out2 = tmp_path / name / "a", tmp_path / name / "b"
+            assert main([name, "--config", cfg1, "--out", str(out1)]) == 0
+            assert main([name, "--config", cfg2, "--out", str(out2),
+                         "--threads", "3"]) == 0
+            assert read_bytes(out1 / artifact) == read_bytes(out2 / artifact)
 
 
 class TestArtifacts:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from gafzeros import (GafModel, choose_truncation, covariance, expected_count,
+from gafzeros import (GafModel, _num, choose_truncation, covariance, expected_count,
                       log_sigma, make_truncated, sample_coefficients,
                       sample_truncated, sigma, split_streams, stream, tail_sd)
 
@@ -185,6 +185,28 @@ class TestTailSd:
         x = r * r
         oracle = math.sqrt((1 - x) ** (-model.rho) * special.betainc(n0 + 1, model.rho, x))
         assert tail_sd(model, n0, r) == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 5.0])
+    def test_hyperbolic_ratio_bound_bounds_every_term_ratio(self, rho, monkeypatch):
+        # certified_log_series needs ratio_bound(n) >= term(n+1)/term(n) from
+        # its start index on
+        seen = []
+        series = _num.certified_log_series
+
+        def spy(log_term, start, ratio_bound, **kw):
+            seen.append((log_term, start, ratio_bound))
+            return series(log_term, start, ratio_bound, **kw)
+
+        monkeypatch.setattr(_num, "certified_log_series", spy)
+        model = GafModel.hyperbolic(rho)
+        for r in (0.5, 0.9, 0.99):
+            for degree in (-1, 0, 3, 40):
+                tail_sd(model, degree, r)
+        assert len(seen) == 12
+        for log_term, start, ratio_bound in seen:
+            for n in range(start, start + 300):
+                true_ratio = math.exp(log_term(n + 1) - log_term(n))
+                assert ratio_bound(n) >= true_ratio * (1.0 - 1e-12)
 
 
 class TestExpectedCount:

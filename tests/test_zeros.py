@@ -1,18 +1,20 @@
 """Winding counts, roots, circle means, certification."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge,
-                      circle_mean_log_abs, count_in_disk, count_with_retry,
-                      count_zeros_winding, experiments, find_roots,
-                      jensen_residual, max_modulus, rouche_certify,
-                      sample_truncated, stream, zeros)
+                      choose_truncation, circle_mean_log_abs, count_in_disk, count_replicas,
+                      count_with_retry, count_zeros_winding, direct_mc_tail,
+                      experiments, find_roots, jensen_residual, max_modulus,
+                      rouche_certify, sample_truncated, stream, zeros)
 from gafzeros._num import horner
 
 PLANAR = GafModel.planar()
+MAX_NODES = zeros.MAX_NODES
 
 
 def same_bits(a, b):
@@ -297,3 +299,225 @@ class TestMaxModulus:
         theta = np.linspace(0, 2 * math.pi, 1 << 18, endpoint=False)
         oracle = float(np.abs(gaf(2.0 * np.exp(1j * theta))).max())
         assert got == pytest.approx(oracle, rel=1e-6)
+
+
+# Reference copies of the four node-doubling loops that ``_circle_grids``
+# replaced, kept to check that every f call and every result is unchanged.
+
+
+def ref_circle_values(f, r, n):
+    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return theta, np.asarray(f(r * np.exp(1j * theta)), dtype=complex)
+
+
+def ref_interleave(f, r, old_vals):
+    n = len(old_vals)
+    theta_new = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    new_vals = np.asarray(f(r * np.exp(1j * theta_new)), dtype=complex)
+    out = np.empty(2 * n, dtype=complex)
+    out[0::2] = old_vals
+    out[1::2] = new_vals
+    return out
+
+
+def ref_count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES):
+    _, vals = ref_circle_values(f, r, start_nodes)
+    while True:
+        mods = np.abs(vals)
+        mn = float(mods.min())
+        if mn <= max(floor, zeros.HARD_FLOOR):
+            raise InconclusiveCount(
+                f"min |f| = {mn:.3e} at or below floor {floor:.3e} on |z| = {r}")
+        nxt = np.roll(vals, -1)
+        diffs = np.angle(nxt / vals)
+        jumps = np.abs(nxt - vals)
+        arc_floor = float((np.minimum(mods, np.abs(nxt)) - jumps).min())
+        phase_ok = float(np.abs(diffs).max()) < zeros.PHASE_LIMIT
+        certified = arc_floor > floor
+        if phase_ok and (certified or len(vals) >= max_nodes):
+            break
+        if len(vals) >= max_nodes:
+            raise InconclusiveCount(
+                f"phase increments unresolved at {len(vals)} nodes on |z| = {r}")
+        vals = ref_interleave(f, r, vals)
+    winding = float(diffs.sum()) / (2.0 * math.pi)
+    count = int(round(winding))
+    if abs(winding - count) > 1e-6:
+        raise InconclusiveCount(f"winding {winding} is not an integer to 1e-6")
+    if count < 0:
+        raise InconclusiveCount(f"negative winding {count} for an analytic function")
+    return zeros.CountResult(count=count, certified=certified,
+                             min_modulus_on_circle=mn, circle_nodes_used=len(vals))
+
+
+def ref_circle_mean_log_abs(f, s, tol, *, start_nodes=128, max_nodes=MAX_NODES):
+    _, vals = ref_circle_values(f, s, start_nodes)
+    mods = np.abs(vals)
+    if mods.min() <= zeros.HARD_FLOOR:
+        raise InconclusiveCount("modulus below 1e-300 on the quadrature circle")
+    est = float(np.mean(np.log(mods)))
+    while True:
+        vals = ref_interleave(f, s, vals)
+        mods = np.abs(vals)
+        if mods.min() <= zeros.HARD_FLOOR:
+            raise InconclusiveCount("modulus below 1e-300 on the quadrature circle")
+        new = float(np.mean(np.log(mods)))
+        if abs(new - est) < tol:
+            return new
+        if len(vals) >= max_nodes:
+            raise InconclusiveCount(
+                f"quadrature unstable at node cap ({len(vals)} nodes)")
+        est = new
+
+
+def ref_rouche_certify(gaf, r, tail_bound, *, start_nodes=256, max_nodes=MAX_NODES):
+    _, vals = ref_circle_values(gaf, r, start_nodes)
+    while True:
+        mods = np.abs(vals)
+        mn = float(mods.min())
+        nxt = np.roll(vals, -1)
+        jumps = np.abs(nxt - vals)
+        arc_floor = float((np.minimum(mods, np.abs(nxt)) - jumps).min())
+        phase_ok = float(np.abs(np.angle(nxt / vals)).max()) < zeros.PHASE_LIMIT
+        if phase_ok and arc_floor > tail_bound:
+            return True
+        if len(vals) >= max_nodes:
+            return False
+        if phase_ok and mn <= tail_bound:
+            return False
+        vals = ref_interleave(gaf, r, vals)
+
+
+def ref_max_modulus(f, r, *, rel_tol=1e-9, start_nodes=128, max_nodes=MAX_NODES):
+    _, vals = ref_circle_values(f, r, start_nodes)
+    best = zeros._polished_circle_max(f, r, vals)
+    while len(vals) < max_nodes:
+        vals = ref_interleave(f, r, vals)
+        new = zeros._polished_circle_max(f, r, vals)
+        if abs(new - best) <= rel_tol * max(new, best, 1e-300):
+            return max(new, best)
+        best = new
+    return best
+
+
+class Recorded:
+    """f with a log of every batch of points it was called on."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def __call__(self, z):
+        self.calls.append(np.array(z, copy=True))
+        return self.f(z)
+
+
+def outcome(fn, f, *args, **kwargs):
+    # (result or exception) of fn on a recorded f, plus the points f saw
+    g = Recorded(f)
+    try:
+        res = ("ok", fn(g, *args, **kwargs))
+    except InconclusiveCount as exc:
+        res = ("inconclusive", str(exc))
+    return res, [z.tobytes() for z in g.calls]
+
+
+# planar r=2.5 and r=4 and hyperbolic rho=1, r=0.9, three draws each
+WALKER_DRAWS = [(r, sample_truncated(model, r, stream(61 + i, k)))
+                for k, (model, r) in enumerate([(PLANAR, 2.5), (PLANAR, 4.0),
+                                                (GafModel.hyperbolic(1.0), 0.9)])
+                for i in range(3)]
+WALKER_BOUNDS = [0.0, 0.01, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
+
+
+class TestCircleWalker:
+    def test_counts_match_reference_loop(self):
+        kinds = set()
+        for r, gaf in WALKER_DRAWS:
+            for bound in WALKER_BOUNDS:
+                for max_nodes in (256, 512, MAX_NODES):
+                    got = outcome(count_zeros_winding, gaf, r, bound, max_nodes=max_nodes)
+                    want = outcome(ref_count_zeros_winding, gaf, r, bound,
+                                   max_nodes=max_nodes)
+                    assert got == want
+                    status, value = got[0]
+                    kinds.add(("certified" if value.certified else "uncertified")
+                              if status == "ok" else value.split()[0])
+        # certified and uncertified counts, floor hits ("min |f| = ...") and
+        # node-cap hits ("phase increments unresolved ...") all occur
+        assert kinds == {"certified", "uncertified", "min", "phase"}
+
+    def test_rouche_matches_reference_loop(self):
+        results = set()
+        for r, gaf in WALKER_DRAWS:
+            for bound in WALKER_BOUNDS:
+                for max_nodes in (256, 512, MAX_NODES):
+                    got = rouche_certify(gaf, r, bound, max_nodes=max_nodes)
+                    assert got == ref_rouche_certify(gaf, r, bound, max_nodes=max_nodes)
+                    results.add(got)
+        assert results == {True, False}
+
+    def test_rouche_rejects_negative_bound(self):
+        r, gaf = WALKER_DRAWS[0]
+        with pytest.raises(ValueError):
+            rouche_certify(gaf, r, -1.0)
+
+    def test_circle_means_match_reference_loop(self):
+        capped = 0
+        for r, gaf in WALKER_DRAWS:
+            for s in (0.5 * r, 0.9 * r, r):
+                for tol, start, cap in ((1e-8, 128, MAX_NODES), (1e-15, 128, 512),
+                                        (1e-15, 128, 64), (1e-15, 256, 384)):
+                    got = outcome(circle_mean_log_abs, gaf, s, tol,
+                                  start_nodes=start, max_nodes=cap)
+                    want = outcome(ref_circle_mean_log_abs, gaf, s, tol,
+                                   start_nodes=start, max_nodes=cap)
+                    assert got == want
+                    capped += got[0][0] == "inconclusive"
+        assert capped > 0
+
+    def test_max_modulus_matches_reference_loop(self):
+        for r, gaf in WALKER_DRAWS:
+            for s in (0.5 * r, r):
+                for rel_tol, cap in ((1e-9, MAX_NODES), (1e-15, 512), (1e-15, 64)):
+                    got = outcome(max_modulus, gaf, s, rel_tol=rel_tol, max_nodes=cap)
+                    want = outcome(ref_max_modulus, gaf, s, rel_tol=rel_tol, max_nodes=cap)
+                    assert got == want
+
+
+class TestCountReplicas:
+    def test_matches_per_replica_counts(self):
+        model, r, guard, seed = GafModel.hyperbolic(1.0), 0.9, 100.0, 5
+        degree = choose_truncation(model, r)
+        keys = [7, 0, 3, 3, 12]
+        counts, retries = count_replicas(model, r, degree, guard, seed, keys)
+        want, want_retries = [], 0
+        for k in keys:
+            gaf = sample_truncated(model, r, stream(seed, k), degree=degree)
+            try:
+                res, used = count_with_retry(gaf, r, guard * gaf.tail_sd)
+            except InconclusiveCount:
+                want.append(-1)
+                continue
+            want.append(res.count)
+            want_retries += used
+        assert counts.tolist() == want
+        assert retries == want_retries
+
+    def test_unresolved_replica_counts_minus_one(self):
+        # a floor above every |f| on the circle leaves each replica unresolved
+        counts, retries = count_replicas(PLANAR, 1.0, 8, 1e300, 2, range(3))
+        assert counts.tolist() == [-1, -1, -1]
+        assert retries == 0
+
+    def test_direct_mc_tail_equals_mc_tail_csv(self, tmp_path):
+        est = direct_mc_tail(PLANAR, 2.0, 6, 1500, seed=3)
+        cfg = experiments.RunConfig.from_dict(
+            {"experiment": "mc-tail", "seed": 3, "target": "planar", "r": 2.0,
+             "m": 6, "trials": 1500})
+        (path,) = experiments.run(cfg, str(tmp_path))
+        with open(path) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert int(row["hits"]) == est.extras["hits"]
+        assert int(row["retries"]) == est.extras["retries"]
+        assert int(row["unresolved"]) == est.extras["unresolved_as_failure"]
+        assert float(row["log_p"]) == est.log_p
