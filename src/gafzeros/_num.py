@@ -163,13 +163,21 @@ def certified_log_series(log_term, start, ratio_bound, *, rel_tol=1e-18, max_ter
     """log of sum_{n >= start} exp(log_term(n)) with a certified remainder.
 
     ``ratio_bound(n)`` must upper-bound exp(log_term(n+1) - log_term(n)) for
-    every index at or beyond n.  Summation stops once the geometric remainder
-    bound is below rel_tol of the accumulated sum; the bound itself is folded
-    into the result so the return value is an upper bound on the true log-sum
-    that is also within rel_tol of it.
+    every index at or beyond n.  Leading terms whose ratio bound is at or
+    above 1 - 1e-6 are summed directly as a head (at most 10**6 of them);
+    past the head, summation stops once the geometric remainder bound is
+    below rel_tol of the accumulated tail, and the bound is folded in.  The
+    return value log(head + tail) is an upper bound on the true log-sum that
+    is also within rel_tol of it.
     """
-    acc = -math.inf
+    head = -math.inf
     n = start
+    while ratio_bound(n) >= 0.999999:
+        head = np.logaddexp(head, log_term(n))
+        n += 1
+        if n > start + 10**6:
+            raise RuntimeError("series does not contract")
+    acc = -math.inf
     for _ in range(max_terms):
         t = log_term(n)
         acc = np.logaddexp(acc, t)
@@ -177,6 +185,6 @@ def certified_log_series(log_term, start, ratio_bound, *, rel_tol=1e-18, max_ter
         if q < 1.0:
             rem = t + math.log(q) - math.log1p(-q)
             if rem < acc + math.log(rel_tol):
-                return float(np.logaddexp(acc, rem))
+                return float(np.logaddexp(head, float(np.logaddexp(acc, rem))))
         n += 1
     raise RuntimeError("series did not certify convergence")

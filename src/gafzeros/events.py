@@ -150,29 +150,9 @@ def domination_constant(model: GafModel, r: float, m: int) -> float:
         rho = model.rho
         return g * r * math.sqrt((n + rho) / (n + 1.0))
 
-    n0 = m + 1
-    # walk forward until the ratio bound certifies; planar always does once
-    # n exceeds (2r)^2, hyperbolic once the sqrt factor settles under 1/r
-    head = -math.inf
-    while ratio_bound(n0) >= 0.999999:
-        head = np.logaddexp(head, log_term(n0))
-        n0 += 1
-        if n0 > m + 10**6:
-            raise RuntimeError("domination tail does not contract")
-    log_tail = _num.certified_log_series(log_term, n0, ratio_bound, rel_tol=1e-16)
-    log_tail = float(np.logaddexp(head, log_tail))
+    log_tail = _num.certified_log_series(log_term, m + 1, ratio_bound, rel_tol=1e-16)
     log_scale = growth_power * math.log(m) + float(_log_weight(model, m, r))
     return math.exp(log_tail - log_scale)
-
-
-def _below_anchor_rule(model: GafModel, r: float, m: int, log_budget: float):
-    """Thresholds c_n = budget * (m-th weight) / (n-th weight) for n < m."""
-    lw_m = float(_log_weight(model, m, r))
-
-    def log_c(n):
-        return log_budget + lw_m - _log_weight(model, n, r)
-
-    return log_c
 
 
 def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
@@ -193,46 +173,30 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
     concave in log beta.  Both are recorded as ``params["band_scale"]`` and
     ``params["anchor"]``.
     """
-    if kind is EventKind.PLANAR_DOMINATION:
-        model = model or GafModel.planar()
-        if model.kind is not Kind.PLANAR or m is None or m < 1:
-            raise ValueError("planar domination needs a planar model and m >= 1")
+    if kind in (EventKind.PLANAR_DOMINATION, EventKind.HYPERBOLIC_DOMINATION):
+        planar = kind is EventKind.PLANAR_DOMINATION
+        if planar:
+            model = model or GafModel.planar()
+            if model.kind is not Kind.PLANAR or m is None or m < 1:
+                raise ValueError("planar domination needs a planar model and m >= 1")
+        else:
+            if model is None or model.kind is not Kind.HYPERBOLIC:
+                raise ValueError("hyperbolic domination needs a hyperbolic model")
+            if not 0 < r < 1 or m is None or m < 1:
+                raise ValueError("need 0 < r < 1 and m >= 1")
+        # growth g of the tail caps |a_n| <= n^g, as in domination_constant;
+        # the caps below the anchor sit at m^(g-1) of the anchor weight
+        g = 1.0 if planar else 0.5
         c = domination_constant(model, r, m)
         a = c if anchor_alpha is None else anchor_alpha
-        anchor = (a + 1.0) * m
-        blocks = [
-            IndexBlock("below-anchor", 0, m - 1, "le",
-                       _below_anchor_rule(model, r, m, 0.0),
-                       "per-index cap keeping each lower term under the anchor weight"),
-            IndexBlock("anchor", m, m, "ge", _const_log(math.log(anchor)),
-                       f"|a_{m}| >= {anchor:.6g}"),
-            IndexBlock("upper-tail", m + 1, None, "le", _log_identity,
-                       "|a_n| <= n for n > m"),
-        ]
-        return EventSpec(kind, model, r, m, blocks, None,
-                         {"domination_constant": c, "anchor": anchor,
-                          "anchor_alpha": a})
-
-    if kind is EventKind.HYPERBOLIC_DOMINATION:
-        if model is None or model.kind is not Kind.HYPERBOLIC:
-            raise ValueError("hyperbolic domination needs a hyperbolic model")
-        if not 0 < r < 1 or m is None or m < 1:
-            raise ValueError("need 0 < r < 1 and m >= 1")
-        c = domination_constant(model, r, m)
-        a = c if anchor_alpha is None else anchor_alpha
-        anchor = (a + 1.0) * math.sqrt(m)
-        blocks = [
-            IndexBlock("below-anchor", 0, m - 1, "le",
-                       _below_anchor_rule(model, r, m, -0.5 * math.log(m)),
-                       "per-index cap at 1/sqrt(m) of the anchor weight"),
-            IndexBlock("anchor", m, m, "ge", _const_log(math.log(anchor)),
-                       f"|a_{m}| >= {anchor:.6g}"),
-            IndexBlock("upper-tail", m + 1, None, "le", _log_sqrt,
-                       "|a_n| <= sqrt(n) for n > m"),
-        ]
-        return EventSpec(kind, model, r, m, blocks, None,
-                         {"domination_constant": c, "anchor": anchor,
-                          "anchor_alpha": a})
+        anchor = (a + 1.0) * (m if planar else math.sqrt(m))
+        return _single_anchor_event(
+            kind, model, r, m, (g - 1.0) * math.log(m),
+            "keeping each lower term under the anchor weight" if planar
+            else "at 1/sqrt(m) of the anchor weight",
+            IndexBlock("upper-tail", m + 1, None, "le", _power_log(g),
+                       f"|a_n| <= {'n' if planar else 'sqrt(n)'} for n > m"),
+            {"domination_constant": c, "anchor": anchor, "anchor_alpha": a})
 
     if kind is EventKind.VERY_LARGE_DOMINATION:
         if alpha is None or gamma is None or not (alpha > 2 and gamma > 0 and r > 1):
@@ -242,32 +206,17 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         bulge = gamma * r ** alpha
         # upper-tail caps |a_{m+k}| <= k: nearly free in probability and the
         # weighted tail budget sum_k k w_{m+k}/w_m stays O(r/sqrt(m))
-        lw_m = float(_log_weight(model, mm, r))
-
-        def tail_term(n):
-            return math.log(n - mm) + float(_log_weight(model, n, r)) - lw_m
-
-        def tail_ratio(n):
-            k = n - mm
-            return (k + 1.0) / k * r / math.sqrt(n + 1.0)
-
-        budget = math.exp(_num.certified_log_series(tail_term, mm + 1, tail_ratio,
-                                                    rel_tol=1e-14))
+        upper = IndexBlock("upper-tail", mm + 1, None, "le", _shifted_log(mm),
+                           "|a_n| <= n - m for n > m")
+        budget = _sup_units(upper, model, r, float(_log_weight(model, mm, r)))
         anchor = float(mm)
         if bulge + budget >= anchor:
             anchor = (bulge + budget) * (1.0 + 1e-9)
-        blocks = [
-            IndexBlock("below-anchor", 0, mm - 1, "le",
-                       _below_anchor_rule(model, r, mm, math.log(bulge / mm)),
-                       "per-index cap at (gamma r^alpha / m) of the anchor weight"),
-            IndexBlock("anchor", mm, mm, "ge", _const_log(math.log(anchor)),
-                       f"|a_{mm}| >= {anchor:.6g}"),
-            IndexBlock("upper-tail", mm + 1, None, "le",
-                       _shifted_log(mm), "|a_n| <= n - m for n > m"),
-        ]
-        return EventSpec(kind, model, r, mm, blocks, None,
-                         {"alpha": alpha, "gamma": gamma, "anchor": anchor,
-                          "tail_budget": budget, "bulge": bulge})
+        return _single_anchor_event(
+            kind, model, r, mm, math.log(bulge / mm),
+            "at (gamma r^alpha / m) of the anchor weight", upper,
+            {"alpha": alpha, "gamma": gamma, "anchor": anchor,
+             "tail_budget": budget, "bulge": bulge})
 
     if kind is EventKind.MODERATE_GROUPED:
         if alpha is None or gamma is None or not (1 < alpha < 2 and gamma > 0 and r > 0):
@@ -360,18 +309,37 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
     raise ValueError(f"unknown event kind {kind}")
 
 
+def _single_anchor_event(kind: EventKind, model: GafModel, r: float, m: int,
+                         log_cap: float, cap_rule: str, upper: IndexBlock,
+                         params: dict) -> EventSpec:
+    """Caps below the anchor index m, the floor |a_m| >= params["anchor"], and ``upper``.
+
+    The cap on a_n, n < m, is exp(log_cap) times the m-th weight over the
+    n-th weight, so each lower term stays under exp(log_cap) anchor weights.
+    """
+    lw_m = float(_log_weight(model, m, r))
+
+    def log_cap_at(n):
+        return log_cap + lw_m - _log_weight(model, n, r)
+
+    anchor = params["anchor"]
+    blocks = [IndexBlock("below-anchor", 0, m - 1, "le", log_cap_at, f"per-index cap {cap_rule}"),
+              IndexBlock("anchor", m, m, "ge", _const_log(math.log(anchor)),
+                         f"|a_{m}| >= {anchor:.6g}"),
+              upper]
+    return EventSpec(kind, model, r, m, blocks, None, params)
+
+
 def _const_log(v: float):
     def log_c(n):
         return np.full(np.shape(n), v, dtype=float)
     return log_c
 
 
-def _log_identity(n):
-    return np.log(np.asarray(n, dtype=float))
-
-
-def _log_sqrt(n):
-    return 0.5 * np.log(np.asarray(n, dtype=float))
+def _power_log(g: float):
+    def log_c(n):
+        return g * np.log(np.asarray(n, dtype=float))
+    return log_c
 
 
 def _shifted_log(shift: float):
@@ -410,15 +378,7 @@ def _sup_units(b: IndexBlock, model: GafModel, r: float, lw_ref: float,
             wr = r * math.sqrt((n + model.rho) / (n + 1.0))
         return math.exp(th1 - th0) * wr
 
-    n0 = start
-    head = -math.inf
-    while ratio(n0) >= 0.999999:
-        head = np.logaddexp(head, log_term(n0))
-        n0 += 1
-        if n0 > start + 10**6:
-            raise RuntimeError("tail bound does not contract")
-    tail = _num.certified_log_series(log_term, n0, ratio, rel_tol=1e-14)
-    return math.exp(float(np.logaddexp(head, tail)))
+    return math.exp(_num.certified_log_series(log_term, start, ratio, rel_tol=1e-14))
 
 
 def _check_moderate_budget(ev: EventSpec):
@@ -641,23 +601,31 @@ def event_tail_estimate(ev: EventSpec) -> TailEstimate:
                         extras={"kind": ev.kind.value, "m": ev.m, "r": ev.r})
 
 
-def _clopper_pearson_log(hits: int, n: int, level: float):
+# Radial draws per RNG stream, and the tail floor of a GAF count in units of
+# the truncation's tail sd (the mc-tail default ``tail_guard``).
+_MC_CHUNK = 65536
+_MC_TAIL_GUARD = 100.0
+
+
+def mc_tail_estimate(hits: int, trials: int, level: float, seed: int,
+                     **extras) -> TailEstimate:
+    """Monte Carlo tail estimate from ``hits`` of ``trials``, with the exact CP bracket.
+
+    ``extras`` are recorded alongside ``hits``.
+    """
     a = 1.0 - level
-    if hits > 0:
-        lo = stats.beta.ppf(a / 2.0, hits, n - hits + 1)
-    else:
-        lo = 0.0
-    if hits < n:
-        hi = stats.beta.ppf(1.0 - a / 2.0, hits + 1, n - hits)
-    else:
-        hi = 1.0
+    lo = stats.beta.ppf(a / 2.0, hits, trials - hits + 1) if hits > 0 else 0.0
+    hi = stats.beta.ppf(1.0 - a / 2.0, hits + 1, trials - hits) if hits < trials else 1.0
     with np.errstate(divide="ignore"):
-        return float(np.log(lo)), float(np.log(hi))
+        log_lo, log_hi = float(np.log(lo)), float(np.log(hi))
+        log_p = float(np.log(hits / trials))
+    return TailEstimate(log_p=log_p, log_lo=log_lo, log_hi=log_hi,
+                        method=Method.MONTE_CARLO, samples=trials,
+                        seed=f"seed={seed}", extras={**extras, "hits": hits})
 
 
 def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
-                   level: float = 0.99, chunk: int = 65536,
-                   tail_guard: float = 100.0) -> TailEstimate:
+                   level: float = 0.99) -> TailEstimate:
     """Monte Carlo estimate of P[count in D(0,r) >= m] with exact CP bracket.
 
     ``target`` is a GafModel (counts are winding-certified, inconclusive
@@ -666,17 +634,12 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    hits = 0
-    extras = {}
     if isinstance(target, RadialEnsemble):
         profile = bernoulli_probs(target, r, 1e-9, min_terms=m + 8)
         depth = profile.size
-        extras["radial_depth"] = depth
-        extras["neglected_log_mass"] = profile.log_neglected
-        done = 0
-        block = 0
-        while done < trials:
-            take = min(chunk, trials - done)
+        hits = 0
+        for block in range((trials + _MC_CHUNK - 1) // _MC_CHUNK):
+            take = min(_MC_CHUNK, trials - block * _MC_CHUNK)
             rng = stream(seed, block)
             if target is RadialEnsemble.GINIBRE:
                 shapes = np.broadcast_to(np.arange(1.0, depth + 1.0), (take, depth))
@@ -687,24 +650,15 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
                 radii = rng.random((take, depth)) ** (1.0 / (2.0 * k))
                 counts = (radii < r).sum(axis=1)
             hits += int((counts >= m).sum())
-            done += take
-            block += 1
-    elif isinstance(target, GafModel):
+        return mc_tail_estimate(hits, trials, level, seed, radial_depth=depth,
+                                neglected_log_mass=profile.log_neglected)
+    if isinstance(target, GafModel):
         counts, retries = count_replicas(target, r, choose_truncation(target, r),
-                                         tail_guard, seed, range(trials))
-        hits = int((counts >= m).sum())
-        extras["retries"] = retries
-        extras["unresolved_as_failure"] = int((counts < 0).sum())
-    else:
-        raise TypeError("target must be a GafModel or RadialEnsemble")
-
-    log_lo, log_hi = _clopper_pearson_log(hits, trials, level)
-    with np.errstate(divide="ignore"):
-        log_p = float(np.log(hits / trials))
-    extras["hits"] = hits
-    return TailEstimate(log_p=log_p, log_lo=log_lo, log_hi=log_hi,
-                        method=Method.MONTE_CARLO, samples=trials,
-                        seed=f"seed={seed}", extras=extras)
+                                         _MC_TAIL_GUARD, seed, range(trials))
+        return mc_tail_estimate(int((counts >= m).sum()), trials, level, seed,
+                                retries=retries,
+                                unresolved_as_failure=int((counts < 0).sum()))
+    raise TypeError("target must be a GafModel or RadialEnsemble")
 
 
 @dataclass(frozen=True)

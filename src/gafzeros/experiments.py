@@ -158,11 +158,11 @@ def _run_scatter(cfg: RunConfig, out_dir, tag):
     for i in range(n_samples):
         draw = events.conditioned_sample(ev, models.stream(cfg.seed, 2 * i))
         valid = events.verify_domination(ev, draw)
-        roots = zeros.find_roots(draw.values * models.sigma(ev.model, np.arange(len(draw))))
+        roots = zeros.find_roots(models.make_truncated(ev.model, draw, r).weighted_coefficients)
         for z in roots[np.abs(roots) <= clip]:
             rows.append(["conditioned", i, z.real, z.imag, valid, tag, cfg.seed])
         free = models.sample_coefficients(models.stream(cfg.seed, 2 * i + 1), draw.degree)
-        roots = zeros.find_roots(free.values * models.sigma(ev.model, np.arange(len(free))))
+        roots = zeros.find_roots(models.make_truncated(ev.model, free, r).weighted_coefficients)
         for z in roots[np.abs(roots) <= clip]:
             rows.append(["unconditioned", i, z.real, z.imag, False, tag, cfg.seed])
     path = os.path.join(out_dir, "scatter.csv")
@@ -183,9 +183,8 @@ def _replica_counts(cfg: RunConfig, model: GafModel, r: float, replicas: int):
     """Certified counts of replicas 0..replicas-1 (-1 if unresolved) and their retries."""
     degree = models.choose_truncation(model, r)
     guard = float(cfg.optional("tail_guard", 100.0))
-    blocks = [(model, r, degree, guard, cfg.seed, b, min(CHUNK, replicas - b * CHUNK))
-              for b in range((replicas + CHUNK - 1) // CHUNK)]
-    results = _map_blocks(_count_chunk, blocks, cfg.threads)
+    results = _map_blocks(_count_chunk, (model, r, degree, guard, cfg.seed), replicas,
+                          cfg.threads)
     return (np.concatenate([c for _, c, _ in results]),
             sum(x for _, _, x in results))
 
@@ -196,28 +195,25 @@ def _run_mc_tail(cfg: RunConfig, out_dir, tag):
     m = cfg.require("m", int, cond=lambda v: v >= 0, msg="must be >= 0")
     trials = cfg.require("trials", int, cond=lambda v: v >= 1, msg="must be >= 1")
     level = float(cfg.optional("level", 0.99))
-    rows = []
     if target_name in ("ginibre", "hyperbolic-one"):
         ens = {"ginibre": RadialEnsemble.GINIBRE,
                "hyperbolic-one": RadialEnsemble.HYPERBOLIC_ONE}[target_name]
         est = events.direct_mc_tail(ens, r, m, trials, cfg.seed, level=level)
-        rows.append([target_name, r, m, trials, est.extras["hits"], est.log_p,
-                     est.log_lo, est.log_hi, 0, 0, tag, cfg.seed])
     else:
         if target_name not in ("planar", "hyperbolic"):
             raise ConfigError("config.target: must be one of planar, hyperbolic, "
                               "ginibre, hyperbolic-one")
         counts, retries = _replica_counts(cfg, _model_from(cfg, "target"), r, trials)
-        hits = int((counts >= m).sum())
-        unresolved = int((counts < 0).sum())
-        log_lo, log_hi = events._clopper_pearson_log(hits, trials, level)
-        with np.errstate(divide="ignore"):
-            log_p = float(np.log(hits / trials))
-        rows.append([target_name, r, m, trials, hits, log_p, log_lo, log_hi,
-                     retries, unresolved, tag, cfg.seed])
+        est = events.mc_tail_estimate(int((counts >= m).sum()), trials, level, cfg.seed,
+                                      retries=retries,
+                                      unresolved_as_failure=int((counts < 0).sum()))
+    extras = est.extras
     path = os.path.join(out_dir, "mc_tail.csv")
     emit_csv(path, ["target", "r", "m", "trials", "hits", "log_p", "log_lo",
-                    "log_hi", "retries", "unresolved", "config_hash", "seed"], rows)
+                    "log_hi", "retries", "unresolved", "config_hash", "seed"],
+             [[target_name, r, m, trials, extras["hits"], est.log_p, est.log_lo, est.log_hi,
+               extras.get("retries", 0), extras.get("unresolved_as_failure", 0), tag,
+               cfg.seed]])
     return [path]
 
 
@@ -346,10 +342,8 @@ def _run_jensen_check(cfg: RunConfig, out_dir, tag):
     ratio = float(cfg.optional("radius_ratio", 1.25))
     quad_tol = float(cfg.optional("quad_tol", 1e-8))
     guard = float(cfg.optional("tail_guard", 100.0))
-    blocks = [(r_lo, r_hi, ratio, quad_tol, guard, cfg.seed, b,
-               min(CHUNK, trials - b * CHUNK))
-              for b in range((trials + CHUNK - 1) // CHUNK)]
-    results = _map_blocks(_jensen_chunk, blocks, cfg.threads)
+    results = _map_blocks(_jensen_chunk, (r_lo, r_hi, ratio, quad_tol, guard, cfg.seed),
+                          trials, cfg.threads)
     rows = []
     for _, chunk_rows in results:
         for (idx, r, big_r, count, root_count, resid, ineq, ok) in chunk_rows:
@@ -411,8 +405,13 @@ _RUNNERS = {
 }
 
 
-def _map_blocks(fn, blocks, threads):
-    """Run chunk workers and return results sorted by block index."""
+def _map_blocks(fn, head, total, threads):
+    """Run ``fn(head + (block, count))`` over the CHUNK grid of replicas 0..total-1.
+
+    Returns the results sorted by block index.
+    """
+    blocks = [(*head, b, min(CHUNK, total - b * CHUNK))
+              for b in range((total + CHUNK - 1) // CHUNK)]
     if threads <= 1 or len(blocks) <= 1:
         results = [fn(b) for b in blocks]
     else:

@@ -132,7 +132,8 @@ def log_tail_variance(model: GafModel, degree: int, r: float) -> float:
 
     Planar case via the regularized incomplete gamma identity
     sum_{n>N} r^{2n}/n! = e^{r^2} P[Pois(r^2) >= N+1]; hyperbolic case by
-    direct summation with a certified term-ratio remainder bound.
+    direct summation with a certified term-ratio remainder bound (for
+    rho > 1 the first term ratios can sit at or above 1).
     """
     _check_radius(model, r)
     if degree < -1:
@@ -153,15 +154,7 @@ def log_tail_variance(model: GafModel, degree: int, r: float) -> float:
             return x
         return x * (n + rho) / (n + 1)
 
-    # for rho > 1 the first few term ratios can sit at or above 1; add those
-    # head terms directly, then certify the geometric stage
-    head = -math.inf
-    n0 = degree + 1
-    while rho > 1.0 and x * (n0 + rho) / (n0 + 1) >= 0.999999:
-        head = np.logaddexp(head, log_term(n0))
-        n0 += 1
-    tail = _num.certified_log_series(log_term, n0, ratio_bound, rel_tol=1e-17)
-    return float(np.logaddexp(head, tail))
+    return _num.certified_log_series(log_term, degree + 1, ratio_bound, rel_tol=1e-17)
 
 
 def tail_sd(model: GafModel, degree: int, r: float) -> float:

@@ -1,12 +1,14 @@
 """CLI plumbing: config validation, determinism, artifact formats."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
 
 import pytest
 
+from gafzeros import EventKind, GafModel, events
 from gafzeros.cli import main
 from gafzeros.experiments import CHUNK, ConfigError, RunConfig, emit_csv
 
@@ -176,3 +178,30 @@ class TestRunConfig:
     def test_threads_must_be_positive(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"experiment": "kappa", "seed": 1, "threads": 0})
+
+
+class TestBenchmarkTracer:
+    def test_tracer_installs_and_records_event_spans(self):
+        # the benchmark's tracer wraps every public function at each module
+        # that binds it once gafzeros.experiments is loaded (imported above),
+        # and refuses to install if events stops binding count_with_retry
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        tracer = module.Tracer()
+        tracer.install()
+        try:
+            for kind, kw in (
+                    (EventKind.PLANAR_DOMINATION, {"r": 2.0, "m": 10}),
+                    (EventKind.HYPERBOLIC_DOMINATION,
+                     {"model": GafModel.hyperbolic(2.0), "r": 0.5, "m": 10}),
+                    (EventKind.VERY_LARGE_DOMINATION, {"r": 2.0, "alpha": 3.0, "gamma": 1.0}),
+                    (EventKind.MODERATE_GROUPED, {"r": 8.0, "alpha": 1.5, "gamma": 1.0})):
+                events.event_log_prob_detail(events.build_event(kind, **kw))
+        finally:
+            tracer.uninstall()
+        calls, _, _ = tracer.self_times()
+        assert calls["events.build_event"] == 4
+        assert calls["events.event_log_prob_detail"] == 4
+        assert not hasattr(events.build_event, "__wrapped__")

@@ -1,5 +1,6 @@
 """Constructive events: building, pricing, sampling, verification, fitting."""
 
+import csv
 import dataclasses
 import math
 
@@ -14,6 +15,9 @@ from gafzeros import (EventConstructionError, EventKind, EventSpec, GafModel,
                       event_log_prob_detail, event_tail_estimate,
                       event_tail_sup_bound, exponent_fit, sample_satisfies,
                       stream, tail_log_bracket, verify_domination)
+from gafzeros import _num, events, experiments
+from gafzeros.experiments import RunConfig
+from gafzeros.models import Kind, choose_truncation, log_tail_variance
 
 PLANAR = GafModel.planar()
 
@@ -343,6 +347,25 @@ class TestDirectMc:
         est = direct_mc_tail(RadialEnsemble.HYPERBOLIC_ONE, 0.5, 2, 50000, seed=4)
         assert est.log_lo <= est.log_p <= est.log_hi
 
+    @pytest.mark.parametrize("target,extra", [
+        ("ginibre", {"r": 1.0, "m": 3, "trials": 70000}),
+        ("hyperbolic", {"rho": 2.0, "r": 0.6, "m": 3, "trials": 400}),
+    ])
+    def test_mc_tail_row_is_the_direct_estimate(self, tmp_path, target, extra):
+        cfg = RunConfig.from_dict({"experiment": "mc-tail", "seed": 5,
+                                   "target": target, **extra})
+        (path,) = experiments.run(cfg, str(tmp_path))
+        with open(path) as fh:
+            (row,) = list(csv.DictReader(fh))
+        model = (RadialEnsemble.GINIBRE if target == "ginibre"
+                 else GafModel.hyperbolic(extra["rho"]))
+        est = direct_mc_tail(model, extra["r"], extra["m"], extra["trials"], seed=5)
+        assert [float(row[k]) for k in ("log_p", "log_lo", "log_hi")] == \
+            [est.log_p, est.log_lo, est.log_hi]
+        assert [int(row[k]) for k in ("hits", "retries", "unresolved")] == \
+            [est.extras["hits"], est.extras.get("retries", 0),
+             est.extras.get("unresolved_as_failure", 0)]
+
 
 class TestExponentFit:
     def test_recovers_synthetic_coefficients(self):
@@ -385,3 +408,306 @@ class TestLowerBoundConsistency:
         lp = event_log_prob(ev)
         est = direct_mc_tail(PLANAR, 1.0, 2, 2000, seed=11)
         assert lp <= est.log_hi
+
+
+# Reference copies of the three head walks and the three single-anchor
+# builders that the head phase of ``_num.certified_log_series`` and
+# ``events._single_anchor_event`` replaced, with the single-accumulator series
+# they called, kept to check that every sum, threshold, param and price is
+# unchanged.
+
+
+def ref_certified_log_series(log_term, start, ratio_bound, *, rel_tol=1e-18,
+                             max_terms=100000):
+    acc = -math.inf
+    n = start
+    for _ in range(max_terms):
+        t = log_term(n)
+        acc = np.logaddexp(acc, t)
+        q = ratio_bound(n)
+        if q < 1.0:
+            rem = t + math.log(q) - math.log1p(-q)
+            if rem < acc + math.log(rel_tol):
+                return float(np.logaddexp(acc, rem))
+        n += 1
+    raise RuntimeError("series did not certify convergence")
+
+
+def ref_log_tail_variance(model, degree, r):
+    if model.kind is Kind.PLANAR:
+        lam = r * r
+        return lam + _num.log_poisson_tail(lam, degree + 1)
+    rho, x = model.rho, r * r
+
+    def log_term(n):
+        return float(special.gammaln(n + rho) - special.gammaln(n + 1)
+                     - special.gammaln(rho)) + n * math.log(x)
+
+    def ratio_bound(n):
+        if rho <= 1.0:
+            return x
+        return x * (n + rho) / (n + 1)
+
+    head = -math.inf
+    n0 = degree + 1
+    while rho > 1.0 and x * (n0 + rho) / (n0 + 1) >= 0.999999:
+        head = np.logaddexp(head, log_term(n0))
+        n0 += 1
+    tail = ref_certified_log_series(log_term, n0, ratio_bound, rel_tol=1e-17)
+    return float(np.logaddexp(head, tail))
+
+
+def ref_domination_constant(model, r, m):
+    growth_power = 0.5 if model.kind is Kind.HYPERBOLIC else 1.0
+
+    def log_term(n):
+        return growth_power * math.log(n) + float(events._log_weight(model, n, r))
+
+    def ratio_bound(n):
+        g = ((n + 1.0) / n) ** growth_power
+        if model.kind is Kind.PLANAR:
+            return g * r / math.sqrt(n + 1.0)
+        return g * r * math.sqrt((n + model.rho) / (n + 1.0))
+
+    n0 = m + 1
+    head = -math.inf
+    while ratio_bound(n0) >= 0.999999:
+        head = np.logaddexp(head, log_term(n0))
+        n0 += 1
+        if n0 > m + 10**6:
+            raise RuntimeError("domination tail does not contract")
+    log_tail = ref_certified_log_series(log_term, n0, ratio_bound, rel_tol=1e-16)
+    log_tail = float(np.logaddexp(head, log_tail))
+    log_scale = growth_power * math.log(m) + float(events._log_weight(model, m, r))
+    return math.exp(log_tail - log_scale)
+
+
+def ref_sup_units(b, model, r, lw_ref, lo=None):
+    start = b.lo if lo is None else max(b.lo, lo)
+    if b.hi is not None:
+        if b.hi < start:
+            return 0.0
+        n = np.arange(start, b.hi + 1)
+        return float(np.exp(b.log_threshold(n) + events._log_weight(model, n, r)
+                            - lw_ref).sum())
+
+    def log_term(n):
+        return float(b.log_threshold(np.array([n]))[0]
+                     + events._log_weight(model, n, r) - lw_ref)
+
+    def ratio(n):
+        th0 = float(b.log_threshold(np.array([n]))[0])
+        th1 = float(b.log_threshold(np.array([n + 1]))[0])
+        if model.kind is Kind.PLANAR:
+            wr = r / math.sqrt(n + 1.0)
+        else:
+            wr = r * math.sqrt((n + model.rho) / (n + 1.0))
+        return math.exp(th1 - th0) * wr
+
+    n0 = start
+    head = -math.inf
+    while ratio(n0) >= 0.999999:
+        head = np.logaddexp(head, log_term(n0))
+        n0 += 1
+        if n0 > start + 10**6:
+            raise RuntimeError("tail bound does not contract")
+    tail = ref_certified_log_series(log_term, n0, ratio, rel_tol=1e-14)
+    return math.exp(float(np.logaddexp(head, tail)))
+
+
+def ref_below_anchor_rule(model, r, m, log_budget):
+    lw_m = float(events._log_weight(model, m, r))
+
+    def log_c(n):
+        return log_budget + lw_m - events._log_weight(model, n, r)
+
+    return log_c
+
+
+def ref_log_identity(n):
+    return np.log(np.asarray(n, dtype=float))
+
+
+def ref_log_sqrt(n):
+    return 0.5 * np.log(np.asarray(n, dtype=float))
+
+
+def ref_build_event(kind, model=None, *, r, m=None, alpha=None, gamma=None,
+                    anchor_alpha=None):
+    const_log, shifted_log = events._const_log, events._shifted_log
+    if kind is EventKind.PLANAR_DOMINATION:
+        model = model or GafModel.planar()
+        c = ref_domination_constant(model, r, m)
+        a = c if anchor_alpha is None else anchor_alpha
+        anchor = (a + 1.0) * m
+        blocks = [
+            IndexBlock("below-anchor", 0, m - 1, "le",
+                       ref_below_anchor_rule(model, r, m, 0.0),
+                       "per-index cap keeping each lower term under the anchor weight"),
+            IndexBlock("anchor", m, m, "ge", const_log(math.log(anchor)),
+                       f"|a_{m}| >= {anchor:.6g}"),
+            IndexBlock("upper-tail", m + 1, None, "le", ref_log_identity,
+                       "|a_n| <= n for n > m"),
+        ]
+        return EventSpec(kind, model, r, m, blocks, None,
+                         {"domination_constant": c, "anchor": anchor,
+                          "anchor_alpha": a})
+    if kind is EventKind.HYPERBOLIC_DOMINATION:
+        c = ref_domination_constant(model, r, m)
+        a = c if anchor_alpha is None else anchor_alpha
+        anchor = (a + 1.0) * math.sqrt(m)
+        blocks = [
+            IndexBlock("below-anchor", 0, m - 1, "le",
+                       ref_below_anchor_rule(model, r, m, -0.5 * math.log(m)),
+                       "per-index cap at 1/sqrt(m) of the anchor weight"),
+            IndexBlock("anchor", m, m, "ge", const_log(math.log(anchor)),
+                       f"|a_{m}| >= {anchor:.6g}"),
+            IndexBlock("upper-tail", m + 1, None, "le", ref_log_sqrt,
+                       "|a_n| <= sqrt(n) for n > m"),
+        ]
+        return EventSpec(kind, model, r, m, blocks, None,
+                         {"domination_constant": c, "anchor": anchor,
+                          "anchor_alpha": a})
+    assert kind is EventKind.VERY_LARGE_DOMINATION
+    model = model or GafModel.planar()
+    mm = math.ceil(r * r + gamma * r ** alpha)
+    bulge = gamma * r ** alpha
+    lw_m = float(events._log_weight(model, mm, r))
+
+    def tail_term(n):
+        return math.log(n - mm) + float(events._log_weight(model, n, r)) - lw_m
+
+    def tail_ratio(n):
+        k = n - mm
+        return (k + 1.0) / k * r / math.sqrt(n + 1.0)
+
+    budget = math.exp(ref_certified_log_series(tail_term, mm + 1, tail_ratio,
+                                               rel_tol=1e-14))
+    anchor = float(mm)
+    if bulge + budget >= anchor:
+        anchor = (bulge + budget) * (1.0 + 1e-9)
+    blocks = [
+        IndexBlock("below-anchor", 0, mm - 1, "le",
+                   ref_below_anchor_rule(model, r, mm, math.log(bulge / mm)),
+                   "per-index cap at (gamma r^alpha / m) of the anchor weight"),
+        IndexBlock("anchor", mm, mm, "ge", const_log(math.log(anchor)),
+                   f"|a_{mm}| >= {anchor:.6g}"),
+        IndexBlock("upper-tail", mm + 1, None, "le",
+                   shifted_log(mm), "|a_n| <= n - m for n > m"),
+    ]
+    return EventSpec(kind, model, r, mm, blocks, None,
+                     {"alpha": alpha, "gamma": gamma, "anchor": anchor,
+                      "tail_budget": budget, "bulge": bulge})
+
+
+def event_values(ev, sup_units):
+    """Every field, threshold, price and tail sup bound of an event, flattened."""
+    out = [ev.kind, ev.model, ev.r, ev.m, ev.aggregate, *ev.params.items()]
+    for b in ev.blocks:
+        out += [b.label, b.lo, b.hi, b.mode, b.rule,
+                *np.asarray(b.log_threshold(b.indices_upto(ev.m + 20)), dtype=float)]
+    detail = event_log_prob_detail(ev)
+    out += [detail.total, detail.bound_form, *detail.by_block.items()]
+    for depth in (ev.m, ev.m + 5, ev.m + 20, ev.m + 60, 2 * ev.m + 100):
+        out.append(sum(sup_units(b, ev.model, ev.r, 0.0, lo=depth + 1)
+                       for b in ev.blocks if b.mode == "le"))
+    return out
+
+
+def flat_floats(values):
+    out = []
+    for v in values:
+        if isinstance(v, tuple):
+            out += flat_floats(v)
+        else:
+            out.append(v)
+    return out
+
+
+def assert_same(got, want, rel=0.0):
+    got, want = flat_floats(got), flat_floats(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, float) and rel > 0.0:
+            assert abs(g - w) <= rel * abs(w), (g, w)
+        elif isinstance(w, float):
+            assert float(g).hex() == w.hex(), (g, w)
+        else:
+            assert g == w
+
+
+HEAD_MODELS = [GafModel.planar(), *(GafModel.hyperbolic(rho)
+                                    for rho in (0.3, 0.5, 1.0, 1.5, 2.0, 5.0, 20.0, 100.0))]
+
+
+class TestSingleAnchorAssembler:
+    def test_log_tail_variance_matches_head_walk(self, monkeypatch):
+        for model in HEAD_MODELS:
+            radii = ((0.3, 3.0, 8.0, 20.0) if model.kind is Kind.PLANAR
+                     else (0.05, 0.3, 0.9, 0.99))
+            for r in radii:
+                for degree in (-1, 0, 3, 40, 300):
+                    assert_same([log_tail_variance(model, degree, r)],
+                                [ref_log_tail_variance(model, degree, r)])
+        truncations = [choose_truncation(model, r) for model in HEAD_MODELS
+                       for r in ((1.0, 8.0) if model.kind is Kind.PLANAR else (0.3, 0.97))]
+        monkeypatch.setattr("gafzeros.models.log_tail_variance", ref_log_tail_variance)
+        assert truncations == [choose_truncation(model, r) for model in HEAD_MODELS
+                               for r in ((1.0, 8.0) if model.kind is Kind.PLANAR
+                                         else (0.3, 0.97))]
+
+    def test_domination_constant_matches_head_walk(self):
+        # planar r=5 and hyperbolic rho=5, r=0.95 start with term ratios above 1
+        for model in HEAD_MODELS[:1] + [GafModel.hyperbolic(rho) for rho in (0.5, 2.0, 5.0)]:
+            radii = (0.5, 2.0, 5.0) if model.kind is Kind.PLANAR else (0.3, 0.9, 0.95)
+            for r in radii:
+                for m in (1, 2, 10, 30, 200):
+                    assert_same([domination_constant(model, r, m)],
+                                [ref_domination_constant(model, r, m)])
+
+    def test_planar_and_hyperbolic_events_match_reference(self):
+        for r in (0.5, 2.0, 5.0):
+            for m in (1, 5, 30, 200):
+                for a in (None, 0.5):
+                    kw = {"r": r, "m": m, "anchor_alpha": a}
+                    assert_same(
+                        event_values(build_event(EventKind.PLANAR_DOMINATION, **kw),
+                                     events._sup_units),
+                        event_values(ref_build_event(EventKind.PLANAR_DOMINATION, **kw),
+                                     ref_sup_units))
+        for rho in (0.5, 2.0, 5.0):
+            model = GafModel.hyperbolic(rho)
+            for r in (0.3, 0.9):
+                for m in (1, 20, 50):
+                    kind = EventKind.HYPERBOLIC_DOMINATION
+                    assert_same(
+                        event_values(build_event(kind, model, r=r, m=m), events._sup_units),
+                        event_values(ref_build_event(kind, model, r=r, m=m), ref_sup_units))
+
+    def test_very_large_events_match_reference(self):
+        # the tail budget's leading terms with ratio at or above 1 - 1e-6 are
+        # now summed as a separate head, which may move its last bits
+        moved = exact = 0
+        for alpha in (2.2, 3.0, 4.0):
+            for gamma in (0.05, 0.4, 1.0, 2.0):
+                for r in (1.2, 2.0, 3.0, 5.0):
+                    kw = {"r": r, "alpha": alpha, "gamma": gamma}
+                    ev = build_event(EventKind.VERY_LARGE_DOMINATION, **kw)
+                    ref = ref_build_event(EventKind.VERY_LARGE_DOMINATION, **kw)
+                    head = 2 * r / math.sqrt(ev.m + 2) >= 1.0 - 1e-6
+                    got = event_values(ev, events._sup_units)
+                    want = event_values(ref, ref_sup_units)
+                    assert_same(got, want, rel=1e-14 if head else 0.0)
+                    moved += head and flat_floats(got) != flat_floats(want)
+                    exact += not head
+        assert moved > 0 and exact > 0
+
+    def test_moderate_sup_units_match_head_walk(self):
+        for alpha, gamma, r in ((1.5, 1.0, 10.0), (1.2, 0.4, 20.0), (1.8, 1.0, 5.0)):
+            ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=alpha, gamma=gamma)
+            lw_m = float(events._log_weight(ev.model, ev.m, ev.r))
+            for b in ev.blocks:
+                if b.mode == "le":
+                    for lo in (None, ev.m + 1, 2 * ev.m):
+                        assert_same([events._sup_units(b, ev.model, ev.r, lw_m, lo=lo)],
+                                    [ref_sup_units(b, ev.model, ev.r, lw_m, lo=lo)])

@@ -209,6 +209,24 @@ class TestTailSd:
                 assert ratio_bound(n) >= true_ratio * (1.0 - 1e-12)
 
 
+class TestCertifiedLogSeries:
+    def test_head_with_ratios_above_one_matches_mpmath(self):
+        # planar weights sigma_n r^n at r=5 from n=0: the term ratios
+        # 5/sqrt(n+1) exceed 1 up to n=24, so the head phase sums them
+        mpmath = pytest.importorskip("mpmath")
+        r = 5.0
+        got = _num.certified_log_series(
+            lambda n: n * math.log(r) - 0.5 * float(special.gammaln(n + 1)), 0,
+            lambda n: r / math.sqrt(n + 1.0))
+        with mpmath.workdps(40):
+            oracle = mpmath.log(mpmath.nsum(
+                lambda n: mpmath.mpf(5) ** n / mpmath.sqrt(mpmath.factorial(n)),
+                [0, mpmath.inf]))
+            rel = float(mpmath.expm1(mpmath.mpf(got) - oracle))
+        assert abs(rel) <= 1e-13
+        assert rel >= -1e-14
+
+
 class TestExpectedCount:
     def test_planar(self):
         assert expected_count(PLANAR, 2.0) == 4.0
