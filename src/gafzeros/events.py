@@ -199,9 +199,11 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
             {"domination_constant": c, "anchor": anchor, "anchor_alpha": a})
 
     if kind is EventKind.VERY_LARGE_DOMINATION:
+        model = model or GafModel.planar()
+        if model.kind is not Kind.PLANAR:
+            raise ValueError("very-large regime needs a planar model")
         if alpha is None or gamma is None or not (alpha > 2 and gamma > 0 and r > 1):
             raise ValueError("very-large regime needs alpha > 2, gamma > 0, r > 1")
-        model = model or GafModel.planar()
         mm = math.ceil(r * r + gamma * r ** alpha)
         bulge = gamma * r ** alpha
         # upper-tail caps |a_{m+k}| <= k: nearly free in probability and the
@@ -219,9 +221,11 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
              "tail_budget": budget, "bulge": bulge})
 
     if kind is EventKind.MODERATE_GROUPED:
+        model = model or GafModel.planar()
+        if model.kind is not Kind.PLANAR:
+            raise ValueError("moderate regime needs a planar model")
         if alpha is None or gamma is None or not (1 < alpha < 2 and gamma > 0 and r > 0):
             raise ValueError("moderate regime needs 1 < alpha < 2, gamma > 0, r > 0")
-        model = model or GafModel.planar()
         mm = math.ceil(r * r + gamma * r ** alpha)
         big_m = math.floor(r * r - gamma * r ** alpha)
         if big_m < 1 or big_m + 2 > mm:
@@ -252,7 +256,8 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         n_band = np.concatenate([np.arange(lo, hi + 1) for lo, hi, _ in below + above])
         lw_m = float(_log_weight(model, mm, r))
         band_units = float(np.exp(log_q + _log_weight(model, n_band, r) - lw_m).sum())
-        fixed_units = 4.0 + _sup_units(far, model, r, lw_m)
+        far_units = _sup_units(far, model, r, lw_m)
+        fixed_units = 4.0 + far_units
         margin = 1.0 + _ANCHOR_MARGIN
 
         def anchor_at(log_beta):
@@ -303,7 +308,7 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
                         "band_width": p, "decay_constant": c_const,
                         "far_start": far_start, "band_scale": beta,
                         "anchor": anchor})
-        _check_moderate_budget(ev)
+        _check_moderate_budget(ev, far_units)
         return ev
 
     raise ValueError(f"unknown event kind {kind}")
@@ -381,15 +386,19 @@ def _sup_units(b: IndexBlock, model: GafModel, r: float, lw_ref: float,
     return math.exp(_num.certified_log_series(log_term, start, ratio, rel_tol=1e-14))
 
 
-def _check_moderate_budget(ev: EventSpec):
+def _check_moderate_budget(ev: EventSpec, far_units: float):
     """Exact sup-side budget for the grouped event, in anchor-weight units.
 
     The per-band caps, the windowed aggregate (worth 4 units by construction)
-    and the far tail must sum below the event's anchor floor
-    ``params["anchor"]``; the sum is stored as ``params["sup_budget"]``.
+    and the far tail, ``far_units`` as the builder summed it, must sum below
+    the event's anchor floor ``params["anchor"]``; the sum is stored as
+    ``params["sup_budget"]``.
     """
     lw_m = float(_log_weight(ev.model, ev.m, ev.r))
-    total = 4.0 + sum(_sup_units(b, ev.model, ev.r, lw_m) for b in ev.blocks if b.mode == "le")
+    # in block order: the bounded 'le' blocks are the bands, the far tail comes last
+    bands = sum(_sup_units(b, ev.model, ev.r, lw_m)
+                for b in ev.blocks if b.mode == "le" and b.hi is not None)
+    total = 4.0 + (bands + far_units)
     anchor = ev.params["anchor"]
     if not total < anchor * (1.0 - 1e-9):
         raise EventConstructionError(
@@ -408,18 +417,16 @@ def event_tail_sup_bound(ev: EventSpec, n_max: int) -> float:
                 for b in ev.blocks if b.mode == "le"), 0.0)
 
 
-def _le_block_log_prob(block: IndexBlock, exact=True):
-    """Exact (or closed-form-bound) log probability of a 'le' block."""
+def _le_block_log_prob(block: IndexBlock) -> tuple[float, float]:
+    """Exact and closed-form-bound log probabilities of a 'le' block."""
     if block.hi is not None:
         n = np.arange(block.lo, block.hi + 1)
         if len(n) == 0:
-            return 0.0
+            return 0.0, 0.0
         t2 = 2.0 * np.asarray(block.log_threshold(n), dtype=float)
         vals = _num.log_bernoulli_le(t2)
-        if exact:
-            return float(np.sum(vals))
         bound = np.where(t2 < 0.0, t2 - math.log(2.0), vals)
-        return float(np.sum(bound))
+        return float(np.sum(vals)), float(np.sum(bound))
     # unbounded block: thresholds grow, terms die off superexponentially
     total = 0.0
     lik = 0.0  # sum of e^{-c^2} for the union-style closed form
@@ -433,9 +440,7 @@ def _le_block_log_prob(block: IndexBlock, exact=True):
         n += 1
         if n > block.lo + 10**6:
             raise RuntimeError("unbounded block does not decay")
-    if exact:
-        return total
-    return math.log1p(-lik) if lik < 1.0 else total
+    return total, (math.log1p(-lik) if lik < 1.0 else total)
 
 
 def event_log_prob_detail(ev: EventSpec) -> EventLogProb:
@@ -454,8 +459,7 @@ def event_log_prob_detail(ev: EventSpec) -> EventLogProb:
             c2 = math.exp(2.0 * float(b.log_threshold(np.array([b.lo]))[0]))
             exact = bound = -c2
         else:
-            exact = _le_block_log_prob(b, exact=True)
-            bound = _le_block_log_prob(b, exact=False)
+            exact, bound = _le_block_log_prob(b)
         by_block[b.label] = exact
         total += exact
         bound_total += bound

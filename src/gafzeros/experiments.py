@@ -1,9 +1,11 @@
 """Reproducible experiment drivers behind the command-line interface.
 
-A run is (experiment name, JSON config, output directory).  Every output row
-carries the config hash and master seed; identical configs give byte-identical
-artifacts regardless of worker count, because replicas are chunked on a fixed
-grid and each chunk owns a spawn-keyed RNG stream.
+A run is (experiment name, JSON config, output directory).  Each runner reads
+its fields through ``RunConfig.read`` and returns its tables; ``run`` alone
+writes them, and adds the config hash and master seed to every row.
+Identical configs give byte-identical artifacts regardless of worker count,
+because replica k always draws from its own spawn-keyed RNG stream
+``stream(seed, k)`` and the worker results are joined in replica order.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from . import bounds, events, models, radial, zeros
 from .models import GafModel
 from .radial import RadialEnsemble
 
-EXPERIMENTS = ("scatter", "mc-tail", "exact-tail", "event-bound",
-               "exponent-fit", "jensen-check", "intensity-check", "kappa")
+CHUNK = 1024  # replicas per worker task
 
-CHUNK = 1024  # replicas per worker task; fixed so results ignore thread count
+_REQUIRED = object()
+_MODELS = ("planar", "hyperbolic")
+_ENSEMBLES = tuple(e.value for e in RadialEnsemble)
+_FIT_BASES = ("m2logm+m2", "m2logm")  # the bases of events.exponent_fit that need no alpha
 
 
 class ConfigError(ValueError):
@@ -61,6 +65,26 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _typed(v, typ):
+    """``v`` as a ``typ``, or None if it is not one; JSON booleans are never numbers."""
+    if isinstance(typ, list):
+        if not isinstance(v, list):
+            return None
+        items = [_typed(x, typ[0]) for x in v]
+        return None if any(x is None for x in items) else items
+    if isinstance(v, bool):
+        return None
+    if typ is float and isinstance(v, int):
+        return float(v)
+    return v if isinstance(v, typ) else None
+
+
+def _type_name(typ) -> str:
+    if isinstance(typ, list):
+        return f"a list of {_type_name(typ[0])} items"
+    return {int: "an integer", float: "a number", str: "a string"}[typ]
+
+
 @dataclass
 class RunConfig:
     experiment: str
@@ -86,10 +110,10 @@ class RunConfig:
         if seed is None:
             raise ConfigError("config.seed: missing (seeds are mandatory, "
                               "there is no entropy default)")
-        if not isinstance(seed, int) or seed < 0:
+        if _typed(seed, int) is None or seed < 0:
             raise ConfigError("config.seed: must be a nonnegative integer")
         t = threads if threads is not None else data.get("threads", 1)
-        if not isinstance(t, int) or t < 1:
+        if _typed(t, int) is None or t < 1:
             raise ConfigError("config.threads: must be a positive integer")
         params = {k: v for k, v in data.items()
                   if k not in ("experiment", "seed", "threads")}
@@ -98,60 +122,74 @@ class RunConfig:
         cfg.raw = {"experiment": name, "seed": seed, **params}
         return cfg
 
-    def require(self, key, typ, *, cond=None, msg=""):
+    def read(self, key, typ, *, default=_REQUIRED, cond=None, msg=""):
+        """The value of field ``key``, checked; passing ``default`` makes the field optional.
+
+        ``typ`` is int, float (integers widen to float), str, or ``[t]`` for a
+        list of ``t``.  A value of the wrong type, or one failing ``cond``,
+        raises ``ConfigError`` naming ``config.<key>``; an absent optional
+        field returns ``default`` as given.
+        """
         if key not in self.params:
-            raise ConfigError(f"config.{key}: missing")
-        v = self.params[key]
-        if typ is float and isinstance(v, int):
-            v = float(v)
-        if not isinstance(v, typ):
-            raise ConfigError(f"config.{key}: expected {getattr(typ, '__name__', typ)}")
+            if default is _REQUIRED:
+                raise ConfigError(f"config.{key}: missing")
+            return default
+        v = _typed(self.params[key], typ)
+        if v is None:
+            raise ConfigError(f"config.{key}: expected {_type_name(typ)}")
         if cond is not None and not cond(v):
             raise ConfigError(f"config.{key}: {msg}")
         return v
 
-    def optional(self, key, default):
-        return self.params.get(key, default)
+
+def _above(lo, name=None) -> dict:
+    """The ``cond`` and ``msg`` of ``RunConfig.read`` for a value above ``lo``."""
+    return {"cond": lambda v: v > lo, "msg": f"must be > {name or lo}"}
+
+
+def _at_least(lo, name=None) -> dict:
+    """The ``cond`` and ``msg`` of ``RunConfig.read`` for a value of at least ``lo``."""
+    return {"cond": lambda v: v >= lo, "msg": f"must be >= {name or lo}"}
+
+
+def _one_of(names: tuple) -> dict:
+    """The ``cond`` and ``msg`` of ``RunConfig.read`` for one of ``names``."""
+    return {"cond": names.__contains__, "msg": f"must be one of {', '.join(names)}"}
 
 
 def _model_from(cfg: RunConfig, key="model") -> GafModel:
-    name = cfg.require(key, str)
-    if name == "planar":
+    if cfg.read(key, str, **_one_of(_MODELS)) == "planar":
         return GafModel.planar()
-    if name == "hyperbolic":
-        rho = cfg.require("rho", float, cond=lambda v: v > 0, msg="rho must be > 0")
-        return GafModel.hyperbolic(rho)
-    raise ConfigError(f"config.{key}: must be 'planar' or 'hyperbolic'")
+    return GafModel.hyperbolic(cfg.read("rho", float, **_above(0)))
 
 
 def _ensemble_from(cfg: RunConfig, key="ensemble") -> RadialEnsemble:
-    name = cfg.require(key, str)
-    try:
-        return {"ginibre": RadialEnsemble.GINIBRE,
-                "hyperbolic-one": RadialEnsemble.HYPERBOLIC_ONE}[name]
-    except KeyError:
-        raise ConfigError(f"config.{key}: must be 'ginibre' or 'hyperbolic-one'") from None
+    return RadialEnsemble(cfg.read(key, str, **_one_of(_ENSEMBLES)))
 
 
 def _radius_list(cfg: RunConfig, key="r"):
-    v = cfg.params.get(key)
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return [float(v)]
-    if isinstance(v, list) and v and all(isinstance(x, (int, float)) for x in v):
-        return [float(x) for x in v]
-    raise ConfigError(f"config.{key}: must be a number or a nonempty list of numbers")
+    """Field ``key``, a positive radius or a nonempty list of them, as a list."""
+    if not isinstance(cfg.params.get(key), list):
+        return [cfg.read(key, float, **_above(0))]
+    return cfg.read(key, [float], cond=lambda v: v and min(v) > 0,
+                    msg="must be a nonempty list of positive numbers")
+
+
+def _tail_guard(cfg: RunConfig) -> float:
+    return cfg.read("tail_guard", float, default=100.0,
+                    cond=lambda v: 0 <= v < math.inf, msg="must be >= 0 and finite")
 
 
 # ----------------------------------------------------------------------------
-# experiments
+# experiments: each returns its tables as (file name, header, rows)
 
 
-def _run_scatter(cfg: RunConfig, out_dir, tag):
-    r = cfg.require("r", float, cond=lambda v: v > 0, msg="must be > 0")
-    m = cfg.require("m", int, cond=lambda v: v >= 1, msg="must be >= 1")
-    n_samples = cfg.optional("samples", 1)
-    clip = float(cfg.optional("clip_radius", 3.0 * r))
-    anchor_alpha = cfg.optional("anchor_alpha", None)
+def _run_scatter(cfg: RunConfig):
+    r = cfg.read("r", float, **_above(0))
+    m = cfg.read("m", int, **_at_least(1))
+    n_samples = cfg.read("samples", int, default=1, **_at_least(1))
+    clip = cfg.read("clip_radius", float, default=3.0 * r, **_above(0))
+    anchor_alpha = cfg.read("anchor_alpha", float, default=None, **_above(-1))
     ev = events.build_event(events.EventKind.PLANAR_DOMINATION, r=r, m=m,
                             anchor_alpha=anchor_alpha)
     rows = []
@@ -160,69 +198,57 @@ def _run_scatter(cfg: RunConfig, out_dir, tag):
         valid = events.verify_domination(ev, draw)
         roots = zeros.find_roots(models.make_truncated(ev.model, draw, r).weighted_coefficients)
         for z in roots[np.abs(roots) <= clip]:
-            rows.append(["conditioned", i, z.real, z.imag, valid, tag, cfg.seed])
+            rows.append(["conditioned", i, z.real, z.imag, valid])
         free = models.sample_coefficients(models.stream(cfg.seed, 2 * i + 1), draw.degree)
         roots = zeros.find_roots(models.make_truncated(ev.model, free, r).weighted_coefficients)
         for z in roots[np.abs(roots) <= clip]:
-            rows.append(["unconditioned", i, z.real, z.imag, False, tag, cfg.seed])
-    path = os.path.join(out_dir, "scatter.csv")
-    emit_csv(path, ["point_set", "sample", "re", "im", "domination_verified",
-                    "config_hash", "seed"], rows)
-    return [path]
+            rows.append(["unconditioned", i, z.real, z.imag, False])
+    return [("scatter.csv", ["point_set", "sample", "re", "im", "domination_verified"],
+             rows)]
 
 
 def _count_chunk(args):
     (model, r, degree, guard, seed, block, count) = args
     start = block * CHUNK
-    counts, retries = zeros.count_replicas(model, r, degree, guard, seed,
-                                           range(start, start + count))
-    return block, counts, retries
+    return zeros.count_replicas(model, r, degree, guard, seed, range(start, start + count))
 
 
 def _replica_counts(cfg: RunConfig, model: GafModel, r: float, replicas: int):
     """Certified counts of replicas 0..replicas-1 (-1 if unresolved) and their retries."""
     degree = models.choose_truncation(model, r)
-    guard = float(cfg.optional("tail_guard", 100.0))
-    results = _map_blocks(_count_chunk, (model, r, degree, guard, cfg.seed), replicas,
-                          cfg.threads)
-    return (np.concatenate([c for _, c, _ in results]),
-            sum(x for _, _, x in results))
+    results = _map_blocks(_count_chunk, (model, r, degree, _tail_guard(cfg), cfg.seed),
+                          replicas, cfg.threads)
+    return np.concatenate([c for c, _ in results]), sum(x for _, x in results)
 
 
-def _run_mc_tail(cfg: RunConfig, out_dir, tag):
-    target_name = cfg.require("target", str)
-    r = cfg.require("r", float, cond=lambda v: v > 0, msg="must be > 0")
-    m = cfg.require("m", int, cond=lambda v: v >= 0, msg="must be >= 0")
-    trials = cfg.require("trials", int, cond=lambda v: v >= 1, msg="must be >= 1")
-    level = float(cfg.optional("level", 0.99))
-    if target_name in ("ginibre", "hyperbolic-one"):
-        ens = {"ginibre": RadialEnsemble.GINIBRE,
-               "hyperbolic-one": RadialEnsemble.HYPERBOLIC_ONE}[target_name]
-        est = events.direct_mc_tail(ens, r, m, trials, cfg.seed, level=level)
+def _run_mc_tail(cfg: RunConfig):
+    target = cfg.read("target", str, **_one_of(_MODELS + _ENSEMBLES))
+    r = cfg.read("r", float, **_above(0))
+    m = cfg.read("m", int, **_at_least(0))
+    trials = cfg.read("trials", int, **_at_least(1))
+    level = cfg.read("level", float, default=0.99, cond=lambda v: 0 < v < 1,
+                     msg="must be in (0, 1)")
+    if target in _ENSEMBLES:
+        est = events.direct_mc_tail(_ensemble_from(cfg, "target"), r, m, trials, cfg.seed,
+                                    level=level)
     else:
-        if target_name not in ("planar", "hyperbolic"):
-            raise ConfigError("config.target: must be one of planar, hyperbolic, "
-                              "ginibre, hyperbolic-one")
         counts, retries = _replica_counts(cfg, _model_from(cfg, "target"), r, trials)
         est = events.mc_tail_estimate(int((counts >= m).sum()), trials, level, cfg.seed,
                                       retries=retries,
                                       unresolved_as_failure=int((counts < 0).sum()))
     extras = est.extras
-    path = os.path.join(out_dir, "mc_tail.csv")
-    emit_csv(path, ["target", "r", "m", "trials", "hits", "log_p", "log_lo",
-                    "log_hi", "retries", "unresolved", "config_hash", "seed"],
-             [[target_name, r, m, trials, extras["hits"], est.log_p, est.log_lo, est.log_hi,
-               extras.get("retries", 0), extras.get("unresolved_as_failure", 0), tag,
-               cfg.seed]])
-    return [path]
+    return [("mc_tail.csv",
+             ["target", "r", "m", "trials", "hits", "log_p", "log_lo", "log_hi", "retries",
+              "unresolved"],
+             [[target, r, m, trials, extras["hits"], est.log_p, est.log_lo, est.log_hi,
+               extras.get("retries", 0), extras.get("unresolved_as_failure", 0)]])]
 
 
-def _run_exact_tail(cfg: RunConfig, out_dir, tag):
+def _run_exact_tail(cfg: RunConfig):
     ens = _ensemble_from(cfg)
     radii = _radius_list(cfg)
-    m_min = cfg.require("m_min", int, cond=lambda v: v >= 0, msg="must be >= 0")
-    m_max = cfg.require("m_max", int, cond=lambda v: v >= m_min,
-                        msg="must be >= m_min")
+    m_min = cfg.read("m_min", int, **_at_least(0))
+    m_max = cfg.read("m_max", int, **_at_least(m_min, "m_min"))
     ms = range(m_min, m_max + 1)
     rows = []
     for r in radii:
@@ -236,38 +262,30 @@ def _run_exact_tail(cfg: RunConfig, out_dir, tag):
             else:
                 blo = bhi = float("nan")
                 contained = True
-            rows.append([ens.value, r, m, br.log_lower, br.log_upper,
-                         blo, bhi, contained, tag, cfg.seed])
-    path = os.path.join(out_dir, "exact_tail.csv")
-    emit_csv(path, ["ensemble", "r", "m", "log_p_lower", "log_p_upper",
-                    "bound_lower", "bound_upper", "contained", "config_hash",
-                    "seed"], rows)
-    return [path]
+            rows.append([ens.value, r, m, br.log_lower, br.log_upper, blo, bhi, contained])
+    return [("exact_tail.csv", ["ensemble", "r", "m", "log_p_lower", "log_p_upper",
+                                "bound_lower", "bound_upper", "contained"], rows)]
 
 
-def _run_event_bound(cfg: RunConfig, out_dir, tag):
-    kind_name = cfg.require("kind", str)
-    kinds = {k.value: k for k in events.EventKind}
-    if kind_name not in kinds:
-        raise ConfigError(f"config.kind: must be one of {sorted(kinds)}")
-    kind = kinds[kind_name]
+def _run_event_bound(cfg: RunConfig):
+    kinds = tuple(k.value for k in events.EventKind)
+    kind = events.EventKind(cfg.read("kind", str, **_one_of(kinds)))
     radii = _radius_list(cfg)
     rows = []
     for r in radii:
         if kind in (events.EventKind.VERY_LARGE_DOMINATION,
                     events.EventKind.MODERATE_GROUPED):
-            alpha = cfg.require("alpha", float)
-            gamma = cfg.require("gamma", float)
+            alpha = cfg.read("alpha", float)
+            gamma = cfg.read("gamma", float)
             ev = events.build_event(kind, r=r, alpha=alpha, gamma=gamma)
             regime = (bounds.ExponentRegime.VERY_LARGE
                       if kind is events.EventKind.VERY_LARGE_DOMINATION
                       else bounds.ExponentRegime.MODERATE)
             scale = bounds.predicted_exponent(regime, alpha=alpha, gamma=gamma, r=r)
         else:
-            m = cfg.require("m", int, cond=lambda v: v >= 1, msg="must be >= 1")
+            m = cfg.read("m", int, **_at_least(1))
             if kind is events.EventKind.HYPERBOLIC_DOMINATION:
-                rho = cfg.require("rho", float, cond=lambda v: v > 0,
-                                  msg="rho must be > 0")
+                rho = cfg.read("rho", float, **_above(0))
                 ev = events.build_event(kind, GafModel.hyperbolic(rho), r=r, m=m)
                 scale = bounds.predicted_exponent(
                     bounds.ExponentRegime.HYPERBOLIC_LOWER_CONSTRUCTIVE, m=m, r=r)
@@ -278,36 +296,31 @@ def _run_event_bound(cfg: RunConfig, out_dir, tag):
         detail = events.event_log_prob_detail(ev)
         dominant = min(detail.by_block.values())
         rows.append([kind.value, r, ev.m, detail.total, detail.bound_form,
-                     dominant, scale, detail.total / scale, tag, cfg.seed])
-    path = os.path.join(out_dir, "event_bound.csv")
-    emit_csv(path, ["kind", "r", "m", "log_prob", "log_prob_bound_form",
-                    "dominant_block_log_prob", "predicted_scale",
-                    "ratio_to_scale", "config_hash", "seed"], rows)
-    return [path]
+                     dominant, scale, detail.total / scale])
+    return [("event_bound.csv", ["kind", "r", "m", "log_prob", "log_prob_bound_form",
+                                 "dominant_block_log_prob", "predicted_scale",
+                                 "ratio_to_scale"], rows)]
 
 
-def _run_exponent_fit(cfg: RunConfig, out_dir, tag):
+def _run_exponent_fit(cfg: RunConfig):
     ens = _ensemble_from(cfg)
-    r = cfg.require("r", float, cond=lambda v: v > 0, msg="must be > 0")
-    m_grid = cfg.require("m_grid", list)
-    if not all(isinstance(m, int) and m >= 1 for m in m_grid) or len(m_grid) < 3:
-        raise ConfigError("config.m_grid: need >= 3 positive integers")
-    basis = cfg.optional("basis", "m2logm+m2")
+    r = cfg.read("r", float, **_above(0))
+    m_grid = cfg.read("m_grid", [int],
+                      cond=lambda v: len(v) >= 3 and min(v) >= 1 and len(set(v)) == len(v),
+                      msg="need >= 3 distinct positive integers")
+    basis = cfg.read("basis", str, default="m2logm+m2", **_one_of(_FIT_BASES))
     pts = []
     point_rows = []
     for m, br in zip(m_grid, radial.tail_log_brackets(ens, r, m_grid)):
         pts.append((m, -br.log_lower))
-        point_rows.append([ens.value, r, m, br.log_lower, br.log_upper, tag, cfg.seed])
+        point_rows.append([ens.value, r, m, br.log_lower, br.log_upper])
     fit = events.exponent_fit(pts, basis)
-    p1 = emit_csv(os.path.join(out_dir, "exponent_points.csv"),
-                  ["ensemble", "r", "m", "log_p_lower", "log_p_upper",
-                   "config_hash", "seed"], point_rows)
-    fit_rows = [[ens.value, r, basis, i, c, fit.max_rel_residual, tag, cfg.seed]
+    fit_rows = [[ens.value, r, basis, i, c, fit.max_rel_residual]
                 for i, c in enumerate(fit.coefficients)]
-    p2 = emit_csv(os.path.join(out_dir, "exponent_fit.csv"),
-                  ["ensemble", "r", "basis", "coefficient_index", "coefficient",
-                   "max_rel_residual", "config_hash", "seed"], fit_rows)
-    return [p1, p2]
+    return [("exponent_points.csv", ["ensemble", "r", "m", "log_p_lower", "log_p_upper"],
+             point_rows),
+            ("exponent_fit.csv", ["ensemble", "r", "basis", "coefficient_index",
+                                  "coefficient", "max_rel_residual"], fit_rows)]
 
 
 def _jensen_chunk(args):
@@ -330,67 +343,55 @@ def _jensen_chunk(args):
         except (zeros.InconclusiveCount, zeros.RootsDidNotConverge):
             out.append((block * CHUNK + j, r, big_r, -1, -1, float("nan"),
                         False, False))
-    return block, out
+    return out
 
 
-def _run_jensen_check(cfg: RunConfig, out_dir, tag):
-    trials = cfg.require("trials", int, cond=lambda v: v >= 1, msg="must be >= 1")
-    r_lo = float(cfg.optional("r_min", 0.5))
-    r_hi = float(cfg.optional("r_max", 3.0))
-    if not 0 < r_lo < r_hi:
-        raise ConfigError("config.r_min/r_max: need 0 < r_min < r_max")
-    ratio = float(cfg.optional("radius_ratio", 1.25))
-    quad_tol = float(cfg.optional("quad_tol", 1e-8))
-    guard = float(cfg.optional("tail_guard", 100.0))
-    results = _map_blocks(_jensen_chunk, (r_lo, r_hi, ratio, quad_tol, guard, cfg.seed),
-                          trials, cfg.threads)
-    rows = []
-    for _, chunk_rows in results:
-        for (idx, r, big_r, count, root_count, resid, ineq, ok) in chunk_rows:
-            rows.append([idx, r, big_r, count, root_count, resid, ineq, ok,
-                         tag, cfg.seed])
-    path = os.path.join(out_dir, "jensen_check.csv")
-    emit_csv(path, ["trial", "r", "R", "winding_count", "root_count",
-                    "jensen_residual", "count_inequality_ok", "certified",
-                    "config_hash", "seed"], rows)
-    return [path]
+def _run_jensen_check(cfg: RunConfig):
+    trials = cfg.read("trials", int, **_at_least(1))
+    r_lo = cfg.read("r_min", float, default=0.5, **_above(0))
+    r_hi = cfg.read("r_max", float, default=3.0, **_above(r_lo, "r_min"))
+    ratio = cfg.read("radius_ratio", float, default=1.25, **_above(1))
+    quad_tol = cfg.read("quad_tol", float, default=1e-8, **_above(0))
+    chunks = _map_blocks(_jensen_chunk,
+                         (r_lo, r_hi, ratio, quad_tol, _tail_guard(cfg), cfg.seed),
+                         trials, cfg.threads)
+    return [("jensen_check.csv", ["trial", "r", "R", "winding_count", "root_count",
+                                  "jensen_residual", "count_inequality_ok", "certified"],
+             [row for chunk in chunks for row in chunk])]
 
 
-def _run_intensity_check(cfg: RunConfig, out_dir, tag):
+def _run_intensity_check(cfg: RunConfig):
     model = _model_from(cfg)
-    r = cfg.require("r", float, cond=lambda v: v > 0, msg="must be > 0")
-    samples = cfg.require("samples", int, cond=lambda v: v >= 1, msg="must be >= 1")
+    r = cfg.read("r", float, **_above(0))
+    samples = cfg.read("samples", int, **_at_least(1))
     counts, _ = _replica_counts(cfg, model, r, samples)
     ok = counts[counts >= 0]
     n_ok = len(ok)
+    if n_ok == 0:
+        raise NumericFailure(f"{samples} of {samples} replicas unresolved, no mean count")
     mean = int(ok.sum()) / n_ok
     var = int((ok * ok).sum()) / n_ok - mean * mean
     stderr = math.sqrt(max(var, 0.0) / n_ok)
     expected = models.expected_count(model, r)
-    path = os.path.join(out_dir, "intensity_check.csv")
-    emit_csv(path, ["model", "r", "samples", "resolved", "mean_count",
-                    "expected", "stderr", "config_hash", "seed"],
-             [[model.kind.value, r, samples, n_ok, mean, expected, stderr, tag, cfg.seed]])
-    return [path]
+    return [("intensity_check.csv", ["model", "r", "samples", "resolved", "mean_count",
+                                     "expected", "stderr"],
+             [[model.kind.value, r, samples, n_ok, mean, expected, stderr]])]
 
 
-def _run_kappa(cfg: RunConfig, out_dir, tag):
+def _run_kappa(cfg: RunConfig):
     radii = _radius_list(cfg)
-    grid_points = cfg.optional("grid_points", 10**6)
+    grid_points = cfg.read("grid_points", int, default=10**6, **_at_least(1))
     rows = []
     for r in radii:
         if not 0 < r < 1:
             raise ConfigError("config.r: kappa needs 0 < r < 1")
         k = bounds.kappa(r)
         eps = bounds.kappa_argmax(r)
-        grid = np.exp(np.linspace(math.log(1e-12), math.log(r) - 1e-9, int(grid_points)))
+        grid = np.exp(np.linspace(math.log(1e-12), math.log(r) - 1e-9, grid_points))
         vals = (((r - grid) / (r + grid)) ** 2) / (-np.log(grid))
         gv = float(vals.max())
-        rows.append([r, k, eps, gv, abs(k - gv), tag, cfg.seed])
-    path = os.path.join(out_dir, "kappa.csv")
-    emit_csv(path, ["r", "kappa", "eps_argmax", "grid_value", "abs_diff",
-                    "config_hash", "seed"], rows)
-    return [path]
+        rows.append([r, k, eps, gv, abs(k - gv)])
+    return [("kappa.csv", ["r", "kappa", "eps_argmax", "grid_value", "abs_diff"], rows)]
 
 
 _RUNNERS = {
@@ -404,30 +405,34 @@ _RUNNERS = {
     "kappa": _run_kappa,
 }
 
+EXPERIMENTS = tuple(_RUNNERS)
+
 
 def _map_blocks(fn, head, total, threads):
-    """Run ``fn(head + (block, count))`` over the CHUNK grid of replicas 0..total-1.
-
-    Returns the results sorted by block index.
-    """
+    """``fn(head + (block, count))`` over the CHUNK grid of replicas 0..total-1, in block order."""
     blocks = [(*head, b, min(CHUNK, total - b * CHUNK))
               for b in range((total + CHUNK - 1) // CHUNK)]
     if threads <= 1 or len(blocks) <= 1:
-        results = [fn(b) for b in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fn, blocks))
-    return sorted(results, key=lambda t: t[0])
+        return [fn(b) for b in blocks]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, blocks))
 
 
 def run(cfg: RunConfig, out_dir: str) -> list[str]:
-    """Execute one experiment; returns the artifact paths."""
+    """Execute one experiment and write its tables; returns the artifact paths.
+
+    Each table goes to ``out_dir`` under its file name, with the columns
+    ``config_hash`` and ``seed`` added to its header and to every row.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    tag = config_hash(cfg.raw)
     try:
-        return _RUNNERS[cfg.experiment](cfg, out_dir, tag)
+        tables = _RUNNERS[cfg.experiment](cfg)
     except ConfigError:
         raise
     except (zeros.InconclusiveCount, zeros.RootsDidNotConverge,
             events.EventConstructionError, ValueError, RuntimeError) as exc:
         raise NumericFailure(f"{cfg.experiment}: {exc}") from exc
+    stamp = [config_hash(cfg.raw), cfg.seed]
+    return [emit_csv(os.path.join(out_dir, name), [*header, "config_hash", "seed"],
+                     ([*row, *stamp] for row in rows))
+            for name, header, rows in tables]

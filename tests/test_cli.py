@@ -5,12 +5,13 @@ import importlib.util
 import json
 import math
 import os
+import re
 
 import pytest
 
-from gafzeros import EventKind, GafModel, events
+from gafzeros import EventKind, GafModel, events, experiments
 from gafzeros.cli import main
-from gafzeros.experiments import CHUNK, ConfigError, RunConfig, emit_csv
+from gafzeros.experiments import CHUNK, EXPERIMENTS, ConfigError, RunConfig, emit_csv
 
 
 def write_config(tmp_path, name, data):
@@ -67,6 +68,137 @@ class TestConfigValidation:
         assert "numeric failure" in capsys.readouterr().err
 
 
+# smallest valid fields of the experiments that have optional fields
+BASE = {
+    "scatter": {"r": 1.0, "m": 2},
+    "mc-tail": {"target": "planar", "r": 1.0, "m": 1, "trials": 2},
+    "exponent-fit": {"ensemble": "ginibre", "r": 1.0, "m_grid": [3, 4, 5]},
+    "jensen-check": {"trials": 2},
+    "intensity-check": {"model": "planar", "r": 1.0, "samples": 2},
+    "kappa": {"r": 0.5},
+}
+
+# (experiment, optional field, a value of the wrong type, an out-of-range value)
+OPTIONAL_FIELDS = [
+    ("scatter", "samples", "2", 0),
+    ("scatter", "clip_radius", "3", 0.0),
+    ("scatter", "anchor_alpha", True, -1.0),
+    ("mc-tail", "level", "0.9", 1.5),
+    ("mc-tail", "tail_guard", [100], -1.0),
+    ("exponent-fit", "basis", 1, "r2alpha-logr"),
+    ("jensen-check", "r_min", "0.5", 0.0),
+    ("jensen-check", "r_max", None, 0.4),
+    ("jensen-check", "radius_ratio", "1.25", 1.0),
+    ("jensen-check", "quad_tol", True, 0.0),
+    ("jensen-check", "tail_guard", "100", float("inf")),
+    ("intensity-check", "tail_guard", "100", -0.5),
+    ("kappa", "grid_points", 10.0, 0),
+]
+
+
+def run_cli(tmp_path, data):
+    cfg = write_config(tmp_path, "c.json", {"seed": 1, **data})
+    return main([data["experiment"], "--config", cfg, "--out", str(tmp_path / "out")])
+
+
+class TestFieldReader:
+    @pytest.mark.parametrize("experiment,key,wrong_type,out_of_range", OPTIONAL_FIELDS,
+                             ids=[f"{e}-{k}" for e, k, *_ in OPTIONAL_FIELDS])
+    def test_optional_field_is_checked(self, tmp_path, capsys, experiment, key,
+                                       wrong_type, out_of_range):
+        for value in (wrong_type, out_of_range):
+            data = {"experiment": experiment, **BASE[experiment], key: value}
+            assert run_cli(tmp_path, data) == 2, value
+            assert f"config.{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["m", "seed", "threads"])
+    def test_bool_is_not_a_number(self, tmp_path, capsys, key):
+        assert run_cli(tmp_path, {"experiment": "scatter", "r": 1.0, "m": 2, key: True}) == 2
+        assert f"config.{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"experiment": "exact-tail", "ensemble": "ginibre", "r": [1.0, 0.0],
+         "m_min": 1, "m_max": 3},
+        {"experiment": "event-bound", "kind": "planar-domination", "r": [-1.0], "m": 3},
+    ])
+    def test_radius_list_must_be_positive(self, tmp_path, capsys, data):
+        assert run_cli(tmp_path, data) == 2
+        assert "config.r:" in capsys.readouterr().err
+
+    def test_exponent_fit_rejects_repeated_m(self, tmp_path, capsys):
+        data = {"experiment": "exponent-fit", "ensemble": "ginibre", "r": 1.0,
+                "m_grid": [3, 4, 4]}
+        assert run_cli(tmp_path, data) == 2
+        assert "config.m_grid:" in capsys.readouterr().err
+
+    def test_intensity_check_with_no_resolved_replica(self, tmp_path, capsys):
+        # a floor above every |f| on the circle leaves each replica unresolved
+        data = {"experiment": "intensity-check", "model": "planar", "r": 1.0,
+                "samples": 3, "tail_guard": 1e300}
+        assert run_cli(tmp_path, data) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "3 of 3 replicas unresolved" in err
+
+
+# tiny configs that take every branch of the field reads of each experiment
+TINY = [
+    {"experiment": "scatter", "r": 1.0, "m": 2},
+    {"experiment": "mc-tail", "target": "planar", "r": 0.5, "m": 1, "trials": 2},
+    {"experiment": "mc-tail", "target": "hyperbolic", "rho": 2.0, "r": 0.5, "m": 1,
+     "trials": 2},
+    {"experiment": "mc-tail", "target": "ginibre", "r": 0.5, "m": 1, "trials": 10},
+    {"experiment": "exact-tail", "ensemble": "ginibre", "r": 1.0, "m_min": 1, "m_max": 3},
+    {"experiment": "event-bound", "kind": "planar-domination", "r": 1.0, "m": 3},
+    {"experiment": "event-bound", "kind": "hyperbolic-domination", "rho": 1.0, "r": 0.5,
+     "m": 3},
+    {"experiment": "event-bound", "kind": "very-large-domination", "r": 2.0, "alpha": 3.0,
+     "gamma": 1.0},
+    {"experiment": "event-bound", "kind": "moderate-grouped", "r": 8.0, "alpha": 1.5,
+     "gamma": 1.0},
+    {"experiment": "exponent-fit", "ensemble": "ginibre", "r": 1.0, "m_grid": [3, 4, 5]},
+    {"experiment": "jensen-check", "trials": 2},
+    {"experiment": "intensity-check", "model": "hyperbolic", "rho": 2.0, "r": 0.5,
+     "samples": 2},
+    {"experiment": "kappa", "r": 0.5, "grid_points": 10},
+]
+
+
+def schema_sections():
+    """Field names in the tables of each ``## `name` `` section of the config schema."""
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "config_schema.md")
+    with open(path) as fh:
+        text = fh.read()
+    sections = {}
+    for part in re.split(r"^## ", text, flags=re.M)[1:]:
+        title, _, body = part.partition("\n")
+        fields = set()
+        for line in body.splitlines():
+            if line.startswith("|"):
+                fields |= set(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        sections[title.strip().strip("`")] = fields
+    return sections
+
+
+class TestSchemaDocs:
+    def test_every_field_read_is_documented(self, tmp_path, monkeypatch):
+        read = RunConfig.read
+        seen = {}
+
+        def recording(self, key, *args, **kwargs):
+            seen.setdefault(self.experiment, set()).add(key)
+            return read(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(RunConfig, "read", recording)
+        for i, data in enumerate(TINY):
+            cfg = RunConfig.from_dict({"seed": 1, **data})
+            assert experiments.run(cfg, str(tmp_path / str(i)))
+        sections = schema_sections()
+        assert set(seen) == set(EXPERIMENTS)
+        for name in EXPERIMENTS:
+            assert name in sections, f"docs/config_schema.md has no section for {name}"
+            assert seen[name] <= sections[name], (name, seen[name] - sections[name])
+
+
 class TestDeterminism:
     def test_exact_tail_reruns_identically(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
@@ -94,6 +226,13 @@ class TestDeterminism:
             assert main([name, "--config", cfg2, "--out", str(out2),
                          "--threads", "3"]) == 0
             assert read_bytes(out1 / artifact) == read_bytes(out2 / artifact)
+
+
+    def test_worker_results_keep_block_order(self):
+        # rows are joined in the order _map_blocks returns, with no sort
+        serial = experiments._map_blocks(repr, ("head",), 3 * CHUNK + 5, 1)
+        assert serial == [repr(("head", b, CHUNK if b < 3 else 5)) for b in range(4)]
+        assert experiments._map_blocks(repr, ("head",), 3 * CHUNK + 5, 2) == serial
 
 
 class TestArtifacts:

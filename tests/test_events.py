@@ -167,6 +167,33 @@ class TestBuildEvent:
             build_event(EventKind.HYPERBOLIC_DOMINATION,
                         GafModel.hyperbolic(1.0), r=1.2, m=5)
 
+    @pytest.mark.parametrize("kind,model,kw", [
+        (EventKind.VERY_LARGE_DOMINATION, GafModel.hyperbolic(2.0), {"r": 2.0}),
+        (EventKind.MODERATE_GROUPED, GafModel.hyperbolic(1.0), {"r": 20.0}),
+    ])
+    def test_deviation_kinds_reject_non_planar_model_up_front(self, monkeypatch, kind,
+                                                              model, kw):
+        # both regimes are planar; the hyperbolic weights at r > 1 would send
+        # the certified series to its 10^6-term guard
+        def summed(*args, **kwargs):
+            raise AssertionError("a series was summed before the model was checked")
+
+        monkeypatch.setattr(_num, "certified_log_series", summed)
+        alpha = 3.0 if kind is EventKind.VERY_LARGE_DOMINATION else 1.5
+        with pytest.raises(ValueError, match="planar model"):
+            build_event(kind, model, alpha=alpha, gamma=1.0, **kw)
+
+    def test_moderate_sup_budget_is_the_single_block_sum(self):
+        # the budget check reuses the builder's far-tail units and must keep
+        # the bits of one sum over every 'le' block in block order; at the
+        # first two configs (4 + bands) + far tail rounds differently
+        for alpha, gamma, r in ((1.2, 1.0, 10.0), (1.5, 0.4, 8.0), (1.5, 1.0, 40.0)):
+            ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=alpha, gamma=gamma)
+            lw_m = float(events._log_weight(ev.model, ev.m, ev.r))
+            want = 4.0 + sum(events._sup_units(b, ev.model, ev.r, lw_m)
+                             for b in ev.blocks if b.mode == "le")
+            assert ev.params["sup_budget"] == want
+
 
 class TestEventLogProb:
     def test_single_floor(self):

@@ -233,7 +233,7 @@ class TestJensen:
         for name in calls:
             monkeypatch.setattr(zeros, name, counted(name, getattr(zeros, name)))
         trials = 24
-        _, rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, 100.0, 0, 0, trials))
+        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, 100.0, 0, 0, trials))
         assert len(rows) == trials
         assert calls["jensen_residual"] > 0
         assert calls["find_roots"] == calls["jensen_residual"]
