@@ -6,10 +6,10 @@ draws, closed-form deviation exponents, and the constructive coefficient
 events that realize the lower bounds.
 """
 
-from .models import (CoefficientDraw, GafModel, Kind, TruncatedGaf,
-                     choose_truncation, covariance, expected_count, log_sigma,
+from .models import (GafModel, Kind, TruncatedGaf, choose_truncation,
+                     covariance, expected_count, log_sigma, log_weight,
                      make_truncated, sample_coefficients, sample_truncated,
-                     sigma, split_streams, stream, tail_sd)
+                     sigma, stream, tail_sd, weight_ratio_bound)
 from .zeros import (CountResult, InconclusiveCount, JensenCheck,
                     RootsDidNotConverge, circle_mean_log_abs, count_in_disk,
                     count_replicas, count_with_retry, count_zeros_winding, find_roots,

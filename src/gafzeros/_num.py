@@ -42,10 +42,6 @@ def log_bernoulli_le(log_c_squared):
     return float(out) if out.ndim == 0 else out
 
 
-def logsumexp(a, **kw):
-    return special.logsumexp(a, **kw)
-
-
 def horner(rows, x):
     """sum_k rows[k] x^k by Horner's rule, bit-for-bit equal to numpy's polyval.
 
@@ -159,16 +155,16 @@ def inverse_conditional_gamma(shape, log_s, u):
     return math.exp(t)
 
 
-def certified_log_series(log_term, start, ratio_bound, *, rel_tol=1e-18, max_terms=100000):
+def certified_log_series(log_term, start, ratio_bound, *, rel_tol=1e-18):
     """log of sum_{n >= start} exp(log_term(n)) with a certified remainder.
 
     ``ratio_bound(n)`` must upper-bound exp(log_term(n+1) - log_term(n)) for
     every index at or beyond n.  Leading terms whose ratio bound is at or
     above 1 - 1e-6 are summed directly as a head (at most 10**6 of them);
     past the head, summation stops once the geometric remainder bound is
-    below rel_tol of the accumulated tail, and the bound is folded in.  The
-    return value log(head + tail) is an upper bound on the true log-sum that
-    is also within rel_tol of it.
+    below rel_tol of the accumulated tail (within 100000 terms), and the
+    bound is folded in.  The return value log(head + tail) is an upper bound
+    on the true log-sum that is also within rel_tol of it.
     """
     head = -math.inf
     n = start
@@ -178,7 +174,7 @@ def certified_log_series(log_term, start, ratio_bound, *, rel_tol=1e-18, max_ter
         if n > start + 10**6:
             raise RuntimeError("series does not contract")
     acc = -math.inf
-    for _ in range(max_terms):
+    for _ in range(100000):
         t = log_term(n)
         acc = np.logaddexp(acc, t)
         q = ratio_bound(n)

@@ -19,8 +19,8 @@ import numpy as np
 from scipy import optimize, special, stats
 
 from . import _num
-from .models import (CoefficientDraw, GafModel, Kind, choose_truncation,
-                     log_sigma, make_truncated, stream)
+from .models import (GafModel, Kind, choose_truncation, log_weight, make_truncated,
+                     stream, weight_ratio_bound)
 from .radial import RadialEnsemble, bernoulli_probs
 from .zeros import count_replicas, count_with_retry, max_modulus
 
@@ -122,12 +122,6 @@ class TailEstimate:
             raise ValueError("bracket must contain the point value")
 
 
-def _log_weight(model: GafModel, n, r: float):
-    """log(sigma_n r^n), the size of the n-th term's coefficient weight."""
-    n = np.asarray(n, dtype=float)
-    return log_sigma(model, n) + n * math.log(r)
-
-
 def domination_constant(model: GafModel, r: float, m: int) -> float:
     """Smallest C with sum_{n>m} g(n) sigma_n r^n <= C g(m) m-th weight.
 
@@ -140,18 +134,14 @@ def domination_constant(model: GafModel, r: float, m: int) -> float:
     growth_power = 0.5 if model.kind is Kind.HYPERBOLIC else 1.0
 
     def log_term(n):
-        return growth_power * math.log(n) + float(_log_weight(model, n, r))
+        return growth_power * math.log(n) + float(log_weight(model, n, r))
 
     def ratio_bound(n):
-        # term ratio: ((n+1)/n)^g * sigma_{n+1} r / sigma_n
-        g = ((n + 1.0) / n) ** growth_power
-        if model.kind is Kind.PLANAR:
-            return g * r / math.sqrt(n + 1.0)
-        rho = model.rho
-        return g * r * math.sqrt((n + rho) / (n + 1.0))
+        # term ratio ((n+1)/n)^g w_{n+1}/w_n; both factors bound every later one
+        return ((n + 1.0) / n) ** growth_power * weight_ratio_bound(model, n, r)
 
     log_tail = _num.certified_log_series(log_term, m + 1, ratio_bound, rel_tol=1e-16)
-    log_scale = growth_power * math.log(m) + float(_log_weight(model, m, r))
+    log_scale = growth_power * math.log(m) + float(log_weight(model, m, r))
     return math.exp(log_tail - log_scale)
 
 
@@ -210,7 +200,7 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         # weighted tail budget sum_k k w_{m+k}/w_m stays O(r/sqrt(m))
         upper = IndexBlock("upper-tail", mm + 1, None, "le", _shifted_log(mm),
                            "|a_n| <= n - m for n > m")
-        budget = _sup_units(upper, model, r, float(_log_weight(model, mm, r)))
+        budget = _sup_units(upper, model, r, float(log_weight(model, mm, r)))
         anchor = float(mm)
         if bulge + budget >= anchor:
             anchor = (bulge + budget) * (1.0 + 1e-9)
@@ -254,8 +244,8 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         log_q = np.concatenate([np.full(hi - lo + 1, k * _num.LOG2 - math.log(big_m))
                                 for lo, hi, k in below + above])
         n_band = np.concatenate([np.arange(lo, hi + 1) for lo, hi, _ in below + above])
-        lw_m = float(_log_weight(model, mm, r))
-        band_units = float(np.exp(log_q + _log_weight(model, n_band, r) - lw_m).sum())
+        lw_m = float(log_weight(model, mm, r))
+        band_units = float(np.exp(log_q + log_weight(model, n_band, r) - lw_m).sum())
         far_units = _sup_units(far, model, r, lw_m)
         fixed_units = 4.0 + far_units
         margin = 1.0 + _ANCHOR_MARGIN
@@ -322,10 +312,10 @@ def _single_anchor_event(kind: EventKind, model: GafModel, r: float, m: int,
     The cap on a_n, n < m, is exp(log_cap) times the m-th weight over the
     n-th weight, so each lower term stays under exp(log_cap) anchor weights.
     """
-    lw_m = float(_log_weight(model, m, r))
+    lw_m = float(log_weight(model, m, r))
 
     def log_cap_at(n):
-        return log_cap + lw_m - _log_weight(model, n, r)
+        return log_cap + lw_m - log_weight(model, n, r)
 
     anchor = params["anchor"]
     blocks = [IndexBlock("below-anchor", 0, m - 1, "le", log_cap_at, f"per-index cap {cap_rule}"),
@@ -369,19 +359,15 @@ def _sup_units(b: IndexBlock, model: GafModel, r: float, lw_ref: float,
         if b.hi < start:
             return 0.0
         n = np.arange(start, b.hi + 1)
-        return float(np.exp(b.log_threshold(n) + _log_weight(model, n, r) - lw_ref).sum())
+        return float(np.exp(b.log_threshold(n) + log_weight(model, n, r) - lw_ref).sum())
 
     def log_term(n):
-        return float(b.log_threshold(np.array([n]))[0] + _log_weight(model, n, r) - lw_ref)
+        return float(b.log_threshold(np.array([n]))[0] + log_weight(model, n, r) - lw_ref)
 
     def ratio(n):
         th0 = float(b.log_threshold(np.array([n]))[0])
         th1 = float(b.log_threshold(np.array([n + 1]))[0])
-        if model.kind is Kind.PLANAR:
-            wr = r / math.sqrt(n + 1.0)
-        else:
-            wr = r * math.sqrt((n + model.rho) / (n + 1.0))
-        return math.exp(th1 - th0) * wr
+        return math.exp(th1 - th0) * weight_ratio_bound(model, n, r)
 
     return math.exp(_num.certified_log_series(log_term, start, ratio, rel_tol=1e-14))
 
@@ -394,7 +380,7 @@ def _check_moderate_budget(ev: EventSpec, far_units: float):
     the event's anchor floor ``params["anchor"]``; the sum is stored as
     ``params["sup_budget"]``.
     """
-    lw_m = float(_log_weight(ev.model, ev.m, ev.r))
+    lw_m = float(log_weight(ev.model, ev.m, ev.r))
     # in block order: the bounded 'le' blocks are the bands, the far tail comes last
     bands = sum(_sup_units(b, ev.model, ev.r, lw_m)
                 for b in ev.blocks if b.mode == "le" and b.hi is not None)
@@ -484,7 +470,7 @@ def event_log_prob(ev: EventSpec) -> float:
 
 
 def conditioned_sample(ev: EventSpec, rng: np.random.Generator,
-                       n_max: int | None = None, stream_token: str | None = None) -> CoefficientDraw:
+                       n_max: int | None = None) -> np.ndarray:
     """Draw a_0..a_{n_max} from the exact conditional law given the event.
 
     Magnitudes invert the constrained exponential (or Gamma-total) CDFs,
@@ -530,13 +516,13 @@ def conditioned_sample(ev: EventSpec, rng: np.random.Generator,
     constrained = ~free
     phases = rng.random(int(constrained.sum())) * 2.0 * math.pi
     values[constrained] = np.sqrt(sq[constrained]) * np.exp(1j * phases)
-    return CoefficientDraw(values=values, stream=stream_token)
+    return values
 
 
-def sample_satisfies(ev: EventSpec, draw: CoefficientDraw, *, slack=1e-9) -> bool:
+def sample_satisfies(ev: EventSpec, coeffs: np.ndarray, *, slack=1e-9) -> bool:
     """Check every constraint of the event against a coefficient vector."""
-    v = np.abs(draw.values)
-    n_max = draw.degree
+    v = np.abs(coeffs)
+    n_max = len(coeffs) - 1
     for b in ev.blocks:
         n = b.indices_upto(n_max)
         if len(n) == 0:
@@ -559,18 +545,18 @@ def sample_satisfies(ev: EventSpec, draw: CoefficientDraw, *, slack=1e-9) -> boo
     return True
 
 
-def verify_domination(ev: EventSpec, draw: CoefficientDraw) -> bool:
+def verify_domination(ev: EventSpec, coeffs: np.ndarray) -> bool:
     """Numerically confirm strict single-term domination on the circle.
 
     The sample must satisfy the event (checked); False means the margin was
     not resolvable, not a refutation.
     """
-    if not sample_satisfies(ev, draw):
+    if not sample_satisfies(ev, coeffs):
         raise ValueError("sample does not satisfy the event")
     model, r, m = ev.model, ev.r, ev.m
-    gaf = make_truncated(model, draw, r)
+    gaf = make_truncated(model, coeffs, r)
     w = gaf.weighted_coefficients.copy()
-    anchor_term = abs(w[m]) * r ** m if m <= draw.degree else 0.0
+    anchor_term = abs(w[m]) * r ** m if m <= gaf.degree else 0.0
     if anchor_term == 0.0:
         return False
     w[m] = 0.0
@@ -579,15 +565,15 @@ def verify_domination(ev: EventSpec, draw: CoefficientDraw) -> bool:
         return _num.horner(w, np.asarray(z, dtype=complex))
 
     rest_max = max_modulus(rest, r, rel_tol=1e-6)
-    tail = event_tail_sup_bound(ev, draw.degree)
+    tail = event_tail_sup_bound(ev, gaf.degree)
     # the 1e-4 slack dominates the grid-max resolution error by two orders
     return anchor_term * (1.0 - 1e-9) > rest_max * (1.0 + 1e-4) + tail
 
 
-def certified_event_count(ev: EventSpec, draw: CoefficientDraw):
+def certified_event_count(ev: EventSpec, coeffs: np.ndarray):
     """Certified zero count of a conditioned sample, floored by the event tail."""
-    gaf = make_truncated(ev.model, draw, ev.r)
-    floor = event_tail_sup_bound(ev, draw.degree)
+    gaf = make_truncated(ev.model, coeffs, ev.r)
+    floor = event_tail_sup_bound(ev, gaf.degree)
     return count_with_retry(gaf, ev.r, floor)
 
 

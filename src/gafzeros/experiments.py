@@ -199,7 +199,7 @@ def _run_scatter(cfg: RunConfig):
         roots = zeros.find_roots(models.make_truncated(ev.model, draw, r).weighted_coefficients)
         for z in roots[np.abs(roots) <= clip]:
             rows.append(["conditioned", i, z.real, z.imag, valid])
-        free = models.sample_coefficients(models.stream(cfg.seed, 2 * i + 1), draw.degree)
+        free = models.sample_coefficients(models.stream(cfg.seed, 2 * i + 1), len(draw) - 1)
         roots = zeros.find_roots(models.make_truncated(ev.model, free, r).weighted_coefficients)
         for z in roots[np.abs(roots) <= clip]:
             rows.append(["unconditioned", i, z.real, z.imag, False])

@@ -50,21 +50,6 @@ class GafModel:
         return math.inf if self.kind is Kind.PLANAR else 1.0
 
 
-@dataclass(frozen=True)
-class CoefficientDraw:
-    """A sampled coefficient vector a_0..a_N plus its stream token."""
-
-    values: np.ndarray
-    stream: str | None = None
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def degree(self) -> int:
-        return len(self.values) - 1
-
-
 def log_sigma(model: GafModel, n):
     """log of the coefficient standard deviation sigma_n.
 
@@ -87,6 +72,26 @@ def sigma(model: GafModel, n):
     return np.exp(log_sigma(model, n))
 
 
+def log_weight(model: GafModel, n, r: float):
+    """log of the n-th term's weight w_n = sigma_n r^n at radius r."""
+    n = np.asarray(n, dtype=float)
+    return log_sigma(model, n) + n * math.log(r)
+
+
+def weight_ratio_bound(model: GafModel, n, r: float) -> float:
+    """Upper bound on the weight ratio w_{k+1}/w_k for every k >= n.
+
+    The ratio is r/sqrt(k+1) for the planar family and r sqrt((k+rho)/(k+1))
+    for the hyperbolic one.  It decreases in k, so its value at n bounds it,
+    except the hyperbolic ratio for rho <= 1, which rises to its limit r.
+    """
+    if model.kind is Kind.PLANAR:
+        return r / math.sqrt(n + 1.0)
+    if model.rho <= 1.0:
+        return r
+    return r * math.sqrt((n + model.rho) / (n + 1.0))
+
+
 def covariance(model: GafModel, z: complex, w: complex) -> complex:
     """Closed-form covariance E[f(z) conj(f(w))] = sum sigma_n^2 z^n conj(w)^n."""
     t = complex(z) * complex(w).conjugate()
@@ -97,22 +102,13 @@ def covariance(model: GafModel, z: complex, w: complex) -> complex:
     return complex((1.0 - t) ** (-model.rho))
 
 
-def sample_coefficients(rng: np.random.Generator, n_max: int, stream: str | None = None) -> CoefficientDraw:
+def sample_coefficients(rng: np.random.Generator, n_max: int) -> np.ndarray:
     """Draw a_0..a_{n_max} i.i.d. standard complex normal (E|a|^2 = 1)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     re = rng.standard_normal(n_max + 1)
     im = rng.standard_normal(n_max + 1)
-    return CoefficientDraw(values=(re + 1j * im) * math.sqrt(0.5), stream=stream)
-
-
-def split_streams(seed: int, count: int):
-    """Disjoint, reproducible RNG streams: (generator, token) pairs."""
-    out = []
-    for k in range(count):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
-        out.append((np.random.Generator(np.random.PCG64(ss)), f"seed={seed}/stream={k}"))
-    return out
+    return (re + 1j * im) * math.sqrt(0.5)
 
 
 def stream(seed: int, key: int = 0) -> np.random.Generator:
@@ -132,7 +128,7 @@ def log_tail_variance(model: GafModel, degree: int, r: float) -> float:
 
     Planar case via the regularized incomplete gamma identity
     sum_{n>N} r^{2n}/n! = e^{r^2} P[Pois(r^2) >= N+1]; hyperbolic case by
-    direct summation with a certified term-ratio remainder bound (for
+    direct summation of the squared weights with a certified remainder (for
     rho > 1 the first term ratios can sit at or above 1).
     """
     _check_radius(model, r)
@@ -142,17 +138,13 @@ def log_tail_variance(model: GafModel, degree: int, r: float) -> float:
         lam = r * r
         return lam + _num.log_poisson_tail(lam, degree + 1)
 
-    rho, x = model.rho, r * r
+    log_x = math.log(r * r)
 
     def log_term(n):
-        return float(special.gammaln(n + rho) - special.gammaln(n + 1) - special.gammaln(rho)) + n * math.log(x)
+        return 2.0 * log_sigma(model, n) + n * log_x
 
     def ratio_bound(n):
-        # the term ratio x*(n+rho)/(n+1) itself when it decreases in n
-        # (rho > 1), else its limit x
-        if rho <= 1.0:
-            return x
-        return x * (n + rho) / (n + 1)
+        return weight_ratio_bound(model, n, r) ** 2
 
     return _num.certified_log_series(log_term, degree + 1, ratio_bound, rel_tol=1e-17)
 
@@ -175,14 +167,19 @@ def expected_count(model: GafModel, r: float) -> float:
     return model.rho * r * r / (1.0 - r * r)
 
 
-def choose_truncation(model: GafModel, r: float, rel_tol: float = 1e-9) -> int:
-    """Smallest degree with tail_sd <= rel_tol * sqrt(covariance(r, r)).
+# Truncation target: the discarded tail's sd relative to the function's sd.
+TRUNCATION_REL_TOL = 1e-9
+
+
+def choose_truncation(model: GafModel, r: float) -> int:
+    """Smallest degree with tail_sd <= TRUNCATION_REL_TOL * sqrt(covariance(r, r)).
 
     The statistical guard; per-sample correctness is certified separately by
     the circle tests in ``zeros``.
     """
     _check_radius(model, r)
-    log_target = 2.0 * (math.log(rel_tol) + 0.5 * math.log(abs(covariance(model, r, r))))
+    log_target = 2.0 * (math.log(TRUNCATION_REL_TOL)
+                        + 0.5 * math.log(abs(covariance(model, r, r))))
     lo, hi = 0, max(8, int(math.ceil(r * r)) + 8)
     while log_tail_variance(model, hi, r) > log_target:
         lo, hi = hi, hi * 2
@@ -199,26 +196,26 @@ def choose_truncation(model: GafModel, r: float, rel_tol: float = 1e-9) -> int:
 
 @dataclass(frozen=True)
 class TruncatedGaf:
-    """A sampled partial sum sum_{n<=N} a_n sigma_n z^n with its tail bound."""
+    """A sampled partial sum sum_{n<=N} a_n sigma_n z^n with its tail bound.
+
+    ``coeffs`` is the draw a_0..a_N and ``weighted_coefficients`` the vector
+    a_n sigma_n that every evaluation and root solve reads.
+    """
 
     model: GafModel
-    coeffs: CoefficientDraw
+    coeffs: np.ndarray
     radius_of_use: float
     tail_sd: float
-    weighted: np.ndarray = field(init=False, repr=False)
+    weighted_coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_radius(self.model, self.radius_of_use)
-        w = self.coeffs.values * sigma(self.model, np.arange(len(self.coeffs.values)))
-        object.__setattr__(self, "weighted", w)
+        w = self.coeffs * sigma(self.model, np.arange(len(self.coeffs)))
+        object.__setattr__(self, "weighted_coefficients", w)
 
     @property
     def degree(self) -> int:
-        return self.coeffs.degree
-
-    @property
-    def weighted_coefficients(self) -> np.ndarray:
-        return self.weighted
+        return len(self.coeffs) - 1
 
     def __call__(self, z):
         """Evaluate the partial sum at z (scalar or array), inside radius_of_use.
@@ -230,19 +227,17 @@ class TruncatedGaf:
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) > self.radius_of_use * (1.0 + 1e-5)):
             raise ValueError("evaluation point outside radius_of_use")
-        out = _num.horner(self.weighted, z)
+        out = _num.horner(self.weighted_coefficients, z)
         return complex(out) if out.ndim == 0 else out
 
 
-def make_truncated(model: GafModel, draw: CoefficientDraw, r: float) -> TruncatedGaf:
-    return TruncatedGaf(model=model, coeffs=draw, radius_of_use=r,
-                        tail_sd=tail_sd(model, draw.degree, r))
+def make_truncated(model: GafModel, coeffs: np.ndarray, r: float) -> TruncatedGaf:
+    return TruncatedGaf(model=model, coeffs=coeffs, radius_of_use=r,
+                        tail_sd=tail_sd(model, len(coeffs) - 1, r))
 
 
 def sample_truncated(model: GafModel, r: float, rng: np.random.Generator,
-                     rel_tol: float = 1e-9, degree: int | None = None,
-                     stream: str | None = None) -> TruncatedGaf:
+                     degree: int | None = None) -> TruncatedGaf:
     """Sample a truncated model function fit for use on the disk of radius r."""
-    n = choose_truncation(model, r, rel_tol) if degree is None else degree
-    draw = sample_coefficients(rng, n, stream=stream)
-    return make_truncated(model, draw, r)
+    n = choose_truncation(model, r) if degree is None else degree
+    return make_truncated(model, sample_coefficients(rng, n), r)

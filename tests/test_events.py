@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from gafzeros import (EventConstructionError, EventKind, EventSpec, GafModel,
                       event_log_prob_detail, event_tail_estimate,
                       event_tail_sup_bound, exponent_fit, sample_satisfies,
                       stream, tail_log_bracket, verify_domination)
-from gafzeros import _num, events, experiments
+from gafzeros import _num, events, experiments, models
 from gafzeros.experiments import RunConfig
 from gafzeros.models import Kind, choose_truncation, log_tail_variance
 
@@ -55,6 +56,61 @@ class TestDominationConstant:
             ms = range(max(2, int(r * r) + 1), 30)
             vals = [domination_constant(PLANAR, r, m) for m in ms]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def sqrt_n_weight_sums(rho, r):
+    """30-digit sqrt(n) w_n for n = 1..10 and their full sum over n >= 1.
+
+    Hyperbolic weights w_n = sigma_n r^n come from the recurrence
+    w_{n+1} = w_n r sqrt((n+rho)/(n+1)), without log-gamma.  Once a term is
+    below 1e-20 of the sum, the rest is bounded by the geometric series of
+    the term ratio r sqrt((n+rho)/n), which decreases in n.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        rho_, r_ = mpmath.mpf(rho), mpmath.mpf(r)
+        w2, total, head, n = mpmath.mpf(1), mpmath.mpf(0), [], 0
+        while True:
+            w2 *= r_ * r_ * (n + rho_) / (n + 1)
+            n += 1
+            t = mpmath.sqrt(n * w2)
+            total += t
+            if n <= 10:
+                head.append(t)
+            elif t < total * mpmath.mpf(10) ** -20:
+                q = r_ * mpmath.sqrt((n + rho_) / n)
+                return head, total + t * q / (1 - q)
+
+
+@functools.lru_cache(maxsize=None)
+def rho_below_one_values(rho, r, m):
+    """(got, oracle) for domination_constant and the sup bound past depth 10."""
+    head, total = sqrt_n_weight_sums(rho, r)
+    ev = build_event(EventKind.HYPERBOLIC_DOMINATION, GafModel.hyperbolic(rho), r=r, m=m)
+    return [(ev.params["domination_constant"], (total - sum(head[:m])) / head[m - 1]),
+            (event_tail_sup_bound(ev, 10), total - sum(head))]
+
+
+RHO_BELOW_ONE = [(rho, r, m) for rho in (0.3, 0.5) for r in (0.9, 0.999) for m in (1, 2)]
+
+
+class TestRhoBelowOne:
+    # hyperbolic weight ratios r sqrt((n+rho)/(n+1)) rise toward r when rho < 1
+
+    @pytest.mark.parametrize("rho,r,m", RHO_BELOW_ONE)
+    def test_at_most_1e12_above_mpmath(self, rho, r, m):
+        for got, oracle in rho_below_one_values(rho, r, m):
+            assert got <= float(oracle * (1 + 1e-12))
+
+    @pytest.mark.parametrize("rho,r,m", [
+        case if case[1] < 0.99 else pytest.param(*case, marks=pytest.mark.xfail(
+            strict=True, reason="the log-space running sum of certified_log_series "
+            "drops terms below its resolution; 7e-14 to 2.4e-13 low at r=0.999"))
+        for case in RHO_BELOW_ONE])
+    def test_not_below_mpmath(self, rho, r, m):
+        for got, oracle in rho_below_one_values(rho, r, m):
+            assert got >= float(oracle * (1 - 1e-14))
 
 
 class TestBuildEvent:
@@ -189,7 +245,7 @@ class TestBuildEvent:
         # first two configs (4 + bands) + far tail rounds differently
         for alpha, gamma, r in ((1.2, 1.0, 10.0), (1.5, 0.4, 8.0), (1.5, 1.0, 40.0)):
             ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=alpha, gamma=gamma)
-            lw_m = float(events._log_weight(ev.model, ev.m, ev.r))
+            lw_m = float(models.log_weight(ev.model, ev.m, ev.r))
             want = 4.0 + sum(events._sup_units(b, ev.model, ev.r, lw_m)
                              for b in ev.blocks if b.mode == "le")
             assert ev.params["sup_budget"] == want
@@ -252,7 +308,7 @@ class TestConditionedSampling:
         # closed-form conditional mean of Exp(1) given <= c^2
         c2 = 0.8
         ev = single_index_event("le", 0.5 * math.log(c2))
-        vals = np.array([abs(conditioned_sample(ev, stream(2000, k), 4).values[0]) ** 2
+        vals = np.array([abs(conditioned_sample(ev, stream(2000, k), 4)[0]) ** 2
                          for k in range(4000)])
         expect = (1.0 - (1.0 + c2) * math.exp(-c2)) / (1.0 - math.exp(-c2))
         assert vals.mean() == pytest.approx(expect, abs=4.0 * vals.std() / math.sqrt(len(vals)))
@@ -261,7 +317,7 @@ class TestConditionedSampling:
     def test_floored_square_modulus_mean(self):
         c2 = 2.0
         ev = single_index_event("ge", 0.5 * math.log(c2))
-        vals = np.array([abs(conditioned_sample(ev, stream(2001, k), 4).values[0]) ** 2
+        vals = np.array([abs(conditioned_sample(ev, stream(2001, k), 4)[0]) ** 2
                          for k in range(4000)])
         assert vals.min() >= c2
         assert vals.mean() == pytest.approx(c2 + 1.0, abs=4.0 / math.sqrt(len(vals)))
@@ -274,7 +330,7 @@ class TestConditionedSampling:
         totals = []
         for k in range(500):
             draw = conditioned_sample(ev, stream(3000, k))
-            block = draw.values[agg.lo: agg.hi + 1]
+            block = draw[agg.lo: agg.hi + 1]
             totals.append(float(np.sum(np.abs(block) ** 2)))
         totals = np.array(totals)
         assert totals.max() <= s
@@ -311,10 +367,9 @@ class TestConditionedSampling:
 class TestVerifyDomination:
     def test_tiny_coefficients_dominate(self):
         ev = build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=3)
-        from gafzeros import CoefficientDraw
         vals = np.full(20, 1e-12, dtype=complex)
         vals[3] = ev.params["anchor"] * 2.0
-        assert verify_domination(ev, CoefficientDraw(values=vals))
+        assert verify_domination(ev, vals)
 
     def test_conditioned_samples_verify(self):
         ev = build_event(EventKind.PLANAR_DOMINATION, r=2.0, m=16)
@@ -325,7 +380,6 @@ class TestVerifyDomination:
     def test_weak_anchor_may_fail(self):
         # an admissible sample of the weakened event sitting at the boundary
         ev = build_event(EventKind.PLANAR_DOMINATION, r=2.0, m=16, anchor_alpha=0.0)
-        from gafzeros import CoefficientDraw
         n_max = ev.structural_max_index + 20
         n = np.arange(n_max + 1)
         vals = np.zeros(n_max + 1, dtype=complex)
@@ -336,16 +390,14 @@ class TestVerifyDomination:
         idx = tail.indices_upto(n_max)
         vals[idx] = np.exp(tail.log_threshold(idx)) * 0.999
         vals[16] = 16.0  # meets the weak anchor, far below the computed one
-        draw = CoefficientDraw(values=vals)
-        assert sample_satisfies(ev, draw)
-        assert not verify_domination(ev, draw)
+        assert sample_satisfies(ev, vals)
+        assert not verify_domination(ev, vals)
 
     def test_violating_sample_rejected(self):
         ev = build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=3)
-        from gafzeros import CoefficientDraw
         vals = np.full(20, 100.0, dtype=complex)
         with pytest.raises(ValueError):
-            verify_domination(ev, CoefficientDraw(values=vals))
+            verify_domination(ev, vals)
 
     def test_tail_bound_decreases_with_depth(self):
         ev = build_event(EventKind.PLANAR_DOMINATION, r=2.0, m=16)
@@ -488,12 +540,14 @@ def ref_domination_constant(model, r, m):
     growth_power = 0.5 if model.kind is Kind.HYPERBOLIC else 1.0
 
     def log_term(n):
-        return growth_power * math.log(n) + float(events._log_weight(model, n, r))
+        return growth_power * math.log(n) + float(models.log_weight(model, n, r))
 
     def ratio_bound(n):
         g = ((n + 1.0) / n) ** growth_power
         if model.kind is Kind.PLANAR:
             return g * r / math.sqrt(n + 1.0)
+        if model.rho <= 1.0:
+            return g * r
         return g * r * math.sqrt((n + model.rho) / (n + 1.0))
 
     n0 = m + 1
@@ -505,7 +559,7 @@ def ref_domination_constant(model, r, m):
             raise RuntimeError("domination tail does not contract")
     log_tail = ref_certified_log_series(log_term, n0, ratio_bound, rel_tol=1e-16)
     log_tail = float(np.logaddexp(head, log_tail))
-    log_scale = growth_power * math.log(m) + float(events._log_weight(model, m, r))
+    log_scale = growth_power * math.log(m) + float(models.log_weight(model, m, r))
     return math.exp(log_tail - log_scale)
 
 
@@ -515,18 +569,20 @@ def ref_sup_units(b, model, r, lw_ref, lo=None):
         if b.hi < start:
             return 0.0
         n = np.arange(start, b.hi + 1)
-        return float(np.exp(b.log_threshold(n) + events._log_weight(model, n, r)
+        return float(np.exp(b.log_threshold(n) + models.log_weight(model, n, r)
                             - lw_ref).sum())
 
     def log_term(n):
         return float(b.log_threshold(np.array([n]))[0]
-                     + events._log_weight(model, n, r) - lw_ref)
+                     + models.log_weight(model, n, r) - lw_ref)
 
     def ratio(n):
         th0 = float(b.log_threshold(np.array([n]))[0])
         th1 = float(b.log_threshold(np.array([n + 1]))[0])
         if model.kind is Kind.PLANAR:
             wr = r / math.sqrt(n + 1.0)
+        elif model.rho <= 1.0:
+            wr = r
         else:
             wr = r * math.sqrt((n + model.rho) / (n + 1.0))
         return math.exp(th1 - th0) * wr
@@ -543,10 +599,10 @@ def ref_sup_units(b, model, r, lw_ref, lo=None):
 
 
 def ref_below_anchor_rule(model, r, m, log_budget):
-    lw_m = float(events._log_weight(model, m, r))
+    lw_m = float(models.log_weight(model, m, r))
 
     def log_c(n):
-        return log_budget + lw_m - events._log_weight(model, n, r)
+        return log_budget + lw_m - models.log_weight(model, n, r)
 
     return log_c
 
@@ -599,10 +655,10 @@ def ref_build_event(kind, model=None, *, r, m=None, alpha=None, gamma=None,
     model = model or GafModel.planar()
     mm = math.ceil(r * r + gamma * r ** alpha)
     bulge = gamma * r ** alpha
-    lw_m = float(events._log_weight(model, mm, r))
+    lw_m = float(models.log_weight(model, mm, r))
 
     def tail_term(n):
-        return math.log(n - mm) + float(events._log_weight(model, n, r)) - lw_m
+        return math.log(n - mm) + float(models.log_weight(model, n, r)) - lw_m
 
     def tail_ratio(n):
         k = n - mm
@@ -732,7 +788,7 @@ class TestSingleAnchorAssembler:
     def test_moderate_sup_units_match_head_walk(self):
         for alpha, gamma, r in ((1.5, 1.0, 10.0), (1.2, 0.4, 20.0), (1.8, 1.0, 5.0)):
             ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=alpha, gamma=gamma)
-            lw_m = float(events._log_weight(ev.model, ev.m, ev.r))
+            lw_m = float(models.log_weight(ev.model, ev.m, ev.r))
             for b in ev.blocks:
                 if b.mode == "le":
                     for lo in (None, ev.m + 1, 2 * ev.m):

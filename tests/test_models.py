@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from gafzeros import (GafModel, _num, choose_truncation, covariance, expected_count,
-                      log_sigma, make_truncated, sample_coefficients,
-                      sample_truncated, sigma, split_streams, stream, tail_sd)
+                      log_sigma, log_weight, make_truncated, sample_coefficients,
+                      sample_truncated, sigma, stream, tail_sd, weight_ratio_bound)
 
 PLANAR = GafModel.planar()
 HYP1 = GafModel.hyperbolic(1.0)
@@ -46,6 +46,20 @@ class TestSigma:
             sigma(PLANAR, -1)
 
 
+class TestWeightLaw:
+    @pytest.mark.parametrize("model", [PLANAR, *(GafModel.hyperbolic(rho)
+                                                 for rho in (0.05, 0.3, 1.0, 1.5, 20.0))],
+                             ids=lambda m: m.kind.value + str(m.rho or ""))
+    def test_ratio_bound_bounds_every_later_ratio(self, model):
+        # the 1e-12 covers the rounding of the log-weight differences
+        radii = (0.5, 3.0, 20.0) if model.rho is None else (0.3, 0.9, 0.999)
+        for r in radii:
+            for n in (0, 1, 7, 60, 1000):
+                k = np.arange(n, n + 201)
+                ratios = np.exp(log_weight(model, k + 1, r) - log_weight(model, k, r))
+                assert np.all(weight_ratio_bound(model, n, r) >= ratios * (1.0 - 1e-12))
+
+
 class TestCovariance:
     def test_planar_at_origin(self):
         assert covariance(PLANAR, 0.0, 0.7 + 0.2j) == 1.0
@@ -73,25 +87,23 @@ class TestSampling:
     def test_mean_square_is_one(self):
         rng = stream(101)
         draw = sample_coefficients(rng, 10**6 - 1)
-        mean = float(np.mean(np.abs(draw.values) ** 2))
+        mean = float(np.mean(np.abs(draw) ** 2))
         assert abs(mean - 1.0) < 0.004  # 3 sigma at 1e6 draws
 
     def test_square_modulus_is_unit_exponential(self):
         rng = stream(102)
         draw = sample_coefficients(rng, 10**5 - 1)
-        res = stats.kstest(np.abs(draw.values) ** 2, "expon")
+        res = stats.kstest(np.abs(draw) ** 2, "expon")
         assert res.pvalue > 0.01
 
     def test_same_seed_same_vector(self):
         a = sample_coefficients(stream(7, 3), 100)
         b = sample_coefficients(stream(7, 3), 100)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
-    def test_split_streams_disjoint(self):
-        (r1, t1), (r2, t2) = split_streams(9, 2)
-        assert t1 != t2
-        a = sample_coefficients(r1, 50).values
-        b = sample_coefficients(r2, 50).values
+    def test_streams_disjoint(self):
+        a = sample_coefficients(stream(9, 0), 50)
+        b = sample_coefficients(stream(9, 1), 50)
         assert not np.allclose(a, b)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -99,24 +111,21 @@ class TestSampling:
     def test_reproducible_for_any_seed(self, seed):
         a = sample_coefficients(stream(seed), 20)
         b = sample_coefficients(stream(seed), 20)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 class TestEvaluate:
     def test_constant_coefficient(self):
-        draw = sample_coefficients(stream(1), 5)
-        vals = draw.values.copy()
-        vals[:] = 0
+        vals = np.zeros(6, dtype=complex)
         vals[0] = 1.0
-        gaf = make_truncated(PLANAR, type(draw)(values=vals), 3.0)
+        gaf = make_truncated(PLANAR, vals, 3.0)
         for z in (0.0, 1.0 + 1j, -2.5):
             assert gaf(z) == pytest.approx(sigma(PLANAR, 0), rel=1e-15)
 
     def test_linear_planar(self):
-        draw = sample_coefficients(stream(1), 5)
         vals = np.zeros(6, dtype=complex)
         vals[1] = 1.0
-        gaf = make_truncated(PLANAR, type(draw)(values=vals), 3.0)
+        gaf = make_truncated(PLANAR, vals, 3.0)
         assert gaf(2.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_matches_naive_summation_oracle(self):

@@ -52,7 +52,7 @@ def reference_tail(profile, m):
         corr = j * profile.log_neglected - special.gammaln(j + 1) + survival[::-1]
     if not np.isfinite(profile.log_neglected):
         corr = np.where(j == 0, survival[m], -np.inf)
-    return (min(float(state[m]), 0.0), min(float(_num.logsumexp(corr)), 0.0)), survival
+    return (min(float(state[m]), 0.0), min(float(special.logsumexp(corr)), 0.0)), survival
 
 
 def reference_bracket(ens, r, m, eps=1e-9, target_width=1e-6):

@@ -199,8 +199,8 @@ class TestJensen:
         # f = (z - 3)(z - 4): integral over [1, 2] counts nothing new
         c = np.array([12.0, -7.0, 1.0], dtype=complex)
         draw_vals = c / np.array([1.0, 1.0, math.sqrt(0.5)])  # undo sigma weights
-        from gafzeros import CoefficientDraw, make_truncated
-        gaf = make_truncated(PLANAR, CoefficientDraw(values=draw_vals), 2.0)
+        from gafzeros import make_truncated
+        gaf = make_truncated(PLANAR, draw_vals, 2.0)
         check = jensen_residual(gaf, 1.0, 2.0)
         assert check.integral_n_over_u == pytest.approx(0.0, abs=1e-12)
 
@@ -209,8 +209,8 @@ class TestJensen:
         # integral collapses to n(r) log(R/r)
         c = np.array([1.5, -3.5, 1.0], dtype=complex)
         draw_vals = c / np.array([1.0, 1.0, math.sqrt(0.5)])
-        from gafzeros import CoefficientDraw, make_truncated
-        gaf = make_truncated(PLANAR, CoefficientDraw(values=draw_vals), 2.0)
+        from gafzeros import make_truncated
+        gaf = make_truncated(PLANAR, draw_vals, 2.0)
         check = jensen_residual(gaf, 1.0, 2.0)
         assert check.integral_n_over_u == pytest.approx(math.log(2.0), rel=1e-12)
         assert check.residual < 1e-8
@@ -254,10 +254,10 @@ class TestRouche:
 
     def test_power_analogy(self):
         # min |z^5| on |z|=0.9 is 0.9^5; anything smaller certifies
-        from gafzeros import CoefficientDraw, make_truncated, sigma
+        from gafzeros import make_truncated, sigma
         vals = np.zeros(6, dtype=complex)
         vals[5] = 1.0 / sigma(PLANAR, 5)
-        gaf = make_truncated(PLANAR, CoefficientDraw(values=vals), 0.9)
+        gaf = make_truncated(PLANAR, vals, 0.9)
         assert rouche_certify(gaf, 0.9, 0.5 * 0.9**5)
         assert not rouche_certify(gaf, 0.9, 2.0 * 0.9**5)
 
@@ -270,10 +270,10 @@ class TestRouche:
         for _ in range(300):
             gaf = sample_truncated(PLANAR, 1.0, rng)
             deeper = sample_truncated(PLANAR, 1.0, rng, degree=2 * gaf.degree)
-            vals = deeper.coeffs.values.copy()
-            vals[: gaf.degree + 1] = gaf.coeffs.values
-            from gafzeros import CoefficientDraw, make_truncated
-            deeper = make_truncated(PLANAR, CoefficientDraw(values=vals), 1.0)
+            vals = deeper.coeffs.copy()
+            vals[: gaf.degree + 1] = gaf.coeffs
+            from gafzeros import make_truncated
+            deeper = make_truncated(PLANAR, vals, 1.0)
             floor = 100.0 * gaf.tail_sd
             try:
                 res, _ = count_with_retry(gaf, 1.0, floor)
