@@ -42,6 +42,30 @@ def log_bernoulli_le(log_c_squared):
     return float(out) if out.ndim == 0 else out
 
 
+def logsumexp(a):
+    """log(sum(exp(a))) of a real 1-D array, bit-for-bit equal to scipy's logsumexp.
+
+    scipy 1.17's steps without its array-API dispatch: the m entries tied at
+    the maximum are taken out of the shifted sum s, the result is
+    log1p(s/m) + log m + max, and a non-finite result falls back to the
+    direct log(sum(exp(a))).  An empty array gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        ties = a == a_max
+        m = float(np.count_nonzero(ties))
+        s = np.exp(np.where(ties, -np.inf, a) - a_max).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
 def horner(rows, x):
     """sum_k rows[k] x^k by Horner's rule, bit-for-bit equal to numpy's polyval.
 

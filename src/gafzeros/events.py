@@ -19,8 +19,8 @@ import numpy as np
 from scipy import optimize, special, stats
 
 from . import _num
-from .models import (GafModel, Kind, choose_truncation, log_weight, make_truncated,
-                     stream, weight_ratio_bound)
+from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, log_weight,
+                     make_truncated, stream, weight_ratio_bound)
 from .radial import RadialEnsemble, bernoulli_probs
 from .zeros import count_replicas, count_with_retry, max_modulus
 
@@ -145,6 +145,36 @@ def domination_constant(model: GafModel, r: float, m: int) -> float:
     return math.exp(log_tail - log_scale)
 
 
+def check_event_domain(kind: EventKind, model: GafModel | None, *, r: float,
+                       m: int | None = None, alpha: float | None = None,
+                       gamma: float | None = None) -> None:
+    """Raise ValueError where the parameters lie outside the domain of ``kind``.
+
+    The one statement of each kind's domain: ``build_event`` checks it first
+    (``model`` is its default planar model for every kind but the
+    hyperbolic one), and the ``event-bound`` experiment reports a breach as
+    a config error.
+    """
+    if kind is EventKind.PLANAR_DOMINATION:
+        if model.kind is not Kind.PLANAR or m is None or m < 1:
+            raise ValueError("planar domination needs a planar model and m >= 1")
+    elif kind is EventKind.HYPERBOLIC_DOMINATION:
+        if model is None or model.kind is not Kind.HYPERBOLIC:
+            raise ValueError("hyperbolic domination needs a hyperbolic model")
+        if not 0 < r < 1 or m is None or m < 1:
+            raise ValueError("need 0 < r < 1 and m >= 1")
+    elif kind is EventKind.VERY_LARGE_DOMINATION:
+        if model.kind is not Kind.PLANAR:
+            raise ValueError("very-large regime needs a planar model")
+        if alpha is None or gamma is None or not (alpha > 2 and gamma > 0 and r > 1):
+            raise ValueError("very-large regime needs alpha > 2, gamma > 0, r > 1")
+    elif kind is EventKind.MODERATE_GROUPED:
+        if model.kind is not Kind.PLANAR:
+            raise ValueError("moderate regime needs a planar model")
+        if alpha is None or gamma is None or not (1 < alpha < 2 and gamma > 0 and r > 0):
+            raise ValueError("moderate regime needs 1 < alpha < 2, gamma > 0, r > 0")
+
+
 def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
                 m: int | None = None, alpha: float | None = None,
                 gamma: float | None = None, anchor_alpha: float | None = None) -> EventSpec:
@@ -163,17 +193,11 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
     concave in log beta.  Both are recorded as ``params["band_scale"]`` and
     ``params["anchor"]``.
     """
+    if model is None and kind is not EventKind.HYPERBOLIC_DOMINATION:
+        model = GafModel.planar()
+    check_event_domain(kind, model, r=r, m=m, alpha=alpha, gamma=gamma)
     if kind in (EventKind.PLANAR_DOMINATION, EventKind.HYPERBOLIC_DOMINATION):
         planar = kind is EventKind.PLANAR_DOMINATION
-        if planar:
-            model = model or GafModel.planar()
-            if model.kind is not Kind.PLANAR or m is None or m < 1:
-                raise ValueError("planar domination needs a planar model and m >= 1")
-        else:
-            if model is None or model.kind is not Kind.HYPERBOLIC:
-                raise ValueError("hyperbolic domination needs a hyperbolic model")
-            if not 0 < r < 1 or m is None or m < 1:
-                raise ValueError("need 0 < r < 1 and m >= 1")
         # growth g of the tail caps |a_n| <= n^g, as in domination_constant;
         # the caps below the anchor sit at m^(g-1) of the anchor weight
         g = 1.0 if planar else 0.5
@@ -189,11 +213,6 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
             {"domination_constant": c, "anchor": anchor, "anchor_alpha": a})
 
     if kind is EventKind.VERY_LARGE_DOMINATION:
-        model = model or GafModel.planar()
-        if model.kind is not Kind.PLANAR:
-            raise ValueError("very-large regime needs a planar model")
-        if alpha is None or gamma is None or not (alpha > 2 and gamma > 0 and r > 1):
-            raise ValueError("very-large regime needs alpha > 2, gamma > 0, r > 1")
         mm = math.ceil(r * r + gamma * r ** alpha)
         bulge = gamma * r ** alpha
         # upper-tail caps |a_{m+k}| <= k: nearly free in probability and the
@@ -211,11 +230,6 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
              "tail_budget": budget, "bulge": bulge})
 
     if kind is EventKind.MODERATE_GROUPED:
-        model = model or GafModel.planar()
-        if model.kind is not Kind.PLANAR:
-            raise ValueError("moderate regime needs a planar model")
-        if alpha is None or gamma is None or not (1 < alpha < 2 and gamma > 0 and r > 0):
-            raise ValueError("moderate regime needs 1 < alpha < 2, gamma > 0, r > 0")
         mm = math.ceil(r * r + gamma * r ** alpha)
         big_m = math.floor(r * r - gamma * r ** alpha)
         if big_m < 1 or big_m + 2 > mm:
@@ -555,15 +569,13 @@ def verify_domination(ev: EventSpec, coeffs: np.ndarray) -> bool:
         raise ValueError("sample does not satisfy the event")
     model, r, m = ev.model, ev.r, ev.m
     gaf = make_truncated(model, coeffs, r)
-    w = gaf.weighted_coefficients.copy()
+    w = gaf.weighted_coefficients
     anchor_term = abs(w[m]) * r ** m if m <= gaf.degree else 0.0
     if anchor_term == 0.0:
         return False
-    w[m] = 0.0
-
-    def rest(z):
-        return _num.horner(w, np.asarray(z, dtype=complex))
-
+    others = np.array(coeffs, dtype=complex)
+    others[m] = 0.0
+    rest = TruncatedGaf(model=model, coeffs=others, radius_of_use=r, tail_sd=gaf.tail_sd)
     rest_max = max_modulus(rest, r, rel_tol=1e-6)
     tail = event_tail_sup_bound(ev, gaf.degree)
     # the 1e-4 slack dominates the grid-max resolution error by two orders

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, events, models, radial, zeros
+from .events import EventKind
 from .models import GafModel
 from .radial import RadialEnsemble
 
@@ -190,7 +191,7 @@ def _run_scatter(cfg: RunConfig):
     n_samples = cfg.read("samples", int, default=1, **_at_least(1))
     clip = cfg.read("clip_radius", float, default=3.0 * r, **_above(0))
     anchor_alpha = cfg.read("anchor_alpha", float, default=None, **_above(-1))
-    ev = events.build_event(events.EventKind.PLANAR_DOMINATION, r=r, m=m,
+    ev = events.build_event(EventKind.PLANAR_DOMINATION, r=r, m=m,
                             anchor_alpha=anchor_alpha)
     rows = []
     for i in range(n_samples):
@@ -268,31 +269,31 @@ def _run_exact_tail(cfg: RunConfig):
 
 
 def _run_event_bound(cfg: RunConfig):
-    kinds = tuple(k.value for k in events.EventKind)
-    kind = events.EventKind(cfg.read("kind", str, **_one_of(kinds)))
+    kind = EventKind(cfg.read("kind", str, **_one_of(tuple(k.value for k in EventKind))))
     radii = _radius_list(cfg)
+    model = GafModel.planar()
+    if kind in (EventKind.VERY_LARGE_DOMINATION, EventKind.MODERATE_GROUPED):
+        params = {"alpha": cfg.read("alpha", float), "gamma": cfg.read("gamma", float)}
+    else:
+        params = {"m": cfg.read("m", int, **_at_least(1))}
+        if kind is EventKind.HYPERBOLIC_DOMINATION:
+            model = GafModel.hyperbolic(cfg.read("rho", float, **_above(0)))
+    regime = {EventKind.PLANAR_DOMINATION: bounds.ExponentRegime.PLANAR_OVERCROWD,
+              EventKind.HYPERBOLIC_DOMINATION:
+                  bounds.ExponentRegime.HYPERBOLIC_LOWER_CONSTRUCTIVE,
+              EventKind.VERY_LARGE_DOMINATION: bounds.ExponentRegime.VERY_LARGE,
+              EventKind.MODERATE_GROUPED: bounds.ExponentRegime.MODERATE}[kind]
     rows = []
     for r in radii:
-        if kind in (events.EventKind.VERY_LARGE_DOMINATION,
-                    events.EventKind.MODERATE_GROUPED):
-            alpha = cfg.read("alpha", float)
-            gamma = cfg.read("gamma", float)
-            ev = events.build_event(kind, r=r, alpha=alpha, gamma=gamma)
-            regime = (bounds.ExponentRegime.VERY_LARGE
-                      if kind is events.EventKind.VERY_LARGE_DOMINATION
-                      else bounds.ExponentRegime.MODERATE)
-            scale = bounds.predicted_exponent(regime, alpha=alpha, gamma=gamma, r=r)
+        try:
+            events.check_event_domain(kind, model, r=r, **params)
+        except ValueError as exc:
+            raise ConfigError(f"config: {kind.value}: {exc}") from exc
+        ev = events.build_event(kind, model, r=r, **params)
+        if regime is bounds.ExponentRegime.PLANAR_OVERCROWD:
+            scale = bounds.predicted_exponent(regime, m=max(params["m"], 2))
         else:
-            m = cfg.read("m", int, **_at_least(1))
-            if kind is events.EventKind.HYPERBOLIC_DOMINATION:
-                rho = cfg.read("rho", float, **_above(0))
-                ev = events.build_event(kind, GafModel.hyperbolic(rho), r=r, m=m)
-                scale = bounds.predicted_exponent(
-                    bounds.ExponentRegime.HYPERBOLIC_LOWER_CONSTRUCTIVE, m=m, r=r)
-            else:
-                ev = events.build_event(kind, r=r, m=m)
-                scale = bounds.predicted_exponent(
-                    bounds.ExponentRegime.PLANAR_OVERCROWD, m=max(m, 2))
+            scale = bounds.predicted_exponent(regime, r=r, **params)
         detail = events.event_log_prob_detail(ev)
         dominant = min(detail.by_block.values())
         rows.append([kind.value, r, ev.m, detail.total, detail.bound_form,

@@ -190,7 +190,7 @@ def _bracket(state: np.ndarray, log_neglected: float):
         corr = j * log_neglected - special.gammaln(j + 1) + survival[::-1]
     if not np.isfinite(log_neglected):
         corr = np.where(j == 0, survival[m], -np.inf)
-    log_upper = min(float(special.logsumexp(corr)), 0.0)
+    log_upper = min(_num.logsumexp(corr), 0.0)
     return TailBracket(log_lower, log_upper), survival
 
 

@@ -6,6 +6,10 @@ safety factor against aliasing a full loop).  Certification compares the
 smallest sampled modulus, minus a continuity margin, against a caller-supplied
 floor (typically a truncation tail bound), which is what makes the truncated
 count transferable to the full series.
+
+Every circle functional reads the circle through ``_circle_grids``.  A
+``TruncatedGaf`` is read from its coefficients, one inverse FFT per grid;
+any other callable is called on the grid nodes.
 """
 
 from __future__ import annotations
@@ -55,26 +59,64 @@ class JensenCheck:
     roots: np.ndarray = field(repr=False, compare=False)
 
 
+def _fold(c, n):
+    """c summed in blocks of n: entry j is the sum of c[k] over k = j mod n."""
+    if len(c) <= n:
+        return c
+    return np.concatenate([c, np.zeros(-len(c) % n, dtype=c.dtype)]).reshape(-1, n).sum(axis=0)
+
+
+def _coefficient_grid(gaf: TruncatedGaf, r):
+    """``on_grid(n, shift)``: gaf at r e^{2 pi i (j + shift)/n}, j < n, by one inverse FFT.
+
+    On n equispaced nodes sum_k b_k e^{2 pi i jk/n} is the inverse DFT of the
+    scaled coefficients b_k = w_k r^k folded mod n; the midpoint shift 1/2
+    first rotates b_k by e^{i pi k/n} (shift is 0 or 1/2).  b_k is formed as
+    exp(log w_k + k log r) with the complex log, so a subnormal w_k keeps its
+    digits; zero weights stay 0.
+    """
+    if r > gaf.radius_of_use * (1.0 + 1e-5):
+        raise ValueError("evaluation point outside radius_of_use")
+    w = gaf.weighted_coefficients
+    k = np.arange(len(w))
+    b = np.zeros(len(w), dtype=complex)
+    nz = w != 0
+    b[nz] = np.exp(np.log(w[nz]) + k[nz] * math.log(r))
+
+    def on_grid(n, shift):
+        c = b if shift == 0 else b * np.exp(1j * (_TWO_PI * shift / n) * (k % (2 * n)))
+        return np.fft.ifft(_fold(c, n), n=n, norm="forward")
+
+    return on_grid
+
+
 def _circle_grids(f, r, start_nodes, max_nodes):
     """Values of f on |z| = r over uniform grids that double up to max_nodes.
 
     The first grid has start_nodes nodes from angle 0; each later grid adds
-    the midpoints of the one before, so f is called once per grid, on the new
-    nodes only.  A consumer ends the walk by leaving its loop.
+    the midpoints of the one before, so each grid costs one evaluation on
+    the new nodes only.  A ``TruncatedGaf`` is evaluated from its
+    coefficients, one inverse FFT per grid (``_coefficient_grid``); any other
+    callable is called on the nodes.  A consumer ends the walk by leaving its
+    loop.
     """
-    theta = np.linspace(0.0, _TWO_PI, start_nodes, endpoint=False)
-    vals = np.asarray(f(r * np.exp(1j * theta)), dtype=complex)
+    if isinstance(f, TruncatedGaf):
+        on_grid = _coefficient_grid(f, r)
+    else:
+        def on_grid(n, shift):
+            theta = (np.arange(n) + shift) * (_TWO_PI / n)
+            return np.asarray(f(r * np.exp(1j * theta)), dtype=complex)
+    vals = on_grid(start_nodes, 0.0)
     yield vals
     while len(vals) < max_nodes:
         n = len(vals)
-        theta_new = (np.arange(n) + 0.5) * (_TWO_PI / n)
-        new_vals = np.asarray(f(r * np.exp(1j * theta_new)), dtype=complex)
+        new_vals = on_grid(n, 0.5)
         doubled = np.empty(2 * n, dtype=complex)
         doubled[0::2] = vals
         doubled[1::2] = new_vals
         vals = doubled
         # while suspended, hold no array but the grid it yields
-        del theta_new, new_vals, doubled
+        del new_vals, doubled
         yield vals
 
 

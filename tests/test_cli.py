@@ -67,6 +67,17 @@ class TestConfigValidation:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data,message", [
+        ({"kind": "very-large-domination", "r": 3.0, "alpha": 1.5, "gamma": 1.0},
+         "very-large regime needs alpha > 2"),
+        ({"kind": "hyperbolic-domination", "rho": 1.0, "r": 1.5, "m": 5},
+         "need 0 < r < 1"),
+    ])
+    def test_out_of_regime_event_is_a_config_error(self, tmp_path, capsys, data, message):
+        assert run_cli(tmp_path, {"experiment": "event-bound", **data}) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
 
 # smallest valid fields of the experiments that have optional fields
 BASE = {

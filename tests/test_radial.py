@@ -274,3 +274,23 @@ class TestSandwiches:
                 hi = float(np.logaddexp(lchoose(m * m, m) + m * (m + 1) * math.log(r),
                                         (2 * m * m + 2) * math.log(r) - math.log1p(-r * r)))
                 assert lo <= dp <= hi
+
+
+class TestLogSumExp:
+    def test_matches_scipy_bitwise(self):
+        # random lengths and spreads, with -inf entries and ties at the max
+        rng = np.random.default_rng(17)
+        cases = [np.array([]), np.array([2.5]), np.array([-np.inf]),
+                 np.array([-np.inf, -np.inf]), np.array([np.inf, 1.0]),
+                 np.array([3.0, 3.0, 3.0]), np.array([0.0, -800.0, 0.0])]
+        for _ in range(3000):
+            n = int(rng.integers(1, 60))
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-1e3, 1e3)
+            a[rng.random(n) < 0.2] = -np.inf
+            if rng.random() < 0.3:
+                a[rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = np.max(a)
+            cases.append(a)
+        for a in cases:
+            want = np.float64(special.logsumexp(a))
+            got = np.float64(_num.logsumexp(a))
+            assert got.tobytes() == want.tobytes(), a

@@ -484,6 +484,114 @@ class TestCircleWalker:
                     assert got == want
 
 
+def coefficient_outcome(fn, *args, **kwargs):
+    # (result, or the first word of the InconclusiveCount message) of fn
+    try:
+        return "ok", fn(*args, **kwargs)
+    except InconclusiveCount as exc:
+        return "inconclusive", str(exc).split()[0]
+
+
+class TestCoefficientPath:
+    """A TruncatedGaf passed unwrapped is read from its coefficients by inverse FFT.
+
+    The reference loops call the gaf on the nodes (Horner), so they give the
+    values of the callable path; outcomes must agree, values up to rounding.
+    """
+
+    def test_counts_match_reference_loop(self):
+        kinds = set()
+        for r, gaf in WALKER_DRAWS:
+            for bound in WALKER_BOUNDS:
+                for max_nodes in (256, 512, MAX_NODES):
+                    got = coefficient_outcome(count_zeros_winding, gaf, r, bound,
+                                              max_nodes=max_nodes)
+                    want = coefficient_outcome(ref_count_zeros_winding, gaf, r, bound,
+                                               max_nodes=max_nodes)
+                    assert got[0] == want[0]
+                    if got[0] == "ok":
+                        g, w = got[1], want[1]
+                        assert (g.count, g.certified, g.circle_nodes_used) == \
+                            (w.count, w.certified, w.circle_nodes_used)
+                        assert g.min_modulus_on_circle == pytest.approx(
+                            w.min_modulus_on_circle, rel=1e-9)
+                        kinds.add("certified" if g.certified else "uncertified")
+                    else:
+                        assert got[1] == want[1]
+                        kinds.add(got[1])
+        assert kinds == {"certified", "uncertified", "min", "phase"}
+
+    def test_rouche_matches_reference_loop(self):
+        results = set()
+        for r, gaf in WALKER_DRAWS:
+            for bound in WALKER_BOUNDS:
+                for max_nodes in (256, 512, MAX_NODES):
+                    got = rouche_certify(gaf, r, bound, max_nodes=max_nodes)
+                    assert got == ref_rouche_certify(gaf, r, bound, max_nodes=max_nodes)
+                    results.add(got)
+        assert results == {True, False}
+
+    def test_circle_means_match_reference_loop(self):
+        for r, gaf in WALKER_DRAWS:
+            for s in (0.5 * r, 0.9 * r, r):
+                for tol, start, cap in ((1e-8, 128, MAX_NODES), (1e-15, 128, 512),
+                                        (1e-15, 128, 64), (1e-15, 256, 384)):
+                    got = coefficient_outcome(circle_mean_log_abs, gaf, s, tol,
+                                              start_nodes=start, max_nodes=cap)
+                    want = coefficient_outcome(ref_circle_mean_log_abs, gaf, s, tol,
+                                               start_nodes=start, max_nodes=cap)
+                    assert got[0] == want[0]
+                    if got[0] == "ok":
+                        assert abs(got[1] - want[1]) <= 1e-12
+                    else:
+                        assert got[1] == want[1]
+
+    def test_max_modulus_matches_reference_loop(self):
+        for r, gaf in WALKER_DRAWS:
+            for s in (0.5 * r, r):
+                for rel_tol, cap in ((1e-9, MAX_NODES), (1e-15, 512), (1e-15, 64)):
+                    got = max_modulus(gaf, s, rel_tol=rel_tol, max_nodes=cap)
+                    want = ref_max_modulus(gaf, s, rel_tol=rel_tol, max_nodes=cap)
+                    assert got == pytest.approx(want, rel=1e-12)
+
+    def test_grid_values_match_horner(self):
+        # rounding of either path is within (2(N+1) + 8 log2 n) eps sum |b_k|,
+        # b_k = w_k r^k; start grids of 8 and 16 nodes fold the coefficients
+        eps = np.finfo(float).eps
+        folded = 0
+        for r, gaf in WALKER_DRAWS:
+            w = gaf.weighted_coefficients
+            scale = float(np.sum(np.abs(w) * r ** np.arange(len(w))))
+            for start in (8, 16, 256):
+                for vals, ref in zip(zeros._circle_grids(gaf, r, start, 4096),
+                                     zeros._circle_grids(lambda z: gaf(z), r, start, 4096)):
+                    n = len(vals)
+                    bound = (2 * (gaf.degree + 1) + 8 * math.log2(n)) * eps * scale
+                    assert np.abs(vals - ref).max() <= bound
+                    folded += n < gaf.degree + 1 and gaf.degree >= 63
+        assert folded > 0
+
+    def test_planar_r18_counts_match_callable_path(self):
+        # at degree 494 the high weights are subnormal or 0: the FFT reads
+        # the same coefficients as Horner and must give the same counts
+        for k in range(5):
+            gaf = sample_truncated(PLANAR, 18.0, stream(11, k))
+            floor = 4.0 * gaf.tail_sd
+            got, _ = count_with_retry(gaf, 18.0, floor)
+            want, _ = count_with_retry(lambda z: gaf(z), 18.0, floor)
+            assert got.count == want.count
+            assert got.certified == want.certified
+
+    def test_domain_guard(self):
+        r, gaf = WALKER_DRAWS[0]
+        for fn, args in ((count_zeros_winding, (0.0,)), (circle_mean_log_abs, (1e-8,)),
+                         (max_modulus, ())):
+            with pytest.raises(ValueError, match="outside radius_of_use"):
+                fn(gaf, r * (1.0 + 2e-5), *args)
+        # the retry policy's radius steps of 1e-6 r stay inside the guard
+        assert count_zeros_winding(gaf, r * (1.0 + 2e-6), 0.0).count >= 0
+
+
 class TestCountReplicas:
     def test_matches_per_replica_counts(self):
         model, r, guard, seed = GafModel.hyperbolic(1.0), 0.9, 100.0, 5
