@@ -179,32 +179,29 @@ def inverse_conditional_gamma(shape, log_s, u):
     return math.exp(t)
 
 
-def certified_log_series(log_term, start, ratio_bound, *, rel_tol=1e-18):
-    """log of sum_{n >= start} exp(log_term(n)) with a certified remainder.
+def certified_log_series(log_terms, start, ratio_bound, *, rel_tol=1e-18):
+    """log of sum_{n >= start} exp(log_terms(n)) with a certified remainder.
 
-    ``ratio_bound(n)`` must upper-bound exp(log_term(n+1) - log_term(n)) for
-    every index at or beyond n.  Leading terms whose ratio bound is at or
-    above 1 - 1e-6 are summed directly as a head (at most 10**6 of them);
-    past the head, summation stops once the geometric remainder bound is
-    below rel_tol of the accumulated tail (within 100000 terms), and the
-    bound is folded in.  The return value log(head + tail) is an upper bound
-    on the true log-sum that is also within rel_tol of it.
+    ``log_terms`` maps an index array to its log terms, and ``ratio_bound(n)``
+    must upper-bound the term ratio exp(log_terms(k+1) - log_terms(k)) for
+    every k >= n.  The terms are taken in index blocks of 64, 128, 256, ...
+    from ``start``, and ``ratio_bound`` is called at each block's last index.
+    Where that bound q is below 1, the rest of the series is at most
+    t q/(1-q) past the block's last term t; once that is below rel_tol of the
+    logsumexp of every term so far, it is folded in.  Each term is summed
+    once relative to the largest, so no small term is lost to a running sum,
+    and the return value is an upper bound on the true log-sum within rel_tol
+    of it.  Past 10**6 terms the series is taken not to contract.
     """
-    head = -math.inf
-    n = start
-    while ratio_bound(n) >= 0.999999:
-        head = np.logaddexp(head, log_term(n))
-        n += 1
-        if n > start + 10**6:
-            raise RuntimeError("series does not contract")
-    acc = -math.inf
-    for _ in range(100000):
-        t = log_term(n)
-        acc = np.logaddexp(acc, t)
-        q = ratio_bound(n)
+    terms = np.empty(0)
+    n, size = start, 64
+    while n - start < 10**6:
+        terms = np.concatenate((terms, log_terms(np.arange(n, n + size))))
+        n, size = n + size, 2 * size
+        q = ratio_bound(n - 1)
         if q < 1.0:
-            rem = t + math.log(q) - math.log1p(-q)
-            if rem < acc + math.log(rel_tol):
-                return float(np.logaddexp(head, float(np.logaddexp(acc, rem))))
-        n += 1
-    raise RuntimeError("series did not certify convergence")
+            total = logsumexp(terms)
+            rem = terms[-1] + math.log(q) - math.log1p(-q)
+            if rem < total + math.log(rel_tol):
+                return float(np.logaddexp(total, rem))
+    raise RuntimeError("series does not contract")

@@ -133,14 +133,14 @@ def domination_constant(model: GafModel, r: float, m: int) -> float:
         raise ValueError("m must be >= 1")
     growth_power = 0.5 if model.kind is Kind.HYPERBOLIC else 1.0
 
-    def log_term(n):
-        return growth_power * math.log(n) + float(log_weight(model, n, r))
+    def log_terms(n):
+        return growth_power * np.log(n) + log_weight(model, n, r)
 
     def ratio_bound(n):
         # term ratio ((n+1)/n)^g w_{n+1}/w_n; both factors bound every later one
         return ((n + 1.0) / n) ** growth_power * weight_ratio_bound(model, n, r)
 
-    log_tail = _num.certified_log_series(log_term, m + 1, ratio_bound, rel_tol=1e-16)
+    log_tail = _num.certified_log_series(log_terms, m + 1, ratio_bound, rel_tol=1e-16)
     log_scale = growth_power * math.log(m) + float(log_weight(model, m, r))
     return math.exp(log_tail - log_scale)
 
@@ -369,21 +369,21 @@ def _sup_units(b: IndexBlock, model: GafModel, r: float, lw_ref: float,
     An unbounded block is summed as a certified series.
     """
     start = b.lo if lo is None else max(b.lo, lo)
+
+    def log_terms(n):
+        return b.log_threshold(n) + log_weight(model, n, r) - lw_ref
+
     if b.hi is not None:
         if b.hi < start:
             return 0.0
-        n = np.arange(start, b.hi + 1)
-        return float(np.exp(b.log_threshold(n) + log_weight(model, n, r) - lw_ref).sum())
-
-    def log_term(n):
-        return float(b.log_threshold(np.array([n]))[0] + log_weight(model, n, r) - lw_ref)
+        return float(np.exp(log_terms(np.arange(start, b.hi + 1))).sum())
 
     def ratio(n):
         th0 = float(b.log_threshold(np.array([n]))[0])
         th1 = float(b.log_threshold(np.array([n + 1]))[0])
         return math.exp(th1 - th0) * weight_ratio_bound(model, n, r)
 
-    return math.exp(_num.certified_log_series(log_term, start, ratio, rel_tol=1e-14))
+    return math.exp(_num.certified_log_series(log_terms, start, ratio, rel_tol=1e-14))
 
 
 def _check_moderate_budget(ev: EventSpec, far_units: float):
@@ -604,9 +604,9 @@ def event_tail_estimate(ev: EventSpec) -> TailEstimate:
 
 
 # Radial draws per RNG stream, and the tail floor of a GAF count in units of
-# the truncation's tail sd (the mc-tail default ``tail_guard``).
+# the truncation's tail sd (the default ``tail_guard`` of every config).
 _MC_CHUNK = 65536
-_MC_TAIL_GUARD = 100.0
+MC_TAIL_GUARD = 100.0
 
 
 def mc_tail_estimate(hits: int, trials: int, level: float, seed: int,
@@ -656,7 +656,7 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
                                 neglected_log_mass=profile.log_neglected)
     if isinstance(target, GafModel):
         counts, retries = count_replicas(target, r, choose_truncation(target, r),
-                                         _MC_TAIL_GUARD, seed, range(trials))
+                                         MC_TAIL_GUARD, seed, range(trials))
         return mc_tail_estimate(int((counts >= m).sum()), trials, level, seed,
                                 retries=retries,
                                 unresolved_as_failure=int((counts < 0).sum()))

@@ -177,7 +177,7 @@ def _radius_list(cfg: RunConfig, key="r"):
 
 
 def _tail_guard(cfg: RunConfig) -> float:
-    return cfg.read("tail_guard", float, default=100.0,
+    return cfg.read("tail_guard", float, default=events.MC_TAIL_GUARD,
                     cond=lambda v: 0 <= v < math.inf, msg="must be >= 0 and finite")
 
 

@@ -140,13 +140,13 @@ def log_tail_variance(model: GafModel, degree: int, r: float) -> float:
 
     log_x = math.log(r * r)
 
-    def log_term(n):
+    def log_terms(n):
         return 2.0 * log_sigma(model, n) + n * log_x
 
     def ratio_bound(n):
         return weight_ratio_bound(model, n, r) ** 2
 
-    return _num.certified_log_series(log_term, degree + 1, ratio_bound, rel_tol=1e-17)
+    return _num.certified_log_series(log_terms, degree + 1, ratio_bound, rel_tol=1e-17)
 
 
 def tail_sd(model: GafModel, degree: int, r: float) -> float:

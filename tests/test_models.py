@@ -190,10 +190,11 @@ class TestTailSd:
 
     def test_hyperbolic_matches_beta_identity_oracle(self):
         # sum_{n>N} C(n+rho-1,n) x^n = (1-x)^{-rho} I_x(N+1, rho)
-        model, r, n0 = GafModel.hyperbolic(2.3), 0.55, 9
-        x = r * r
-        oracle = math.sqrt((1 - x) ** (-model.rho) * special.betainc(n0 + 1, model.rho, x))
-        assert tail_sd(model, n0, r) == pytest.approx(oracle, rel=1e-10)
+        for rho, r, n0 in ((2.3, 0.55, 9), (0.3, 0.9999, 10)):
+            model = GafModel.hyperbolic(rho)
+            x = r * r
+            oracle = math.sqrt((1 - x) ** (-model.rho) * special.betainc(n0 + 1, model.rho, x))
+            assert tail_sd(model, n0, r) == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("rho", [1.5, 2.0, 5.0])
     def test_hyperbolic_ratio_bound_bounds_every_term_ratio(self, rho, monkeypatch):
@@ -221,11 +222,11 @@ class TestTailSd:
 class TestCertifiedLogSeries:
     def test_head_with_ratios_above_one_matches_mpmath(self):
         # planar weights sigma_n r^n at r=5 from n=0: the term ratios
-        # 5/sqrt(n+1) exceed 1 up to n=24, so the head phase sums them
+        # 5/sqrt(n+1) exceed 1 up to n=24, inside the first block
         mpmath = pytest.importorskip("mpmath")
         r = 5.0
         got = _num.certified_log_series(
-            lambda n: n * math.log(r) - 0.5 * float(special.gammaln(n + 1)), 0,
+            lambda n: n * math.log(r) - 0.5 * special.gammaln(n + 1), 0,
             lambda n: r / math.sqrt(n + 1.0))
         with mpmath.workdps(40):
             oracle = mpmath.log(mpmath.nsum(
@@ -234,6 +235,26 @@ class TestCertifiedLogSeries:
             rel = float(mpmath.expm1(mpmath.mpf(got) - oracle))
         assert abs(rel) <= 1e-13
         assert rel >= -1e-14
+
+    def test_block_walk_near_the_boundary(self, monkeypatch):
+        # at rho=0.5, r=0.999 the squared weights fall by about r^2 per index, so a
+        # tail sum takes about 2e4 terms; blocks doubling from 64 evaluate
+        # log_terms at most log2(10**6 / 64) + 1 = 15 times per series
+        calls = []
+        series = _num.certified_log_series
+
+        def spy(log_terms, start, ratio_bound, **kw):
+            calls.append(0)
+
+            def counted(n):
+                calls[-1] += 1
+                return log_terms(n)
+
+            return series(counted, start, ratio_bound, **kw)
+
+        monkeypatch.setattr(_num, "certified_log_series", spy)
+        assert choose_truncation(GafModel.hyperbolic(0.5), 0.999) == 19505
+        assert calls and max(calls) <= 15
 
 
 class TestExpectedCount:
