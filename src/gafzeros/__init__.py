@@ -13,7 +13,7 @@ from .models import (GafModel, Kind, TruncatedGaf, choose_truncation,
 from .zeros import (CountResult, InconclusiveCount, JensenCheck,
                     RootsDidNotConverge, circle_mean_log_abs, count_in_disk,
                     count_replicas, count_with_retry, count_zeros_winding, find_roots,
-                    jensen_residual, max_modulus, rouche_certify)
+                    find_roots_many, jensen_residual, jensen_residuals, max_modulus)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
                      bernoulli_probs, poisson_binomial_tail_log, sample_radii,
                      tail_log_bracket, tail_log_brackets)

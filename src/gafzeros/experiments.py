@@ -193,17 +193,22 @@ def _run_scatter(cfg: RunConfig):
     anchor_alpha = cfg.read("anchor_alpha", float, default=None, **_above(-1))
     ev = events.build_event(EventKind.PLANAR_DOMINATION, r=r, m=m,
                             anchor_alpha=anchor_alpha)
-    rows = []
+    samples = []
     for i in range(n_samples):
         draw = events.conditioned_sample(ev, models.stream(cfg.seed, 2 * i))
-        valid = events.verify_domination(ev, draw)
-        roots = zeros.find_roots(models.make_truncated(ev.model, draw, r).weighted_coefficients)
-        for z in roots[np.abs(roots) <= clip]:
-            rows.append(["conditioned", i, z.real, z.imag, valid])
         free = models.sample_coefficients(models.stream(cfg.seed, 2 * i + 1), len(draw) - 1)
-        roots = zeros.find_roots(models.make_truncated(ev.model, free, r).weighted_coefficients)
-        for z in roots[np.abs(roots) <= clip]:
-            rows.append(["unconditioned", i, z.real, z.imag, False])
+        samples.append((draw, events.verify_domination(ev, draw), free))
+    # the conditioned and the free polynomial of every sample, in one solve
+    solved = zeros.find_roots_many([models.make_truncated(ev.model, a, r).weighted_coefficients
+                                    for draw, _, free in samples for a in (draw, free)])
+    rows = []
+    for i, (_, valid, _) in enumerate(samples):
+        for point_set, roots, flag in (("conditioned", solved[2 * i], valid),
+                                       ("unconditioned", solved[2 * i + 1], False)):
+            if isinstance(roots, zeros.RootsDidNotConverge):
+                raise roots
+            for z in roots[np.abs(roots) <= clip]:
+                rows.append([point_set, i, z.real, z.imag, flag])
     return [("scatter.csv", ["point_set", "sample", "re", "im", "domination_verified"],
              rows)]
 
@@ -325,25 +330,31 @@ def _run_exponent_fit(cfg: RunConfig):
 
 
 def _jensen_chunk(args):
+    """Jensen-check rows of one block: every trial is drawn and counted, then one root solve."""
     (r_lo, r_hi, ratio, quad_tol, guard, seed, block, count) = args
     model = GafModel.planar()
-    out = []
+    trials = []
     for j in range(count):
         rng = models.stream(seed, block * CHUNK + j)
         r = r_lo + (r_hi - r_lo) * rng.random()
         big_r = ratio * r
         gaf = models.sample_truncated(model, big_r, rng)
-        floor = guard * gaf.tail_sd
         try:
-            res, _ = zeros.count_with_retry(gaf, r, floor)
-            check = zeros.jensen_residual(gaf, r, big_r, quad_tol=quad_tol)
+            res, _ = zeros.count_with_retry(gaf, r, guard * gaf.tail_sd)
+        except zeros.InconclusiveCount:
+            res = None
+        trials.append((block * CHUNK + j, r, big_r, gaf, res))
+    checks = iter(zeros.jensen_residuals([(gaf, r, big_r) for _, r, big_r, gaf, res in trials
+                                          if res is not None], quad_tol=quad_tol))
+    out = []
+    for trial, r, big_r, _, res in trials:
+        check = next(checks) if res is not None else None
+        if isinstance(check, zeros.JensenCheck):
             root_count = zeros.count_in_disk(check.roots, r)
             ineq = res.count * math.log(big_r / r) <= check.integral_n_over_u + 1e-9
-            out.append((block * CHUNK + j, r, big_r, res.count, root_count,
-                        check.residual, ineq, True))
-        except (zeros.InconclusiveCount, zeros.RootsDidNotConverge):
-            out.append((block * CHUNK + j, r, big_r, -1, -1, float("nan"),
-                        False, False))
+            out.append((trial, r, big_r, res.count, root_count, check.residual, ineq, True))
+        else:
+            out.append((trial, r, big_r, -1, -1, float("nan"), False, False))
     return out
 
 

@@ -178,8 +178,9 @@ def choose_truncation(model: GafModel, r: float) -> int:
     the circle tests in ``zeros``.
     """
     _check_radius(model, r)
-    log_target = 2.0 * (math.log(TRUNCATION_REL_TOL)
-                        + 0.5 * math.log(abs(covariance(model, r, r))))
+    # log covariance(r, r) in closed form: exp(r^2) overflows from planar r = 26.7
+    log_cov = r * r if model.kind is Kind.PLANAR else -model.rho * math.log1p(-r * r)
+    log_target = 2.0 * (math.log(TRUNCATION_REL_TOL) + 0.5 * log_cov)
     lo, hi = 0, max(8, int(math.ceil(r * r)) + 8)
     while log_tail_variance(model, hi, r) > log_target:
         lo, hi = hi, hi * 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from gafzeros import (GafModel, _num, choose_truncation, covariance, expected_count,
-                      log_sigma, log_weight, make_truncated, sample_coefficients,
+                      log_sigma, log_weight, make_truncated, models, sample_coefficients,
                       sample_truncated, sigma, stream, tail_sd, weight_ratio_bound)
 
 PLANAR = GafModel.planar()
@@ -301,3 +301,22 @@ class TestTruncation:
             target = 1e-9 * math.sqrt(covariance(model, r, r).real)
             assert tail_sd(model, n, r) <= target
             assert n == 0 or tail_sd(model, n - 1, r) > target
+
+    def test_target_from_closed_form_log_covariance(self):
+        # the target reads log covariance(r, r) in closed form; wherever
+        # covariance(r, r) itself is finite the degrees are those of the
+        # covariance formula, and planar r >= 26.7, where exp(r^2) overflows,
+        # no longer gets degree 0
+        log_tol = math.log(1e-9)
+        cases = [(PLANAR, 0.05 + 0.35 * i) for i in range(76)]
+        cases += [(GafModel.hyperbolic(rho), r) for rho in (0.3, 1.0, 5.0)
+                  for r in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99)]
+        for model, r in cases:
+            n = choose_truncation(model, r)
+            target = 2.0 * (log_tol + 0.5 * math.log(abs(covariance(model, r, r))))
+            assert models.log_tail_variance(model, n, r) <= target
+            assert n == 0 or models.log_tail_variance(model, n - 1, r) > target
+        degrees = [choose_truncation(PLANAR, r) for r in np.arange(20.0, 40.01, 0.5)]
+        assert all(math.isfinite(d) and d > 0 for d in degrees)
+        assert all(a <= b for a, b in zip(degrees, degrees[1:]))
+        assert choose_truncation(PLANAR, 26.7) > choose_truncation(PLANAR, 26.5) > 0

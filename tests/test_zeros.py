@@ -9,8 +9,8 @@ import pytest
 from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge,
                       choose_truncation, circle_mean_log_abs, count_in_disk, count_replicas,
                       count_with_retry, count_zeros_winding, direct_mc_tail,
-                      experiments, find_roots, jensen_residual, max_modulus,
-                      rouche_certify, sample_truncated, stream, zeros)
+                      experiments, find_roots, find_roots_many, jensen_residual,
+                      max_modulus, sample_truncated, stream, zeros)
 from gafzeros._num import horner
 
 PLANAR = GafModel.planar()
@@ -24,6 +24,43 @@ def same_bits(a, b):
 
 def polyval(x, c):
     return np.polynomial.polynomial.polyval(x, c)
+
+
+def rouche(gaf, r, tail_bound, **kwargs):
+    # the Rouche certificate: the certified flag of a winding count with
+    # tail_bound as its floor, False where the count is inconclusive
+    try:
+        return count_zeros_winding(gaf, r, tail_bound, **kwargs).certified
+    except InconclusiveCount:
+        return False
+
+
+def extreme_scale_draws(n):
+    # overflow-prone polynomials with coefficient magnitudes spread over
+    # e^{+-12}, and a test radius for each
+    rng = np.random.default_rng(4242)
+    draws = []
+    for _ in range(n):
+        deg = int(rng.integers(90, 160))
+        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        c *= np.exp(rng.standard_normal(deg + 1) * 4)
+        draws.append((c, 0.5 + 2.0 * rng.random()))
+    return draws
+
+
+def solve_outcome(roots):
+    # a find_roots_many entry as (message, root bits); message None on success
+    if isinstance(roots, RootsDidNotConverge):
+        return str(roots), roots.roots.tobytes()
+    return None, roots.tobytes()
+
+
+def solve_with(fn, c, **kwargs):
+    # solve_outcome of fn(c), a one-polynomial solver that raises on failure
+    try:
+        return solve_outcome(fn(c, **kwargs))
+    except RootsDidNotConverge as exc:
+        return solve_outcome(exc)
 
 
 class TestHorner:
@@ -59,15 +96,28 @@ class TestHorner:
         assert same_bits(got[np.isinf(want)], want[np.isinf(want)])
 
     def test_value_and_slope_rows(self):
-        # one pass over [z, z] gives polyval(c, z), then polyval(c', z)
+        # one pass over [z, z] gives polyval(c, z), then polyval(c', z), for
+        # one polynomial and, columns padded at the top, for several at once
         rng = np.random.default_rng(8)
+        cs, zs = [], []
         for degree in (2, 5, 43, 150):
             c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
             dc = c[1:] * np.arange(1, degree + 1)
             z = 1.5 * (rng.standard_normal(degree) + 1j * rng.standard_normal(degree))
-            pdp = horner(zeros._value_and_slope_rows(c), np.concatenate([z, z]))
+            pdp = horner(zeros._value_and_slope_rows([c]), np.concatenate([z, z]))
             assert same_bits(pdp[:degree], polyval(z, c))
             assert same_bits(pdp[degree:], polyval(z, dc))
+            cs.append(c)
+            zs.append(z)
+        z = np.concatenate(zs)
+        n = len(z)
+        pdp = horner(zeros._value_and_slope_rows(cs), np.concatenate([z, z]))
+        lo = 0
+        for c, zj in zip(cs, zs):
+            d = len(zj)
+            assert same_bits(pdp[lo:lo + d], polyval(zj, c))
+            assert same_bits(pdp[n + lo:n + lo + d], polyval(zj, c[1:] * np.arange(1, d + 1)))
+            lo += d
 
 
 class TestWinding:
@@ -151,19 +201,132 @@ class TestRoots:
     def test_extreme_scales_never_lie(self):
         # overflow-prone inputs must either agree with the winding oracle or
         # raise; a NaN residual may never slip through as a pass
-        rng = np.random.default_rng(4242)
-        for _ in range(60):
-            deg = int(rng.integers(90, 160))
-            c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            c *= np.exp(rng.standard_normal(deg + 1) * 4)
-            r = 0.5 + 2.0 * rng.random()
-            try:
-                roots = find_roots(c)
-            except RootsDidNotConverge:
+        draws = extreme_scale_draws(60)
+        for (c, r), roots in zip(draws, find_roots_many([c for c, _ in draws])):
+            if isinstance(roots, RootsDidNotConverge):
                 continue
             f = lambda z: np.polynomial.polynomial.polyval(z, c)
             res, _ = count_with_retry(f, r, 0.0, require_certified=False)
             assert res.count == count_in_disk(roots, r)
+
+
+def ref_find_roots(coeffs, *, residual_tol=1e-10, max_iter=200):
+    # reference copy of the one-polynomial Aberth loop that find_roots_many
+    # batches; it evaluates all deg roots per step and pulls back all of them
+    c = np.asarray(coeffs, dtype=complex)
+    nz = np.nonzero(np.abs(c))[0]
+    c = c[: nz[-1] + 1]
+    roots_at_zero = np.zeros(nz[0], dtype=complex)
+    c = c[nz[0]:]
+    deg = len(c) - 1
+    if deg == 0:
+        return roots_at_zero
+    if deg == 1:
+        return np.concatenate([roots_at_zero, [-c[0] / c[1]]])
+    dc = c[1:] * np.arange(1, deg + 1)
+    cc = np.repeat(np.stack([c, np.append(dc, 0)], axis=1), deg, axis=1)
+    z = zeros._initial_root_guesses(c)
+    done = np.zeros(deg, dtype=bool)
+
+    def values(z):
+        pdp = horner(cc, np.concatenate([z, z]))
+        return pdp[:deg], pdp[deg:]
+
+    def values_with_pullback(z):
+        p, dp = values(z)
+        for _ in range(200):
+            nonfin = ~(np.isfinite(p) & np.isfinite(dp))
+            if not np.any(nonfin):
+                break
+            z = np.where(nonfin, 0.7 * z, z)
+            p_new, dp_new = values(z)
+            p = np.where(nonfin, p_new, p)
+            dp = np.where(nonfin, dp_new, dp)
+        return z, p, dp
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            z, p, dp = values_with_pullback(z)
+            dp = np.where(dp == 0, 1e-30, dp)
+            w = p / dp
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            s = (1.0 / diff).sum(axis=1)
+            denom = 1.0 - w * s
+            denom = np.where(denom == 0, 1e-30, denom)
+            corr = np.where(done, 0.0, w / denom)
+            z = z - corr
+            done |= np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))
+            if done.all():
+                break
+        for _ in range(2):
+            z, p, dp = values_with_pullback(z)
+            dp = np.where(dp == 0, 1e-30, dp)
+            step = p / dp
+            z = z - np.where(np.isfinite(step), step, 0.0)
+        scale = horner(np.abs(c), np.abs(z))
+        resid = np.abs(horner(c, z))
+    roots = np.concatenate([roots_at_zero, z])
+    rel = resid / np.maximum(scale, 1e-300)
+    ok = np.isfinite(rel) & (rel <= residual_tol)
+    if not np.all(ok):
+        worst = float(np.nanmax(np.where(np.isfinite(rel), rel, np.inf)))
+        raise RootsDidNotConverge(f"max relative residual {worst:.3e}", roots=roots)
+    return roots
+
+
+class TestFindRootsMany:
+    """find_roots_many gives every polynomial the bits of its own find_roots."""
+
+    def test_degrees_and_zero_padding_match_single_solves(self):
+        rng = np.random.default_rng(99)
+        polys = []
+        for degree in range(161):
+            c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            polys.append(c * np.exp(2.0 * rng.standard_normal(degree + 1)))
+        # leading zeros are roots at 0, trailing zeros lower the degree
+        polys += [np.concatenate([np.zeros(lead), polys[deg], np.zeros(trail)])
+                  for lead, trail, deg in ((1, 0, 12), (0, 2, 37), (3, 4, 5), (2, 0, 1),
+                                           (0, 3, 0), (1, 1, 2))]
+        polys.insert(80, polys.pop(3))  # out of degree order
+        got = find_roots_many(polys)
+        assert sum(len(c) - 1 for c in polys) > 4 * zeros.ROOT_BLOCK
+        assert [solve_outcome(x) for x in got] == [solve_with(find_roots, c) for c in polys]
+        # and the bits of the one-polynomial reference loop, zero padding included
+        some = [*range(0, 161, 5), *range(161, len(polys))]
+        assert [solve_outcome(got[i]) for i in some] == \
+            [solve_with(ref_find_roots, polys[i]) for i in some]
+
+    def test_extreme_scales_match_single_solves(self):
+        polys = [c for c, _ in extreme_scale_draws(12)]
+        got = [solve_outcome(x) for x in find_roots_many(polys)]
+        assert got == [solve_with(find_roots, c) for c in polys]
+        assert got[:8] == [solve_with(ref_find_roots, c) for c in polys[:8]]
+        failed = sum(msg is not None for msg, _ in got[:8])
+        assert 0 < failed < 8
+
+    def test_failure_stays_with_its_polynomial(self):
+        rng = stream(22)
+        c = rng.standard_normal(26) + 1j * rng.standard_normal(26)
+        polys = [rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+                 for deg in (30, 1, 25, 40)]
+        polys.insert(2, c)
+        kwargs = {"max_iter": 1, "residual_tol": 1e-14}
+        got = find_roots_many(polys, **kwargs)
+        assert isinstance(got[2], RootsDidNotConverge)
+        with pytest.raises(RootsDidNotConverge) as err:
+            find_roots(c, **kwargs)
+        assert same_bits(got[2].roots, err.value.roots)
+        got = [solve_outcome(x) for x in got]
+        assert got == [solve_with(find_roots, p, **kwargs) for p in polys]
+        assert got == [solve_with(ref_find_roots, p, **kwargs) for p in polys]
+        # with the default settings every neighbour converges, to the same bits
+        assert [solve_outcome(x) for x in find_roots_many(polys[:2] + polys[3:])] == \
+            [(None, find_roots(p).tobytes()) for p in polys[:2] + polys[3:]]
+
+    def test_zero_polynomial_raises(self):
+        with pytest.raises(ValueError):
+            find_roots_many([[1.0, 2.0], [0.0, 0.0]])
 
 
 class TestCircleMean:
@@ -222,21 +385,32 @@ class TestJensen:
         assert "roots" not in repr(check)
 
     def test_jensen_chunk_solves_roots_once_per_trial(self, monkeypatch):
-        calls = {"find_roots": 0, "jensen_residual": 0}
+        # each trial whose count resolved has its polynomial solved exactly
+        # once, and no other polynomial is solved
+        solved = []
+        many = zeros.find_roots_many
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def recording(polys, **kwargs):
+            solved.extend(np.array(c) for c in polys)
+            return many(polys, **kwargs)
 
-        for name in calls:
-            monkeypatch.setattr(zeros, name, counted(name, getattr(zeros, name)))
-        trials = 24
-        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, 100.0, 0, 0, trials))
+        monkeypatch.setattr(zeros, "find_roots_many", recording)
+        trials, guard, seed = 24, 1e7, 0
+        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, guard, seed, 0, trials))
         assert len(rows) == trials
-        assert calls["jensen_residual"] > 0
-        assert calls["find_roots"] == calls["jensen_residual"]
+        resolved = []
+        for j in range(trials):
+            rng = stream(seed, j)
+            r = 0.5 + 2.5 * rng.random()
+            gaf = sample_truncated(PLANAR, 1.25 * r, rng)
+            try:
+                count_with_retry(gaf, r, guard * gaf.tail_sd)
+            except InconclusiveCount:
+                continue
+            resolved.append(gaf.weighted_coefficients)
+        assert 0 < len(resolved) < trials
+        assert len(solved) == len(resolved)
+        assert all(same_bits(a, b) for a, b in zip(solved, resolved))
 
     def test_count_inequality(self):
         rng = stream(32)
@@ -250,7 +424,7 @@ class TestJensen:
 class TestRouche:
     def test_zero_tail_bound(self):
         gaf = sample_truncated(PLANAR, 1.0, stream(41))
-        assert rouche_certify(gaf, 1.0, 0.0)
+        assert rouche(gaf, 1.0, 0.0)
 
     def test_power_analogy(self):
         # min |z^5| on |z|=0.9 is 0.9^5; anything smaller certifies
@@ -258,8 +432,8 @@ class TestRouche:
         vals = np.zeros(6, dtype=complex)
         vals[5] = 1.0 / sigma(PLANAR, 5)
         gaf = make_truncated(PLANAR, vals, 0.9)
-        assert rouche_certify(gaf, 0.9, 0.5 * 0.9**5)
-        assert not rouche_certify(gaf, 0.9, 2.0 * 0.9**5)
+        assert rouche(gaf, 0.9, 0.5 * 0.9**5)
+        assert not rouche(gaf, 0.9, 2.0 * 0.9**5)
 
     def test_certificates_agree_with_deeper_truncation(self):
         # statistical soundness: passing certificates never disagree with a
@@ -451,7 +625,7 @@ class TestCircleWalker:
         for r, gaf in WALKER_DRAWS:
             for bound in WALKER_BOUNDS:
                 for max_nodes in (256, 512, MAX_NODES):
-                    got = rouche_certify(gaf, r, bound, max_nodes=max_nodes)
+                    got = rouche(gaf, r, bound, max_nodes=max_nodes)
                     assert got == ref_rouche_certify(gaf, r, bound, max_nodes=max_nodes)
                     results.add(got)
         assert results == {True, False}
@@ -459,7 +633,7 @@ class TestCircleWalker:
     def test_rouche_rejects_negative_bound(self):
         r, gaf = WALKER_DRAWS[0]
         with pytest.raises(ValueError):
-            rouche_certify(gaf, r, -1.0)
+            rouche(gaf, r, -1.0)
 
     def test_circle_means_match_reference_loop(self):
         capped = 0
@@ -526,7 +700,7 @@ class TestCoefficientPath:
         for r, gaf in WALKER_DRAWS:
             for bound in WALKER_BOUNDS:
                 for max_nodes in (256, 512, MAX_NODES):
-                    got = rouche_certify(gaf, r, bound, max_nodes=max_nodes)
+                    got = rouche(gaf, r, bound, max_nodes=max_nodes)
                     assert got == ref_rouche_certify(gaf, r, bound, max_nodes=max_nodes)
                     results.add(got)
         assert results == {True, False}
