@@ -26,7 +26,7 @@ from .events import (AggregateBlock, EventConstructionError, EventKind,
                      TailEstimate, build_event, certified_event_count,
                      conditioned_sample, direct_mc_tail, domination_constant,
                      event_log_prob, event_log_prob_detail,
-                     event_tail_estimate, event_tail_sup_bound, exponent_fit,
-                     mc_tail_estimate, sample_satisfies, verify_domination)
+                     event_tail_sup_bound, exponent_fit, mc_tail_estimate,
+                     sample_satisfies, verify_domination)
 
 __version__ = "0.1.0"

@@ -220,26 +220,34 @@ def kappa_argmax(r: float, *, tol=1e-12) -> float:
     return float(_kappa_search(r, tol)[0])
 
 
-def ginibre_tail_brackets(r: float, m: int) -> TailBracket:
-    """Analytic bracket on log P[Ginibre count in D(0,r) >= m].
+def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
+    """Analytic brackets on log P[Ginibre count in D(0,r) >= m], one per m in ``ms``.
 
     Lower: the product bound (r^2/2)^{m(m+1)/2} e^{-sum n log n}, valid for
     m >= r^2.  Upper: the stochastic-ordering chain, a binomial factor times
     the per-index Poisson tail bound product, plus the certified remainder of
-    the indices past m^2.
+    the indices past m^2.  The n log n and Poisson-product terms are formed
+    once up to max(ms); each m sums its own prefix, as ``sum_n_log_n(m)`` and
+    a product over n = 1..m alone would.
     """
-    if m < max(1.0, r * r):
+    ms = list(ms)
+    if any(m < max(1.0, r * r) for m in ms):
         raise ValueError("bracket needs m >= max(1, r^2)")
-    s = sum_n_log_n(m).exact
-    log_lower = 0.5 * m * (m + 1) * math.log(r * r / 2.0) - s
-
+    m_top = max(ms, default=1)
     lam = r * r
-    n = np.arange(1, m + 1)
-    product = float(np.sum(-n * np.log(n / lam) - lam + n))
-    main = float(_num.lchoose(m * m, m)) + product
-    log_resid = _poisson_tail_bound_series(lam, m * m + 1)
-    log_upper = float(np.logaddexp(main, log_resid))
-    return TailBracket(log_lower, min(log_upper, 0.0))
+    n = np.arange(2, m_top + 1)
+    n_log_n = n * np.log(n)
+    n = np.arange(1, m_top + 1)
+    product_terms = -n * np.log(n / lam) - lam + n
+    out = []
+    for m in ms:
+        s = float(math.fsum(n_log_n[:m - 1]))
+        log_lower = 0.5 * m * (m + 1) * math.log(r * r / 2.0) - s
+        main = float(_num.lchoose(m * m, m)) + float(np.sum(product_terms[:m]))
+        log_resid = _poisson_tail_bound_series(lam, m * m + 1)
+        log_upper = float(np.logaddexp(main, log_resid))
+        out.append(TailBracket(log_lower, min(log_upper, 0.0)))
+    return out
 
 
 def hyperbolic_one_tail_brackets(r: float, m: int) -> TailBracket:

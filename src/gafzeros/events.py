@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
 
 from . import _num
 from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, log_weight,
@@ -104,7 +104,6 @@ class EventLogProb:
 class Method(Enum):
     EXACT_DP = "exact-dp"
     MONTE_CARLO = "monte-carlo"
-    EVENT_LOWER_BOUND = "event-lower-bound"
 
 
 @dataclass(frozen=True)
@@ -283,6 +282,9 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         lin = 2.0 * margin ** 2 * fixed_units * band_units
         beta_lo = 4.0 * n_idx / (lin + math.sqrt(lin * lin + 8.0 * quad * n_idx))
         beta_hi = n_idx / (4.0 * band_units)
+        # imported here, its one caller, so that importing the package does
+        # not load scipy.optimize
+        from scipy import optimize
         log_beta = float(optimize.minimize_scalar(
             neg_price, bounds=(math.log(beta_lo), math.log(beta_hi)), method="bounded",
             options={"xatol": 1e-9}).x)
@@ -589,20 +591,6 @@ def certified_event_count(ev: EventSpec, coeffs: np.ndarray):
     return count_with_retry(gaf, ev.r, floor)
 
 
-def event_tail_estimate(ev: EventSpec) -> TailEstimate:
-    """Package the event probability as a one-sided tail estimate.
-
-    The event forces at least m zeros, so its probability is a lower bound on
-    the tail; the upper side is vacuous (log 1) unless paired with another
-    method.
-    """
-    lp = event_log_prob(ev)
-    return TailEstimate(log_p=lp, log_lo=lp, log_hi=0.0,
-                        method=Method.EVENT_LOWER_BOUND, samples=0,
-                        seed="deterministic",
-                        extras={"kind": ev.kind.value, "m": ev.m, "r": ev.r})
-
-
 # Radial draws per RNG stream, and the tail floor of a GAF count in units of
 # the truncation's tail sd (the default ``tail_guard`` of every config).
 _MC_CHUNK = 65536
@@ -616,8 +604,10 @@ def mc_tail_estimate(hits: int, trials: int, level: float, seed: int,
     ``extras`` are recorded alongside ``hits``.
     """
     a = 1.0 - level
-    lo = stats.beta.ppf(a / 2.0, hits, trials - hits + 1) if hits > 0 else 0.0
-    hi = stats.beta.ppf(1.0 - a / 2.0, hits + 1, trials - hits) if hits < trials else 1.0
+    # the Beta quantiles of the Clopper-Pearson ends, as scipy.stats.beta.ppf
+    # computes them
+    lo = special.betaincinv(hits, trials - hits + 1, a / 2.0) if hits > 0 else 0.0
+    hi = special.betaincinv(hits + 1, trials - hits, 1.0 - a / 2.0) if hits < trials else 1.0
     with np.errstate(divide="ignore"):
         log_lo, log_hi = float(np.log(lo)), float(np.log(hi))
         log_p = float(np.log(hits / trials))

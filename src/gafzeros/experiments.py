@@ -258,9 +258,13 @@ def _run_exact_tail(cfg: RunConfig):
     ms = range(m_min, m_max + 1)
     rows = []
     for r in radii:
+        analytic = {}
+        if ens is RadialEnsemble.GINIBRE:
+            valid = [m for m in ms if m >= max(1.0, r * r)]
+            analytic = dict(zip(valid, bounds.ginibre_tail_brackets(r, valid)))
         for m, br in zip(ms, radial.tail_log_brackets(ens, r, ms)):
-            if ens is RadialEnsemble.GINIBRE and m >= max(1.0, r * r):
-                blo, bhi = bounds.ginibre_tail_brackets(r, m)
+            if m in analytic:
+                blo, bhi = analytic[m]
                 contained = blo <= br.log_lower <= bhi
             elif ens is RadialEnsemble.HYPERBOLIC_ONE:
                 blo, bhi = bounds.hyperbolic_one_tail_brackets(r, m)

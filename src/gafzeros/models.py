@@ -63,8 +63,40 @@ def log_sigma(model: GafModel, n):
         out = -0.5 * special.gammaln(n + 1)
     else:
         rho = model.rho
-        out = 0.5 * (special.gammaln(n + rho) - special.gammaln(n + 1) - special.gammaln(rho))
+        out = 0.5 * (_log_gamma_ratio(n, rho) - special.gammaln(rho))
     return float(out) if out.ndim == 0 else out
+
+
+# From n = 10 on, log Gamma(n+rho) - log Gamma(n+1) comes from the Stirling
+# series of both terms; the coefficients B_2k / (2k (2k-1)), k = 1..7, leave
+# a remainder below 3e-17 there, since both arguments are at least 10.
+_STIRLING_FROM = 10
+_STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _log_gamma_ratio(n: np.ndarray, rho: float) -> np.ndarray:
+    """log Gamma(n+rho) - log Gamma(n+1) without the cancellation of the two.
+
+    The direct gammaln difference loses the ulp of log Gamma(n), about
+    n log n, so it is used only below ``_STIRLING_FROM``.  Past it, with
+    x = n+1 and d = rho-1, the ratio is (x - 1/2) log1p(d/x) - d + d log(x+d)
+    plus the difference of the two Stirling corrections, no piece of it
+    larger than the result.  At rho = 1 both forms are exactly 0.
+    """
+    direct = special.gammaln(n + rho) - special.gammaln(n + 1)
+    x = np.maximum(n, _STIRLING_FROM) + 1.0
+    d = rho - 1.0
+
+    def correction(y):
+        inv2 = 1.0 / (y * y)
+        acc = _STIRLING_COEFFS[-1]
+        for c in _STIRLING_COEFFS[-2::-1]:
+            acc = acc * inv2 + c
+        return acc / y
+
+    stirling = ((x - 0.5) * np.log1p(d / x) - d + d * np.log(x + d)
+                + (correction(x + d) - correction(x)))
+    return np.where(n < _STIRLING_FROM, direct, stirling)
 
 
 def sigma(model: GafModel, n):

@@ -45,9 +45,9 @@ def test_criterion_02_ginibre_bracket_containment():
     violations = []
     checked = 0
     for r in (0.5, 1.0, 2.0):
-        for m in range(max(2, math.ceil(r * r)), 41):
+        ms = range(max(2, math.ceil(r * r)), 41)
+        for m, bk in zip(ms, gz.ginibre_tail_brackets(r, ms)):
             dp = gz.tail_log_bracket(RadialEnsemble.GINIBRE, r, m).log_lower
-            bk = gz.ginibre_tail_brackets(r, m)
             checked += 1
             if not bk.log_lower <= dp <= bk.log_upper:
                 violations.append((r, m))

@@ -137,32 +137,39 @@ class TestKernelConstants:
 
 class TestGinibreBrackets:
     def test_lower_value_at_unit_radius(self):
-        bk = ginibre_tail_brackets(1.0, 5)
+        (bk,) = ginibre_tail_brackets(1.0, [5])
         expect = 15 * math.log(0.5) - sum_n_log_n(5).exact
         assert bk.log_lower == pytest.approx(expect, rel=1e-14)
 
     def test_contains_dp_small_grid(self):
         for r in (0.5, 1.0, 2.0):
-            for m in range(max(2, math.ceil(r * r)), 20):
+            ms = range(max(2, math.ceil(r * r)), 20)
+            for m, bk in zip(ms, ginibre_tail_brackets(r, ms)):
                 dp = tail_log_bracket(RadialEnsemble.GINIBRE, r, m).log_lower
-                bk = ginibre_tail_brackets(r, m)
                 assert bk.log_lower <= dp <= bk.log_upper
 
     def test_lower_decreasing_in_m(self):
-        vals = [ginibre_tail_brackets(1.0, m).log_lower for m in range(2, 30)]
+        vals = [bk.log_lower for bk in ginibre_tail_brackets(1.0, range(2, 30))]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_leading_term_ratio_tends_to_one(self):
         def ratio(m):
-            lo = ginibre_tail_brackets(1.0, m).log_lower
+            (bk,) = ginibre_tail_brackets(1.0, [m])
+            lo = bk.log_lower
             return -lo / (0.5 * m * m * math.log(m))
         r4, r5 = ratio(10**4), ratio(10**5)
         assert abs(r5 - 1.0) < abs(r4 - 1.0)
         assert abs(r5 - 1.0) < 0.05
 
+    def test_row_range_equals_single_rows(self):
+        # one call over a row range reads each m's prefix of the shared terms
+        ms = range(3, 120)
+        assert ginibre_tail_brackets(1.5, ms) == [ginibre_tail_brackets(1.5, [m])[0] for m in ms]
+        assert ginibre_tail_brackets(1.5, []) == []
+
     def test_precondition(self):
         with pytest.raises(ValueError):
-            ginibre_tail_brackets(2.0, 3)
+            ginibre_tail_brackets(2.0, [5, 3])
 
 
 class TestHyperbolicOneBrackets:

@@ -6,9 +6,12 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import gafzeros
 from gafzeros import EventKind, GafModel, events, experiments
 from gafzeros.cli import main
 from gafzeros.experiments import CHUNK, EXPERIMENTS, ConfigError, RunConfig, emit_csv
@@ -355,3 +358,25 @@ class TestBenchmarkTracer:
         assert calls["events.build_event"] == 4
         assert calls["events.event_log_prob_detail"] == 4
         assert not hasattr(events.build_event, "__wrapped__")
+
+
+class TestImportCost:
+    def test_import_loads_neither_stats_nor_optimize(self):
+        # every CLI run pays the import, and scipy.stats with scipy.optimize
+        # cost about 0.7 s of it; optimize may load only at the first
+        # moderate-grouped event, whose band scale it solves
+        script = (
+            "import sys\n"
+            "import gafzeros, gafzeros.experiments, gafzeros.cli\n"
+            "heavy = ('scipy.stats', 'scipy.optimize')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "from gafzeros import EventKind, build_event, event_log_prob\n"
+            "ev = build_event(EventKind.MODERATE_GROUPED, r=8.0, alpha=1.5, gamma=1.0)\n"
+            "print(ev.params['band_scale'] > 0, event_log_prob(ev) < 0)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gafzeros.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert out == ["[]", "True True", "True"]

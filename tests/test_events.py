@@ -13,9 +13,9 @@ from gafzeros import (EventConstructionError, EventKind, EventSpec, GafModel,
                       IndexBlock, Method, RadialEnsemble, TailEstimate,
                       build_event, certified_event_count, conditioned_sample,
                       direct_mc_tail, domination_constant, event_log_prob,
-                      event_log_prob_detail, event_tail_estimate,
-                      event_tail_sup_bound, exponent_fit, sample_satisfies,
-                      stream, tail_log_bracket, verify_domination)
+                      event_log_prob_detail, event_tail_sup_bound, exponent_fit,
+                      mc_tail_estimate, sample_satisfies, stream, tail_log_bracket,
+                      verify_domination)
 from gafzeros import _num, events, experiments, models
 from gafzeros.experiments import RunConfig
 from gafzeros.models import Kind, choose_truncation, log_tail_variance
@@ -47,7 +47,7 @@ class TestDominationConstant:
         scale = math.sqrt(m) * wm * r**m
         assert domination_constant(model, r, m) == pytest.approx(tail / scale, rel=1e-9)
 
-    @pytest.mark.parametrize("rho,r,m", [(20.0, 0.99, 30), (1.0, 0.99, 1)])
+    @pytest.mark.parametrize("rho,r,m", [(20.0, 0.99, 30), (1.0, 0.99, 1), (5.0, 0.95, 200)])
     def test_hyperbolic_two_sided_against_mpmath(self, rho, r, m):
         # a certified upper bound that loses no small term on the way: the
         # terms sqrt(n) w_n come from w_{n+1}^2 = w_n^2 r^2 (n+rho)/(n+1) in
@@ -306,17 +306,10 @@ class TestEventLogProb:
             assert abs(b + 0.5) < abs(a + 0.5)
         assert -0.5 < ratios[-1] < -0.43
 
-    def test_event_lower_bound_estimate(self):
-        ev = build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=4)
-        est = event_tail_estimate(ev)
-        assert est.method is Method.EVENT_LOWER_BOUND
-        assert est.log_hi == 0.0
-        assert est.log_lo == est.log_p == event_log_prob(ev)
-
     def test_tail_estimate_invariant(self):
         with pytest.raises(ValueError):
             TailEstimate(log_p=-1.0, log_lo=-0.5, log_hi=0.0,
-                         method=Method.EVENT_LOWER_BOUND, samples=0, seed="x")
+                         method=Method.MONTE_CARLO, samples=0, seed="x")
 
 
 class TestConditionedSampling:
@@ -424,6 +417,30 @@ class TestVerifyDomination:
     def test_tail_bound_decreases_with_depth(self):
         ev = build_event(EventKind.PLANAR_DOMINATION, r=2.0, m=16)
         assert event_tail_sup_bound(ev, 40) < event_tail_sup_bound(ev, 25)
+
+
+class TestClopperPearson:
+    @pytest.mark.parametrize("trials", [1, 2, 10, 128, 10**4, 10**6])
+    def test_ends_equal_scipy_stats_beta_ppf(self, trials):
+        # scipy.stats stays the reference here; the package prices the ends
+        # through special.betaincinv so that it never imports scipy.stats
+        from scipy import stats
+        hit_grid = sorted({h for h in (0, 1, 2, trials // 2, trials - 1, trials)
+                           if 0 <= h <= trials})
+        for hits in hit_grid:
+            for level in (0.9, 0.95, 0.99, 0.999):
+                a = 1.0 - level
+                est = mc_tail_estimate(hits, trials, level, seed=0)
+                if hits == 0:
+                    assert est.log_lo == -math.inf
+                else:
+                    lo = stats.beta.ppf(a / 2.0, hits, trials - hits + 1)
+                    assert est.log_lo == float(np.log(lo))
+                if hits == trials:
+                    assert est.log_hi == 0.0
+                else:
+                    hi = stats.beta.ppf(1.0 - a / 2.0, hits + 1, trials - hits)
+                    assert est.log_hi == float(np.log(hi))
 
 
 class TestDirectMc:

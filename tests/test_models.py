@@ -41,6 +41,24 @@ class TestSigma:
         v = log_sigma(GafModel.hyperbolic(0.3), 10**6)
         assert np.isfinite(v)
 
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 2.0, 5.0, 20.0])
+    def test_hyperbolic_against_mpmath(self, rho):
+        # the direct gammaln(n+rho) - gammaln(n+1) is 4.2e-12 off at rho=5,
+        # n=2773: it loses the ulp of two values of size n log n
+        mpmath = pytest.importorskip("mpmath")
+        ns = [0, 1, 10, 200, 2773, 10**6]
+        got = log_sigma(GafModel.hyperbolic(rho), ns)
+        with mpmath.workdps(40):
+            r_ = mpmath.mpf(rho)
+            want = [float((mpmath.loggamma(n + r_) - mpmath.loggamma(n + 1)
+                           - mpmath.loggamma(r_)) / 2) for n in ns]
+        for n, g, w in zip(ns, got, want):
+            assert abs(g - w) <= 2e-15 * max(1.0, abs(w)), (n, g, w)
+
+    def test_hyperbolic_rho_one_is_exactly_zero(self):
+        assert np.all(log_sigma(HYP1, np.arange(0, 3000)) == 0.0)
+        assert log_sigma(HYP1, 10**6) == 0.0
+
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             sigma(PLANAR, -1)
