@@ -16,16 +16,15 @@ from .zeros import (CountResult, InconclusiveCount, JensenCheck,
                     find_roots_many, jensen_residual, jensen_residuals, max_modulus)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
                      bernoulli_probs, poisson_binomial_tail_log, sample_radii,
-                     tail_log_bracket, tail_log_brackets)
+                     tail_log_brackets)
 from .bounds import (ExponentRegime, SumNLogN, ginibre_tail_brackets,
                      hyperbolic_one_tail_brackets, kappa, kappa_argmax,
                      poisson_kernel_bounds, poisson_tail_log_upper,
                      predicted_exponent, sum_n_log_n, sum_n_log_n_closed_form)
 from .events import (AggregateBlock, EventConstructionError, EventKind,
-                     EventLogProb, EventSpec, FitResult, IndexBlock, Method,
-                     TailEstimate, build_event, certified_event_count,
-                     conditioned_sample, direct_mc_tail, domination_constant,
-                     event_log_prob, event_log_prob_detail,
+                     EventLogProb, EventSpec, FitResult, IndexBlock, TailEstimate,
+                     build_event, certified_event_count, conditioned_sample,
+                     direct_mc_tail, domination_constant, event_log_prob_detail,
                      event_tail_sup_bound, exponent_fit, mc_tail_estimate,
                      sample_satisfies, verify_domination)
 

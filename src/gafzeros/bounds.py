@@ -189,11 +189,11 @@ def _golden_max(f, lo, hi, tol):
     return x, f(x)
 
 
-def _kappa_search(r: float, tol: float):
+def _kappa_search(r: float):
     """(maximizer, golden value, grid maximum) of B_eps^2 / |log eps| over (0, r).
 
     Coarse log-spaced grid to bracket the maximizer, then golden-section
-    refinement of the bracketing interval.
+    refinement of the bracketing interval to 1e-12 of the grid point.
     """
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
@@ -205,19 +205,19 @@ def _kappa_search(r: float, tol: float):
     grid = np.exp(np.linspace(math.log(1e-12), math.log(r) - 1e-9, 4096))
     vals = (((r - grid) / (r + grid)) ** 2) / (-np.log(grid))
     i = int(np.clip(np.argmax(vals), 1, len(grid) - 2))
-    x, best = _golden_max(g, grid[i - 1], grid[i + 1], tol * grid[i])
+    x, best = _golden_max(g, grid[i - 1], grid[i + 1], 1e-12 * grid[i])
     return x, best, vals.max()
 
 
-def kappa(r: float, *, tol=1e-12) -> float:
+def kappa(r: float) -> float:
     """sup over eps in (0, r) of B_eps^2 / |log eps| with B_eps = (r-eps)/(r+eps)."""
-    _, best, grid_best = _kappa_search(r, tol)
+    _, best, grid_best = _kappa_search(r)
     return float(max(best, grid_best))
 
 
-def kappa_argmax(r: float, *, tol=1e-12) -> float:
+def kappa_argmax(r: float) -> float:
     """The maximizing eps for kappa(r); exposed for diagnostics."""
-    return float(_kappa_search(r, tol)[0])
+    return float(_kappa_search(r)[0])
 
 
 def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
@@ -225,10 +225,12 @@ def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
 
     Lower: the product bound (r^2/2)^{m(m+1)/2} e^{-sum n log n}, valid for
     m >= r^2.  Upper: the stochastic-ordering chain, a binomial factor times
-    the per-index Poisson tail bound product, plus the certified remainder of
-    the indices past m^2.  The n log n and Poisson-product terms are formed
-    once up to max(ms); each m sums its own prefix, as ``sum_n_log_n(m)`` and
-    a product over n = 1..m alone would.
+    the product over n = 1..m of bounds on P[Poisson(r^2) >= n], plus the
+    certified remainder of the indices past m^2.  The bound at n is the
+    Chernoff factor e^{-n log(n/r^2) - r^2 + n} for n > r^2, where it holds,
+    and the trivial 1 for n <= r^2.  The n log n and Poisson-product terms
+    are formed once up to max(ms); each m sums its own prefix, as
+    ``sum_n_log_n(m)`` and a product over n = 1..m alone would.
     """
     ms = list(ms)
     if any(m < max(1.0, r * r) for m in ms):
@@ -238,7 +240,7 @@ def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
     n = np.arange(2, m_top + 1)
     n_log_n = n * np.log(n)
     n = np.arange(1, m_top + 1)
-    product_terms = -n * np.log(n / lam) - lam + n
+    product_terms = np.where(n > lam, -n * np.log(n / lam) - lam + n, 0.0)
     out = []
     for m in ms:
         s = float(math.fsum(n_log_n[:m - 1]))

@@ -11,7 +11,7 @@ closed-form bounds used in asymptotic work are reported alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -21,7 +21,7 @@ from scipy import special
 from . import _num
 from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, log_weight,
                      make_truncated, stream, weight_ratio_bound)
-from .radial import RadialEnsemble, bernoulli_probs
+from .radial import RadialEnsemble, _profile_depth, sample_radii
 from .zeros import count_replicas, count_with_retry, max_modulus
 
 
@@ -101,20 +101,21 @@ class EventLogProb:
     by_block: dict
 
 
-class Method(Enum):
-    EXACT_DP = "exact-dp"
-    MONTE_CARLO = "monte-carlo"
-
-
 @dataclass(frozen=True)
 class TailEstimate:
+    """A Monte Carlo tail estimate: the point value and Clopper-Pearson ends, in log.
+
+    ``hits`` counts the trials at or above the level; a GAF estimate also
+    records the retries of its resolved replicas and how many stayed
+    unresolved (each counted as a miss).
+    """
+
     log_p: float
     log_lo: float
     log_hi: float
-    method: Method
-    samples: int
-    seed: str
-    extras: dict = field(default_factory=dict)
+    hits: int = 0
+    retries: int = 0
+    unresolved: int = 0
 
     def __post_init__(self):
         if not (self.log_lo <= self.log_p <= self.log_hi or math.isnan(self.log_p)):
@@ -480,11 +481,6 @@ def event_log_prob_detail(ev: EventSpec) -> EventLogProb:
     return EventLogProb(total=total, bound_form=bound_total, by_block=by_block)
 
 
-def event_log_prob(ev: EventSpec) -> float:
-    """Exact log probability of the full independent product event."""
-    return event_log_prob_detail(ev).total
-
-
 def conditioned_sample(ev: EventSpec, rng: np.random.Generator,
                        n_max: int | None = None) -> np.ndarray:
     """Draw a_0..a_{n_max} from the exact conditional law given the event.
@@ -535,8 +531,9 @@ def conditioned_sample(ev: EventSpec, rng: np.random.Generator,
     return values
 
 
-def sample_satisfies(ev: EventSpec, coeffs: np.ndarray, *, slack=1e-9) -> bool:
-    """Check every constraint of the event against a coefficient vector."""
+def sample_satisfies(ev: EventSpec, coeffs: np.ndarray) -> bool:
+    """Check every constraint of the event against a coefficient vector, to 1e-9 relative."""
+    slack = 1e-9
     v = np.abs(coeffs)
     n_max = len(coeffs) - 1
     for b in ev.blocks:
@@ -591,18 +588,15 @@ def certified_event_count(ev: EventSpec, coeffs: np.ndarray):
     return count_with_retry(gaf, ev.r, floor)
 
 
-# Radial draws per RNG stream, and the tail floor of a GAF count in units of
+# Radial trials per RNG stream, and the tail floor of a GAF count in units of
 # the truncation's tail sd (the default ``tail_guard`` of every config).
 _MC_CHUNK = 65536
 MC_TAIL_GUARD = 100.0
 
 
-def mc_tail_estimate(hits: int, trials: int, level: float, seed: int,
-                     **extras) -> TailEstimate:
-    """Monte Carlo tail estimate from ``hits`` of ``trials``, with the exact CP bracket.
-
-    ``extras`` are recorded alongside ``hits``.
-    """
+def mc_tail_estimate(hits: int, trials: int, level: float, *, retries: int = 0,
+                     unresolved: int = 0) -> TailEstimate:
+    """Monte Carlo tail estimate from ``hits`` of ``trials``, with the exact CP bracket."""
     a = 1.0 - level
     # the Beta quantiles of the Clopper-Pearson ends, as scipy.stats.beta.ppf
     # computes them
@@ -611,9 +605,8 @@ def mc_tail_estimate(hits: int, trials: int, level: float, seed: int,
     with np.errstate(divide="ignore"):
         log_lo, log_hi = float(np.log(lo)), float(np.log(hi))
         log_p = float(np.log(hits / trials))
-    return TailEstimate(log_p=log_p, log_lo=log_lo, log_hi=log_hi,
-                        method=Method.MONTE_CARLO, samples=trials,
-                        seed=f"seed={seed}", extras={**extras, "hits": hits})
+    return TailEstimate(log_p=log_p, log_lo=log_lo, log_hi=log_hi, hits=hits,
+                        retries=retries, unresolved=unresolved)
 
 
 def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
@@ -622,34 +615,25 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
 
     ``target`` is a GafModel (counts are winding-certified, inconclusive
     replicas follow the retry policy and unresolved ones count as failures)
-    or a RadialEnsemble (counts come from the exact radial laws).
+    or a RadialEnsemble (counts come from the exact radial laws, the first
+    ``bernoulli_probs(target, r, min_terms=m + 8).size`` radii of each
+    trial, drawn ``_MC_CHUNK`` trials per stream).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if isinstance(target, RadialEnsemble):
-        profile = bernoulli_probs(target, r, 1e-9, min_terms=m + 8)
-        depth = profile.size
+        depth = _profile_depth(target, r, 1e-9, m + 8)
         hits = 0
         for block in range((trials + _MC_CHUNK - 1) // _MC_CHUNK):
             take = min(_MC_CHUNK, trials - block * _MC_CHUNK)
-            rng = stream(seed, block)
-            if target is RadialEnsemble.GINIBRE:
-                shapes = np.broadcast_to(np.arange(1.0, depth + 1.0), (take, depth))
-                radii2 = rng.standard_gamma(shapes)
-                counts = (radii2 < r * r).sum(axis=1)
-            else:
-                k = np.arange(1, depth + 1)
-                radii = rng.random((take, depth)) ** (1.0 / (2.0 * k))
-                counts = (radii < r).sum(axis=1)
+            counts = (sample_radii(target, stream(seed, block), take, depth) < r).sum(axis=1)
             hits += int((counts >= m).sum())
-        return mc_tail_estimate(hits, trials, level, seed, radial_depth=depth,
-                                neglected_log_mass=profile.log_neglected)
+        return mc_tail_estimate(hits, trials, level)
     if isinstance(target, GafModel):
         counts, retries = count_replicas(target, r, choose_truncation(target, r),
                                          MC_TAIL_GUARD, seed, range(trials))
-        return mc_tail_estimate(int((counts >= m).sum()), trials, level, seed,
-                                retries=retries,
-                                unresolved_as_failure=int((counts < 0).sum()))
+        return mc_tail_estimate(int((counts >= m).sum()), trials, level, retries=retries,
+                                unresolved=int((counts < 0).sum()))
     raise TypeError("target must be a GafModel or RadialEnsemble")
 
 
@@ -660,27 +644,24 @@ class FitResult:
     basis: str
 
 
-_BASES = {
-    "m2logm+m2": lambda x, a: np.column_stack([x * x * np.log(x), x * x]),
-    "m2logm": lambda x, a: (x * x * np.log(x))[:, None],
-    "r2alpha-logr": lambda x, a: (x ** (2 * a) * np.log(x))[:, None],
-    "r3alpha-2": lambda x, a: (x ** (3 * a - 2))[:, None],
+# The m-bases of ``exponent_fit``: -log P as c1 m^2 log m + c2 m^2, or c1 m^2 log m.
+FIT_BASES = {
+    "m2logm+m2": lambda x: np.column_stack([x * x * np.log(x), x * x]),
+    "m2logm": lambda x: (x * x * np.log(x))[:, None],
 }
 
 
-def exponent_fit(points, basis: str, alpha: float | None = None) -> FitResult:
-    """Least squares fit of (x, neg_log_p) pairs on one of the named bases."""
-    if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}; choose from {sorted(_BASES)}")
-    if basis in ("r2alpha-logr", "r3alpha-2") and alpha is None:
-        raise ValueError("this basis needs alpha")
+def exponent_fit(points, basis: str) -> FitResult:
+    """Least squares fit of (m, neg_log_p) pairs on one of the ``FIT_BASES``."""
+    if basis not in FIT_BASES:
+        raise ValueError(f"unknown basis {basis!r}; choose from {sorted(FIT_BASES)}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise ValueError("need at least 3 (x, value) points")
     x, y = pts[:, 0], pts[:, 1]
     if len(np.unique(x)) != len(x):
         raise ValueError("abscissae must be distinct")
-    design = _BASES[basis](x, alpha)
+    design = FIT_BASES[basis](x)
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise ValueError("rank-deficient design")
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -29,7 +29,7 @@ CHUNK = 1024  # replicas per worker task
 _REQUIRED = object()
 _MODELS = ("planar", "hyperbolic")
 _ENSEMBLES = tuple(e.value for e in RadialEnsemble)
-_FIT_BASES = ("m2logm+m2", "m2logm")  # the bases of events.exponent_fit that need no alpha
+_FIT_BASES = tuple(events.FIT_BASES)
 
 
 class ConfigError(ValueError):
@@ -239,15 +239,13 @@ def _run_mc_tail(cfg: RunConfig):
                                     level=level)
     else:
         counts, retries = _replica_counts(cfg, _model_from(cfg, "target"), r, trials)
-        est = events.mc_tail_estimate(int((counts >= m).sum()), trials, level, cfg.seed,
-                                      retries=retries,
-                                      unresolved_as_failure=int((counts < 0).sum()))
-    extras = est.extras
+        est = events.mc_tail_estimate(int((counts >= m).sum()), trials, level,
+                                      retries=retries, unresolved=int((counts < 0).sum()))
     return [("mc_tail.csv",
              ["target", "r", "m", "trials", "hits", "log_p", "log_lo", "log_hi", "retries",
               "unresolved"],
-             [[target, r, m, trials, extras["hits"], est.log_p, est.log_lo, est.log_hi,
-               extras.get("retries", 0), extras.get("unresolved_as_failure", 0)]])]
+             [[target, r, m, trials, est.hits, est.log_p, est.log_lo, est.log_hi,
+               est.retries, est.unresolved]])]
 
 
 def _run_exact_tail(cfg: RunConfig):

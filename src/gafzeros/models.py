@@ -53,8 +53,11 @@ class GafModel:
 def log_sigma(model: GafModel, n):
     """log of the coefficient standard deviation sigma_n.
 
-    Safe for n up to 1e6 and beyond: everything runs through log-gamma, no
-    factorial is ever formed.
+    Safe for n up to 1e6 and beyond: no factorial is ever formed.  The
+    hyperbolic sigma_n^2 = Gamma(n+rho)/(n! Gamma(rho)) is the product of
+    (rho+k)/(k+1) over k < n; below ``_STIRLING_FROM`` its log is summed
+    term by term as log1p((rho-1)/(k+1)), which no large log-gamma cancels.
+    At rho = 1 every form is exactly 0.
     """
     n = np.asarray(n, dtype=float)
     if np.any(n < 0):
@@ -63,7 +66,11 @@ def log_sigma(model: GafModel, n):
         out = -0.5 * special.gammaln(n + 1)
     else:
         rho = model.rho
-        out = 0.5 * (_log_gamma_ratio(n, rho) - special.gammaln(rho))
+        head = np.concatenate(([0.0], np.cumsum(
+            np.log1p((rho - 1.0) / np.arange(1.0, _STIRLING_FROM)))))
+        out = 0.5 * np.where(n < _STIRLING_FROM,
+                             head[np.minimum(n, _STIRLING_FROM - 1).astype(int)],
+                             _log_gamma_ratio(n, rho) - special.gammaln(rho))
     return float(out) if out.ndim == 0 else out
 
 
@@ -75,15 +82,14 @@ _STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 3603
 
 
 def _log_gamma_ratio(n: np.ndarray, rho: float) -> np.ndarray:
-    """log Gamma(n+rho) - log Gamma(n+1) without the cancellation of the two.
+    """log Gamma(n+rho) - log Gamma(n+1) for n >= ``_STIRLING_FROM``.
 
-    The direct gammaln difference loses the ulp of log Gamma(n), about
-    n log n, so it is used only below ``_STIRLING_FROM``.  Past it, with
-    x = n+1 and d = rho-1, the ratio is (x - 1/2) log1p(d/x) - d + d log(x+d)
-    plus the difference of the two Stirling corrections, no piece of it
-    larger than the result.  At rho = 1 both forms are exactly 0.
+    A direct gammaln difference would lose the ulp of log Gamma(n), about
+    n log n.  With x = n+1 and d = rho-1, the ratio is
+    (x - 1/2) log1p(d/x) - d + d log(x+d) plus the difference of the two
+    Stirling corrections, no piece of it larger than the result.  An n
+    below ``_STIRLING_FROM`` gets the value at ``_STIRLING_FROM``.
     """
-    direct = special.gammaln(n + rho) - special.gammaln(n + 1)
     x = np.maximum(n, _STIRLING_FROM) + 1.0
     d = rho - 1.0
 
@@ -94,9 +100,8 @@ def _log_gamma_ratio(n: np.ndarray, rho: float) -> np.ndarray:
             acc = acc * inv2 + c
         return acc / y
 
-    stirling = ((x - 0.5) * np.log1p(d / x) - d + d * np.log(x + d)
-                + (correction(x + d) - correction(x)))
-    return np.where(n < _STIRLING_FROM, direct, stirling)
+    return ((x - 0.5) * np.log1p(d / x) - d + d * np.log(x + d)
+            + (correction(x + d) - correction(x)))
 
 
 def sigma(model: GafModel, n):

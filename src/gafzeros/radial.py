@@ -144,20 +144,23 @@ def bernoulli_probs(ensemble: RadialEnsemble, r: float, eps: float = 1e-9,
                             log_neglected=_log_neglected(ensemble, r, n))
 
 
-def sample_radii(ensemble: RadialEnsemble, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The first n point radii, in index order (not sorted by size).
+def sample_radii(ensemble: RadialEnsemble, rng: np.random.Generator, trials: int,
+                 depth: int) -> np.ndarray:
+    """The first ``depth`` point radii of ``trials`` independent draws, a (trials, depth) array.
 
-    Ginibre: the k-th squared radius is a sum of k fresh unit exponentials,
-    one independent Gamma(k,1) draw per index.  Independence across indices
-    is what makes the count a Poisson-binomial sum.  Hyperbolic index one:
-    U_k^{1/(2k)} with independent uniforms.
+    Row t holds the radii of draw t in index order (not sorted by size), and
+    the rows come off ``rng`` one after another, so one call draws what
+    ``trials`` calls of one row each would.  Ginibre: the k-th squared radius
+    is a Gamma(k,1) draw, independent across indices, which is what makes the
+    count a Poisson-binomial sum.  Hyperbolic index one: U_k^{1/(2k)} with
+    independent uniforms.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if trials < 1 or depth < 1:
+        raise ValueError("trials and depth must be >= 1")
+    k = np.arange(1, depth + 1)
     if ensemble is RadialEnsemble.GINIBRE:
-        return np.sqrt(rng.standard_gamma(np.arange(1.0, n + 1.0)))
-    k = np.arange(1, n + 1)
-    return rng.random(n) ** (1.0 / (2.0 * k))
+        return np.sqrt(rng.standard_gamma(np.broadcast_to(k.astype(float), (trials, depth))))
+    return rng.random((trials, depth)) ** (1.0 / (2.0 * k))
 
 
 def _sweep(pmf: np.ndarray, absorbed: np.ndarray, below: np.ndarray,
@@ -263,9 +266,3 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms, eps: float = 1e-9,
             heapq.heappush(pending, (_profile_depth(ensemble, r, eps, wanted), j,
                                      refinements + 1))
     return [done[m] for m in ms]
-
-
-def tail_log_bracket(ensemble: RadialEnsemble, r: float, m: int,
-                     eps: float = 1e-9, *, target_width=1e-6) -> TailBracket:
-    """Tail bracket at one level; see ``tail_log_brackets``."""
-    return tail_log_brackets(ensemble, r, [m], eps, target_width=target_width)[0]

@@ -171,19 +171,17 @@ def count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES) ->
                        min_modulus_on_circle=mn, circle_nodes_used=len(vals))
 
 
-def count_with_retry(f, r, floor, *, max_retries=3, require_certified=True,
-                     start_nodes=256):
+def count_with_retry(f, r, floor, *, require_certified=True):
     """Winding count with the radius-perturbation retry policy.
 
     An inconclusive (or uncertified, when required) result retries at radii
-    perturbed by multiples of 1e-6 * r, at most ``max_retries`` times, then the
-    last error is raised.  Returns (CountResult, retries_used).
+    perturbed by multiples of 1e-6 * r, at most 3 times, then the last error
+    is raised.  Returns (CountResult, retries_used).
     """
-    deltas = [0.0, 1e-6, -1e-6, 2e-6]
     last_exc = None
-    for attempt, d in enumerate(deltas[: max_retries + 1]):
+    for attempt, d in enumerate((0.0, 1e-6, -1e-6, 2e-6)):
         try:
-            res = count_zeros_winding(f, r * (1.0 + d), floor, start_nodes=start_nodes)
+            res = count_zeros_winding(f, r * (1.0 + d), floor)
             if res.certified or not require_certified:
                 return res, attempt
             last_exc = InconclusiveCount(

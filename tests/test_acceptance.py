@@ -28,8 +28,8 @@ def _report(k, ok, detail):
 def test_criterion_01_ginibre_exponent_fit():
     t0 = time.time()
     pts = []
-    for m in range(50, 401, 50):
-        br = gz.tail_log_bracket(RadialEnsemble.GINIBRE, 1.0, m)
+    ms = range(50, 401, 50)
+    for m, br in zip(ms, gz.tail_log_brackets(RadialEnsemble.GINIBRE, 1.0, ms)):
         assert br.log_upper - br.log_lower <= 1e-6
         pts.append((m, -br.log_lower))
     fit = gz.exponent_fit(pts, "m2logm+m2")
@@ -46,10 +46,10 @@ def test_criterion_02_ginibre_bracket_containment():
     checked = 0
     for r in (0.5, 1.0, 2.0):
         ms = range(max(2, math.ceil(r * r)), 41)
-        for m, bk in zip(ms, gz.ginibre_tail_brackets(r, ms)):
-            dp = gz.tail_log_bracket(RadialEnsemble.GINIBRE, r, m).log_lower
+        for m, bk, dp in zip(ms, gz.ginibre_tail_brackets(r, ms),
+                             gz.tail_log_brackets(RadialEnsemble.GINIBRE, r, ms)):
             checked += 1
-            if not bk.log_lower <= dp <= bk.log_upper:
+            if not bk.log_lower <= dp.log_lower <= bk.log_upper:
                 violations.append((r, m))
     _report(2, not violations,
             f"Ginibre DP within analytic brackets on {checked} (r, m) pairs; "
@@ -60,8 +60,9 @@ def test_criterion_03_hyperbolic_sandwich():
     violations = []
     checked = 0
     for r in (0.3, 0.5, 0.7):
-        for m in range(1, 31):
-            dp = gz.tail_log_bracket(RadialEnsemble.HYPERBOLIC_ONE, r, m).log_lower
+        ms = range(1, 31)
+        for m, br in zip(ms, gz.tail_log_brackets(RadialEnsemble.HYPERBOLIC_ONE, r, ms)):
+            dp = br.log_lower
             lo = m * (m + 1) * math.log(r)
             hi = float(np.logaddexp(
                 float(special.gammaln(m * m + 1) - special.gammaln(m + 1)
@@ -157,17 +158,17 @@ def test_criterion_07_moderate_deviation_scale():
 
 def test_criterion_08_mc_vs_exact():
     est_g = gz.direct_mc_tail(RadialEnsemble.GINIBRE, 1.0, 5, 10**6, seed=SEED)
-    dp_g = gz.tail_log_bracket(RadialEnsemble.GINIBRE, 1.0, 5).log_lower
+    dp_g = gz.tail_log_brackets(RadialEnsemble.GINIBRE, 1.0, [5])[0].log_lower
     ok_g = est_g.log_lo <= dp_g <= est_g.log_hi
     est_h = gz.direct_mc_tail(RadialEnsemble.HYPERBOLIC_ONE, 0.5, 3, 10**6, seed=SEED)
-    dp_h = gz.tail_log_bracket(RadialEnsemble.HYPERBOLIC_ONE, 0.5, 3).log_lower
+    dp_h = gz.tail_log_brackets(RadialEnsemble.HYPERBOLIC_ONE, 0.5, [3])[0].log_lower
     ok_h = est_h.log_lo <= dp_h <= est_h.log_hi
     _report(8, ok_g and ok_h,
             f"1e6-trial 99% brackets contain the exact DP values: "
-            f"ginibre m=5 hits={est_g.extras['hits']} "
+            f"ginibre m=5 hits={est_g.hits} "
             f"[{est_g.log_lo:.2f}, {est_g.log_hi:.2f}] ni {dp_g:.3f} "
             f"({'ok' if ok_g else 'miss'}); index-one m=3 "
-            f"hits={est_h.extras['hits']} [{est_h.log_lo:.3f}, {est_h.log_hi:.3f}] "
+            f"hits={est_h.hits} [{est_h.log_lo:.3f}, {est_h.log_hi:.3f}] "
             f"ni {dp_h:.3f} ({'ok' if ok_h else 'miss'})")
 
 

@@ -12,7 +12,7 @@ from gafzeros import (ExponentRegime, RadialEnsemble, ginibre_tail_brackets,
                       hyperbolic_one_tail_brackets, kappa, kappa_argmax,
                       poisson_kernel_bounds, poisson_tail_log_upper,
                       predicted_exponent, sum_n_log_n, sum_n_log_n_closed_form,
-                      tail_log_bracket, tail_log_brackets)
+                      tail_log_brackets)
 
 
 class TestSumNLogN:
@@ -144,9 +144,20 @@ class TestGinibreBrackets:
     def test_contains_dp_small_grid(self):
         for r in (0.5, 1.0, 2.0):
             ms = range(max(2, math.ceil(r * r)), 20)
-            for m, bk in zip(ms, ginibre_tail_brackets(r, ms)):
-                dp = tail_log_bracket(RadialEnsemble.GINIBRE, r, m).log_lower
-                assert bk.log_lower <= dp <= bk.log_upper
+            for bk, dp in zip(ginibre_tail_brackets(r, ms),
+                              tail_log_brackets(RadialEnsemble.GINIBRE, r, ms)):
+                assert bk.log_lower <= dp.log_lower <= bk.log_upper
+
+    @pytest.mark.parametrize("r", [3.0, 6.0, 10.0])
+    def test_contains_dp_from_r_squared(self, r):
+        # the Chernoff factor of the upper end bounds P[Pois(r^2) >= n] only
+        # for n > r^2, and the first rows from m = r^2 on have n <= r^2 in
+        # their product
+        ms = range(math.ceil(r * r), 301)
+        for m, bk, dp in zip(ms, ginibre_tail_brackets(r, ms),
+                             tail_log_brackets(RadialEnsemble.GINIBRE, r, ms)):
+            assert bk.log_lower <= bk.log_upper, m
+            assert bk.log_lower <= dp.log_lower <= bk.log_upper, m
 
     def test_lower_decreasing_in_m(self):
         vals = [bk.log_lower for bk in ginibre_tail_brackets(1.0, range(2, 30))]

@@ -333,16 +333,20 @@ class TestRunConfig:
             RunConfig.from_dict({"experiment": "kappa", "seed": 1, "threads": 0})
 
 
+def _load_benchmark_module(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkTracer:
     def test_tracer_installs_and_records_event_spans(self):
         # the benchmark's tracer wraps every public function at each module
         # that binds it once gafzeros.experiments is loaded (imported above),
         # and refuses to install if events stops binding count_with_retry
-        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        tracer = module.Tracer()
+        tracer = _load_benchmark_module("tracer").Tracer()
         tracer.install()
         try:
             for kind, kw in (
@@ -360,6 +364,28 @@ class TestBenchmarkTracer:
         assert not hasattr(events.build_event, "__wrapped__")
 
 
+class TestBenchmarkOutputChecks:
+    def _check(self, workloads, cfg, out_dir):
+        paths = experiments.run(RunConfig.from_dict(cfg), str(out_dir))
+        csvs = {}
+        for path in paths:
+            with open(path) as fh:
+                csvs[os.path.basename(path)] = fh.read()
+        return workloads.check(cfg, csvs)
+
+    def test_exact_tails_pass_has_no_failed_item(self, tmp_path):
+        # the full-size pass: every exact-tail row contained, every bracket
+        # ordered, every price a finite log probability
+        workloads = _load_benchmark_module("workloads")
+        for i, cfg in enumerate(workloads.configs("exact-tails", seed=1)):
+            assert self._check(workloads, cfg, tmp_path / str(i)) == (0, []), cfg
+
+    def test_roots_jensen_smoke_pass_has_no_problem(self, tmp_path):
+        workloads = _load_benchmark_module("workloads")
+        for i, cfg in enumerate(workloads.configs("roots-jensen", seed=1, tiny=True)):
+            assert self._check(workloads, cfg, tmp_path / str(i))[1] == [], cfg
+
+
 class TestImportCost:
     def test_import_loads_neither_stats_nor_optimize(self):
         # every CLI run pays the import, and scipy.stats with scipy.optimize
@@ -370,9 +396,9 @@ class TestImportCost:
             "import gafzeros, gafzeros.experiments, gafzeros.cli\n"
             "heavy = ('scipy.stats', 'scipy.optimize')\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
-            "from gafzeros import EventKind, build_event, event_log_prob\n"
+            "from gafzeros import EventKind, build_event, event_log_prob_detail\n"
             "ev = build_event(EventKind.MODERATE_GROUPED, r=8.0, alpha=1.5, gamma=1.0)\n"
-            "print(ev.params['band_scale'] > 0, event_log_prob(ev) < 0)\n"
+            "print(ev.params['band_scale'] > 0, event_log_prob_detail(ev).total < 0)\n"
             "print('scipy.optimize' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(gafzeros.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -55,6 +55,21 @@ class TestSigma:
         for n, g, w in zip(ns, got, want):
             assert abs(g - w) <= 2e-15 * max(1.0, abs(w)), (n, g, w)
 
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 2.0, 5.0, 20.0, 100.0, 1000.0])
+    def test_hyperbolic_head_against_mpmath(self, rho):
+        # below n = 10 the direct gammaln(n+rho) - gammaln(n+1) - gammaln(rho)
+        # carries terms of the size of log Gamma(rho+n): 72x over this bound
+        # at rho=1000
+        mpmath = pytest.importorskip("mpmath")
+        ns = list(range(10))
+        got = log_sigma(GafModel.hyperbolic(rho), ns)
+        with mpmath.workdps(40):
+            r_ = mpmath.mpf(rho)
+            want = [float((mpmath.loggamma(n + r_) - mpmath.loggamma(n + 1)
+                           - mpmath.loggamma(r_)) / 2) for n in ns]
+        for n, g, w in zip(ns, got, want):
+            assert abs(g - w) <= 2e-15 * max(1.0, abs(w)), (n, g, w)
+
     def test_hyperbolic_rho_one_is_exactly_zero(self):
         assert np.all(log_sigma(HYP1, np.arange(0, 3000)) == 0.0)
         assert log_sigma(HYP1, 10**6) == 0.0

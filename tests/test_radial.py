@@ -8,7 +8,7 @@ from scipy import special
 
 from gafzeros import (BernoulliProfile, RadialEnsemble, _num, bernoulli_probs,
                       poisson_binomial_tail_log, sample_radii, stream,
-                      tail_log_bracket, tail_log_brackets)
+                      tail_log_brackets)
 
 GIN = RadialEnsemble.GINIBRE
 HYP = RadialEnsemble.HYPERBOLIC_ONE
@@ -110,24 +110,24 @@ class TestProfiles:
 
 
 class TestSampleRadii:
+    @pytest.mark.parametrize("ens", [GIN, HYP])
+    def test_batch_rows_are_successive_draws(self, ens):
+        batch = sample_radii(ens, stream(70), 5, 9)
+        rng = stream(70)
+        rows = np.vstack([sample_radii(ens, rng, 1, 9) for _ in range(5)])
+        assert batch.shape == (5, 9)
+        assert batch.tobytes() == rows.tobytes()
+
     def test_ginibre_squared_means(self):
         trials, depth = 4000, 12
-        rng = stream(71)
-        acc = np.zeros(depth)
-        for _ in range(trials):
-            acc += sample_radii(GIN, rng, depth) ** 2
-        mean = acc / trials
+        mean = (sample_radii(GIN, stream(71), trials, depth) ** 2).sum(axis=0) / trials
         n = np.arange(1, depth + 1)
         # 4 sigma: twelve simultaneous comparisons
         assert np.all(np.abs(mean - n) < 4.0 * np.sqrt(n / trials))
 
     def test_hyperbolic_cdf_matches_power_law(self):
         trials, r = 20000, 0.6
-        rng = stream(72)
-        hits = np.zeros(4)
-        for _ in range(trials):
-            radii = sample_radii(HYP, rng, 4)
-            hits += radii < r
+        hits = (sample_radii(HYP, stream(72), trials, 4) < r).sum(axis=0)
         for n in range(1, 5):
             p = r ** (2 * n)
             se = math.sqrt(p * (1 - p) / trials)
@@ -137,10 +137,7 @@ class TestSampleRadii:
         trials, r = 20000, 1.0
         prof = bernoulli_probs(GIN, r, min_terms=20)
         expect = float(prof.probs.sum())
-        rng = stream(73)
-        total = 0
-        for _ in range(trials):
-            total += int(np.sum(sample_radii(GIN, rng, prof.size) < r))
+        total = int((sample_radii(GIN, stream(73), trials, prof.size) < r).sum())
         sd = math.sqrt(float(np.sum(prof.probs * (1 - prof.probs))) / trials)
         assert abs(total / trials - expect) < 4.0 * sd
 
@@ -167,20 +164,20 @@ class TestTailDP:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_hyperbolic_product_lower_bound(self):
-        br = tail_log_bracket(HYP, 0.5, 3)
+        (br,) = tail_log_brackets(HYP, 0.5, [3])
         assert br.log_lower >= 12 * math.log(0.5)
 
     def test_bracket_width(self):
         for ens, r, m in ((GIN, 1.0, 5), (GIN, 2.0, 25), (HYP, 0.7, 12)):
-            br = tail_log_bracket(ens, r, m)
+            (br,) = tail_log_brackets(ens, r, [m])
             assert br.log_upper - br.log_lower <= 1e-6
 
     def test_monotone_in_m_and_r(self):
-        vals = [tail_log_bracket(GIN, 1.0, m).log_lower for m in range(1, 12)]
+        vals = [br.log_lower for br in tail_log_brackets(GIN, 1.0, range(1, 12))]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        vals = [tail_log_bracket(GIN, r, 6).log_lower for r in (0.5, 1.0, 2.0)]
+        vals = [tail_log_brackets(GIN, r, [6])[0].log_lower for r in (0.5, 1.0, 2.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-        vals = [tail_log_bracket(HYP, r, 6).log_lower for r in (0.3, 0.5, 0.7)]
+        vals = [tail_log_brackets(HYP, r, [6])[0].log_lower for r in (0.3, 0.5, 0.7)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_matches_monte_carlo(self):
@@ -193,12 +190,12 @@ class TestTailDP:
         counts = (radii2 < r * r).sum(axis=1)
         hits = int((counts >= m).sum())
         p_hat = hits / trials
-        exact = math.exp(tail_log_bracket(ens, r, m).log_lower)
+        exact = math.exp(tail_log_brackets(ens, r, [m])[0].log_lower)
         se = math.sqrt(exact * (1 - exact) / trials)
         assert abs(p_hat - exact) < 4.0 * se
 
     def test_deep_tail_stays_finite(self):
-        br = tail_log_bracket(GIN, 1.0, 120)
+        (br,) = tail_log_brackets(GIN, 1.0, [120])
         assert np.isfinite(br.log_lower)
         assert br.log_lower < -1e4
         assert br.log_upper - br.log_lower <= 1e-6
@@ -215,7 +212,7 @@ class TestSweep:
     def test_batch_equals_per_level(self, ens, r, ms, refines):
         ms = [int(m) for m in stream(83).permutation(ms)]
         batch = tail_log_brackets(ens, r, ms)
-        single = [tail_log_bracket(ens, r, m) for m in ms]
+        single = [tail_log_brackets(ens, r, [m])[0] for m in ms]
         assert [tuple(b) for b in batch] == [tuple(b) for b in single]
         assert [tuple(b) for b in batch] == [reference_bracket(ens, r, m) for m in ms]
         # refines: some level's first-depth bracket misses the target width
@@ -260,16 +257,15 @@ class TestSandwiches:
         from gafzeros import ginibre_tail_brackets
         for r in (0.5, 1.0, 2.0):
             ms = range(max(2, math.ceil(r * r)), 16)
-            for m, bk in zip(ms, ginibre_tail_brackets(r, ms)):
-                dp = tail_log_bracket(GIN, r, m).log_lower
-                assert bk.log_lower <= dp <= bk.log_upper
+            for bk, dp in zip(ginibre_tail_brackets(r, ms), tail_log_brackets(GIN, r, ms)):
+                assert bk.log_lower <= dp.log_lower <= bk.log_upper
 
     def test_hyperbolic_sandwich_small_grid(self):
         from gafzeros import _num  # noqa: F401  (lchoose lives in bounds path)
         from gafzeros._num import lchoose
         for r in (0.3, 0.5, 0.7):
-            for m in range(1, 16):
-                dp = tail_log_bracket(HYP, r, m).log_lower
+            for m, br in zip(range(1, 16), tail_log_brackets(HYP, r, range(1, 16))):
+                dp = br.log_lower
                 lo = m * (m + 1) * math.log(r)
                 hi = float(np.logaddexp(lchoose(m * m, m) + m * (m + 1) * math.log(r),
                                         (2 * m * m + 2) * math.log(r) - math.log1p(-r * r)))

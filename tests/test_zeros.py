@@ -799,7 +799,7 @@ class TestCountReplicas:
         (path,) = experiments.run(cfg, str(tmp_path))
         with open(path) as fh:
             (row,) = list(csv.DictReader(fh))
-        assert int(row["hits"]) == est.extras["hits"]
-        assert int(row["retries"]) == est.extras["retries"]
-        assert int(row["unresolved"]) == est.extras["unresolved_as_failure"]
+        assert int(row["hits"]) == est.hits
+        assert int(row["retries"]) == est.retries
+        assert int(row["unresolved"]) == est.unresolved
         assert float(row["log_p"]) == est.log_p
