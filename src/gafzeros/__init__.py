@@ -11,9 +11,10 @@ from .models import (GafModel, Kind, TruncatedGaf, choose_truncation,
                      make_truncated, sample_coefficients, sample_truncated,
                      sigma, stream, tail_sd, weight_ratio_bound)
 from .zeros import (CountResult, InconclusiveCount, JensenCheck,
-                    RootsDidNotConverge, circle_mean_log_abs, count_in_disk,
-                    count_replicas, count_with_retry, count_zeros_winding, find_roots,
-                    find_roots_many, jensen_residual, jensen_residuals, max_modulus)
+                    RootsDidNotConverge, circle_mean_log_abs, circle_mean_log_abs_many,
+                    count_in_disk, count_replicas, count_with_retry, count_with_retry_many,
+                    count_zeros_winding, find_roots, find_roots_many, jensen_residual,
+                    jensen_residuals, max_modulus)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
                      bernoulli_probs, poisson_binomial_tail_log, sample_radii,
                      tail_log_brackets)

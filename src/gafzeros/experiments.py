@@ -332,7 +332,7 @@ def _run_exponent_fit(cfg: RunConfig):
 
 
 def _jensen_chunk(args):
-    """Jensen-check rows of one block: every trial is drawn and counted, then one root solve."""
+    """Jensen-check rows of one block: every trial drawn, all counted together, one root solve."""
     (r_lo, r_hi, ratio, quad_tol, guard, seed, block, count) = args
     model = GafModel.planar()
     trials = []
@@ -340,21 +340,20 @@ def _jensen_chunk(args):
         rng = models.stream(seed, block * CHUNK + j)
         r = r_lo + (r_hi - r_lo) * rng.random()
         big_r = ratio * r
-        gaf = models.sample_truncated(model, big_r, rng)
-        try:
-            res, _ = zeros.count_with_retry(gaf, r, guard * gaf.tail_sd)
-        except zeros.InconclusiveCount:
-            res = None
-        trials.append((block * CHUNK + j, r, big_r, gaf, res))
-    checks = iter(zeros.jensen_residuals([(gaf, r, big_r) for _, r, big_r, gaf, res in trials
-                                          if res is not None], quad_tol=quad_tol))
+        trials.append((block * CHUNK + j, r, big_r, models.sample_truncated(model, big_r, rng)))
+    counted = zeros.count_with_retry_many([(gaf, r, guard * gaf.tail_sd)
+                                           for _, r, _, gaf in trials])
+    resolved = [not isinstance(c, zeros.InconclusiveCount) for c in counted]
+    checks = iter(zeros.jensen_residuals([(gaf, r, big_r) for (_, r, big_r, gaf), ok
+                                          in zip(trials, resolved) if ok], quad_tol=quad_tol))
     out = []
-    for trial, r, big_r, _, res in trials:
-        check = next(checks) if res is not None else None
+    for (trial, r, big_r, _), res, ok in zip(trials, counted, resolved):
+        check = next(checks) if ok else None
         if isinstance(check, zeros.JensenCheck):
+            count = res[0].count
             root_count = zeros.count_in_disk(check.roots, r)
-            ineq = res.count * math.log(big_r / r) <= check.integral_n_over_u + 1e-9
-            out.append((trial, r, big_r, res.count, root_count, check.residual, ineq, True))
+            ineq = count * math.log(big_r / r) <= check.integral_n_over_u + 1e-9
+            out.append((trial, r, big_r, count, root_count, check.residual, ineq, True))
         else:
             out.append((trial, r, big_r, -1, -1, float("nan"), False, False))
     return out

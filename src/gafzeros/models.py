@@ -57,7 +57,11 @@ def log_sigma(model: GafModel, n):
     hyperbolic sigma_n^2 = Gamma(n+rho)/(n! Gamma(rho)) is the product of
     (rho+k)/(k+1) over k < n; below ``_STIRLING_FROM`` its log is summed
     term by term as log1p((rho-1)/(k+1)), which no large log-gamma cancels.
-    At rho = 1 every form is exactly 0.
+    From there on, the larger of n+1 and rho is the base of a Stirling
+    difference (``_log_gamma_ratio``) and the log-gamma of the smaller one is
+    subtracted: log Gamma(rho+n) - log Gamma(rho) - log n! where n < rho,
+    else log Gamma(n+rho) - log Gamma(n+1) - log Gamma(rho).  At rho = 1
+    every form is exactly 0.
     """
     n = np.asarray(n, dtype=float)
     if np.any(n < 0):
@@ -68,30 +72,29 @@ def log_sigma(model: GafModel, n):
         rho = model.rho
         head = np.concatenate(([0.0], np.cumsum(
             np.log1p((rho - 1.0) / np.arange(1.0, _STIRLING_FROM)))))
+        m = np.maximum(n, _STIRLING_FROM)
+        tail = np.where(m < rho, _log_gamma_ratio(rho, m) - special.gammaln(m + 1),
+                        _log_gamma_ratio(m + 1.0, rho - 1.0) - special.gammaln(rho))
         out = 0.5 * np.where(n < _STIRLING_FROM,
-                             head[np.minimum(n, _STIRLING_FROM - 1).astype(int)],
-                             _log_gamma_ratio(n, rho) - special.gammaln(rho))
+                             head[np.minimum(n, _STIRLING_FROM - 1).astype(int)], tail)
     return float(out) if out.ndim == 0 else out
 
 
-# From n = 10 on, log Gamma(n+rho) - log Gamma(n+1) comes from the Stirling
-# series of both terms; the coefficients B_2k / (2k (2k-1)), k = 1..7, leave
-# a remainder below 3e-17 there, since both arguments are at least 10.
+# From n = 10 on, log sigma_n^2 is a difference of log-gammas at arguments
+# of at least 10, taken from their Stirling series; the coefficients
+# B_2k / (2k (2k-1)), k = 1..7, leave a remainder below 3e-17 there.
 _STIRLING_FROM = 10
 _STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
-def _log_gamma_ratio(n: np.ndarray, rho: float) -> np.ndarray:
-    """log Gamma(n+rho) - log Gamma(n+1) for n >= ``_STIRLING_FROM``.
+def _log_gamma_ratio(x, d):
+    """log Gamma(x+d) - log Gamma(x) for x and x+d at least ``_STIRLING_FROM``.
 
-    A direct gammaln difference would lose the ulp of log Gamma(n), about
-    n log n.  With x = n+1 and d = rho-1, the ratio is
-    (x - 1/2) log1p(d/x) - d + d log(x+d) plus the difference of the two
-    Stirling corrections, no piece of it larger than the result.  An n
-    below ``_STIRLING_FROM`` gets the value at ``_STIRLING_FROM``.
+    A direct gammaln difference would lose the ulp of log Gamma(x), about
+    x log x.  The ratio is (x - 1/2) log1p(d/x) - d + d log(x+d) plus the
+    difference of the two Stirling corrections, no piece of it larger than
+    the result.
     """
-    x = np.maximum(n, _STIRLING_FROM) + 1.0
-    d = rho - 1.0
 
     def correction(y):
         inv2 = 1.0 / (y * y)

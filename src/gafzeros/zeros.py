@@ -7,9 +7,10 @@ smallest sampled modulus, minus a continuity margin, against a caller-supplied
 floor (typically a truncation tail bound), which is what makes the truncated
 count transferable to the full series.
 
-Every circle functional reads the circle through ``_circle_grids``.  A
-``TruncatedGaf`` is read from its coefficients, one inverse FFT per grid;
-any other callable is called on the grid nodes.
+Every circle functional reads the circle through ``_circle_grids``, which
+walks many functions at once.  The ``TruncatedGaf`` rows are read from their
+coefficients, one inverse FFT along the rows per grid; any other callable is
+called on the grid nodes.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ PHASE_LIMIT = math.pi / 2.0
 MAX_NODES = 2**20
 HARD_FLOOR = 1e-300  # moduli below this are treated as a hard failure, never clamped
 # Roots per block of ``find_roots_many``.  An Aberth iteration pays a fixed
-# numpy call cost per Horner step and per group of equal degree, whatever
-# the block's width, and larger blocks spread it over more roots until their
-# arrays fall out of cache: over the root solves of roots-jensen passes,
-# 1024 ran fastest among 256, 512, 1024, 4096 and unbounded (2.5x slower).
+# numpy call cost per Horner step and per group of equal degree with an
+# active root, whatever the block's width, and larger blocks spread it over
+# more roots until their arrays fall out of cache.  Over the root solves of
+# a roots-jensen pass, iterating only the active roots, 512 and 1024 took
+# the same CPU time (0.26-0.27 s), 2048 and 4096 more (0.28 and 0.30-0.33 s).
 ROOT_BLOCK = 1024
 
 
@@ -65,65 +67,191 @@ class JensenCheck:
     roots: np.ndarray = field(repr=False, compare=False)
 
 
-def _fold(c, n):
-    """c summed in blocks of n: entry j is the sum of c[k] over k = j mod n."""
-    if len(c) <= n:
-        return c
-    return np.concatenate([c, np.zeros(-len(c) % n, dtype=c.dtype)]).reshape(-1, n).sum(axis=0)
-
-
-def _coefficient_grid(gaf: TruncatedGaf, r):
-    """``on_grid(n, shift)``: gaf at r e^{2 pi i (j + shift)/n}, j < n, by one inverse FFT.
+def _coefficient_rows(gafs, rs):
+    """``on_grid(sel, n, shift)``: rows ``sel`` of gafs[i] at rs[i] e^{2 pi i (j + shift)/n}.
 
     On n equispaced nodes sum_k b_k e^{2 pi i jk/n} is the inverse DFT of the
     scaled coefficients b_k = w_k r^k folded mod n; the midpoint shift 1/2
     first rotates b_k by e^{i pi k/n} (shift is 0 or 1/2).  b_k is formed as
     exp(log w_k + k log r) with the complex log, so a subnormal w_k keeps its
-    digits; zero weights stay 0.
+    digits; zero weights stay 0.  The rows sit zero-padded in one matrix and
+    take one inverse FFT along axis 1 per call; a row is folded over its own
+    blocks of n only and keeps +0 past its own length, so each row gets the
+    bits of a transform of its coefficients alone.
     """
-    if r > gaf.radius_of_use * (1.0 + 1e-5):
-        raise ValueError("evaluation point outside radius_of_use")
-    w = gaf.weighted_coefficients
-    k = np.arange(len(w))
-    b = np.zeros(len(w), dtype=complex)
+    for gaf, r in zip(gafs, rs):
+        if r > gaf.radius_of_use * (1.0 + 1e-5):
+            raise ValueError("evaluation point outside radius_of_use")
+    lens = np.array([len(gaf.weighted_coefficients) for gaf in gafs])
+    w = np.zeros((len(gafs), lens.max()), dtype=complex)
+    for row, gaf in zip(w, gafs):
+        row[: len(gaf.weighted_coefficients)] = gaf.weighted_coefficients
+    k = np.arange(w.shape[1])
+    b = np.zeros_like(w)
     nz = w != 0
-    b[nz] = np.exp(np.log(w[nz]) + k[nz] * math.log(r))
+    b[nz] = np.exp(np.log(w[nz]) + (k * np.array([math.log(r) for r in rs])[:, None])[nz])
 
-    def on_grid(n, shift):
-        c = b if shift == 0 else b * np.exp(1j * (_TWO_PI * shift / n) * (k % (2 * n)))
-        return np.fft.ifft(_fold(c, n), n=n, norm="forward")
+    def on_grid(sel, n, shift):
+        size = lens[sel]
+        width = size.max()
+        c = b[sel, :width]
+        if shift:
+            rot = np.exp(1j * (_TWO_PI * shift / n) * (k[:width] % (2 * n)))
+            if size.min() == width:
+                c = c * rot
+            else:
+                c = np.multiply(c, rot, out=np.zeros_like(c), where=k[:width] < size[:, None])
+        if width > n:
+            # c summed over its blocks of n, each row over its own blocks only
+            blocks = np.concatenate([c, np.zeros((len(c), -width % n), dtype=complex)],
+                                    axis=1).reshape(len(c), -1, n)
+            c = blocks[:, 0].copy()
+            for j in range(1, blocks.shape[1]):
+                more = size > j * n
+                c[more] += blocks[more, j]
+        return np.fft.ifft(c, n=n, axis=1, norm="forward")
 
     return on_grid
 
 
-def _circle_grids(f, r, start_nodes, max_nodes):
-    """Values of f on |z| = r over uniform grids that double up to max_nodes.
+# Grid values one level of the circle walk may hold; rows that outgrow it
+# walk on in groups (one row at the least), so that 1024 replicas at 65536
+# nodes take 16 MB per array instead of 1 GB.
+GRID_BUDGET = 2**20
+
+
+def _circle_grids(fs, rs, start_nodes, max_nodes, step):
+    """Walk f_i on |z| = r_i over uniform grids that double up to max_nodes.
 
     The first grid has start_nodes nodes from angle 0; each later grid adds
     the midpoints of the one before, so each grid costs one evaluation on
-    the new nodes only.  A ``TruncatedGaf`` is evaluated from its
-    coefficients, one inverse FFT per grid (``_coefficient_grid``); any other
-    callable is called on the nodes.  A consumer ends the walk by leaving its
-    loop.
+    the new nodes only.  At each level ``step(rows, vals)`` gets the indices
+    of the rows still walking and their values, one row of vals per
+    function, and returns the mask of the rows that walk on; the walk ends
+    after the first level of max_nodes or more.  The ``TruncatedGaf`` rows
+    are evaluated from their coefficients, by one inverse FFT along the rows
+    of a matrix (``_coefficient_rows``); any other callable is called on the
+    nodes.  Every row's values are the bits of a walk of its function alone.
     """
-    if isinstance(f, TruncatedGaf):
-        on_grid = _coefficient_grid(f, r)
+    if all(isinstance(f, TruncatedGaf) for f in fs):
+        on_grid = _coefficient_rows(fs, rs)
     else:
-        def on_grid(n, shift):
+        coef = np.array([isinstance(f, TruncatedGaf) for f in fs])
+        place = np.cumsum(coef) - 1  # a coefficient row's row in the FFT matrix
+        fft_grid = (_coefficient_rows([f for f, c in zip(fs, coef) if c],
+                                      [r for r, c in zip(rs, coef) if c]) if coef.any() else None)
+
+        def on_grid(rows, n, shift):
+            by_fft = coef[rows]
+            vals = np.empty((len(rows), n), dtype=complex)
+            if by_fft.any():
+                vals[by_fft] = fft_grid(place[rows[by_fft]], n, shift)
             theta = (np.arange(n) + shift) * (_TWO_PI / n)
-            return np.asarray(f(r * np.exp(1j * theta)), dtype=complex)
-    vals = on_grid(start_nodes, 0.0)
-    yield vals
-    while len(vals) < max_nodes:
-        n = len(vals)
-        new_vals = on_grid(n, 0.5)
-        doubled = np.empty(2 * n, dtype=complex)
-        doubled[0::2] = vals
-        doubled[1::2] = new_vals
-        vals = doubled
-        # while suspended, hold no array but the grid it yields
-        del new_vals, doubled
-        yield vals
+            for j in np.flatnonzero(~by_fft):
+                i = rows[j]
+                vals[j] = np.asarray(fs[i](rs[i] * np.exp(1j * theta)), dtype=complex)
+            return vals
+
+    def doubled(rows, vals):
+        out = np.empty((len(rows), 2 * vals.shape[1]), dtype=complex)
+        out[:, 0::2] = vals
+        out[:, 1::2] = on_grid(rows, vals.shape[1], 0.5)
+        return out
+
+    # each walk is (rows, their values on a grid already stepped, or None
+    # before the start grid)
+    first = max(1, GRID_BUDGET // start_nodes)
+    walks = [(np.arange(g, min(g + first, len(fs))), None)
+             for g in range(0, len(fs), first)][::-1]
+    while walks:
+        rows, vals = walks.pop()
+        vals = on_grid(rows, start_nodes, 0.0) if vals is None else doubled(rows, vals)
+        while True:
+            keep = step(rows, vals)
+            n = vals.shape[1]
+            if n >= max_nodes or not keep.any():
+                break
+            if not keep.all():
+                rows, vals = rows[keep], vals[keep]
+            group = max(1, GRID_BUDGET // (2 * n))
+            if len(rows) > group:
+                walks.extend((rows[g: g + group], vals[g: g + group])
+                             for g in range(0, len(rows), group)[::-1])
+                break
+            vals = doubled(rows, vals)
+
+
+def _counts(fs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
+    """``count_zeros_winding`` of every (f, r, floor) row, on one circle walk.
+
+    Returns one entry per row: its CountResult, or the InconclusiveCount
+    that ``count_zeros_winding`` raises for it.  The phase increments are
+    formed only at a level where a row can stop: where it is certified or
+    the grid is at the node cap.
+    """
+    for r, floor in zip(rs, floors):
+        if not r > 0:
+            raise ValueError("radius must be positive")
+        if not floor >= 0:
+            raise ValueError("floor must be nonnegative")
+    out = [None] * len(fs)
+    floor_of = np.array(floors, dtype=float)
+    limit = np.maximum(floor_of, HARD_FLOOR)
+
+    def step(rows, vals):
+        n = vals.shape[1]
+        mods = np.abs(vals)
+        mn = mods.min(axis=1)
+        keep = ~(mn <= limit[rows])
+        live = np.flatnonzero(keep)
+        if len(live) < len(rows):
+            for j in np.flatnonzero(~keep):
+                i = rows[j]
+                out[i] = InconclusiveCount(f"min |f| = {mn[j]:.3e} at or below floor "
+                                           f"{floors[i]:.3e} on |z| = {rs[i]}")
+            vals, mods = vals[live], mods[live]
+        # per-arc continuity margin: |f| between two nodes cannot drop below
+        # the smaller endpoint by more than about the endpoint jump once the
+        # grid resolves f; ``last`` is the arc from the last node to the first
+        arcs = np.minimum(mods[:, :-1], mods[:, 1:]) - np.abs(vals[:, 1:] - vals[:, :-1])
+        last = np.minimum(mods[:, -1], mods[:, 0]) - np.abs(vals[:, 0] - vals[:, -1])
+        certified = np.minimum(arcs.min(axis=1), last) > floor_of[rows[live]]
+        stop = np.flatnonzero(certified) if n < max_nodes else np.arange(len(live))
+        if len(stop) == 0:
+            return keep
+        if len(stop) < len(live):
+            vals = vals[stop]
+        nxt = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)  # np.roll(vals, -1, axis=1)
+        diffs = np.angle(nxt / vals)
+        phase_ok = np.abs(diffs).max(axis=1) < PHASE_LIMIT
+        totals = diffs.sum(axis=1)
+        for s, ok, total in zip(stop, phase_ok, totals):
+            j = live[s]
+            i = rows[j]
+            if ok:
+                out[i] = _winding_result(float(total), bool(certified[s]), float(mn[j]), n)
+            elif n >= max_nodes:
+                out[i] = InconclusiveCount(
+                    f"phase increments unresolved at {n} nodes on |z| = {rs[i]}")
+            else:
+                continue
+            keep[j] = False
+        return keep
+
+    _circle_grids(fs, rs, start_nodes, max_nodes, step)
+    return out
+
+
+def _winding_result(total, certified, mn, n):
+    """The count of a resolved walk's phase total, or why the total is no count."""
+    winding = total / _TWO_PI
+    count = int(round(winding))
+    if abs(winding - count) > 1e-6:
+        return InconclusiveCount(f"winding {winding} is not an integer to 1e-6")
+    if count < 0:
+        return InconclusiveCount(f"negative winding {count} for an analytic function")
+    return CountResult(count=count, certified=certified,
+                       min_modulus_on_circle=mn, circle_nodes_used=n)
 
 
 def count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES) -> CountResult:
@@ -136,39 +264,38 @@ def count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES) ->
     The grid doubles until all phase increments resolve; it keeps doubling (up
     to the node cap) while certification is the only thing missing.
     """
-    if not r > 0:
-        raise ValueError("radius must be positive")
-    if not floor >= 0:
-        raise ValueError("floor must be nonnegative")
-    for vals in _circle_grids(f, r, start_nodes, max_nodes):
-        mods = np.abs(vals)
-        mn = float(mods.min())
-        if mn <= max(floor, HARD_FLOOR):
-            raise InconclusiveCount(
-                f"min |f| = {mn:.3e} at or below floor {floor:.3e} on |z| = {r}")
-        nxt = np.roll(vals, -1)
-        diffs = np.angle(nxt / vals)
-        # per-arc continuity margin: |f| between two nodes cannot drop below
-        # the smaller endpoint by more than about the endpoint jump once the
-        # grid resolves f
-        jumps = np.abs(nxt - vals)
-        arc_floor = float((np.minimum(mods, np.abs(nxt)) - jumps).min())
-        phase_ok = float(np.abs(diffs).max()) < PHASE_LIMIT
-        certified = arc_floor > floor
-        if phase_ok and (certified or len(vals) >= max_nodes):
+    (res,) = _counts([f], [r], [floor], start_nodes, max_nodes)
+    if isinstance(res, InconclusiveCount):
+        raise res
+    return res
+
+
+def count_with_retry_many(cases, *, require_certified=True) -> list:
+    """``count_with_retry`` of every (f, r, floor) in ``cases``, on shared circle walks.
+
+    Returns one entry per case: (CountResult, retries_used), or the
+    InconclusiveCount that ``count_with_retry`` raises for it.  Each attempt
+    walks the cases still failing as one batch, in the order of the radius
+    perturbations of ``count_with_retry``.
+    """
+    out = [None] * len(cases)
+    todo = list(range(len(cases)))
+    for attempt, d in enumerate((0.0, 1e-6, -1e-6, 2e-6)):
+        if not todo:
             break
-    else:
-        raise InconclusiveCount(
-            f"phase increments unresolved at {len(vals)} nodes on |z| = {r}")
-    total = float(diffs.sum())
-    winding = total / _TWO_PI
-    count = int(round(winding))
-    if abs(winding - count) > 1e-6:
-        raise InconclusiveCount(f"winding {winding} is not an integer to 1e-6")
-    if count < 0:
-        raise InconclusiveCount(f"negative winding {count} for an analytic function")
-    return CountResult(count=count, certified=certified,
-                       min_modulus_on_circle=mn, circle_nodes_used=len(vals))
+        results = _counts([cases[i][0] for i in todo], [cases[i][1] * (1.0 + d) for i in todo],
+                          [cases[i][2] for i in todo])
+        failing = []
+        for i, res in zip(todo, results):
+            if isinstance(res, CountResult):
+                if res.certified or not require_certified:
+                    out[i] = (res, attempt)
+                    continue
+                res = InconclusiveCount(f"uncertified count at radius perturbation {d:+.1e}")
+            out[i] = res  # the last error, unless a later attempt succeeds
+            failing.append(i)
+        todo = failing
+    return out
 
 
 def count_with_retry(f, r, floor, *, require_certified=True):
@@ -176,40 +303,43 @@ def count_with_retry(f, r, floor, *, require_certified=True):
 
     An inconclusive (or uncertified, when required) result retries at radii
     perturbed by multiples of 1e-6 * r, at most 3 times, then the last error
-    is raised.  Returns (CountResult, retries_used).
+    is raised.  Returns (CountResult, retries_used).  This is the one-case
+    form of ``count_with_retry_many``.
     """
-    last_exc = None
-    for attempt, d in enumerate((0.0, 1e-6, -1e-6, 2e-6)):
-        try:
-            res = count_zeros_winding(f, r * (1.0 + d), floor)
-            if res.certified or not require_certified:
-                return res, attempt
-            last_exc = InconclusiveCount(
-                f"uncertified count at radius perturbation {d:+.1e}")
-        except InconclusiveCount as exc:
-            last_exc = exc
-    raise last_exc
+    (res,) = count_with_retry_many([(f, r, floor)], require_certified=require_certified)
+    if isinstance(res, InconclusiveCount):
+        raise res
+    return res
+
+
+# Replicas drawn and counted together by ``count_replicas``: their draws and
+# their start grids (1024 x 256 values) stay small whatever the number of keys.
+REPLICA_BLOCK = 1024
 
 
 def count_replicas(model: GafModel, r, degree, guard, seed, keys):
     """Certified zero counts in |z| < r of independent truncated draws.
 
     Replica k samples ``model`` at ``degree`` from ``stream(seed, k)`` and is
-    counted by ``count_with_retry`` with floor ``guard * tail_sd``.  Returns
-    (counts, retries): one count per key, -1 where the replica stayed
-    unresolved, and the retries used by the resolved replicas.
+    counted by ``count_with_retry`` with floor ``guard * tail_sd``; blocks of
+    ``REPLICA_BLOCK`` replicas are counted together by
+    ``count_with_retry_many``.  Returns (counts, retries): one count per key,
+    -1 where the replica stayed unresolved, and the retries used by the
+    resolved replicas.
     """
+    keys = list(keys)
     counts = np.empty(len(keys), dtype=int)
     retries = 0
-    for i, k in enumerate(keys):
-        gaf = sample_truncated(model, r, stream(seed, k), degree=degree)
-        try:
-            res, used = count_with_retry(gaf, r, guard * gaf.tail_sd)
-        except InconclusiveCount:
-            counts[i] = -1
-            continue
-        counts[i] = res.count
-        retries += used
+    for lo in range(0, len(keys), REPLICA_BLOCK):
+        gafs = [sample_truncated(model, r, stream(seed, k), degree=degree)
+                for k in keys[lo: lo + REPLICA_BLOCK]]
+        results = count_with_retry_many([(gaf, r, guard * gaf.tail_sd) for gaf in gafs])
+        for i, res in enumerate(results, lo):
+            if isinstance(res, InconclusiveCount):
+                counts[i] = -1
+                continue
+            counts[i] = res[0].count
+            retries += res[1]
     return counts, retries
 
 
@@ -232,13 +362,14 @@ def _initial_root_guesses(coeffs):
             else:
                 break
         hull.append(p)
-    guesses = []
-    for seg, ((k1, u1), (k2, u2)) in enumerate(zip(hull[:-1], hull[1:])):
-        cnt = k2 - k1
-        radius = math.exp((u1 - u2) / cnt)
-        ang = _TWO_PI * (np.arange(cnt) + 0.375) / cnt + 0.61 * seg
-        guesses.append(radius * np.exp(1j * ang))
-    return np.concatenate(guesses)
+    edges = list(zip(hull[:-1], hull[1:]))
+    cnt = np.array([k2 - k1 for (k1, _), (k2, _) in edges])
+    radius = [math.exp((u1 - u2) / (k2 - k1)) for (k1, u1), (k2, u2) in edges]
+    seg = np.repeat(np.arange(len(cnt)), cnt)
+    each = np.repeat(cnt, cnt)
+    j = np.arange(len(seg)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    ang = _TWO_PI * (j + 0.375) / each + 0.61 * seg
+    return np.repeat(radius, cnt) * np.exp(1j * ang)
 
 
 def _value_and_slope_rows(cs):
@@ -303,10 +434,15 @@ def _aberth_block(cs, at_zero, residual_tol, max_iter):
 
     ``at_zero[j]`` holds the roots at 0 that polynomial j had stripped.  The
     roots of all polynomials sit in one vector, polynomial after polynomial.
-    Each iteration evaluates the live polynomials (those with a root not yet
-    frozen) in one Horner pass, and forms their Aberth sums per group of
-    equal degree as a (b, d, d) tensor, so every root takes the
-    floating-point steps of a solve of its polynomial alone.
+    A root is active until its correction falls below 1e-14 (1 + |z|), then
+    frozen.  Each iteration evaluates the active roots in one Horner pass,
+    and forms their Aberth sums per group of equal degree d: an active
+    root's sum is one row of length d over all roots of its polynomial,
+    frozen ones included, so every root takes the floating-point steps of a
+    solve of its polynomial alone.  A frozen root is not evaluated again: a
+    solve that evaluates it only takes a correction of 0, and could pull it
+    back only if the step below 1e-14 (1 + |z|) that froze it had carried its
+    values from finite to overflow.
     """
     degs = np.array([len(c) - 1 for c in cs])
     ends = np.cumsum(degs)
@@ -314,40 +450,36 @@ def _aberth_block(cs, at_zero, residual_tol, max_iter):
     rows = _value_and_slope_rows(cs)
     n = int(ends[-1])
     z = np.concatenate([_initial_root_guesses(c) for c in cs])
-    done = np.zeros(n, dtype=bool)
-    live = np.ones(len(cs), dtype=bool)
-    changed = True
+    ds, at, counts = np.unique(degs, return_index=True, return_counts=True)
+    # each equal-degree group: its first root, degree and end
+    groups = [(int(lo), int(d), int(lo + c * d)) for lo, d, c in zip(starts[at], ds, counts)]
+    active = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            if changed:
-                # the roots, Horner columns and equal-degree groups of the live polynomials
-                idx = np.concatenate([np.arange(a, b) for a, b in zip(starts[live], ends[live])])
-                live_rows = rows[:, np.concatenate([idx, n + idx])]
-                zl, done_l = z[idx], done[idx]
-                d_live = degs[live]
-                first = np.cumsum(d_live) - d_live
-                ds, at, counts = np.unique(d_live, return_index=True, return_counts=True)
-                groups = list(zip(first[at], ds, counts))
-            zl, p, dp = _values_with_pullback(live_rows, zl)
+            za, p, dp = _values_with_pullback(rows[:, np.concatenate([active, n + active])],
+                                              z[active])
+            z[active] = za
             dp = np.where(dp == 0, 1e-30, dp)
             w = p / dp
-            s = np.empty_like(zl)
-            for lo, d, count in groups:
-                zg = zl[lo: lo + count * d].reshape(count, d)
-                diff = zg[:, :, None] - zg[:, None, :]
-                diff.reshape(count, d * d)[:, :: d + 1] = np.inf  # the diagonals
-                s[lo: lo + count * d] = (1.0 / diff).sum(axis=2).ravel()
+            s = np.empty_like(za)
+            bounds = np.searchsorted(active, [hi for _, _, hi in groups])
+            for (lo, d, hi), a, b in zip(groups, np.concatenate([[0], bounds[:-1]]), bounds):
+                if a == b:
+                    continue
+                k = active[a:b] - lo
+                diff = z[lo:hi].reshape(-1, d)[k // d]
+                np.subtract(za[a:b, None], diff, out=diff)
+                diff[np.arange(b - a), k % d] = np.inf  # the root itself
+                s[a:b] = np.divide(1.0, diff, out=diff).sum(axis=1)
             denom = 1.0 - w * s
             denom = np.where(denom == 0, 1e-30, denom)
-            corr = np.where(done_l, 0.0, w / denom)
-            zl = zl - corr
-            done_l |= np.abs(corr) <= 1e-14 * (1.0 + np.abs(zl))
-            z[idx], done[idx] = zl, done_l
-            finished = np.logical_and.reduceat(done_l, first)
-            live[np.flatnonzero(live)[finished]] = False
-            if not live.any():
+            corr = w / denom
+            za = za - corr
+            z[active] = za
+            # a NaN correction keeps its root active
+            active = active[~(np.abs(corr) <= 1e-14 * (1.0 + np.abs(za)))]
+            if not len(active):
                 break
-            changed = finished.any()
         for _ in range(2):  # Newton polish
             z, p, dp = _values_with_pullback(rows, z)
             dp = np.where(dp == 0, 1e-30, dp)
@@ -428,26 +560,64 @@ def count_in_disk(roots, r) -> int:
     return int(np.count_nonzero(np.abs(roots) < r))
 
 
+def _means(fs, ss, tol, start_nodes=128, max_nodes=MAX_NODES) -> list:
+    """``circle_mean_log_abs`` of every (f, s) row, on one circle walk.
+
+    Returns one entry per row: its mean, or the InconclusiveCount that
+    ``circle_mean_log_abs`` raises for it.
+    """
+    for s in ss:
+        if not s > 0:
+            raise ValueError("radius must be positive")
+    out = [None] * len(fs)
+    est = np.full(len(fs), np.nan)  # NaN, like no estimate, passes no test
+    cap = max(max_nodes, 2 * start_nodes)
+
+    def step(rows, vals):
+        mods = np.abs(vals)
+        low = mods.min(axis=1) <= HARD_FLOOR
+        with np.errstate(divide="ignore"):
+            new = np.log(mods).mean(axis=1)
+        done = ~low & (np.abs(new - est[rows]) < tol)
+        est[rows] = new
+        for j in np.flatnonzero(low):
+            out[rows[j]] = InconclusiveCount("modulus below 1e-300 on the quadrature circle")
+        for j in np.flatnonzero(done):
+            out[rows[j]] = float(new[j])
+        keep = ~(low | done)
+        n = vals.shape[1]
+        if n >= cap:
+            for j in np.flatnonzero(keep):
+                out[rows[j]] = InconclusiveCount(
+                    f"quadrature unstable at node cap ({n} nodes)")
+        return keep
+
+    # at least two grids, so that every mean is checked against a refinement
+    _circle_grids(fs, ss, start_nodes, cap, step)
+    return out
+
+
+def circle_mean_log_abs_many(cases, tol) -> list:
+    """``circle_mean_log_abs`` of every (f, s) in ``cases``, on one circle walk.
+
+    Returns one entry per case: its mean, or the InconclusiveCount that
+    ``circle_mean_log_abs`` raises for it.
+    """
+    return _means([f for f, _ in cases], [s for _, s in cases], tol)
+
+
 def circle_mean_log_abs(f, s, tol, *, start_nodes=128, max_nodes=MAX_NODES) -> float:
     """(1/2pi) integral of log |f(s e^{i theta})| d theta by node-doubling trapezoid.
 
     On a periodic uniform grid the trapezoid rule is the plain node mean and
     converges spectrally for analytic nonvanishing f.  Moduli below 1e-300
     are a hard failure: clamping would silently corrupt downstream bounds.
+    This is the one-case form of ``circle_mean_log_abs_many``.
     """
-    if not s > 0:
-        raise ValueError("radius must be positive")
-    est = None
-    # at least two grids, so that every mean is checked against a refinement
-    for vals in _circle_grids(f, s, start_nodes, max(max_nodes, 2 * start_nodes)):
-        mods = np.abs(vals)
-        if mods.min() <= HARD_FLOOR:
-            raise InconclusiveCount("modulus below 1e-300 on the quadrature circle")
-        new = float(np.mean(np.log(mods)))
-        if est is not None and abs(new - est) < tol:
-            return new
-        est = new
-    raise InconclusiveCount(f"quadrature unstable at node cap ({len(vals)} nodes)")
+    (mean,) = _means([f], [s], tol, start_nodes, max_nodes)
+    if isinstance(mean, InconclusiveCount):
+        raise mean
+    return mean
 
 
 def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
@@ -455,7 +625,8 @@ def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
 
     The radii and constant terms of all cases are checked first (ValueError);
     then ``find_roots_many`` solves every weighted coefficient vector at once,
-    and the circle means are taken case by case.  Returns one entry per case:
+    and ``circle_mean_log_abs_many`` takes the means at R and r of every case
+    whose roots converged.  Returns one entry per case:
     its JensenCheck, or the RootsDidNotConverge or InconclusiveCount that
     ``jensen_residual`` raises for it.
     """
@@ -465,6 +636,9 @@ def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
         if abs(gaf.weighted_coefficients[0]) == 0:
             raise ValueError("f(0) = 0: the identity needs a nonzero constant term")
     solved = find_roots_many([gaf.weighted_coefficients for gaf, _, _ in cases])
+    means = iter(circle_mean_log_abs_many(
+        [(gaf, s) for (gaf, r, R), roots in zip(cases, solved)
+         if not isinstance(roots, RootsDidNotConverge) for s in (R, r)], quad_tol))
     out = []
     for (gaf, r, R), roots in zip(cases, solved):
         if isinstance(roots, RootsDidNotConverge):
@@ -473,11 +647,10 @@ def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
         mods = np.abs(roots)
         inside = mods < R
         integral = float(np.sum(np.log(R / np.maximum(mods[inside], r))))
-        try:
-            mean_R = circle_mean_log_abs(gaf, R, quad_tol)
-            mean_r = circle_mean_log_abs(gaf, r, quad_tol)
-        except InconclusiveCount as exc:
-            out.append(exc)
+        mean_R, mean_r = next(means), next(means)
+        failed = [m for m in (mean_R, mean_r) if isinstance(m, InconclusiveCount)]
+        if failed:
+            out.append(failed[0])
             continue
         out.append(JensenCheck(r=r, R=R, mean_log_R=mean_R, mean_log_r=mean_r,
                                integral_n_over_u=integral,
@@ -524,10 +697,15 @@ def _polished_circle_max(f, r, vals):
 
 def max_modulus(f, r, *, rel_tol=1e-9, start_nodes=128, max_nodes=MAX_NODES) -> float:
     """max |f| over |z| = r (equals the disk max, by the maximum principle)."""
-    best = None
-    for vals in _circle_grids(f, r, start_nodes, max_nodes):
-        new = _polished_circle_max(f, r, vals)
-        if best is not None and abs(new - best) <= rel_tol * max(new, best, 1e-300):
-            return max(new, best)
-        best = new
-    return best
+    best = []
+
+    def step(rows, vals):
+        new = _polished_circle_max(f, r, vals[0])
+        if best and abs(new - best[-1]) <= rel_tol * max(new, best[-1], 1e-300):
+            best.append(max(new, best[-1]))
+            return np.zeros(1, dtype=bool)
+        best.append(new)
+        return np.ones(1, dtype=bool)
+
+    _circle_grids([f], [r], start_nodes, max_nodes, step)
+    return best[-1]

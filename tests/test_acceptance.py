@@ -202,23 +202,15 @@ def test_criterion_09_counting_identities():
 
 def _certified_counts(model, r, n_samples, seed_key):
     # unresolvable replicas (zero essentially on the circle, beyond the
-    # radius-perturbation retry policy) are replaced by fresh draws
+    # radius-perturbation retry policy) are replaced by fresh draws: the
+    # counts of the first n_samples resolved keys among n_samples + 101, and
+    # the number of keys up to the last of them
     deg = gz.choose_truncation(model, r)
-    counts = np.empty(n_samples)
-    got = 0
-    attempts = 0
-    while got < n_samples:
-        if attempts > n_samples + 100:
-            raise RuntimeError("too many unresolved replicas")
-        gaf = gz.sample_truncated(model, r, gz.stream(seed_key, attempts), degree=deg)
-        attempts += 1
-        try:
-            res, _ = gz.count_with_retry(gaf, r, 100.0 * gaf.tail_sd)
-        except gz.InconclusiveCount:
-            continue
-        counts[got] = res.count
-        got += 1
-    return counts, attempts
+    counts, _ = gz.count_replicas(model, r, deg, 100.0, seed_key, range(n_samples + 101))
+    resolved = np.flatnonzero(counts >= 0)[:n_samples]
+    if len(resolved) < n_samples:
+        raise RuntimeError("too many unresolved replicas")
+    return counts[resolved].astype(float), int(resolved[-1]) + 1
 
 
 def test_criterion_10_intensity():

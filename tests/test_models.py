@@ -70,6 +70,21 @@ class TestSigma:
         for n, g, w in zip(ns, got, want):
             assert abs(g - w) <= 2e-15 * max(1.0, abs(w)), (n, g, w)
 
+    @pytest.mark.parametrize("rho", [100.0, 300.0, 1000.0, 1e4, 1e5])
+    def test_hyperbolic_large_rho_against_mpmath(self, rho):
+        # for 10 <= n < rho, log Gamma(n+rho) - log Gamma(n+1) - log Gamma(rho)
+        # cancels two terms of size rho log rho: 971x over this bound at
+        # rho=1e5; the Stirling difference based at rho cancels none
+        mpmath = pytest.importorskip("mpmath")
+        ns = [*range(10, 81), rho / 2, rho, 2 * rho, 1e6]
+        got = log_sigma(GafModel.hyperbolic(rho), ns)
+        with mpmath.workdps(40):
+            r_ = mpmath.mpf(rho)
+            want = [float((mpmath.loggamma(n + r_) - mpmath.loggamma(n + 1)
+                           - mpmath.loggamma(r_)) / 2) for n in ns]
+        for n, g, w in zip(ns, got, want):
+            assert abs(g - w) <= 2e-15 * max(1.0, abs(w)), (n, g, w)
+
     def test_hyperbolic_rho_one_is_exactly_zero(self):
         assert np.all(log_sigma(HYP1, np.arange(0, 3000)) == 0.0)
         assert log_sigma(HYP1, 10**6) == 0.0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge,
+from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge, TruncatedGaf,
                       choose_truncation, circle_mean_log_abs, count_in_disk, count_replicas,
                       count_with_retry, count_zeros_winding, direct_mc_tail,
                       experiments, find_roots, find_roots_many, jensen_residual,
@@ -210,6 +210,30 @@ class TestRoots:
             assert res.count == count_in_disk(roots, r)
 
 
+def ref_initial_root_guesses(coeffs):
+    # reference copy of the start points, one hull segment at a time
+    mags = np.abs(coeffs)
+    with np.errstate(divide="ignore"):
+        logm = np.where(mags > 0, np.log(np.maximum(mags, 1e-300)), -np.inf)
+    pts = [(i, y) for i, y in enumerate(logm.tolist()) if math.isfinite(y)]
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    guesses = []
+    for seg, ((k1, u1), (k2, u2)) in enumerate(zip(hull[:-1], hull[1:])):
+        cnt = k2 - k1
+        radius = math.exp((u1 - u2) / cnt)
+        ang = 2.0 * math.pi * (np.arange(cnt) + 0.375) / cnt + 0.61 * seg
+        guesses.append(radius * np.exp(1j * ang))
+    return np.concatenate(guesses)
+
+
 def ref_find_roots(coeffs, *, residual_tol=1e-10, max_iter=200):
     # reference copy of the one-polynomial Aberth loop that find_roots_many
     # batches; it evaluates all deg roots per step and pulls back all of them
@@ -225,7 +249,7 @@ def ref_find_roots(coeffs, *, residual_tol=1e-10, max_iter=200):
         return np.concatenate([roots_at_zero, [-c[0] / c[1]]])
     dc = c[1:] * np.arange(1, deg + 1)
     cc = np.repeat(np.stack([c, np.append(dc, 0)], axis=1), deg, axis=1)
-    z = zeros._initial_root_guesses(c)
+    z = ref_initial_root_guesses(c)
     done = np.zeros(deg, dtype=bool)
 
     def values(z):
@@ -297,9 +321,20 @@ class TestFindRootsMany:
         assert [solve_outcome(got[i]) for i in some] == \
             [solve_with(ref_find_roots, polys[i]) for i in some]
 
-    def test_extreme_scales_match_single_solves(self):
+    def test_extreme_scales_match_single_solves(self, monkeypatch):
+        # these iterates overflow, so the active roots are pulled back
+        overflowed = []
+        values = zeros._values
+
+        def recording(rows, z):
+            p, dp = values(rows, z)
+            overflowed.append(np.count_nonzero(~(np.isfinite(p) & np.isfinite(dp))))
+            return p, dp
+
+        monkeypatch.setattr(zeros, "_values", recording)
         polys = [c for c, _ in extreme_scale_draws(12)]
         got = [solve_outcome(x) for x in find_roots_many(polys)]
+        assert sum(overflowed) > 0
         assert got == [solve_with(find_roots, c) for c in polys]
         assert got[:8] == [solve_with(ref_find_roots, c) for c in polys[:8]]
         failed = sum(msg is not None for msg, _ in got[:8])
@@ -479,15 +514,46 @@ class TestMaxModulus:
 # replaced, kept to check that every f call and every result is unchanged.
 
 
+class FftReference:
+    """A TruncatedGaf read on a grid by a one-row inverse FFT of its own.
+
+    Reference copy of the coefficient path of the one-function walker: the
+    scaled coefficients b_k = w_k r^k, rotated by e^{i pi k/n} for the
+    midpoints, folded mod n and transformed alone.  The reference loops
+    read an instance through ``grid`` instead of calling it on the nodes.
+    """
+
+    def __init__(self, gaf):
+        self.gaf = gaf
+
+    def grid(self, r, n, shift):
+        w = self.gaf.weighted_coefficients
+        k = np.arange(len(w))
+        b = np.zeros(len(w), dtype=complex)
+        nz = w != 0
+        b[nz] = np.exp(np.log(w[nz]) + k[nz] * math.log(r))
+        if shift:
+            b = b * np.exp(1j * (2.0 * math.pi * shift / n) * (k % (2 * n)))
+        if len(b) > n:
+            b = np.concatenate([b, np.zeros(-len(b) % n, dtype=complex)])
+            b = b.reshape(-1, n).sum(axis=0)
+        return np.fft.ifft(b, n=n, norm="forward")
+
+
 def ref_circle_values(f, r, n):
     theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    if isinstance(f, FftReference):
+        return theta, f.grid(r, n, 0.0)
     return theta, np.asarray(f(r * np.exp(1j * theta)), dtype=complex)
 
 
 def ref_interleave(f, r, old_vals):
     n = len(old_vals)
     theta_new = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    new_vals = np.asarray(f(r * np.exp(1j * theta_new)), dtype=complex)
+    if isinstance(f, FftReference):
+        new_vals = f.grid(r, n, 0.5)
+    else:
+        new_vals = np.asarray(f(r * np.exp(1j * theta_new)), dtype=complex)
     out = np.empty(2 * n, dtype=complex)
     out[0::2] = old_vals
     out[1::2] = new_vals
@@ -737,8 +803,17 @@ class TestCoefficientPath:
             w = gaf.weighted_coefficients
             scale = float(np.sum(np.abs(w) * r ** np.arange(len(w))))
             for start in (8, 16, 256):
-                for vals, ref in zip(zeros._circle_grids(gaf, r, start, 4096),
-                                     zeros._circle_grids(lambda z: gaf(z), r, start, 4096)):
+                # one walk of both paths, every level recorded
+                levels = []
+
+                def step(rows, vals):
+                    assert rows.tolist() == [0, 1]
+                    levels.append(vals.copy())
+                    return np.ones(2, dtype=bool)
+
+                zeros._circle_grids([gaf, lambda z: gaf(z)], [r, r], start, 4096, step)
+                assert [len(v[0]) for v in levels][-1] == 4096
+                for vals, ref in levels:
                     n = len(vals)
                     bound = (2 * (gaf.degree + 1) + 8 * math.log2(n)) * eps * scale
                     assert np.abs(vals - ref).max() <= bound
@@ -803,3 +878,204 @@ class TestCountReplicas:
         assert int(row["retries"]) == est.retries
         assert int(row["unresolved"]) == est.unresolved
         assert float(row["log_p"]) == est.log_p
+
+
+class TestNumpyRowwise:
+    """The batched walker and Aberth sums assume numpy does each row of an
+    axis-1 call bit for bit like the 1-D call on that row; a numpy that
+    breaks this would move CSV bytes, so it fails here first."""
+
+    def test_ifft_rows_match_one_dimensional(self):
+        rng = np.random.default_rng(5)
+        lens = [1, 3, 50, 127, 128, 129, 200, 300]
+        m = np.zeros((len(lens), max(lens)), dtype=complex)
+        for row, size in zip(m, lens):
+            row[:size] = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) \
+                * np.exp(4.0 * rng.standard_normal(size))
+        for n in (2**j for j in range(7, 15)):
+            rows = np.fft.ifft(m, n, axis=1, norm="forward")
+            for got, row, size in zip(rows, m, lens):
+                assert same_bits(got, np.fft.ifft(row[:size], n, norm="forward"))
+            # and a row padded by ifft itself past the matrix width
+            assert same_bits(rows[-1], np.fft.ifft(m[-1], n, norm="forward"))
+
+    def test_reductions_match_one_dimensional(self):
+        rng = np.random.default_rng(6)
+        for width in [*range(1, 40), 127, 128, 129, 256, 1000, 4097]:
+            x = rng.standard_normal((5, width)) * np.exp(3.0 * rng.standard_normal((5, width)))
+            c = x + 1j * rng.standard_normal((5, width))
+            for a in (x, c):
+                for got, row in zip(a.sum(axis=1), a):
+                    assert same_bits(got, row.sum())
+            for name in ("mean", "min", "max"):
+                for got, row in zip(getattr(x, name)(axis=1), x):
+                    assert same_bits(got, getattr(row, name)())
+
+
+def ref_count_with_retry(f, r, floor, *, require_certified=True):
+    # reference copy of the one-case retry policy over the reference loop
+    last_exc = None
+    for attempt, d in enumerate((0.0, 1e-6, -1e-6, 2e-6)):
+        try:
+            res = ref_count_zeros_winding(f, r * (1.0 + d), floor)
+            if res.certified or not require_certified:
+                return res, attempt
+            last_exc = InconclusiveCount(f"uncertified count at radius perturbation {d:+.1e}")
+        except InconclusiveCount as exc:
+            last_exc = exc
+    raise last_exc
+
+
+def batch_outcomes(results):
+    # a batch's entries as outcome() gives them, exceptions by message
+    return [("inconclusive", str(x)) if isinstance(x, InconclusiveCount) else ("ok", x)
+            for x in results]
+
+
+def ref_outcome(fn, f, *args, **kwargs):
+    # outcome() of a reference loop; a TruncatedGaf row is read through an
+    # FftReference, not called
+    if not isinstance(f, TruncatedGaf):
+        return outcome(fn, f, *args, **kwargs)
+    try:
+        return ("ok", fn(FftReference(f), *args, **kwargs)), []
+    except InconclusiveCount as exc:
+        return ("inconclusive", str(exc)), []
+
+
+def mixed_rows():
+    # (f, r): coefficient rows of several degrees and models, Horner
+    # callables and polyval callables, each at two radii
+    rows = []
+    for k, (r, gaf) in enumerate(WALKER_DRAWS):
+        c = gaf.weighted_coefficients
+        f = (lambda z, gaf=gaf: gaf(z), lambda z, c=c: polyval(z, c), gaf)[k % 3]
+        rows += [(f, r), (f, 0.9 * r)]
+    return rows
+
+
+def recorded(rows):
+    # the functions of rows, every callable wrapped to record its points
+    return [f if isinstance(f, TruncatedGaf) else Recorded(f) for f, *_ in rows]
+
+
+def calls(f):
+    return [] if isinstance(f, TruncatedGaf) else [z.tobytes() for z in f.calls]
+
+
+class TestBatchedWalker:
+    """Mixed batches give every row the bits of the one-function reference
+    loops, and every callable row the points it was called on there."""
+
+    def check_counts(self, floors, max_nodes):
+        rows = mixed_rows()
+        fs = recorded(rows)
+        got = batch_outcomes(zeros._counts(fs, [r for _, r in rows], floors, 256, max_nodes))
+        kinds = set()
+        for g, f, (raw, r), floor in zip(got, fs, rows, floors):
+            assert (g, calls(f)) == ref_outcome(ref_count_zeros_winding, raw, r, floor,
+                                                max_nodes=max_nodes)
+            status, value = g
+            kinds.add(("certified" if value.certified else "uncertified")
+                      if status == "ok" else value.split()[0])
+        return kinds
+
+    def check_means(self, rows, tol, start, cap):
+        fs = recorded(rows)
+        got = batch_outcomes(zeros._means(fs, [s for _, s in rows], tol, start, cap))
+        for g, f, (raw, s) in zip(got, fs, rows):
+            assert (g, calls(f)) == ref_outcome(ref_circle_mean_log_abs, raw, s, tol,
+                                                start_nodes=start, max_nodes=cap)
+        return {g[0] if g[0] == "ok" else g[1].split()[0] for g in got}
+
+    def test_grid_rows_match_reference_bitwise(self):
+        # rows of different lengths, a sparse one among them, on start grids
+        # that fold the long rows: every level of every row has the bits of
+        # the row's own one-row FFT, signed zeros included
+        from gafzeros import make_truncated
+        coeffs = np.zeros(6, dtype=complex)
+        coeffs[5] = 1.0
+        sparse = make_truncated(PLANAR, coeffs, 0.9)
+        gafs = [gaf for _, gaf in WALKER_DRAWS] + [sparse]
+        rs = [r for r, _ in WALKER_DRAWS] + [0.9]
+        for start in (8, 16, 128):
+            levels = []
+
+            def step(rows, vals):
+                levels.append(vals.copy())
+                return np.ones(len(rows), dtype=bool)
+
+            zeros._circle_grids(gafs, rs, start, 1024, step)
+            for j, (gaf, r) in enumerate(zip(gafs, rs)):
+                _, want = ref_circle_values(FftReference(gaf), r, start)
+                for level in levels:
+                    assert same_bits(level[j], want)
+                    if len(want) < 1024:
+                        want = ref_interleave(FftReference(gaf), r, want)
+
+    def test_counts_match_reference_loop(self):
+        kinds = set()
+        for i, max_nodes in enumerate((256, 512, MAX_NODES)):
+            floors = [WALKER_BOUNDS[(i + j) % len(WALKER_BOUNDS)] for j in range(18)]
+            kinds |= self.check_counts(floors, max_nodes)
+        # floor hits, node-cap hits, certified and uncertified rows in one batch
+        assert kinds == {"certified", "uncertified", "min", "phase"}
+
+    def test_means_match_reference_loop(self):
+        rows = mixed_rows() + [(lambda z: 0 * z, 1.0)]
+        kinds = set()
+        for tol, start, cap in ((1e-8, 128, MAX_NODES), (1e-15, 128, 512), (1e-15, 256, 384)):
+            kinds |= self.check_means(rows, tol, start, cap)
+        # converged rows, node-cap hits and a row below the hard floor
+        assert kinds == {"ok", "quadrature", "modulus"}
+
+    def test_batch_splits_under_value_budget(self, monkeypatch):
+        # with room for 1024 values a level, the 18 rows start in groups of 4
+        # (counts, 256 nodes) or 8 (means, 128 nodes), double in pairs to 512
+        # nodes and walk on from there alone
+        monkeypatch.setattr(zeros, "GRID_BUDGET", 1024)
+        shapes = []
+        walk = zeros._circle_grids
+
+        def recording(fs, rs, start, cap, step):
+            def rec(rows, vals):
+                shapes.append(vals.shape)
+                return step(rows, vals)
+            return walk(fs, rs, start, cap, rec)
+
+        monkeypatch.setattr(zeros, "_circle_grids", recording)
+        self.check_counts([WALKER_BOUNDS[j % len(WALKER_BOUNDS)] for j in range(18)], MAX_NODES)
+        self.check_means(mixed_rows(), 1e-12, 128, MAX_NODES)
+        # only a row alone outgrows the budget
+        assert max(k * n for k, n in shapes if k > 1) <= 1024
+        assert (8, 128) in shapes and (4, 256) in shapes and (2, 512) in shapes
+
+    def test_retries_match_reference_policy(self):
+        # z^2, zeroed on one side of |z| = edge: at r = 1 the k-th radius
+        # of the retry policy is the first to clear the floor for edges
+        # 1 + 5e-7 (k = 1), 1 - 5e-7 (k = 2) and 1 + 1.5e-6 (k = 3); with
+        # edge 5 none does.  Next to them, planar draws, and the slowest
+        # trial of the roots-jensen panel, inconclusive at all four radii.
+        def zeroed(edge, inside):
+            return lambda z: z * z * np.where(np.abs(z) < edge, inside, 1.0 - inside)
+
+        rows = [(zeroed(1 + 5e-7, 0.0), 1.0, 1e-3), (zeroed(1 - 5e-7, 1.0), 1.0, 1e-3),
+                (zeroed(1 + 1.5e-6, 0.0), 1.0, 1e-3), (zeroed(5.0, 0.0), 1.0, 1e-3)]
+        for k in range(6):
+            gaf = sample_truncated(PLANAR, 2.3, stream(71, k))
+            rows.append((gaf, 2.3, 100.0 * gaf.tail_sd))
+        rng = stream(0, 31)
+        r = 3.0 + 3.0 * rng.random()
+        gaf = sample_truncated(PLANAR, 1.25 * r, rng)
+        rows.append((gaf, r, 100.0 * gaf.tail_sd))
+        for require in (True, False):
+            fs = recorded(rows)
+            got = batch_outcomes(zeros.count_with_retry_many(
+                [(f, r, floor) for f, (_, r, floor) in zip(fs, rows)], require_certified=require))
+            for g, f, (raw, r, floor) in zip(got, fs, rows):
+                assert (g, calls(f)) == ref_outcome(ref_count_with_retry, raw, r, floor,
+                                                    require_certified=require)
+            assert [g[1][1] for g in got[:3]] == [1, 2, 3]
+            assert got[3][0] == got[-1][0] == "inconclusive"
+            assert got[3][1].startswith("min |f| = 0.000e+00")
+            assert got[-1][1].startswith("min |f|")
