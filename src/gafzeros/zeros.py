@@ -133,6 +133,8 @@ def _circle_grids(fs, rs, start_nodes, max_nodes, step):
     of a matrix (``_coefficient_rows``); any other callable is called on the
     nodes.  Every row's values are the bits of a walk of its function alone.
     """
+    if not fs:
+        return
     if all(isinstance(f, TruncatedGaf) for f in fs):
         on_grid = _coefficient_rows(fs, rs)
     else:

@@ -1050,6 +1050,14 @@ class TestBatchedWalker:
         assert max(k * n for k, n in shapes if k > 1) <= 1024
         assert (8, 128) in shapes and (4, 256) in shapes and (2, 512) in shapes
 
+    def test_empty_batches(self):
+        # a chunk whose every count stays unresolved solves and walks nothing
+        assert zeros.count_with_retry_many([]) == []
+        assert zeros.circle_mean_log_abs_many([], 1e-8) == []
+        assert zeros.jensen_residuals([]) == []
+        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, 1e300, 0, 0, 3))
+        assert [(row[3], row[4], row[-1]) for row in rows] == [(-1, -1, False)] * 3
+
     def test_retries_match_reference_policy(self):
         # z^2, zeroed on one side of |z| = edge: at r = 1 the k-th radius
         # of the retry policy is the first to clear the floor for edges
