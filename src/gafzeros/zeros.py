@@ -578,21 +578,20 @@ def _means(fs, ss, tol, start_nodes=128, max_nodes=MAX_NODES) -> list:
     def step(rows, vals):
         mods = np.abs(vals)
         low = mods.min(axis=1) <= HARD_FLOOR
-        with np.errstate(divide="ignore"):
-            new = np.log(mods).mean(axis=1)
-        done = ~low & (np.abs(new - est[rows]) < tol)
+        if low.any():
+            mods[low] = 1.0  # no log of 0; these rows' means are not read
+        new = np.log(mods).mean(axis=1)
+        stop = low | (np.abs(new - est[rows]) < tol)
         est[rows] = new
-        for j in np.flatnonzero(low):
-            out[rows[j]] = InconclusiveCount("modulus below 1e-300 on the quadrature circle")
-        for j in np.flatnonzero(done):
-            out[rows[j]] = float(new[j])
-        keep = ~(low | done)
         n = vals.shape[1]
         if n >= cap:
-            for j in np.flatnonzero(keep):
+            for j in np.flatnonzero(~stop):
                 out[rows[j]] = InconclusiveCount(
                     f"quadrature unstable at node cap ({n} nodes)")
-        return keep
+        for j in np.flatnonzero(stop):
+            out[rows[j]] = (InconclusiveCount("modulus below 1e-300 on the quadrature circle")
+                            if low[j] else float(new[j]))
+        return ~stop
 
     # at least two grids, so that every mean is checked against a refinement
     _circle_grids(fs, ss, start_nodes, cap, step)
