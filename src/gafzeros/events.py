@@ -142,7 +142,11 @@ def domination_constant(model: GafModel, r: float, m: int) -> float:
 
     log_tail = _num.certified_log_series(log_terms, m + 1, ratio_bound, rel_tol=1e-16)
     log_scale = growth_power * math.log(m) + float(log_weight(model, m, r))
-    return math.exp(log_tail - log_scale)
+    try:
+        return math.exp(log_tail - log_scale)
+    except OverflowError:
+        raise EventConstructionError(f"domination constant exp({log_tail - log_scale:.6g}) "
+                                     "overflows a float") from None
 
 
 def check_event_domain(kind: EventKind, model: GafModel | None, *, r: float,

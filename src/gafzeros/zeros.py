@@ -37,7 +37,16 @@ ROOT_BLOCK = 1024
 
 
 class InconclusiveCount(RuntimeError):
-    """The circle test could not certify a count (possible zero near the circle)."""
+    """The circle test could not certify a count (possible zero near the circle).
+
+    A count that hit its floor carries ``floor_hit = (n, node, value, arcs)``:
+    the grid of n nodes and the index and modulus of its smallest node, and
+    the (nodes, index, margin) of the worst arc of every grid before it.
+    """
+
+    def __init__(self, message, floor_hit=None):
+        super().__init__(message)
+        self.floor_hit = floor_hit
 
 
 class RootsDidNotConverge(RuntimeError):
@@ -187,9 +196,10 @@ def _counts(fs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
     """``count_zeros_winding`` of every (f, r, floor) row, on one circle walk.
 
     Returns one entry per row: its CountResult, or the InconclusiveCount
-    that ``count_zeros_winding`` raises for it.  The phase increments are
-    formed only at a level where a row can stop: where it is certified or
-    the grid is at the node cap.
+    that ``count_zeros_winding`` raises for it; a floor hit carries its
+    ``floor_hit``, read from the worst arc that each level keeps per row.
+    The phase increments are formed only at a level where a row can stop:
+    where it is certified or the grid is at the node cap.
     """
     for r, floor in zip(rs, floors):
         if not r > 0:
@@ -199,25 +209,36 @@ def _counts(fs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
     out = [None] * len(fs)
     floor_of = np.array(floors, dtype=float)
     limit = np.maximum(floor_of, HARD_FLOOR)
+    worst = {}  # nodes -> (worst arc index, its margin) of every row at that level
 
     def step(rows, vals):
         n = vals.shape[1]
         mods = np.abs(vals)
-        mn = mods.min(axis=1)
+        low = mods.argmin(axis=1)
+        mn = mods[np.arange(len(rows)), low]
         keep = ~(mn <= limit[rows])
         live = np.flatnonzero(keep)
         if len(live) < len(rows):
             for j in np.flatnonzero(~keep):
                 i = rows[j]
+                arcs = [(m, int(worst[m][0][i]), float(worst[m][1][i]))
+                        for m in sorted(worst) if m < n]
                 out[i] = InconclusiveCount(f"min |f| = {mn[j]:.3e} at or below floor "
-                                           f"{floors[i]:.3e} on |z| = {rs[i]}")
+                                           f"{floors[i]:.3e} on |z| = {rs[i]}",
+                                           floor_hit=(n, int(low[j]), float(mn[j]), arcs))
             vals, mods = vals[live], mods[live]
         # per-arc continuity margin: |f| between two nodes cannot drop below
         # the smaller endpoint by more than about the endpoint jump once the
         # grid resolves f; ``last`` is the arc from the last node to the first
         arcs = np.minimum(mods[:, :-1], mods[:, 1:]) - np.abs(vals[:, 1:] - vals[:, :-1])
         last = np.minimum(mods[:, -1], mods[:, 0]) - np.abs(vals[:, 0] - vals[:, -1])
-        certified = np.minimum(arcs.min(axis=1), last) > floor_of[rows[live]]
+        at = arcs.argmin(axis=1)
+        inner = arcs[np.arange(len(live)), at]
+        margin = np.minimum(inner, last)
+        index, margins = worst.setdefault(n, (np.zeros(len(fs), dtype=int), np.zeros(len(fs))))
+        index[rows[live]] = np.where(last < inner, n - 1, at)
+        margins[rows[live]] = margin
+        certified = margin > floor_of[rows[live]]
         stop = np.flatnonzero(certified) if n < max_nodes else np.arange(len(live))
         if len(stop) == 0:
             return keep
@@ -272,17 +293,78 @@ def count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES) ->
     return res
 
 
+RETRY_SHIFTS = (0.0, 1e-6, -1e-6, 2e-6)  # relative radius of each count attempt
+
+
+def _retries_hopeless(gaf, r, floor, floor_hit) -> bool:
+    """Whether the floor hit of ``gaf`` on |z| = r proves every retry radius fails too.
+
+    A retry walks the same node angles on a radius r' with |r' - r| <= delta
+    (2e-6 r), where each grid value lies within
+
+        Delta(z) = delta |f'(z)| + delta^2 M2 / 2 + 2 E
+
+    of the one recorded at z: Taylor's theorem along the radius, with
+    M2 = sum n(n-1) |w_n| top^(n-2) >= |f''| up to the top retry radius, and
+    the rounding E = (2(N+1) + 8 log2 n + 2L) eps sum |w_k| top^k of either
+    walk, its FFT and its log-form coefficients, L >= |log w_k + k log r'|.
+    f'(z) is summed from the log-form terms exp(log(k w_k) + (k-1) log z),
+    not by Horner, with an allowance for their rounding; another 16 eps
+    sum |w_k| top^k covers the modulus and margin arithmetic.  An arc
+    margin min(|f_j|, |f_j+1|) - |f_j+1 - f_j| moves by at most 3 Delta.  So
+    no retry certifies before the level of the hit if each earlier level
+    kept an arc with margin + 3 Delta <= floor, and each hits the floor at
+    that level or earlier if the hit node has |f| + Delta <= floor.
+    """
+    n_hit, node, value, arcs = floor_hit
+    radii = [r * (1.0 + d) for d in RETRY_SHIFTS]
+    delta = max(abs(s - r) for s in radii)
+    log_top = math.log(max(radii))
+    eps = np.finfo(float).eps
+    w = gaf.weighted_coefficients
+    k = np.flatnonzero(w)
+    log_w = np.log(w[k])  # complex log: a subnormal weight keeps its digits
+    with np.errstate(divide="ignore"):  # k = 0 and 1 give zero terms below
+        log_k, log_kk = np.log(k), np.log(k * (k - 1.0))
+    scale = np.exp(log_w.real + k * log_top).sum()
+    slope_scale = np.exp(log_k + log_w.real + (k - 1.0) * log_top).sum()
+    curvature = np.exp(log_kk + log_w.real + (k - 2.0) * log_top).sum()
+    # f' at both ends of every recorded arc and at the hit node
+    sizes = np.array([m for m, _, _ in arcs] * 2 + [n_hit])
+    index = np.array([j for _, j, _ in arcs] + [(j + 1) % m for m, j, _ in arcs] + [node])
+    log_z = math.log(r) + 1j * (_TWO_PI * index / sizes)
+    d1 = k >= 1
+    x = (log_k[d1] + log_w[d1])[:, None] + (k[d1] - 1.0)[:, None] * log_z
+    slope = np.abs(np.exp(x).sum(axis=0))
+    slope_err = (d1.sum() + 4 + 2 * np.abs(x).max(initial=0.0)) * eps * slope_scale
+    log_b = np.abs(log_w).max(initial=0.0) + gaf.degree * max(abs(math.log(s)) for s in radii)
+    walk_err = (2 * (gaf.degree + 1) + 8 * math.log2(n_hit) + 2 * log_b) * eps * scale
+    shift = delta * (slope + slope_err) + 0.5 * delta * delta * curvature + 2 * walk_err
+    rounding = 16 * eps * scale
+    n_arcs = len(arcs)
+    moves = 3 * np.maximum(shift[:n_arcs], shift[n_arcs: 2 * n_arcs])
+    margins = np.array([margin for _, _, margin in arcs])
+    return bool(np.all(margins + moves + rounding <= floor)
+                and value + shift[-1] + rounding <= max(floor, HARD_FLOOR))
+
+
 def count_with_retry_many(cases, *, require_certified=True) -> list:
     """``count_with_retry`` of every (f, r, floor) in ``cases``, on shared circle walks.
 
     Returns one entry per case: (CountResult, retries_used), or the
-    InconclusiveCount that ``count_with_retry`` raises for it.  Each attempt
-    walks the cases still failing as one batch, in the order of the radius
-    perturbations of ``count_with_retry``.
+    InconclusiveCount of the last attempt made for it.  Each attempt walks
+    the cases still failing as one batch, in the order of ``RETRY_SHIFTS``.
+    A ``TruncatedGaf`` case whose first walk hit its floor makes no retry
+    when that walk proves every retry fails (``_retries_hopeless``): each
+    level before the hit kept an arc with margin + 3 Delta <= floor, and the
+    hit node has |f| + Delta <= floor, where Delta bounds how far a radial
+    shift of up to 2e-6 r moves a grid value.  Its error is then that of
+    the first attempt.  Callable cases, and failures at the node cap or
+    uncertified counts, make every attempt.
     """
     out = [None] * len(cases)
     todo = list(range(len(cases)))
-    for attempt, d in enumerate((0.0, 1e-6, -1e-6, 2e-6)):
+    for attempt, d in enumerate(RETRY_SHIFTS):
         if not todo:
             break
         results = _counts([cases[i][0] for i in todo], [cases[i][1] * (1.0 + d) for i in todo],
@@ -295,6 +377,10 @@ def count_with_retry_many(cases, *, require_certified=True) -> list:
                     continue
                 res = InconclusiveCount(f"uncertified count at radius perturbation {d:+.1e}")
             out[i] = res  # the last error, unless a later attempt succeeds
+            f, r, floor = cases[i]
+            if (attempt == 0 and res.floor_hit is not None and isinstance(f, TruncatedGaf)
+                    and _retries_hopeless(f, r, floor, res.floor_hit)):
+                continue
             failing.append(i)
         todo = failing
     return out
@@ -304,9 +390,14 @@ def count_with_retry(f, r, floor, *, require_certified=True):
     """Winding count with the radius-perturbation retry policy.
 
     An inconclusive (or uncertified, when required) result retries at radii
-    perturbed by multiples of 1e-6 * r, at most 3 times, then the last error
-    is raised.  Returns (CountResult, retries_used).  This is the one-case
-    form of ``count_with_retry_many``.
+    perturbed by multiples of 1e-6 * r (``RETRY_SHIFTS``), at most 3 times,
+    then the error of the last attempt made is raised.  A ``TruncatedGaf``
+    whose first walk hits its floor is not retried where that walk proves
+    every retry fails too: margin + 3 Delta <= floor on an arc of every
+    earlier level and |f| + Delta <= floor at the hit node, Delta bounding
+    the move of a grid value under a radial shift of up to 2e-6 r (see
+    ``count_with_retry_many``).  Returns (CountResult, retries_used).  This
+    is the one-case form of ``count_with_retry_many``.
     """
     (res,) = count_with_retry_many([(f, r, floor)], require_certified=require_certified)
     if isinstance(res, InconclusiveCount):

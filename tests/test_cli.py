@@ -70,6 +70,16 @@ class TestConfigValidation:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [3, 20])
+    def test_domination_constant_overflow_exit_code(self, tmp_path, capsys, m):
+        # at rho=1000, r=0.9 the tail past m outweighs the m-th weight by
+        # more than e^709
+        data = {"experiment": "event-bound", "kind": "hyperbolic-domination",
+                "rho": 1000.0, "r": 0.9, "m": m}
+        assert run_cli(tmp_path, data) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "overflows a float" in err
+
     @pytest.mark.parametrize("data,message", [
         ({"kind": "very-large-domination", "r": 3.0, "alpha": 1.5, "gamma": 1.0},
          "very-large regime needs alpha > 2"),

@@ -10,7 +10,7 @@ from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge, Truncate
                       choose_truncation, circle_mean_log_abs, count_in_disk, count_replicas,
                       count_with_retry, count_zeros_winding, direct_mc_tail,
                       experiments, find_roots, find_roots_many, jensen_residual,
-                      max_modulus, sample_truncated, stream, zeros)
+                      make_truncated, max_modulus, sample_truncated, stream, zeros)
 from gafzeros._num import horner
 
 PLANAR = GafModel.planar()
@@ -1063,7 +1063,8 @@ class TestBatchedWalker:
         # of the retry policy is the first to clear the floor for edges
         # 1 + 5e-7 (k = 1), 1 - 5e-7 (k = 2) and 1 + 1.5e-6 (k = 3); with
         # edge 5 none does.  Next to them, planar draws, and the slowest
-        # trial of the roots-jensen panel, inconclusive at all four radii.
+        # trial of the roots-jensen panel, inconclusive at all four radii:
+        # its first walk proves that, so it keeps the first attempt's error.
         def zeroed(edge, inside):
             return lambda z: z * z * np.where(np.abs(z) < edge, inside, 1.0 - inside)
 
@@ -1080,10 +1081,120 @@ class TestBatchedWalker:
             fs = recorded(rows)
             got = batch_outcomes(zeros.count_with_retry_many(
                 [(f, r, floor) for f, (_, r, floor) in zip(fs, rows)], require_certified=require))
-            for g, f, (raw, r, floor) in zip(got, fs, rows):
+            for g, f, (raw, r, floor) in zip(got[:-1], fs, rows[:-1]):
                 assert (g, calls(f)) == ref_outcome(ref_count_with_retry, raw, r, floor,
                                                     require_certified=require)
+            _, panel_r, panel_floor = rows[-1]
+            assert ref_outcome(ref_count_with_retry, gaf, panel_r, panel_floor,
+                               require_certified=require)[0][0] == "inconclusive"
+            assert got[-1] == ref_outcome(ref_count_zeros_winding, gaf, panel_r, panel_floor)[0]
             assert [g[1][1] for g in got[:3]] == [1, 2, 3]
             assert got[3][0] == got[-1][0] == "inconclusive"
             assert got[3][1].startswith("min |f| = 0.000e+00")
-            assert got[-1][1].startswith("min |f|")
+            assert got[-1][1].startswith("min |f| = 2.893e+01")
+
+
+def circle_min(gaf, r, n):
+    # smallest |f| on the n-node grid of |z| = r
+    return float(np.abs(FftReference(gaf).grid(r, n, 0.0)).min())
+
+
+def skip_outcome(case, require):
+    # count_with_retry_many's entry for one case, checked against the
+    # four-radius reference: a case whose retries are skipped must fail at
+    # every radius and keep its first walk's error; any other case gets the
+    # reference outcome.  Returns (outcome, skipped).
+    gaf, r, floor = case
+    (got,) = batch_outcomes(zeros.count_with_retry_many([case], require_certified=require))
+    want, _ = ref_outcome(ref_count_with_retry, gaf, r, floor, require_certified=require)
+    (first,) = zeros._counts([gaf], [r], [floor])
+    skipped = (isinstance(first, InconclusiveCount) and first.floor_hit is not None
+               and zeros._retries_hopeless(gaf, r, floor, first.floor_hit))
+    if skipped:
+        assert want[0] == "inconclusive"
+        assert got == ("inconclusive", str(first))
+    else:
+        assert got == want
+    return got, skipped
+
+
+# planar draws of degree 14-60; the third has a larger circle minimum at
+# r (1 + 1e-6) than at r
+SKIP_DRAWS = [(r, sample_truncated(PLANAR, r, stream(81, k)))
+              for k, r in enumerate([0.6, 1.1, 1.7, 2.2, 2.8, 3.3, 3.9, 1.4])]
+
+
+class TestRetrySkip:
+    """A count whose first walk proves its retries hopeless skips them."""
+
+    def test_skip_matches_reference_policy(self):
+        # floors from 0.5 to 2 times the minimum on 65536 nodes: the walks
+        # certify, or hit the floor at 256 to 32768 nodes
+        cases = [(gaf, r, scale * circle_min(gaf, r, 65536))
+                 for r, gaf in SKIP_DRAWS for scale in (0.5, 1.0001, 1.001, 1.01, 2.0)]
+        # a floor between the circle minima at r and at r (1 + 1e-6): the
+        # walk at r hits it, the one at r (1 + 1e-6) reaches the node cap
+        r, gaf = SKIP_DRAWS[2]
+        low, high = circle_min(gaf, r, MAX_NODES), circle_min(gaf, r * (1 + 1e-6), MAX_NODES)
+        assert low < high
+        cases.append((gaf, r, 0.5 * (low + high)))
+        seen = set()
+        for require in (True, False):
+            for case in cases:
+                got, skipped = skip_outcome(case, require)
+                seen.add("skipped" if skipped else got[0] if got[0] == "inconclusive"
+                         else "retried" if got[1][1] else "ok")
+        # the last case, uncertified at r (1 + 1e-6), succeeds there when
+        # certification is not required
+        assert got[0] == "ok" and got[1][1] == 1 and not got[1][0].certified
+        assert seen == {"ok", "retried", "skipped", "inconclusive"}
+
+    def test_arc_that_certifies_at_a_retry_blocks_the_skip(self):
+        # hyperbolic rho=1 (unit weights), u = z/r on r = 0.99:
+        # f = 1 + 0.01 u^128 ((1+u)/2)^32 - 0.9 (1 - u^256)/2 ((1-u)/2)^32.
+        # On the 256-node grid the second term alternates in sign around u = 1,
+        # so the worst arc margin there moves three times as fast with r as
+        # its end values; the third term vanishes at those nodes and dips to
+        # about 0.2 between them near u = -1.  With a floor between the worst
+        # margins at r and at r (1 - 1e-6), the walk at r hits the floor at
+        # 512 nodes, and the retry at r (1 - 1e-6) certifies at 256 nodes.
+        r = 0.99
+        u = np.polynomial.Polynomial.basis
+        f = (1.0 + 0.01 * u(128) * ((1 + u(1)) / 2) ** 32
+             - 0.9 * (1 - u(256)) / 2 * ((1 - u(1)) / 2) ** 32)
+        coeffs = f.coef / r ** np.arange(len(f.coef))
+        gaf = make_truncated(GafModel.hyperbolic(1.0), coeffs.astype(complex), r)
+
+        def worst_margin(s):
+            # the smallest arc margin of the 256-node grid on |z| = s
+            v = FftReference(gaf).grid(s, 256, 0.0)
+            nxt = np.roll(v, -1)
+            return float((np.minimum(np.abs(v), np.abs(nxt)) - np.abs(nxt - v)).min())
+
+        at_r, inward = worst_margin(r), worst_margin(r * (1 - 1e-6))
+        floor = at_r + 0.85 * (inward - at_r)
+        for require in (True, False):
+            got, skipped = skip_outcome((gaf, r, floor), require)
+            assert not skipped
+            assert got[0] == "ok" and got[1][1] == 2 and got[1][0].circle_nodes_used == 256
+        (first,) = zeros._counts([gaf], [r], [floor])
+        assert first.floor_hit[0] == 512 and len(first.floor_hit[3]) == 1
+
+    def test_panel_trial_walks_once(self, monkeypatch):
+        # the roots-jensen panel trial fails at all four radii; its first
+        # walk proves it, so the count makes that one walk
+        rng = stream(0, 31)
+        r = 3.0 + 3.0 * rng.random()
+        gaf = sample_truncated(PLANAR, 1.25 * r, rng)
+        walks = []
+        walk = zeros._circle_grids
+
+        def counting(fs, *args):
+            walks.append(len(fs))
+            return walk(fs, *args)
+
+        monkeypatch.setattr(zeros, "_circle_grids", counting)
+        (res,) = zeros.count_with_retry_many([(gaf, r, 100.0 * gaf.tail_sd)])
+        assert isinstance(res, InconclusiveCount)
+        assert str(res).startswith("min |f| = 2.893e+01")
+        assert walks == [1]
