@@ -106,15 +106,13 @@ class TailEstimate:
     """A Monte Carlo tail estimate: the point value and Clopper-Pearson ends, in log.
 
     ``hits`` counts the trials at or above the level; a GAF estimate also
-    records the retries of its resolved replicas and how many stayed
-    unresolved (each counted as a miss).
+    records how many replicas stayed unresolved (each counted as a miss).
     """
 
     log_p: float
     log_lo: float
     log_hi: float
     hits: int = 0
-    retries: int = 0
     unresolved: int = 0
 
     def __post_init__(self):
@@ -598,7 +596,7 @@ _MC_CHUNK = 65536
 MC_TAIL_GUARD = 100.0
 
 
-def mc_tail_estimate(hits: int, trials: int, level: float, *, retries: int = 0,
+def mc_tail_estimate(hits: int, trials: int, level: float, *,
                      unresolved: int = 0) -> TailEstimate:
     """Monte Carlo tail estimate from ``hits`` of ``trials``, with the exact CP bracket."""
     a = 1.0 - level
@@ -610,15 +608,15 @@ def mc_tail_estimate(hits: int, trials: int, level: float, *, retries: int = 0,
         log_lo, log_hi = float(np.log(lo)), float(np.log(hi))
         log_p = float(np.log(hits / trials))
     return TailEstimate(log_p=log_p, log_lo=log_lo, log_hi=log_hi, hits=hits,
-                        retries=retries, unresolved=unresolved)
+                        unresolved=unresolved)
 
 
 def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
                    level: float = 0.99) -> TailEstimate:
     """Monte Carlo estimate of P[count in D(0,r) >= m] with exact CP bracket.
 
-    ``target`` is a GafModel (counts are winding-certified, inconclusive
-    replicas follow the retry policy and unresolved ones count as failures)
+    ``target`` is a GafModel (counts are winding-certified, one walk per
+    replica, and replicas left uncertified count as failures)
     or a RadialEnsemble (counts come from the exact radial laws, the first
     ``bernoulli_probs(target, r, min_terms=m + 8).size`` radii of each
     trial, drawn ``_MC_CHUNK`` trials per stream).
@@ -634,9 +632,9 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
             hits += int((counts >= m).sum())
         return mc_tail_estimate(hits, trials, level)
     if isinstance(target, GafModel):
-        counts, retries = count_replicas(target, r, choose_truncation(target, r),
-                                         MC_TAIL_GUARD, seed, range(trials))
-        return mc_tail_estimate(int((counts >= m).sum()), trials, level, retries=retries,
+        counts = count_replicas(target, r, choose_truncation(target, r),
+                                MC_TAIL_GUARD, seed, range(trials))
+        return mc_tail_estimate(int((counts >= m).sum()), trials, level,
                                 unresolved=int((counts < 0).sum()))
     raise TypeError("target must be a GafModel or RadialEnsemble")
 

@@ -24,8 +24,6 @@ from .events import EventKind
 from .models import GafModel
 from .radial import RadialEnsemble
 
-CHUNK = 1024  # replicas per worker task
-
 _REQUIRED = object()
 _MODELS = ("planar", "hyperbolic")
 _ENSEMBLES = tuple(e.value for e in RadialEnsemble)
@@ -215,16 +213,15 @@ def _run_scatter(cfg: RunConfig):
 
 def _count_chunk(args):
     (model, r, degree, guard, seed, block, count) = args
-    start = block * CHUNK
+    start = block * zeros.REPLICA_BLOCK
     return zeros.count_replicas(model, r, degree, guard, seed, range(start, start + count))
 
 
 def _replica_counts(cfg: RunConfig, model: GafModel, r: float, replicas: int):
-    """Certified counts of replicas 0..replicas-1 (-1 if unresolved) and their retries."""
+    """Certified counts of replicas 0..replicas-1, -1 where unresolved."""
     degree = models.choose_truncation(model, r)
-    results = _map_blocks(_count_chunk, (model, r, degree, _tail_guard(cfg), cfg.seed),
-                          replicas, cfg.threads)
-    return np.concatenate([c for c, _ in results]), sum(x for _, x in results)
+    head = (model, r, degree, _tail_guard(cfg), cfg.seed)
+    return np.concatenate(_map_blocks(_count_chunk, head, replicas, cfg.threads))
 
 
 def _run_mc_tail(cfg: RunConfig):
@@ -238,14 +235,13 @@ def _run_mc_tail(cfg: RunConfig):
         est = events.direct_mc_tail(_ensemble_from(cfg, "target"), r, m, trials, cfg.seed,
                                     level=level)
     else:
-        counts, retries = _replica_counts(cfg, _model_from(cfg, "target"), r, trials)
+        counts = _replica_counts(cfg, _model_from(cfg, "target"), r, trials)
         est = events.mc_tail_estimate(int((counts >= m).sum()), trials, level,
-                                      retries=retries, unresolved=int((counts < 0).sum()))
+                                      unresolved=int((counts < 0).sum()))
     return [("mc_tail.csv",
-             ["target", "r", "m", "trials", "hits", "log_p", "log_lo", "log_hi", "retries",
-              "unresolved"],
+             ["target", "r", "m", "trials", "hits", "log_p", "log_lo", "log_hi", "unresolved"],
              [[target, r, m, trials, est.hits, est.log_p, est.log_lo, est.log_hi,
-               est.retries, est.unresolved]])]
+               est.unresolved]])]
 
 
 def _run_exact_tail(cfg: RunConfig):
@@ -335,12 +331,13 @@ def _jensen_chunk(args):
     """Jensen-check rows of one block: every trial drawn, all counted together, one root solve."""
     (r_lo, r_hi, ratio, quad_tol, guard, seed, block, count) = args
     model = GafModel.planar()
+    start = block * zeros.REPLICA_BLOCK
     trials = []
-    for j in range(count):
-        rng = models.stream(seed, block * CHUNK + j)
+    for trial in range(start, start + count):
+        rng = models.stream(seed, trial)
         r = r_lo + (r_hi - r_lo) * rng.random()
         big_r = ratio * r
-        trials.append((block * CHUNK + j, r, big_r, models.sample_truncated(model, big_r, rng)))
+        trials.append((trial, r, big_r, models.sample_truncated(model, big_r, rng)))
     counted = zeros.count_with_retry_many([(gaf, r, guard * gaf.tail_sd)
                                            for _, r, _, gaf in trials])
     resolved = [not isinstance(c, zeros.InconclusiveCount) for c in counted]
@@ -350,7 +347,7 @@ def _jensen_chunk(args):
     for (trial, r, big_r, _), res, ok in zip(trials, counted, resolved):
         check = next(checks) if ok else None
         if isinstance(check, zeros.JensenCheck):
-            count = res[0].count
+            count = res.count
             root_count = zeros.count_in_disk(check.roots, r)
             ineq = count * math.log(big_r / r) <= check.integral_n_over_u + 1e-9
             out.append((trial, r, big_r, count, root_count, check.residual, ineq, True))
@@ -377,7 +374,7 @@ def _run_intensity_check(cfg: RunConfig):
     model = _model_from(cfg)
     r = cfg.read("r", float, **_above(0))
     samples = cfg.read("samples", int, **_at_least(1))
-    counts, _ = _replica_counts(cfg, model, r, samples)
+    counts = _replica_counts(cfg, model, r, samples)
     ok = counts[counts >= 0]
     n_ok = len(ok)
     if n_ok == 0:
@@ -422,9 +419,9 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def _map_blocks(fn, head, total, threads):
-    """``fn(head + (block, count))`` over the CHUNK grid of replicas 0..total-1, in block order."""
-    blocks = [(*head, b, min(CHUNK, total - b * CHUNK))
-              for b in range((total + CHUNK - 1) // CHUNK)]
+    """``fn(head + (block, count))`` over REPLICA_BLOCK-sized blocks of 0..total-1, in order."""
+    size = zeros.REPLICA_BLOCK
+    blocks = [(*head, b, min(size, total - b * size)) for b in range((total + size - 1) // size)]
     if threads <= 1 or len(blocks) <= 1:
         return [fn(b) for b in blocks]
     with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -261,9 +261,10 @@ class TruncatedGaf:
     def __call__(self, z):
         """Evaluate the partial sum at z (scalar or array), inside radius_of_use.
 
-        The domain guard carries 1e-5 relative slack so the radius-perturbation
-        retry policy (steps of 1e-6 r) stays inside it; the tail bound changes
-        by a vanishing relative amount over that margin.
+        The domain guard carries 1e-5 relative slack.  It need only exceed
+        the rounding of |r e^{i theta}| at the nodes of the circle
+        r = radius_of_use, a few ulp; the size 1e-5 has no other reason.  The
+        tail bound changes by a vanishing relative amount over that margin.
         """
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) > self.radius_of_use * (1.0 + 1e-5)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _num
-from .models import GafModel, TruncatedGaf, sample_truncated, stream
+from .models import GafModel, TruncatedGaf, log_sigma, sample_truncated, stream
 
 _TWO_PI = 2.0 * math.pi
 PHASE_LIMIT = math.pi / 2.0
@@ -37,16 +37,7 @@ ROOT_BLOCK = 1024
 
 
 class InconclusiveCount(RuntimeError):
-    """The circle test could not certify a count (possible zero near the circle).
-
-    A count that hit its floor carries ``floor_hit = (n, node, value, arcs)``:
-    the grid of n nodes and the index and modulus of its smallest node, and
-    the (nodes, index, margin) of the worst arc of every grid before it.
-    """
-
-    def __init__(self, message, floor_hit=None):
-        super().__init__(message)
-        self.floor_hit = floor_hit
+    """The circle test could not certify a count (possible zero near the circle)."""
 
 
 class RootsDidNotConverge(RuntimeError):
@@ -82,11 +73,14 @@ def _coefficient_rows(gafs, rs):
     On n equispaced nodes sum_k b_k e^{2 pi i jk/n} is the inverse DFT of the
     scaled coefficients b_k = w_k r^k folded mod n; the midpoint shift 1/2
     first rotates b_k by e^{i pi k/n} (shift is 0 or 1/2).  b_k is formed as
-    exp(log w_k + k log r) with the complex log, so a subnormal w_k keeps its
-    digits; zero weights stay 0.  The rows sit zero-padded in one matrix and
-    take one inverse FFT along axis 1 per call; a row is folded over its own
-    blocks of n only and keeps +0 past its own length, so each row gets the
-    bits of a transform of its coefficients alone.
+    exp(log w_k + k log r) with the complex log.  Where w_k = a_k sigma_k is
+    0 or subnormal (planar sigma_k is subnormal from k = 301 and 0 from
+    k = 314), w_k has lost the digits of b_k, and b_k is formed from the draw
+    as exp(log a_k + log sigma_k + k log r); a zero a_k leaves b_k = 0.  The
+    rows sit zero-padded in one matrix and take one inverse FFT along axis 1
+    per call; a row is folded over its own blocks of n only and keeps +0 past
+    its own length, so each row gets the bits of a transform of its
+    coefficients alone.
     """
     for gaf, r in zip(gafs, rs):
         if r > gaf.radius_of_use * (1.0 + 1e-5):
@@ -96,9 +90,16 @@ def _coefficient_rows(gafs, rs):
     for row, gaf in zip(w, gafs):
         row[: len(gaf.weighted_coefficients)] = gaf.weighted_coefficients
     k = np.arange(w.shape[1])
+    log_r = [math.log(r) for r in rs]
     b = np.zeros_like(w)
-    nz = w != 0
-    b[nz] = np.exp(np.log(w[nz]) + (k * np.array([math.log(r) for r in rs])[:, None])[nz])
+    tiny = np.abs(w) < np.finfo(float).tiny
+    b[~tiny] = np.exp(np.log(w[~tiny]) + (k * np.array(log_r)[:, None])[~tiny])
+    tiny &= k < lens[:, None]
+    for i in np.flatnonzero(tiny.any(axis=1)):
+        a = gafs[i].coeffs
+        j = np.flatnonzero(tiny[i, :lens[i]] & (a != 0))
+        b[i, j] = np.exp(np.log(a[j].astype(complex)) + log_sigma(gafs[i].model, j)
+                         + j * log_r[i])
 
     def on_grid(sel, n, shift):
         size = lens[sel]
@@ -196,10 +197,9 @@ def _counts(fs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
     """``count_zeros_winding`` of every (f, r, floor) row, on one circle walk.
 
     Returns one entry per row: its CountResult, or the InconclusiveCount
-    that ``count_zeros_winding`` raises for it; a floor hit carries its
-    ``floor_hit``, read from the worst arc that each level keeps per row.
-    The phase increments are formed only at a level where a row can stop:
-    where it is certified or the grid is at the node cap.
+    that ``count_zeros_winding`` raises for it.  The phase increments are
+    formed only at a level where a row can stop: where it is certified or
+    the grid is at the node cap.
     """
     for r, floor in zip(rs, floors):
         if not r > 0:
@@ -209,36 +209,25 @@ def _counts(fs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
     out = [None] * len(fs)
     floor_of = np.array(floors, dtype=float)
     limit = np.maximum(floor_of, HARD_FLOOR)
-    worst = {}  # nodes -> (worst arc index, its margin) of every row at that level
 
     def step(rows, vals):
         n = vals.shape[1]
         mods = np.abs(vals)
-        low = mods.argmin(axis=1)
-        mn = mods[np.arange(len(rows)), low]
+        mn = mods.min(axis=1)
         keep = ~(mn <= limit[rows])
         live = np.flatnonzero(keep)
         if len(live) < len(rows):
             for j in np.flatnonzero(~keep):
                 i = rows[j]
-                arcs = [(m, int(worst[m][0][i]), float(worst[m][1][i]))
-                        for m in sorted(worst) if m < n]
                 out[i] = InconclusiveCount(f"min |f| = {mn[j]:.3e} at or below floor "
-                                           f"{floors[i]:.3e} on |z| = {rs[i]}",
-                                           floor_hit=(n, int(low[j]), float(mn[j]), arcs))
+                                           f"{floors[i]:.3e} on |z| = {rs[i]}")
             vals, mods = vals[live], mods[live]
         # per-arc continuity margin: |f| between two nodes cannot drop below
         # the smaller endpoint by more than about the endpoint jump once the
         # grid resolves f; ``last`` is the arc from the last node to the first
         arcs = np.minimum(mods[:, :-1], mods[:, 1:]) - np.abs(vals[:, 1:] - vals[:, :-1])
         last = np.minimum(mods[:, -1], mods[:, 0]) - np.abs(vals[:, 0] - vals[:, -1])
-        at = arcs.argmin(axis=1)
-        inner = arcs[np.arange(len(live)), at]
-        margin = np.minimum(inner, last)
-        index, margins = worst.setdefault(n, (np.zeros(len(fs), dtype=int), np.zeros(len(fs))))
-        index[rows[live]] = np.where(last < inner, n - 1, at)
-        margins[rows[live]] = margin
-        certified = margin > floor_of[rows[live]]
+        certified = np.minimum(arcs.min(axis=1), last) > floor_of[rows[live]]
         stop = np.flatnonzero(certified) if n < max_nodes else np.arange(len(live))
         if len(stop) == 0:
             return keep
@@ -293,120 +282,38 @@ def count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES) ->
     return res
 
 
-RETRY_SHIFTS = (0.0, 1e-6, -1e-6, 2e-6)  # relative radius of each count attempt
+def count_with_retry_many(cases) -> list:
+    """Certified winding counts of every (f, r, floor) in ``cases``, on one circle walk.
 
-
-def _retries_hopeless(gaf, r, floor, floor_hit) -> bool:
-    """Whether the floor hit of ``gaf`` on |z| = r proves every retry radius fails too.
-
-    A retry walks the same node angles on a radius r' with |r' - r| <= delta
-    (2e-6 r), where each grid value lies within
-
-        Delta(z) = delta |f'(z)| + delta^2 M2 / 2 + 2 E
-
-    of the one recorded at z: Taylor's theorem along the radius, with
-    M2 = sum n(n-1) |w_n| top^(n-2) >= |f''| up to the top retry radius, and
-    the rounding E = (2(N+1) + 8 log2 n + 2L) eps sum |w_k| top^k of either
-    walk, its FFT and its log-form coefficients, L >= |log w_k + k log r'|.
-    f'(z) is summed from the log-form terms exp(log(k w_k) + (k-1) log z),
-    not by Horner, with an allowance for their rounding; another 16 eps
-    sum |w_k| top^k covers the modulus and margin arithmetic.  An arc
-    margin min(|f_j|, |f_j+1|) - |f_j+1 - f_j| moves by at most 3 Delta.  So
-    no retry certifies before the level of the hit if each earlier level
-    kept an arc with margin + 3 Delta <= floor, and each hits the floor at
-    that level or earlier if the hit node has |f| + Delta <= floor.
+    Each count gets one walk.  Returns one entry per case: its certified
+    CountResult, or an InconclusiveCount: the error that
+    ``count_zeros_winding`` raises for it, or one that says its count stayed
+    uncertified.
     """
-    n_hit, node, value, arcs = floor_hit
-    radii = [r * (1.0 + d) for d in RETRY_SHIFTS]
-    delta = max(abs(s - r) for s in radii)
-    log_top = math.log(max(radii))
-    eps = np.finfo(float).eps
-    w = gaf.weighted_coefficients
-    k = np.flatnonzero(w)
-    log_w = np.log(w[k])  # complex log: a subnormal weight keeps its digits
-    with np.errstate(divide="ignore"):  # k = 0 and 1 give zero terms below
-        log_k, log_kk = np.log(k), np.log(k * (k - 1.0))
-    scale = np.exp(log_w.real + k * log_top).sum()
-    slope_scale = np.exp(log_k + log_w.real + (k - 1.0) * log_top).sum()
-    curvature = np.exp(log_kk + log_w.real + (k - 2.0) * log_top).sum()
-    # f' at both ends of every recorded arc and at the hit node
-    sizes = np.array([m for m, _, _ in arcs] * 2 + [n_hit])
-    index = np.array([j for _, j, _ in arcs] + [(j + 1) % m for m, j, _ in arcs] + [node])
-    log_z = math.log(r) + 1j * (_TWO_PI * index / sizes)
-    d1 = k >= 1
-    x = (log_k[d1] + log_w[d1])[:, None] + (k[d1] - 1.0)[:, None] * log_z
-    slope = np.abs(np.exp(x).sum(axis=0))
-    slope_err = (d1.sum() + 4 + 2 * np.abs(x).max(initial=0.0)) * eps * slope_scale
-    log_b = np.abs(log_w).max(initial=0.0) + gaf.degree * max(abs(math.log(s)) for s in radii)
-    walk_err = (2 * (gaf.degree + 1) + 8 * math.log2(n_hit) + 2 * log_b) * eps * scale
-    shift = delta * (slope + slope_err) + 0.5 * delta * delta * curvature + 2 * walk_err
-    rounding = 16 * eps * scale
-    n_arcs = len(arcs)
-    moves = 3 * np.maximum(shift[:n_arcs], shift[n_arcs: 2 * n_arcs])
-    margins = np.array([margin for _, _, margin in arcs])
-    return bool(np.all(margins + moves + rounding <= floor)
-                and value + shift[-1] + rounding <= max(floor, HARD_FLOOR))
+    results = _counts([f for f, _, _ in cases], [r for _, r, _ in cases],
+                      [floor for _, _, floor in cases])
+    return [res if isinstance(res, InconclusiveCount) or res.certified
+            else InconclusiveCount(f"uncertified count on |z| = {r}")
+            for res, (_, r, _) in zip(results, cases)]
 
 
-def count_with_retry_many(cases, *, require_certified=True) -> list:
-    """``count_with_retry`` of every (f, r, floor) in ``cases``, on shared circle walks.
+def count_with_retry(f, r, floor):
+    """Certified winding count of f in |z| < r, as (CountResult, 0).
 
-    Returns one entry per case: (CountResult, retries_used), or the
-    InconclusiveCount of the last attempt made for it.  Each attempt walks
-    the cases still failing as one batch, in the order of ``RETRY_SHIFTS``.
-    A ``TruncatedGaf`` case whose first walk hit its floor makes no retry
-    when that walk proves every retry fails (``_retries_hopeless``): each
-    level before the hit kept an arc with margin + 3 Delta <= floor, and the
-    hit node has |f| + Delta <= floor, where Delta bounds how far a radial
-    shift of up to 2e-6 r moves a grid value.  Its error is then that of
-    the first attempt.  Callable cases, and failures at the node cap or
-    uncertified counts, make every attempt.
+    The one-case form of ``count_with_retry_many``: a count that is not
+    certified raises its InconclusiveCount.  No count is retried; the name
+    and the second entry (the retries used, always 0) stay because
+    ``perfbench/tracer.py`` wraps this function and reads that entry.
     """
-    out = [None] * len(cases)
-    todo = list(range(len(cases)))
-    for attempt, d in enumerate(RETRY_SHIFTS):
-        if not todo:
-            break
-        results = _counts([cases[i][0] for i in todo], [cases[i][1] * (1.0 + d) for i in todo],
-                          [cases[i][2] for i in todo])
-        failing = []
-        for i, res in zip(todo, results):
-            if isinstance(res, CountResult):
-                if res.certified or not require_certified:
-                    out[i] = (res, attempt)
-                    continue
-                res = InconclusiveCount(f"uncertified count at radius perturbation {d:+.1e}")
-            out[i] = res  # the last error, unless a later attempt succeeds
-            f, r, floor = cases[i]
-            if (attempt == 0 and res.floor_hit is not None and isinstance(f, TruncatedGaf)
-                    and _retries_hopeless(f, r, floor, res.floor_hit)):
-                continue
-            failing.append(i)
-        todo = failing
-    return out
-
-
-def count_with_retry(f, r, floor, *, require_certified=True):
-    """Winding count with the radius-perturbation retry policy.
-
-    An inconclusive (or uncertified, when required) result retries at radii
-    perturbed by multiples of 1e-6 * r (``RETRY_SHIFTS``), at most 3 times,
-    then the error of the last attempt made is raised.  A ``TruncatedGaf``
-    whose first walk hits its floor is not retried where that walk proves
-    every retry fails too: margin + 3 Delta <= floor on an arc of every
-    earlier level and |f| + Delta <= floor at the hit node, Delta bounding
-    the move of a grid value under a radial shift of up to 2e-6 r (see
-    ``count_with_retry_many``).  Returns (CountResult, retries_used).  This
-    is the one-case form of ``count_with_retry_many``.
-    """
-    (res,) = count_with_retry_many([(f, r, floor)], require_certified=require_certified)
+    (res,) = count_with_retry_many([(f, r, floor)])
     if isinstance(res, InconclusiveCount):
         raise res
-    return res
+    return res, 0
 
 
-# Replicas drawn and counted together by ``count_replicas``: their draws and
-# their start grids (1024 x 256 values) stay small whatever the number of keys.
+# Replicas drawn and counted together by ``count_replicas``, and replicas per
+# worker task of the ``experiments`` runners: their draws and their start
+# grids (1024 x 256 values) stay small whatever the number of keys.
 REPLICA_BLOCK = 1024
 
 
@@ -414,26 +321,19 @@ def count_replicas(model: GafModel, r, degree, guard, seed, keys):
     """Certified zero counts in |z| < r of independent truncated draws.
 
     Replica k samples ``model`` at ``degree`` from ``stream(seed, k)`` and is
-    counted by ``count_with_retry`` with floor ``guard * tail_sd``; blocks of
-    ``REPLICA_BLOCK`` replicas are counted together by
-    ``count_with_retry_many``.  Returns (counts, retries): one count per key,
-    -1 where the replica stayed unresolved, and the retries used by the
-    resolved replicas.
+    counted with floor ``guard * tail_sd``; blocks of ``REPLICA_BLOCK``
+    replicas are counted together by ``count_with_retry_many``.  Returns one
+    count per key, -1 where the replica's count is not certified.
     """
     keys = list(keys)
     counts = np.empty(len(keys), dtype=int)
-    retries = 0
     for lo in range(0, len(keys), REPLICA_BLOCK):
         gafs = [sample_truncated(model, r, stream(seed, k), degree=degree)
                 for k in keys[lo: lo + REPLICA_BLOCK]]
         results = count_with_retry_many([(gaf, r, guard * gaf.tail_sd) for gaf in gafs])
-        for i, res in enumerate(results, lo):
-            if isinstance(res, InconclusiveCount):
-                counts[i] = -1
-                continue
-            counts[i] = res[0].count
-            retries += res[1]
-    return counts, retries
+        counts[lo: lo + len(results)] = [-1 if isinstance(res, InconclusiveCount) else res.count
+                                         for res in results]
+    return counts
 
 
 def _initial_root_guesses(coeffs):

@@ -201,12 +201,11 @@ def test_criterion_09_counting_identities():
 
 
 def _certified_counts(model, r, n_samples, seed_key):
-    # unresolvable replicas (zero essentially on the circle, beyond the
-    # radius-perturbation retry policy) are replaced by fresh draws: the
-    # counts of the first n_samples resolved keys among n_samples + 101, and
-    # the number of keys up to the last of them
+    # replicas left uncertified (a zero near the circle) are replaced by
+    # fresh draws: the counts of the first n_samples resolved keys among
+    # n_samples + 101, and the number of keys up to the last of them
     deg = gz.choose_truncation(model, r)
-    counts, _ = gz.count_replicas(model, r, deg, 100.0, seed_key, range(n_samples + 101))
+    counts = gz.count_replicas(model, r, deg, 100.0, seed_key, range(n_samples + 101))
     resolved = np.flatnonzero(counts >= 0)[:n_samples]
     if len(resolved) < n_samples:
         raise RuntimeError("too many unresolved replicas")

@@ -14,7 +14,8 @@ import pytest
 import gafzeros
 from gafzeros import EventKind, GafModel, events, experiments
 from gafzeros.cli import main
-from gafzeros.experiments import CHUNK, EXPERIMENTS, ConfigError, RunConfig, emit_csv
+from gafzeros.experiments import EXPERIMENTS, ConfigError, RunConfig, emit_csv
+from gafzeros.zeros import REPLICA_BLOCK
 
 
 def write_config(tmp_path, name, data):
@@ -236,7 +237,7 @@ class TestDeterminism:
 
     def test_threads_do_not_change_output(self, tmp_path, capsys):
         # past one chunk, so that --threads 3 runs the chunks in a process pool
-        n = CHUNK + 300
+        n = REPLICA_BLOCK + 300
         for base, artifact in (
                 ({"experiment": "mc-tail", "seed": 9, "target": "planar",
                   "r": 1.0, "m": 2, "trials": n}, "mc_tail.csv"),
@@ -254,9 +255,9 @@ class TestDeterminism:
 
     def test_worker_results_keep_block_order(self):
         # rows are joined in the order _map_blocks returns, with no sort
-        serial = experiments._map_blocks(repr, ("head",), 3 * CHUNK + 5, 1)
-        assert serial == [repr(("head", b, CHUNK if b < 3 else 5)) for b in range(4)]
-        assert experiments._map_blocks(repr, ("head",), 3 * CHUNK + 5, 2) == serial
+        serial = experiments._map_blocks(repr, ("head",), 3 * REPLICA_BLOCK + 5, 1)
+        assert serial == [repr(("head", b, REPLICA_BLOCK if b < 3 else 5)) for b in range(4)]
+        assert experiments._map_blocks(repr, ("head",), 3 * REPLICA_BLOCK + 5, 2) == serial
 
 
 class TestArtifacts:

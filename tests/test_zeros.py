@@ -10,8 +10,9 @@ from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge, Truncate
                       choose_truncation, circle_mean_log_abs, count_in_disk, count_replicas,
                       count_with_retry, count_zeros_winding, direct_mc_tail,
                       experiments, find_roots, find_roots_many, jensen_residual,
-                      make_truncated, max_modulus, sample_truncated, stream, zeros)
+                      max_modulus, sample_truncated, stream, zeros)
 from gafzeros._num import horner
+from gafzeros.models import log_sigma
 
 PLANAR = GafModel.planar()
 MAX_NODES = zeros.MAX_NODES
@@ -145,7 +146,7 @@ class TestWinding:
             if np.min(np.abs(np.abs(roots) - r)) < 1e-6 * r:
                 continue  # zero essentially on the test circle
             f = lambda z: np.polynomial.polynomial.polyval(z, c)
-            res, _ = count_with_retry(f, r, 0.0, require_certified=False)
+            res = count_zeros_winding(f, r, 0.0)
             assert res.count == count_in_disk(roots, r)
 
     def test_rotation_invariance(self):
@@ -154,15 +155,15 @@ class TestWinding:
         for _ in range(25):
             gaf = sample_truncated(PLANAR, 2.0, rng)
             g = lambda z: gaf(u * z)
-            a, _ = count_with_retry(gaf, 2.0, 0.0, require_certified=False)
-            b, _ = count_with_retry(g, 2.0, 0.0, require_certified=False)
+            a = count_zeros_winding(gaf, 2.0, 0.0)
+            b = count_zeros_winding(g, 2.0, 0.0)
             assert a.count == b.count
 
     def test_count_is_nonnegative_integer(self):
         rng = stream(13)
         for _ in range(50):
             gaf = sample_truncated(PLANAR, 1.5, rng)
-            res, _ = count_with_retry(gaf, 1.5, 0.0, require_certified=False)
+            res = count_zeros_winding(gaf, 1.5, 0.0)
             assert res.count >= 0
 
 
@@ -206,7 +207,13 @@ class TestRoots:
             if isinstance(roots, RootsDidNotConverge):
                 continue
             f = lambda z: np.polynomial.polynomial.polyval(z, c)
-            res, _ = count_with_retry(f, r, 0.0, require_certified=False)
+            try:
+                res = count_zeros_winding(f, r, 0.0)
+            except InconclusiveCount:
+                # the oracle cannot resolve a root within about one node
+                # spacing of the circle at the node cap
+                assert np.min(np.abs(np.abs(roots) - r)) < 2.0 * math.pi * r / MAX_NODES
+                continue
             assert res.count == count_in_disk(roots, r)
 
 
@@ -451,7 +458,7 @@ class TestJensen:
         rng = stream(32)
         for _ in range(25):
             gaf = sample_truncated(PLANAR, 2.5, rng, degree=25)
-            res, _ = count_with_retry(gaf, 2.0, 0.0, require_certified=False)
+            res = count_zeros_winding(gaf, 2.0, 0.0)
             check = jensen_residual(gaf, 2.0, 2.5)
             assert res.count * math.log(2.5 / 2.0) <= check.integral_n_over_u + 1e-9
 
@@ -489,7 +496,7 @@ class TestRouche:
             except InconclusiveCount:
                 continue
             checked += 1
-            res2, _ = count_with_retry(deeper, 1.0, 0.0, require_certified=False)
+            res2 = count_zeros_winding(deeper, 1.0, 0.0)
             disagreements += res.count != res2.count
         assert checked > 250
         assert disagreements == 0
@@ -518,9 +525,11 @@ class FftReference:
     """A TruncatedGaf read on a grid by a one-row inverse FFT of its own.
 
     Reference copy of the coefficient path of the one-function walker: the
-    scaled coefficients b_k = w_k r^k, rotated by e^{i pi k/n} for the
-    midpoints, folded mod n and transformed alone.  The reference loops
-    read an instance through ``grid`` instead of calling it on the nodes.
+    scaled coefficients b_k = w_k r^k, read from the draw as
+    a_k exp(log sigma_k + k log r) where w_k is 0 or subnormal, rotated by
+    e^{i pi k/n} for the midpoints, folded mod n and transformed alone.  The
+    reference loops read an instance through ``grid`` instead of calling it
+    on the nodes.
     """
 
     def __init__(self, gaf):
@@ -530,8 +539,10 @@ class FftReference:
         w = self.gaf.weighted_coefficients
         k = np.arange(len(w))
         b = np.zeros(len(w), dtype=complex)
-        nz = w != 0
-        b[nz] = np.exp(np.log(w[nz]) + k[nz] * math.log(r))
+        tiny = np.abs(w) < np.finfo(float).tiny
+        b[~tiny] = np.exp(np.log(w[~tiny]) + k[~tiny] * math.log(r))
+        j = k[tiny & (self.gaf.coeffs != 0)]
+        b[j] = np.exp(np.log(self.gaf.coeffs[j]) + log_sigma(self.gaf.model, j) + j * math.log(r))
         if shift:
             b = b * np.exp(1j * (2.0 * math.pi * shift / n) * (k % (2 * n)))
         if len(b) > n:
@@ -732,6 +743,23 @@ def coefficient_outcome(fn, *args, **kwargs):
         return "inconclusive", str(exc).split()[0]
 
 
+def log_oracle_count(gaf, r):
+    # zeros of gaf in |z| < r, summed from phase increments of the polynomial
+    # rescaled to u = z/r, a_k exp(log sigma_k + k log r - L) with L the log
+    # of its largest term, on unit-circle grids that double from 2^16 nodes
+    # until every increment is below pi/2
+    k = np.arange(len(gaf.coeffs))
+    log_c = np.log(gaf.coeffs) + log_sigma(gaf.model, k) + k * math.log(r)
+    c = np.exp(log_c - log_c.real.max())
+    n = 2**16
+    while True:
+        vals = np.fft.ifft(c, n=n, norm="forward")
+        diffs = np.angle(np.roll(vals, -1) / vals)
+        if np.abs(diffs).max() < math.pi / 2:
+            return round(diffs.sum() / (2.0 * math.pi))
+        n *= 2
+
+
 class TestCoefficientPath:
     """A TruncatedGaf passed unwrapped is read from its coefficients by inverse FFT.
 
@@ -820,16 +848,15 @@ class TestCoefficientPath:
                     folded += n < gaf.degree + 1 and gaf.degree >= 63
         assert folded > 0
 
-    def test_planar_r18_counts_match_callable_path(self):
-        # at degree 494 the high weights are subnormal or 0: the FFT reads
-        # the same coefficients as Horner and must give the same counts
-        for k in range(5):
-            gaf = sample_truncated(PLANAR, 18.0, stream(11, k))
-            floor = 4.0 * gaf.tail_sd
-            got, _ = count_with_retry(gaf, 18.0, floor)
-            want, _ = count_with_retry(lambda z: gaf(z), 18.0, floor)
-            assert got.count == want.count
-            assert got.certified == want.certified
+    def test_planar_large_r_counts_match_log_oracle(self):
+        # at degrees 408-587 the planar weights a_k sigma_k are subnormal
+        # from k = 301 and 0 from k = 314; the walk must read those terms
+        # from the draw, as the oracle does, and certify every count
+        for r in (16.0, 18.0, 20.0):
+            for k in range(5):
+                gaf = sample_truncated(PLANAR, r, stream(11, k))
+                res, _ = count_with_retry(gaf, r, 4.0 * gaf.tail_sd)
+                assert res.count == log_oracle_count(gaf, r)
 
     def test_domain_guard(self):
         r, gaf = WALKER_DRAWS[0]
@@ -837,7 +864,7 @@ class TestCoefficientPath:
                          (max_modulus, ())):
             with pytest.raises(ValueError, match="outside radius_of_use"):
                 fn(gaf, r * (1.0 + 2e-5), *args)
-        # the retry policy's radius steps of 1e-6 r stay inside the guard
+        # a radius within the guard's 1e-5 relative slack is counted
         assert count_zeros_winding(gaf, r * (1.0 + 2e-6), 0.0).count >= 0
 
 
@@ -846,25 +873,23 @@ class TestCountReplicas:
         model, r, guard, seed = GafModel.hyperbolic(1.0), 0.9, 100.0, 5
         degree = choose_truncation(model, r)
         keys = [7, 0, 3, 3, 12]
-        counts, retries = count_replicas(model, r, degree, guard, seed, keys)
-        want, want_retries = [], 0
+        counts = count_replicas(model, r, degree, guard, seed, keys)
+        want = []
         for k in keys:
             gaf = sample_truncated(model, r, stream(seed, k), degree=degree)
             try:
-                res, used = count_with_retry(gaf, r, guard * gaf.tail_sd)
+                res, retries = count_with_retry(gaf, r, guard * gaf.tail_sd)
             except InconclusiveCount:
                 want.append(-1)
                 continue
             want.append(res.count)
-            want_retries += used
+            assert retries == 0
         assert counts.tolist() == want
-        assert retries == want_retries
 
     def test_unresolved_replica_counts_minus_one(self):
         # a floor above every |f| on the circle leaves each replica unresolved
-        counts, retries = count_replicas(PLANAR, 1.0, 8, 1e300, 2, range(3))
+        counts = count_replicas(PLANAR, 1.0, 8, 1e300, 2, range(3))
         assert counts.tolist() == [-1, -1, -1]
-        assert retries == 0
 
     def test_direct_mc_tail_equals_mc_tail_csv(self, tmp_path):
         est = direct_mc_tail(PLANAR, 2.0, 6, 1500, seed=3)
@@ -875,7 +900,6 @@ class TestCountReplicas:
         with open(path) as fh:
             (row,) = list(csv.DictReader(fh))
         assert int(row["hits"]) == est.hits
-        assert int(row["retries"]) == est.retries
         assert int(row["unresolved"]) == est.unresolved
         assert float(row["log_p"]) == est.log_p
 
@@ -912,18 +936,12 @@ class TestNumpyRowwise:
                     assert same_bits(got, getattr(row, name)())
 
 
-def ref_count_with_retry(f, r, floor, *, require_certified=True):
-    # reference copy of the one-case retry policy over the reference loop
-    last_exc = None
-    for attempt, d in enumerate((0.0, 1e-6, -1e-6, 2e-6)):
-        try:
-            res = ref_count_zeros_winding(f, r * (1.0 + d), floor)
-            if res.certified or not require_certified:
-                return res, attempt
-            last_exc = InconclusiveCount(f"uncertified count at radius perturbation {d:+.1e}")
-        except InconclusiveCount as exc:
-            last_exc = exc
-    raise last_exc
+def ref_certified_count(f, r, floor):
+    # the reference loop's count, an uncertified one as an error
+    res = ref_count_zeros_winding(f, r, floor)
+    if not res.certified:
+        raise InconclusiveCount(f"uncertified count on |z| = {r}")
+    return res
 
 
 def batch_outcomes(results):
@@ -989,15 +1007,17 @@ class TestBatchedWalker:
         return {g[0] if g[0] == "ok" else g[1].split()[0] for g in got}
 
     def test_grid_rows_match_reference_bitwise(self):
-        # rows of different lengths, a sparse one among them, on start grids
-        # that fold the long rows: every level of every row has the bits of
-        # the row's own one-row FFT, signed zeros included
+        # rows of different lengths, a sparse one among them and a planar
+        # one at r = 18 whose weights are subnormal or 0 from k = 301, on
+        # start grids that fold the long rows: every level of every row has
+        # the bits of the row's own one-row FFT, signed zeros included
         from gafzeros import make_truncated
         coeffs = np.zeros(6, dtype=complex)
         coeffs[5] = 1.0
         sparse = make_truncated(PLANAR, coeffs, 0.9)
-        gafs = [gaf for _, gaf in WALKER_DRAWS] + [sparse]
-        rs = [r for r, _ in WALKER_DRAWS] + [0.9]
+        large = sample_truncated(PLANAR, 18.0, stream(11, 0))
+        gafs = [gaf for _, gaf in WALKER_DRAWS] + [sparse, large]
+        rs = [r for r, _ in WALKER_DRAWS] + [0.9, 18.0]
         for start in (8, 16, 128):
             levels = []
 
@@ -1059,17 +1079,20 @@ class TestBatchedWalker:
         assert [(row[3], row[4], row[-1]) for row in rows] == [(-1, -1, False)] * 3
 
     def test_retries_match_reference_policy(self):
-        # z^2, zeroed on one side of |z| = edge: at r = 1 the k-th radius
-        # of the retry policy is the first to clear the floor for edges
-        # 1 + 5e-7 (k = 1), 1 - 5e-7 (k = 2) and 1 + 1.5e-6 (k = 3); with
-        # edge 5 none does.  Next to them, planar draws, and the slowest
-        # trial of the roots-jensen panel, inconclusive at all four radii:
-        # its first walk proves that, so it keeps the first attempt's error.
+        # every count is one walk at r.  z^2, zeroed on one side of
+        # |z| = edge, hits its floor at r = 1 for every edge: the walks at
+        # r (1 + 1e-6), r (1 - 1e-6) and r (1 + 2e-6) would clear it for
+        # edges 1 + 5e-7, 1 - 5e-7 and 1 + 1.5e-6, but no count walks
+        # there.  Next to them, z with a floor 1e-6 below |z| = 1, whose
+        # arc margin 1 - 2 pi / n stays below it up to the node cap, planar
+        # draws, and the slowest trial of the roots-jensen panel, which
+        # hits its floor.
         def zeroed(edge, inside):
             return lambda z: z * z * np.where(np.abs(z) < edge, inside, 1.0 - inside)
 
         rows = [(zeroed(1 + 5e-7, 0.0), 1.0, 1e-3), (zeroed(1 - 5e-7, 1.0), 1.0, 1e-3),
-                (zeroed(1 + 1.5e-6, 0.0), 1.0, 1e-3), (zeroed(5.0, 0.0), 1.0, 1e-3)]
+                (zeroed(1 + 1.5e-6, 0.0), 1.0, 1e-3), (zeroed(5.0, 0.0), 1.0, 1e-3),
+                (lambda z: z, 1.0, 1.0 - 1e-6)]
         for k in range(6):
             gaf = sample_truncated(PLANAR, 2.3, stream(71, k))
             rows.append((gaf, 2.3, 100.0 * gaf.tail_sd))
@@ -1077,112 +1100,25 @@ class TestBatchedWalker:
         r = 3.0 + 3.0 * rng.random()
         gaf = sample_truncated(PLANAR, 1.25 * r, rng)
         rows.append((gaf, r, 100.0 * gaf.tail_sd))
-        for require in (True, False):
-            fs = recorded(rows)
-            got = batch_outcomes(zeros.count_with_retry_many(
-                [(f, r, floor) for f, (_, r, floor) in zip(fs, rows)], require_certified=require))
-            for g, f, (raw, r, floor) in zip(got[:-1], fs, rows[:-1]):
-                assert (g, calls(f)) == ref_outcome(ref_count_with_retry, raw, r, floor,
-                                                    require_certified=require)
-            _, panel_r, panel_floor = rows[-1]
-            assert ref_outcome(ref_count_with_retry, gaf, panel_r, panel_floor,
-                               require_certified=require)[0][0] == "inconclusive"
-            assert got[-1] == ref_outcome(ref_count_zeros_winding, gaf, panel_r, panel_floor)[0]
-            assert [g[1][1] for g in got[:3]] == [1, 2, 3]
-            assert got[3][0] == got[-1][0] == "inconclusive"
-            assert got[3][1].startswith("min |f| = 0.000e+00")
-            assert got[-1][1].startswith("min |f| = 2.893e+01")
-
-
-def circle_min(gaf, r, n):
-    # smallest |f| on the n-node grid of |z| = r
-    return float(np.abs(FftReference(gaf).grid(r, n, 0.0)).min())
-
-
-def skip_outcome(case, require):
-    # count_with_retry_many's entry for one case, checked against the
-    # four-radius reference: a case whose retries are skipped must fail at
-    # every radius and keep its first walk's error; any other case gets the
-    # reference outcome.  Returns (outcome, skipped).
-    gaf, r, floor = case
-    (got,) = batch_outcomes(zeros.count_with_retry_many([case], require_certified=require))
-    want, _ = ref_outcome(ref_count_with_retry, gaf, r, floor, require_certified=require)
-    (first,) = zeros._counts([gaf], [r], [floor])
-    skipped = (isinstance(first, InconclusiveCount) and first.floor_hit is not None
-               and zeros._retries_hopeless(gaf, r, floor, first.floor_hit))
-    if skipped:
-        assert want[0] == "inconclusive"
-        assert got == ("inconclusive", str(first))
-    else:
-        assert got == want
-    return got, skipped
-
-
-# planar draws of degree 14-60; the third has a larger circle minimum at
-# r (1 + 1e-6) than at r
-SKIP_DRAWS = [(r, sample_truncated(PLANAR, r, stream(81, k)))
-              for k, r in enumerate([0.6, 1.1, 1.7, 2.2, 2.8, 3.3, 3.9, 1.4])]
+        fs = recorded(rows)
+        got = batch_outcomes(zeros.count_with_retry_many(
+            [(f, r, floor) for f, (_, r, floor) in zip(fs, rows)]))
+        for g, f, (raw, r, floor) in zip(got, fs, rows):
+            assert (g, calls(f)) == ref_outcome(ref_certified_count, raw, r, floor)
+        for g in got[:4]:
+            assert g == ("inconclusive", "min |f| = 0.000e+00 at or below floor 1.000e-03 "
+                                         "on |z| = 1.0")
+        assert got[4] == ("inconclusive", "uncertified count on |z| = 1.0")
+        assert {g[0] for g in got[5:-1]} == {"ok"}
+        assert got[-1][1].startswith("min |f| = 2.893e+01")
 
 
 class TestRetrySkip:
-    """A count whose first walk proves its retries hopeless skips them."""
-
-    def test_skip_matches_reference_policy(self):
-        # floors from 0.5 to 2 times the minimum on 65536 nodes: the walks
-        # certify, or hit the floor at 256 to 32768 nodes
-        cases = [(gaf, r, scale * circle_min(gaf, r, 65536))
-                 for r, gaf in SKIP_DRAWS for scale in (0.5, 1.0001, 1.001, 1.01, 2.0)]
-        # a floor between the circle minima at r and at r (1 + 1e-6): the
-        # walk at r hits it, the one at r (1 + 1e-6) reaches the node cap
-        r, gaf = SKIP_DRAWS[2]
-        low, high = circle_min(gaf, r, MAX_NODES), circle_min(gaf, r * (1 + 1e-6), MAX_NODES)
-        assert low < high
-        cases.append((gaf, r, 0.5 * (low + high)))
-        seen = set()
-        for require in (True, False):
-            for case in cases:
-                got, skipped = skip_outcome(case, require)
-                seen.add("skipped" if skipped else got[0] if got[0] == "inconclusive"
-                         else "retried" if got[1][1] else "ok")
-        # the last case, uncertified at r (1 + 1e-6), succeeds there when
-        # certification is not required
-        assert got[0] == "ok" and got[1][1] == 1 and not got[1][0].certified
-        assert seen == {"ok", "retried", "skipped", "inconclusive"}
-
-    def test_arc_that_certifies_at_a_retry_blocks_the_skip(self):
-        # hyperbolic rho=1 (unit weights), u = z/r on r = 0.99:
-        # f = 1 + 0.01 u^128 ((1+u)/2)^32 - 0.9 (1 - u^256)/2 ((1-u)/2)^32.
-        # On the 256-node grid the second term alternates in sign around u = 1,
-        # so the worst arc margin there moves three times as fast with r as
-        # its end values; the third term vanishes at those nodes and dips to
-        # about 0.2 between them near u = -1.  With a floor between the worst
-        # margins at r and at r (1 - 1e-6), the walk at r hits the floor at
-        # 512 nodes, and the retry at r (1 - 1e-6) certifies at 256 nodes.
-        r = 0.99
-        u = np.polynomial.Polynomial.basis
-        f = (1.0 + 0.01 * u(128) * ((1 + u(1)) / 2) ** 32
-             - 0.9 * (1 - u(256)) / 2 * ((1 - u(1)) / 2) ** 32)
-        coeffs = f.coef / r ** np.arange(len(f.coef))
-        gaf = make_truncated(GafModel.hyperbolic(1.0), coeffs.astype(complex), r)
-
-        def worst_margin(s):
-            # the smallest arc margin of the 256-node grid on |z| = s
-            v = FftReference(gaf).grid(s, 256, 0.0)
-            nxt = np.roll(v, -1)
-            return float((np.minimum(np.abs(v), np.abs(nxt)) - np.abs(nxt - v)).min())
-
-        at_r, inward = worst_margin(r), worst_margin(r * (1 - 1e-6))
-        floor = at_r + 0.85 * (inward - at_r)
-        for require in (True, False):
-            got, skipped = skip_outcome((gaf, r, floor), require)
-            assert not skipped
-            assert got[0] == "ok" and got[1][1] == 2 and got[1][0].circle_nodes_used == 256
-        (first,) = zeros._counts([gaf], [r], [floor])
-        assert first.floor_hit[0] == 512 and len(first.floor_hit[3]) == 1
+    """A count that fails its one walk is not walked again."""
 
     def test_panel_trial_walks_once(self, monkeypatch):
-        # the roots-jensen panel trial fails at all four radii; its first
-        # walk proves it, so the count makes that one walk
+        # the roots-jensen panel trial hits its floor at 262144 nodes, and
+        # its count makes that one walk
         rng = stream(0, 31)
         r = 3.0 + 3.0 * rng.random()
         gaf = sample_truncated(PLANAR, 1.25 * r, rng)
