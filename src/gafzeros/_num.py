@@ -179,6 +179,26 @@ def inverse_conditional_gamma(shape, log_s, u):
     return math.exp(t)
 
 
+def golden_max(f, lo, hi, tol):
+    """(x, f(x)) at the maximiser x of a unimodal f on [lo, hi], by golden section to tol."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def certified_log_series(log_terms, start, ratio_bound, *, rel_tol=1e-18):
     """log of sum_{n >= start} exp(log_terms(n)) with a certified remainder.
 

@@ -170,25 +170,6 @@ def poisson_kernel_bounds(r: float, eps: float) -> tuple[float, float]:
     return (r + eps) / (r - eps), (r - eps) / (r + eps)
 
 
-def _golden_max(f, lo, hi, tol):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _kappa_search(r: float):
     """(maximizer, golden value, grid maximum) of B_eps^2 / |log eps| over (0, r).
 
@@ -205,7 +186,7 @@ def _kappa_search(r: float):
     grid = np.exp(np.linspace(math.log(1e-12), math.log(r) - 1e-9, 4096))
     vals = (((r - grid) / (r + grid)) ** 2) / (-np.log(grid))
     i = int(np.clip(np.argmax(vals), 1, len(grid) - 2))
-    x, best = _golden_max(g, grid[i - 1], grid[i + 1], 1e-12 * grid[i])
+    x, best = _num.golden_max(g, grid[i - 1], grid[i + 1], 1e-12 * grid[i])
     return x, best, vals.max()
 
 

@@ -269,10 +269,10 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         def anchor_at(log_beta):
             return (fixed_units + math.exp(log_beta) * band_units) * margin
 
-        def neg_price(log_beta):
-            # minus the beta-dependent part of the exact price: bands, anchor
+        def price(log_beta):
+            # the beta-dependent part of the exact price: bands, anchor
             bands_lp = float(np.sum(_num.log_bernoulli_le(2.0 * (log_beta + log_q))))
-            return anchor_at(log_beta) ** 2 - bands_lp
+            return bands_lp - anchor_at(log_beta) ** 2
 
         # beta is the unique maximiser of the exact price, which is concave in
         # log beta.  With N band indices and g(x) = 2x/(e^x - 1) in [2 - x, 2],
@@ -280,17 +280,15 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         # beta band (s the margin) is positive below the root of
         # (2 s^2 band^2 + sum q_n^2) beta^2 + 2 s^2 fixed band beta = 2N
         # and negative above N / (4 band), which brackets the maximiser.
+        # The root is taken in log space: sum q_n^2 overflows from r = 150.
         n_idx = len(log_q)
-        quad = 2.0 * margin ** 2 * band_units ** 2 + float(np.exp(2.0 * log_q).sum())
-        lin = 2.0 * margin ** 2 * fixed_units * band_units
-        beta_lo = 4.0 * n_idx / (lin + math.sqrt(lin * lin + 8.0 * quad * n_idx))
-        beta_hi = n_idx / (4.0 * band_units)
-        # imported here, its one caller, so that importing the package does
-        # not load scipy.optimize
-        from scipy import optimize
-        log_beta = float(optimize.minimize_scalar(
-            neg_price, bounds=(math.log(beta_lo), math.log(beta_hi)), method="bounded",
-            options={"xatol": 1e-9}).x)
+        log_quad = np.logaddexp(math.log(2.0 * margin ** 2) + 2.0 * math.log(band_units),
+                                _num.logsumexp(2.0 * log_q))
+        log_lin = math.log(2.0 * margin ** 2 * fixed_units * band_units)
+        log_beta_lo = math.log(4.0 * n_idx) - float(np.logaddexp(log_lin, 0.5 * np.logaddexp(
+            2.0 * log_lin, math.log(8.0 * n_idx) + log_quad)))
+        log_beta_hi = math.log(n_idx / (4.0 * band_units))
+        log_beta, _ = _num.golden_max(price, log_beta_lo, log_beta_hi, 1e-9)
         beta = math.exp(log_beta)
         anchor = anchor_at(log_beta)
 
@@ -561,10 +559,12 @@ def sample_satisfies(ev: EventSpec, coeffs: np.ndarray) -> bool:
 
 
 def verify_domination(ev: EventSpec, coeffs: np.ndarray) -> bool:
-    """Numerically confirm strict single-term domination on the circle.
+    """Whether the anchor term provably dominates the rest of the series on |z| = r.
 
-    The sample must satisfy the event (checked); False means the margin was
-    not resolvable, not a refutation.
+    The sample must satisfy the event (checked).  True is a proof for the
+    truncated polynomial plus the event's tail bound: the anchor term, less 1e-9
+    of itself, exceeds ``max_modulus`` of the other terms plus
+    ``event_tail_sup_bound``.  False means no proof, not a refutation.
     """
     if not sample_satisfies(ev, coeffs):
         raise ValueError("sample does not satisfy the event")
@@ -577,10 +577,8 @@ def verify_domination(ev: EventSpec, coeffs: np.ndarray) -> bool:
     others = np.array(coeffs, dtype=complex)
     others[m] = 0.0
     rest = TruncatedGaf(model=model, coeffs=others, radius_of_use=r, tail_sd=gaf.tail_sd)
-    rest_max = max_modulus(rest, r, rel_tol=1e-6)
     tail = event_tail_sup_bound(ev, gaf.degree)
-    # the 1e-4 slack dominates the grid-max resolution error by two orders
-    return anchor_term * (1.0 - 1e-9) > rest_max * (1.0 + 1e-4) + tail
+    return anchor_term * (1.0 - 1e-9) > max_modulus(rest, r) + tail
 
 
 def certified_event_count(ev: EventSpec, coeffs: np.ndarray):

@@ -235,6 +235,11 @@ def choose_truncation(model: GafModel, r: float) -> int:
     return hi
 
 
+# Relative slack of every radius_of_use guard: the rounding of |r e^{i theta}| on
+# the circle r = radius_of_use, for the tail bound holds at radius_of_use only.
+DOMAIN_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class TruncatedGaf:
     """A sampled partial sum sum_{n<=N} a_n sigma_n z^n with its tail bound.
@@ -259,15 +264,9 @@ class TruncatedGaf:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        """Evaluate the partial sum at z (scalar or array), inside radius_of_use.
-
-        The domain guard carries 1e-5 relative slack.  It need only exceed
-        the rounding of |r e^{i theta}| at the nodes of the circle
-        r = radius_of_use, a few ulp; the size 1e-5 has no other reason.  The
-        tail bound changes by a vanishing relative amount over that margin.
-        """
+        """Evaluate the partial sum at z, |z| <= radius_of_use (1 + DOMAIN_SLACK)."""
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) > self.radius_of_use * (1.0 + 1e-5)):
+        if np.any(np.abs(z) > self.radius_of_use * (1.0 + DOMAIN_SLACK)):
             raise ValueError("evaluation point outside radius_of_use")
         out = _num.horner(self.weighted_coefficients, z)
         return complex(out) if out.ndim == 0 else out

@@ -400,8 +400,8 @@ class TestBenchmarkOutputChecks:
 class TestImportCost:
     def test_import_loads_neither_stats_nor_optimize(self):
         # every CLI run pays the import, and scipy.stats with scipy.optimize
-        # cost about 0.7 s of it; optimize may load only at the first
-        # moderate-grouped event, whose band scale it solves
+        # cost about 0.7 s of it; the moderate-grouped band scale is solved
+        # by golden section, so optimize never loads
         script = (
             "import sys\n"
             "import gafzeros, gafzeros.experiments, gafzeros.cli\n"
@@ -416,4 +416,4 @@ class TestImportCost:
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout.splitlines()
-        assert out == ["[]", "True True", "True"]
+        assert out == ["[]", "True True", "False"]

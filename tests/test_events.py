@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,17 @@ class TestBuildEvent:
     def test_moderate_rejects_tiny_radius(self):
         with pytest.raises(EventConstructionError):
             build_event(EventKind.MODERATE_GROUPED, r=1.5, alpha=1.5, gamma=1.0)
+
+    @pytest.mark.parametrize("r, alpha", [(150.0, 1.5), (100.0, 1.9)])
+    def test_moderate_builds_at_large_radius(self, r, alpha):
+        # band caps 2^k/M with k up to about 600: the sum of their squares
+        # overflows, so the bracket of beta is formed in log space
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=alpha, gamma=1.0)
+            price = event_log_prob_detail(ev).total
+        assert math.isfinite(price) and price <= 0.0
+        assert ev.params["sup_budget"] < ev.params["anchor"]
 
     def test_very_large_anchor_covers_budget(self):
         for r in (3.0, 4.0, 5.0):
