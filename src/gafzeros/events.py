@@ -22,7 +22,7 @@ from . import _num
 from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, log_weight,
                      make_truncated, stream, weight_ratio_bound)
 from .radial import RadialEnsemble, _profile_depth, sample_radii
-from .zeros import count_replicas, count_with_retry, max_modulus
+from .zeros import _sizes, count_replicas, count_with_retry, max_modulus
 
 
 class EventKind(Enum):
@@ -570,8 +570,9 @@ def verify_domination(ev: EventSpec, coeffs: np.ndarray) -> bool:
         raise ValueError("sample does not satisfy the event")
     model, r, m = ev.model, ev.r, ev.m
     gaf = make_truncated(model, coeffs, r)
-    w = gaf.weighted_coefficients
-    anchor_term = abs(w[m]) * r ** m if m <= gaf.degree else 0.0
+    # |a_m| sigma_m r^m from the draw in log form: r^m overflows where
+    # m log r > 709, and sigma_m underflows
+    anchor_term = float(_sizes([gaf], [r])[0][0, m]) if m <= gaf.degree else 0.0
     if anchor_term == 0.0:
         return False
     others = np.array(coeffs, dtype=complex)

@@ -1,17 +1,14 @@
 """Certified zero counting on disks, polynomial roots, and circle functionals.
 
-The counter walks the image of a circle and accumulates phase increments; a
-count is only reported once every adjacent increment is below pi/2 (a 2x
-safety factor against aliasing a full loop).  Certification compares the
-smallest sampled modulus, minus a continuity margin, against a caller-supplied
-floor (typically a truncation tail bound), which is what makes the truncated
-count transferable to the full series.
-
-The count and the circle mean read the circle through ``_circle_grids``,
-which walks many functions at once.  The ``TruncatedGaf`` rows are read from
-their coefficients, one inverse FFT along the rows per grid; any other
-callable is called on the grid nodes.  The circle maximum is a bound proved
-from one such grid (``max_modulus``).
+A count walks |z| = r on node-doubling grids until a proved arc margin is
+above a caller-supplied floor (typically a truncation tail bound, which is
+what makes the truncated count transferable to the full series).  A point of
+an arc of length l = 2 pi r/n lies within l/2 of a node, so by Taylor's
+theorem |f| >= min_j (|f_j| - l |f'_j|/2) - l^2 M2/8 - E on the arc, with
+M2 >= max |f''| and E the rounding bound (``_arc_terms``).  A positive margin
+turns the phase by less than pi/2 on each half arc, so the principal phase
+increments of the grid sum to the winding number.  The circle maximum is a
+bound proved from one FFT grid (``max_modulus``).
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from . import _num
 from .models import DOMAIN_SLACK, GafModel, TruncatedGaf, log_sigma, sample_truncated, stream
 
 _TWO_PI = 2.0 * math.pi
-PHASE_LIMIT = math.pi / 2.0
 MAX_NODES = 2**20
 HARD_FLOOR = 1e-300  # moduli below this are treated as a hard failure, never clamped
 # Roots per block of ``find_roots_many``.  An Aberth iteration pays a fixed
@@ -52,7 +48,6 @@ class RootsDidNotConverge(RuntimeError):
 @dataclass(frozen=True)
 class CountResult:
     count: int
-    certified: bool
     min_modulus_on_circle: float
     circle_nodes_used: int
 
@@ -69,25 +64,22 @@ class JensenCheck:
 
 
 def _coefficient_rows(gafs, rs):
-    """``on_grid(sel, n, shift)``: rows ``sel`` of gafs[i] at rs[i] e^{2 pi i (j + shift)/n}.
+    """``on_grid(sel, n, shift, weight)``: rows sel of sum_k weight_k b_k u^k on n nodes.
 
-    On n equispaced nodes sum_k b_k e^{2 pi i jk/n} is the inverse DFT of the
-    scaled coefficients b_k = w_k r^k folded mod n; the midpoint shift 1/2
-    first rotates b_k by e^{i pi k/n} (shift is 0 or 1/2).  b_k is formed as
-    exp(log w_k + k log r) with the complex log.  Where w_k = a_k sigma_k is
-    0 or subnormal (planar sigma_k is subnormal from k = 301 and 0 from
-    k = 314), w_k has lost the digits of b_k, and b_k is formed from the draw
-    as exp(log a_k + log sigma_k + k log r); a zero a_k leaves b_k = 0.  The
-    rows sit zero-padded in one matrix and take one inverse FFT along axis 1
-    per call; a row is folded over its own blocks of n only and keeps +0 past
-    its own length, so each row gets the bits of a transform of its
-    coefficients alone.
+    The nodes are u = e^{2 pi i (j + shift)/n}, and b_k = w_k r^k scales gafs[i]
+    to rs[i], so unweighted rows are gafs[i] on the nodes: the inverse DFT of
+    the b_k folded mod n, rotated by e^{i pi k/n} for shift 1/2.  b_k =
+    exp(log w_k + k log r), or exp(log a_k + log sigma_k + k log r) from the draw
+    where w_k = a_k sigma_k is 0 or subnormal (planar from k = 301).  The
+    zero-padded rows take one inverse FFT along axis 1; a row is folded over its
+    own blocks of n only and keeps +0 past its own length, so each row gets the
+    bits of a transform of its coefficients alone.
     """
     for gaf, r in zip(gafs, rs):
         if r > gaf.radius_of_use * (1.0 + DOMAIN_SLACK):
             raise ValueError("evaluation point outside radius_of_use")
-    lens = np.array([len(gaf.weighted_coefficients) for gaf in gafs])
-    w = np.zeros((len(gafs), lens.max()), dtype=complex)
+    lens = np.array([len(gaf.weighted_coefficients) for gaf in gafs], dtype=int)
+    w = np.zeros((len(gafs), lens.max(initial=0)), dtype=complex)
     for row, gaf in zip(w, gafs):
         row[: len(gaf.weighted_coefficients)] = gaf.weighted_coefficients
     k = np.arange(w.shape[1])
@@ -102,10 +94,12 @@ def _coefficient_rows(gafs, rs):
         b[i, j] = np.exp(np.log(a[j].astype(complex)) + log_sigma(gafs[i].model, j)
                          + j * log_r[i])
 
-    def on_grid(sel, n, shift):
+    def on_grid(sel, n, shift, weight=None):
         size = lens[sel]
         width = size.max()
         c = b[sel, :width]
+        if weight is not None:
+            c = c * weight[:width]
         if shift:
             rot = np.exp(1j * (_TWO_PI * shift / n) * (k[:width] % (2 * n)))
             if size.min() == width:
@@ -125,46 +119,70 @@ def _coefficient_rows(gafs, rs):
     return on_grid
 
 
+def _sizes(gafs, rs):
+    """|b_k| and the reach s_k of every row, zero-padded to one matrix each (0 where a_k = 0).
+
+    |b_k| = exp(log |a_k| + log sigma_k + k log r) from the draw in log form, so no
+    weight underflows and no power of r overflows; s_k = |log |a_k|| + |log sigma_k|
+    + k |log r| + pi bounds the logs summed into b_k.
+    """
+    width = max((len(gaf.coeffs) for gaf in gafs), default=0)
+    a, log_s = np.zeros((len(gafs), width)), np.zeros((len(gafs), width))
+    for i, gaf in enumerate(gafs):
+        a[i, :len(gaf.coeffs)] = np.abs(gaf.coeffs)
+    for model in {gaf.model for gaf in gafs}:
+        log_s[[gaf.model == model for gaf in gafs]] = log_sigma(model, np.arange(width))
+    k_log_r = np.arange(width) * np.array([math.log(r) for r in rs])[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        log_a = np.log(a)
+        size = np.where(a > 0, np.exp(log_a + log_s + k_log_r), 0.0)
+    reach = np.where(a > 0, np.abs(log_a) + np.abs(log_s) + np.abs(k_log_r) + math.pi, 0.0)
+    return size, reach
+
+
+def _rounding(size, reach, n):
+    """A first-order bound on the rounding of n-node grid values of rows |c_k| = ``size``.
+
+    8 log2(n) sqrt(n) eps sum |c_k| for the FFT (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 24.2), 4 eps (s_k + 2) |c_k| for b_k = exp(x_k)
+    (s_k = ``reach``), and 24 eps sum |c_k| for the weight, midpoint rotation,
+    modulus, sums and factors.
+    """
+    return np.finfo(float).eps * np.sum(
+        (8.0 * math.log2(n) * math.sqrt(n) + 32.0 + 4.0 * reach) * size, axis=-1)
+
+
+def _circle_max(on_grid, sel, n, degree, weight, size, reach):
+    """Proved upper bounds on max |sum_k weight_k b_k u^k| over |u| = 1, rows ``sel``.
+
+    Each row is u^j times a polynomial p of degree d = ``degree`` < n, and the
+    bound is sec(pi d/(2n)) (max over the n nodes + ``_rounding``).  Proof: let
+    M = max |p| be attained at t0, and T(t) = Re(e^{-i phi} e^{-i d t/2} p(e^{it}))
+    with T(t0) = M.  In t = 2s, T is a real trigonometric polynomial of degree
+    d, so Szego's inequality T'^2 + (d/2)^2 T^2 <= (d/2)^2 M^2 gives T(t0 + u)
+    >= M cos(d u/2), and a node lies within pi/n of t0.  1 + (z e^{-i pi/n})^d
+    attains the factor where d divides n (see Frappier, Rahman & Ruscheweyh,
+    Trans. AMS 288 (1985)).
+    """
+    top = np.abs(on_grid(sel, n, 0.0, weight)).max(axis=1)
+    return (top + _rounding(size, reach, n)) / np.cos(np.pi * degree / (2 * n))
+
+
 # Grid values one level of the circle walk may hold; rows that outgrow it
 # walk on in groups (one row at the least), so that 1024 replicas at 65536
 # nodes take 16 MB per array instead of 1 GB.
 GRID_BUDGET = 2**20
 
 
-def _circle_grids(fs, rs, start_nodes, max_nodes, step):
-    """Walk f_i on |z| = r_i over uniform grids that double up to max_nodes.
+def _circle_grids(on_grid, count, start_nodes, max_nodes, step):
+    """Walk ``count`` rows of a ``_coefficient_rows`` reader on grids doubling to max_nodes.
 
-    The first grid has start_nodes nodes from angle 0; each later grid adds
-    the midpoints of the one before, so each grid costs one evaluation on
-    the new nodes only.  At each level ``step(rows, vals)`` gets the indices
-    of the rows still walking and their values, one row of vals per
-    function, and returns the mask of the rows that walk on; the walk ends
-    after the first level of max_nodes or more.  The ``TruncatedGaf`` rows
-    are evaluated from their coefficients, by one inverse FFT along the rows
-    of a matrix (``_coefficient_rows``); any other callable is called on the
-    nodes.  Every row's values are the bits of a walk of its function alone.
+    The first grid has start_nodes nodes from angle 0; each later one adds the
+    midpoints, one inverse FFT of the new nodes.  ``step(rows, vals)`` gets the
+    rows still walking and their values, and returns the mask of those that
+    walk on, up to the first level of max_nodes or more.  Every row's values
+    are the bits of a walk of its function alone.
     """
-    if not fs:
-        return
-    if all(isinstance(f, TruncatedGaf) for f in fs):
-        on_grid = _coefficient_rows(fs, rs)
-    else:
-        coef = np.array([isinstance(f, TruncatedGaf) for f in fs])
-        place = np.cumsum(coef) - 1  # a coefficient row's row in the FFT matrix
-        fft_grid = (_coefficient_rows([f for f, c in zip(fs, coef) if c],
-                                      [r for r, c in zip(rs, coef) if c]) if coef.any() else None)
-
-        def on_grid(rows, n, shift):
-            by_fft = coef[rows]
-            vals = np.empty((len(rows), n), dtype=complex)
-            if by_fft.any():
-                vals[by_fft] = fft_grid(place[rows[by_fft]], n, shift)
-            theta = (np.arange(n) + shift) * (_TWO_PI / n)
-            for j in np.flatnonzero(~by_fft):
-                i = rows[j]
-                vals[j] = np.asarray(fs[i](rs[i] * np.exp(1j * theta)), dtype=complex)
-            return vals
-
     def doubled(rows, vals):
         out = np.empty((len(rows), 2 * vals.shape[1]), dtype=complex)
         out[:, 0::2] = vals
@@ -174,8 +192,8 @@ def _circle_grids(fs, rs, start_nodes, max_nodes, step):
     # each walk is (rows, their values on a grid already stepped, or None
     # before the start grid)
     first = max(1, GRID_BUDGET // start_nodes)
-    walks = [(np.arange(g, min(g + first, len(fs))), None)
-             for g in range(0, len(fs), first)][::-1]
+    walks = [(np.arange(g, min(g + first, count)), None)
+             for g in range(0, count, first)][::-1]
     while walks:
         rows, vals = walks.pop()
         vals = on_grid(rows, start_nodes, 0.0) if vals is None else doubled(rows, vals)
@@ -194,20 +212,61 @@ def _circle_grids(fs, rs, start_nodes, max_nodes, step):
             vals = doubled(rows, vals)
 
 
-def _counts(fs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
-    """``count_zeros_winding`` of every (f, r, floor) row, on one circle walk.
+def _arc_terms(gafs, rs):
+    """``(on_grid, slack, bounds)``: the arc margin of gafs[i] on |z| = rs[i], by parts.
 
-    Returns one entry per row: its CountResult, or the InconclusiveCount
-    that ``count_zeros_winding`` raises for it.  The phase increments are
-    formed only at a level where a row can stop: where it is certified or
-    the grid is at the node cap.
+    ``on_grid`` reads the rows (``_coefficient_rows``).  With l = 2 pi r/n,
+    ``slack(rows, n)`` is l^2 M2/8 + E, and ``bounds(rows, mods)`` maps the
+    |f_j| of an n-node grid to |f_j| - l |f'_j|/2 - slack, a lower bound on
+    |f| over the half arcs next to node j.  |f'| = |sum k b_k u^k|/r, one more
+    inverse FFT.  M2 is ``_circle_max`` of r^2 z^2 f'' = sum k (k-1) b_k u^k
+    (degree d - 2 up to u^2) on the least power of two above 4 (d - 2) nodes,
+    over r^2.  E is the ``_rounding`` of the f grid plus l/2 that of f'.
+    """
+    on_grid = _coefficient_rows(gafs, rs)
+    size, reach = _sizes(gafs, rs)
+    k = np.arange(size.shape[1])
+    curve = k * (k - 1.0)
+    radius = np.array(rs, dtype=float)
+    low = np.array([max(len(gaf.coeffs) - 3, 0) for gaf in gafs])
+    nodes = np.array([1 << (4 * int(d)).bit_length() for d in low])
+    bend = np.empty(len(gafs))  # M2
+    for n in np.unique(nodes):
+        sel = np.flatnonzero(nodes == n)
+        bend[sel] = _circle_max(on_grid, sel, int(n), low[sel], curve, size[sel] * curve,
+                                reach[sel]) / radius[sel] ** 2
+
+    def slack(rows, n):
+        arc = _TWO_PI * radius[rows] / n
+        return (arc**2 * bend[rows] / 8.0 + _rounding(size[rows], reach[rows], n)
+                + arc / 2.0 * _rounding(size[rows] * k, reach[rows], n) / radius[rows])
+
+    def bounds(rows, mods):
+        n = mods.shape[1]
+        arc = _TWO_PI * radius[rows] / n
+        slope = np.abs(on_grid(rows, n, 0.0, k)) / radius[rows, None]
+        return mods - arc[:, None] / 2.0 * slope - slack(rows, n)[:, None]
+
+    return on_grid, slack, bounds
+
+
+def _counts(gafs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
+    """The certified winding count in |z| < r of every (gaf, r, floor) row, on one walk.
+
+    A row stops at the first level where its arc margin is above its floor,
+    and sums the phase increments there; f' is read only where min |f| less
+    the slack is above the floor, as the margin needs.  Returns one entry
+    per row: its CountResult, or an InconclusiveCount where a node is at or
+    below the floor, the margin stays at or below it at the node cap, or
+    the phase total is no count.
     """
     for r, floor in zip(rs, floors):
         if not r > 0:
             raise ValueError("radius must be positive")
         if not floor >= 0:
             raise ValueError("floor must be nonnegative")
-    out = [None] * len(fs)
+    out = [None] * len(gafs)
+    on_grid, slack, bounds = _arc_terms(gafs, rs)
     floor_of = np.array(floors, dtype=float)
     limit = np.maximum(floor_of, HARD_FLOOR)
 
@@ -216,95 +275,50 @@ def _counts(fs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
         mods = np.abs(vals)
         mn = mods.min(axis=1)
         keep = ~(mn <= limit[rows])
-        live = np.flatnonzero(keep)
-        if len(live) < len(rows):
-            for j in np.flatnonzero(~keep):
-                i = rows[j]
-                out[i] = InconclusiveCount(f"min |f| = {mn[j]:.3e} at or below floor "
-                                           f"{floors[i]:.3e} on |z| = {rs[i]}")
-            vals, mods = vals[live], mods[live]
-        # per-arc continuity margin: |f| between two nodes cannot drop below
-        # the smaller endpoint by more than about the endpoint jump once the
-        # grid resolves f; ``last`` is the arc from the last node to the first
-        arcs = np.minimum(mods[:, :-1], mods[:, 1:]) - np.abs(vals[:, 1:] - vals[:, :-1])
-        last = np.minimum(mods[:, -1], mods[:, 0]) - np.abs(vals[:, 0] - vals[:, -1])
-        certified = np.minimum(arcs.min(axis=1), last) > floor_of[rows[live]]
-        stop = np.flatnonzero(certified) if n < max_nodes else np.arange(len(live))
-        if len(stop) == 0:
-            return keep
-        if len(stop) < len(live):
+        for j, i in zip(np.flatnonzero(~keep), rows[~keep]):
+            out[i] = InconclusiveCount(f"min |f| = {mn[j]:.3e} at or below floor "
+                                       f"{floors[i]:.3e} on |z| = {rs[i]}")
+        near = np.flatnonzero(keep & (mn - slack(rows, n) > floor_of[rows]))
+        if len(near):
+            margin = bounds(rows[near], mods[near]).min(axis=1)
+            stop = near[margin > floor_of[rows[near]]]
             vals = vals[stop]
-        nxt = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)  # np.roll(vals, -1, axis=1)
-        diffs = np.angle(nxt / vals)
-        phase_ok = np.abs(diffs).max(axis=1) < PHASE_LIMIT
-        totals = diffs.sum(axis=1)
-        for s, ok, total in zip(stop, phase_ok, totals):
-            j = live[s]
-            i = rows[j]
-            if ok:
-                out[i] = _winding_result(float(total), bool(certified[s]), float(mn[j]), n)
-            elif n >= max_nodes:
-                out[i] = InconclusiveCount(
-                    f"phase increments unresolved at {n} nodes on |z| = {rs[i]}")
-            else:
-                continue
-            keep[j] = False
+            nxt = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)  # np.roll(vals, -1, axis=1)
+            for j, total in zip(stop, np.angle(nxt / vals).sum(axis=1)):
+                out[rows[j]] = _winding_result(float(total), float(mn[j]), n)
+            keep[stop] = False
+        for i in rows[keep] if n >= max_nodes else ():
+            out[i] = InconclusiveCount(f"arc margin not above floor {floors[i]:.3e} "
+                                       f"at {n} nodes on |z| = {rs[i]}")
         return keep
 
-    _circle_grids(fs, rs, start_nodes, max_nodes, step)
+    _circle_grids(on_grid, len(gafs), start_nodes, max_nodes, step)
     return out
 
 
-def _winding_result(total, certified, mn, n):
-    """The count of a resolved walk's phase total, or why the total is no count."""
+def _winding_result(total, mn, n):
+    """The count of a certified walk's phase total, or why the total is no count."""
     winding = total / _TWO_PI
     count = int(round(winding))
     if abs(winding - count) > 1e-6:
         return InconclusiveCount(f"winding {winding} is not an integer to 1e-6")
     if count < 0:
         return InconclusiveCount(f"negative winding {count} for an analytic function")
-    return CountResult(count=count, certified=certified,
-                       min_modulus_on_circle=mn, circle_nodes_used=n)
-
-
-def count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES) -> CountResult:
-    """Count zeros of analytic f in |z| < r by the argument principle.
-
-    ``floor`` is the certification threshold: an Inconclusive error is raised
-    if any sampled modulus falls at or below it, and the certified flag is set
-    only when min |f| minus the continuity margin clears it.
-
-    The grid doubles until all phase increments resolve; it keeps doubling (up
-    to the node cap) while certification is the only thing missing.
-    """
-    (res,) = _counts([f], [r], [floor], start_nodes, max_nodes)
-    if isinstance(res, InconclusiveCount):
-        raise res
-    return res
+    return CountResult(count=count, min_modulus_on_circle=mn, circle_nodes_used=n)
 
 
 def count_with_retry_many(cases) -> list:
-    """Certified winding counts of every (f, r, floor) in ``cases``, on one circle walk.
-
-    Each count gets one walk.  Returns one entry per case: its certified
-    CountResult, or an InconclusiveCount: the error that
-    ``count_zeros_winding`` raises for it, or one that says its count stayed
-    uncertified.
-    """
-    results = _counts([f for f, _, _ in cases], [r for _, r, _ in cases],
-                      [floor for _, _, floor in cases])
-    return [res if isinstance(res, InconclusiveCount) or res.certified
-            else InconclusiveCount(f"uncertified count on |z| = {r}")
-            for res, (_, r, _) in zip(results, cases)]
+    """``_counts`` of every (gaf, r, floor) in ``cases``, one entry per case."""
+    return _counts([f for f, _, _ in cases], [r for _, r, _ in cases],
+                   [floor for _, _, floor in cases])
 
 
 def count_with_retry(f, r, floor):
-    """Certified winding count of f in |z| < r, as (CountResult, 0).
+    """Certified winding count of the TruncatedGaf f in |z| < r, as (CountResult, 0).
 
-    The one-case form of ``count_with_retry_many``: a count that is not
-    certified raises its InconclusiveCount.  No count is retried; the name
-    and the second entry (the retries used, always 0) stay because
-    ``perfbench/tracer.py`` wraps this function and reads that entry.
+    The one-case form of ``count_with_retry_many``; an unresolved count raises.
+    No count is retried: the name and the 0 stay because ``perfbench/tracer.py``
+    wraps this function and reads that entry.
     """
     (res,) = count_with_retry_many([(f, r, floor)])
     if isinstance(res, InconclusiveCount):
@@ -555,7 +569,7 @@ def count_in_disk(roots, r) -> int:
 
 
 def _means(fs, ss, tol, start_nodes=128, max_nodes=MAX_NODES) -> list:
-    """``circle_mean_log_abs`` of every (f, s) row, on one circle walk.
+    """``circle_mean_log_abs`` of every (gaf, s) row, on one circle walk.
 
     Returns one entry per row: its mean, or the InconclusiveCount that
     ``circle_mean_log_abs`` raises for it.
@@ -586,7 +600,7 @@ def _means(fs, ss, tol, start_nodes=128, max_nodes=MAX_NODES) -> list:
         return ~stop
 
     # at least two grids, so that every mean is checked against a refinement
-    _circle_grids(fs, ss, start_nodes, cap, step)
+    _circle_grids(_coefficient_rows(fs, ss), len(fs), start_nodes, cap, step)
     return out
 
 
@@ -674,30 +688,15 @@ MAX_SLACK = 1e-4
 def max_modulus(gaf: TruncatedGaf, r) -> float:
     """A proved upper bound on max |gaf| over |z| = r, from one grid.
 
-    With b_k the scaled coefficients of ``_coefficient_rows``, p(z) = sum b_k z^k
-    and d = gaf.degree, the bound is sec(pi d/(2N)) (max |p| over the N nodes + E),
-    N the least power of two with N > d and sec(pi d/(2N)) <= 1 + MAX_SLACK (4096
-    at d = 32).  Proof: let M = max |p| on the circle be attained at t0, and
-    T(t) = Re(e^{-i phi} e^{-i d t/2} p(e^{it})) with T(t0) = M.  In t = 2s, T is a
-    real trigonometric polynomial of degree d, so Szego's inequality
-    T'^2 + (d/2)^2 T^2 <= (d/2)^2 M^2 gives T(t0 + u) >= M cos(d u/2), and a node
-    lies within pi/N of t0.  1 + (z e^{-i pi/N})^d attains the factor where d
-    divides N (on inequalities of this kind see Frappier, Rahman & Ruscheweyh,
-    Trans. AMS 288 (1985)).  E bounds the rounding, to first order in eps:
-    8 log2(N) sqrt(N) eps sum |b_k| for the FFT (Higham, Accuracy and Stability
-    of Numerical Algorithms, Thm 24.2), 4 eps (s_k + 2) |b_k| for b_k = exp(x_k),
-    x_k a sum of logs whose moduli sum to s_k = |log |a_k|| + |log sigma_k|
-    + k |log r| + pi, and 4 eps sum |b_k| for the modulus, sums and factor.
+    The bound is ``_circle_max`` of the scaled coefficients b_k on N nodes,
+    sec(pi d/(2N)) (max over the nodes + E) with d = gaf.degree, N the least
+    power of two with N > d and sec(pi d/(2N)) <= 1 + MAX_SLACK (4096 at
+    d = 32).
     """
     d = gaf.degree
     n = 1
     while n <= d or math.cos(math.pi * d / (2 * n)) * (1.0 + MAX_SLACK) < 1.0:
         n *= 2
-    vals = _coefficient_rows([gaf], [r])(np.zeros(1, dtype=int), n, 0.0)
-    k = np.flatnonzero(gaf.coeffs)
-    log_a, log_s = np.log(np.abs(gaf.coeffs[k])), log_sigma(gaf.model, k)
-    reach = np.abs(log_a) + np.abs(log_s) + k * abs(math.log(r)) + math.pi
-    size = np.exp(log_a + log_s + k * math.log(r))  # |b_k|
-    err = np.finfo(float).eps * float(
-        np.sum((8.0 * math.log2(n) * math.sqrt(n) + 4.0 * reach + 12.0) * size))
-    return (float(np.abs(vals).max()) + err) / math.cos(math.pi * d / (2 * n))
+    bound = _circle_max(_coefficient_rows([gaf], [r]), np.zeros(1, dtype=int), n, d, None,
+                        *_sizes([gaf], [r]))
+    return float(bound[0])

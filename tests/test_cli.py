@@ -81,6 +81,13 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "numeric failure" in err and "overflows a float" in err
 
+    def test_scatter_anchor_past_float_range_exit_code(self, tmp_path, capsys):
+        # r^m overflows a float at r = 20, m = 400; the run ends with its
+        # numeric failure (the degree-587 root solve), not a traceback
+        data = {"experiment": "scatter", "r": 20.0, "m": 400}
+        assert run_cli(tmp_path, data) in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("data,message", [
         ({"kind": "very-large-domination", "r": 3.0, "alpha": 1.5, "gamma": 1.0},
          "very-large regime needs alpha > 2"),

@@ -8,9 +8,9 @@ import pytest
 
 from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge, TruncatedGaf,
                       choose_truncation, circle_mean_log_abs, count_in_disk, count_replicas,
-                      count_with_retry, count_zeros_winding, direct_mc_tail,
-                      experiments, find_roots, find_roots_many, jensen_residual,
-                      make_truncated, max_modulus, sample_truncated, stream, zeros)
+                      count_with_retry, direct_mc_tail, experiments, find_roots,
+                      find_roots_many, jensen_residual, make_truncated, max_modulus,
+                      sample_truncated, stream, zeros)
 from gafzeros._num import horner
 from gafzeros.models import log_sigma
 
@@ -27,13 +27,23 @@ def polyval(x, c):
     return np.polynomial.polynomial.polyval(x, c)
 
 
-def rouche(gaf, r, tail_bound, **kwargs):
-    # the Rouche certificate: the certified flag of a winding count with
-    # tail_bound as its floor, False where the count is inconclusive
-    try:
-        return count_zeros_winding(gaf, r, tail_bound, **kwargs).certified
-    except InconclusiveCount:
-        return False
+def poly(c, r):
+    # a planar TruncatedGaf on radius r whose weighted coefficients are c, up
+    # to rounding: the draw c exp(-log sigma_k), with tail_sd 0
+    c = np.asarray(c, dtype=complex)
+    return TruncatedGaf(model=PLANAR, coeffs=c * np.exp(-log_sigma(PLANAR, np.arange(len(c)))),
+                        radius_of_use=r, tail_sd=0.0)
+
+
+def walk_count(gaf, r, floor, max_nodes=MAX_NODES):
+    # the one-row count of the walker, its CountResult or InconclusiveCount
+    (res,) = zeros._counts([gaf], [r], [floor], 256, max_nodes)
+    return res
+
+
+def rouche(gaf, r, tail_bound, max_nodes=MAX_NODES):
+    # the Rouche certificate: a count certified with tail_bound as its floor
+    return not isinstance(walk_count(gaf, r, tail_bound, max_nodes), InconclusiveCount)
 
 
 def extreme_scale_draws(n):
@@ -123,18 +133,17 @@ class TestHorner:
 
 class TestWinding:
     def test_pure_power(self):
-        res = count_zeros_winding(lambda z: z**3, 1.0, 1e-12)
+        res, _ = count_with_retry(poly([0, 0, 0, 1], 1.0), 1.0, 1e-12)
         assert res.count == 3
-        assert res.certified
 
     def test_roots_outside(self):
-        res = count_zeros_winding(lambda z: (z - 2) * (z - 3), 1.0, 1e-9)
+        res, _ = count_with_retry(poly([6, -5, 1], 1.0), 1.0, 1e-9)  # (z - 2) (z - 3)
         assert res.count == 0
 
     def test_inconclusive_near_zero_on_circle(self):
         # a root a hair off the circle: the floor test must trip
         with pytest.raises(InconclusiveCount):
-            count_zeros_winding(lambda z: z - (1.0 + 1e-14), 1.0, 1e-6)
+            count_with_retry(poly([-(1.0 + 1e-14), 1], 1.0), 1.0, 1e-6)
 
     def test_matches_root_count_on_random_polynomials(self):
         rng = stream(11)
@@ -145,25 +154,26 @@ class TestWinding:
             roots = find_roots(c)
             if np.min(np.abs(np.abs(roots) - r)) < 1e-6 * r:
                 continue  # zero essentially on the test circle
-            f = lambda z: np.polynomial.polynomial.polyval(z, c)
-            res = count_zeros_winding(f, r, 0.0)
+            res, _ = count_with_retry(poly(c, r), r, 0.0)
             assert res.count == count_in_disk(roots, r)
 
     def test_rotation_invariance(self):
+        # gaf(u z) is the draw a_k u^k
         rng = stream(12)
         u = np.exp(1j * 0.7331)
         for _ in range(25):
             gaf = sample_truncated(PLANAR, 2.0, rng)
-            g = lambda z: gaf(u * z)
-            a = count_zeros_winding(gaf, 2.0, 0.0)
-            b = count_zeros_winding(g, 2.0, 0.0)
+            turned = TruncatedGaf(model=PLANAR, coeffs=gaf.coeffs * u ** np.arange(gaf.degree + 1),
+                                  radius_of_use=2.0, tail_sd=gaf.tail_sd)
+            a, _ = count_with_retry(gaf, 2.0, 0.0)
+            b, _ = count_with_retry(turned, 2.0, 0.0)
             assert a.count == b.count
 
     def test_count_is_nonnegative_integer(self):
         rng = stream(13)
         for _ in range(50):
             gaf = sample_truncated(PLANAR, 1.5, rng)
-            res = count_zeros_winding(gaf, 1.5, 0.0)
+            res, _ = count_with_retry(gaf, 1.5, 0.0)
             assert res.count >= 0
 
 
@@ -206,9 +216,8 @@ class TestRoots:
         for (c, r), roots in zip(draws, find_roots_many([c for c, _ in draws])):
             if isinstance(roots, RootsDidNotConverge):
                 continue
-            f = lambda z: np.polynomial.polynomial.polyval(z, c)
             try:
-                res = count_zeros_winding(f, r, 0.0)
+                res, _ = count_with_retry(poly(c, r), r, 0.0)
             except InconclusiveCount:
                 # the oracle cannot resolve a root within about one node
                 # spacing of the circle at the node cap
@@ -373,23 +382,23 @@ class TestFindRootsMany:
 
 class TestCircleMean:
     def test_constant(self):
-        assert circle_mean_log_abs(lambda z: 0 * z + 3.7, 1.0, 1e-10) == pytest.approx(
+        assert circle_mean_log_abs(poly([3.7], 1.0), 1.0, 1e-10) == pytest.approx(
             math.log(3.7), abs=1e-10)
 
     def test_root_outside_mean_value(self):
         a = 2.5
-        got = circle_mean_log_abs(lambda z: z - a, 1.0, 1e-10)
+        got = circle_mean_log_abs(poly([-a, 1], 1.0), 1.0, 1e-10)
         assert got == pytest.approx(math.log(a), abs=1e-9)
 
     def test_root_inside_gives_log_radius(self):
         a = 0.3 + 0.1j
         s = 1.7
-        got = circle_mean_log_abs(lambda z: z - a, s, 1e-10)
+        got = circle_mean_log_abs(poly([-a, 1], s), s, 1e-10)
         assert got == pytest.approx(math.log(s), abs=1e-9)
 
     def test_hard_floor(self):
         with pytest.raises(InconclusiveCount):
-            circle_mean_log_abs(lambda z: 0 * z, 1.0, 1e-8)
+            circle_mean_log_abs(poly([0.0], 1.0), 1.0, 1e-8)
 
 
 class TestJensen:
@@ -458,7 +467,7 @@ class TestJensen:
         rng = stream(32)
         for _ in range(25):
             gaf = sample_truncated(PLANAR, 2.5, rng, degree=25)
-            res = count_zeros_winding(gaf, 2.0, 0.0)
+            res, _ = count_with_retry(gaf, 2.0, 0.0)
             check = jensen_residual(gaf, 2.0, 2.5)
             assert res.count * math.log(2.5 / 2.0) <= check.integral_n_over_u + 1e-9
 
@@ -496,17 +505,10 @@ class TestRouche:
             except InconclusiveCount:
                 continue
             checked += 1
-            res2 = count_zeros_winding(deeper, 1.0, 0.0)
+            res2, _ = count_with_retry(deeper, 1.0, 0.0)
             disagreements += res.count != res2.count
         assert checked > 250
         assert disagreements == 0
-
-
-def planar_gaf_of(c, r):
-    # a planar TruncatedGaf on radius r whose weighted coefficients are c,
-    # up to the rounding of c / sigma_k * sigma_k
-    c = np.asarray(c, dtype=complex)
-    return make_truncated(PLANAR, c / np.exp(log_sigma(PLANAR, np.arange(len(c)))), r)
 
 
 def dense_max(gaf, r):
@@ -524,11 +526,11 @@ class TestMaxModulus:
         return got, dense
 
     def test_power(self):
-        got, _ = self.check(planar_gaf_of([0, 0, 0, 0, 1], 1.3), 1.3)
+        got, _ = self.check(poly([0, 0, 0, 0, 1], 1.3), 1.3)
         assert got == pytest.approx(1.3**4, rel=zeros.MAX_SLACK)
 
     def test_constant(self):
-        got, _ = self.check(planar_gaf_of([3 - 4j], 2.0), 2.0)
+        got, _ = self.check(poly([3 - 4j], 2.0), 2.0)
         assert got == pytest.approx(5.0, rel=1e-12)
 
     def test_fine_grid_oracle(self):
@@ -545,15 +547,15 @@ class TestMaxModulus:
         rot = np.exp(-1j * math.pi / n)
         two = np.zeros(d + 1, dtype=complex)
         two[0], two[d] = 1.0, rot**d
-        got, dense = self.check(planar_gaf_of(two, 1.0), 1.0)
+        got, dense = self.check(poly(two, 1.0), 1.0)
         assert got == pytest.approx(dense, rel=1e-11)
-        self.check(planar_gaf_of(rot ** np.arange(d + 1), 1.0), 1.0)
+        self.check(poly(rot ** np.arange(d + 1), 1.0), 1.0)
 
     def test_random_polynomials(self):
         rng = np.random.default_rng(52)
         for d in (1, 2, 7, 31, 32, 33, 60):
             c = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
-            self.check(planar_gaf_of(c * rng.uniform(0.1, 10.0, d + 1), 1.0), 1.0)
+            self.check(poly(c * rng.uniform(0.1, 10.0, d + 1), 1.0), 1.0)
 
     def test_planar_draws(self):
         for k, r in enumerate((0.5, 1.0, 2.0, 3.5)):
@@ -562,8 +564,8 @@ class TestMaxModulus:
             self.check(gaf, 0.5 * r)
 
 
-# Reference copies of the four node-doubling loops that ``_circle_grids``
-# replaced, kept to check that every f call and every result is unchanged.
+# Reference copies of the one-row loops that ``_circle_grids`` batches, kept
+# to check that every batched row gets the outcome of its own walk.
 
 
 class FftReference:
@@ -571,16 +573,17 @@ class FftReference:
 
     Reference copy of the coefficient path of the one-function walker: the
     scaled coefficients b_k = w_k r^k, read from the draw as
-    a_k exp(log sigma_k + k log r) where w_k is 0 or subnormal, rotated by
-    e^{i pi k/n} for the midpoints, folded mod n and transformed alone.  The
-    reference loops read an instance through ``grid`` instead of calling it
-    on the nodes.
+    a_k exp(log sigma_k + k log r) where w_k is 0 or subnormal, weighted,
+    rotated by e^{i pi k/n} for the midpoints, folded mod n and transformed
+    alone; and the terms of the arc margin computed from them.  The
+    reference loops read an instance through ``grid``, ``slope`` and
+    ``slack``.
     """
 
     def __init__(self, gaf):
         self.gaf = gaf
 
-    def grid(self, r, n, shift):
+    def grid(self, r, n, shift, weight=None):
         w = self.gaf.weighted_coefficients
         k = np.arange(len(w))
         b = np.zeros(len(w), dtype=complex)
@@ -588,6 +591,8 @@ class FftReference:
         b[~tiny] = np.exp(np.log(w[~tiny]) + k[~tiny] * math.log(r))
         j = k[tiny & (self.gaf.coeffs != 0)]
         b[j] = np.exp(np.log(self.gaf.coeffs[j]) + log_sigma(self.gaf.model, j) + j * math.log(r))
+        if weight is not None:
+            b = b * weight
         if shift:
             b = b * np.exp(1j * (2.0 * math.pi * shift / n) * (k % (2 * n)))
         if len(b) > n:
@@ -595,59 +600,89 @@ class FftReference:
             b = b.reshape(-1, n).sum(axis=0)
         return np.fft.ifft(b, n=n, norm="forward")
 
+    def slope(self, r, n):
+        # |f'| on the n nodes from angle 0
+        return np.abs(self.grid(r, n, 0.0, np.arange(self.gaf.degree + 1))) / r
 
-def ref_circle_values(f, r, n):
-    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    if isinstance(f, FftReference):
-        return theta, f.grid(r, n, 0.0)
-    return theta, np.asarray(f(r * np.exp(1j * theta)), dtype=complex)
+    def rounding(self, r, n, weight):
+        # the rounding bound of the grid values of sum weight_k b_k u^k on n nodes
+        k = np.flatnonzero(self.gaf.coeffs)
+        log_a, log_s = np.log(np.abs(self.gaf.coeffs[k])), log_sigma(self.gaf.model, k)
+        size = np.exp(log_a + log_s + k * math.log(r)) * weight[k]
+        reach = np.abs(log_a) + np.abs(log_s) + k * abs(math.log(r)) + math.pi
+        return np.finfo(float).eps * np.sum(
+            (8.0 * math.log2(n) * math.sqrt(n) + 32.0 + 4.0 * reach) * size)
+
+    def slack(self, r, n):
+        # l^2 M2/8 + E, M2 from the least power of two above 4 (d - 2) nodes
+        k = np.arange(self.gaf.degree + 1)
+        curve = k * (k - 1.0)
+        d = max(self.gaf.degree - 2, 0)
+        m = 1
+        while m <= 4 * d:
+            m *= 2
+        top = np.abs(self.grid(r, m, 0.0, curve)).max()
+        bend = (top + self.rounding(r, m, curve)) / np.cos(np.pi * d / (2 * m)) / r**2
+        arc = 2.0 * math.pi * r / n
+        return (arc**2 * bend / 8.0 + self.rounding(r, n, np.ones(len(k)))
+                + arc / 2.0 * self.rounding(r, n, k * 1.0) / r)
+
+
+class HornerReference(FftReference):
+    """An FftReference whose f and f' values are Horner sums on the nodes."""
+
+    def grid(self, r, n, shift, weight=None):
+        if weight is not None:
+            return super().grid(r, n, shift, weight)
+        return self.gaf(r * np.exp(1j * (np.arange(n) + shift) * (2.0 * math.pi / n)))
+
+    def slope(self, r, n):
+        z = r * np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
+        w = self.gaf.weighted_coefficients
+        return np.abs(polyval(z, w[1:] * np.arange(1, len(w))))
 
 
 def ref_interleave(f, r, old_vals):
     n = len(old_vals)
-    theta_new = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    if isinstance(f, FftReference):
-        new_vals = f.grid(r, n, 0.5)
-    else:
-        new_vals = np.asarray(f(r * np.exp(1j * theta_new)), dtype=complex)
     out = np.empty(2 * n, dtype=complex)
     out[0::2] = old_vals
-    out[1::2] = new_vals
+    out[1::2] = f.grid(r, n, 0.5)
     return out
 
 
-def ref_count_zeros_winding(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES):
-    _, vals = ref_circle_values(f, r, start_nodes)
+def ref_margin(f, r, mods):
+    # the arc margin of a grid: min_j (|f_j| - l |f'_j|/2) - l^2 M2/8 - E
+    n = len(mods)
+    arc = 2.0 * math.pi * r / n
+    return float((mods - arc / 2.0 * f.slope(r, n) - f.slack(r, n)).min())
+
+
+def ref_count(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES):
+    vals = f.grid(r, start_nodes, 0.0)
     while True:
+        n = len(vals)
         mods = np.abs(vals)
         mn = float(mods.min())
         if mn <= max(floor, zeros.HARD_FLOOR):
             raise InconclusiveCount(
                 f"min |f| = {mn:.3e} at or below floor {floor:.3e} on |z| = {r}")
-        nxt = np.roll(vals, -1)
-        diffs = np.angle(nxt / vals)
-        jumps = np.abs(nxt - vals)
-        arc_floor = float((np.minimum(mods, np.abs(nxt)) - jumps).min())
-        phase_ok = float(np.abs(diffs).max()) < zeros.PHASE_LIMIT
-        certified = arc_floor > floor
-        if phase_ok and (certified or len(vals) >= max_nodes):
+        if ref_margin(f, r, mods) > floor:
             break
-        if len(vals) >= max_nodes:
+        if n >= max_nodes:
             raise InconclusiveCount(
-                f"phase increments unresolved at {len(vals)} nodes on |z| = {r}")
+                f"arc margin not above floor {floor:.3e} at {n} nodes on |z| = {r}")
         vals = ref_interleave(f, r, vals)
-    winding = float(diffs.sum()) / (2.0 * math.pi)
+    winding = float(np.angle(np.roll(vals, -1) / vals).sum()) / (2.0 * math.pi)
     count = int(round(winding))
     if abs(winding - count) > 1e-6:
         raise InconclusiveCount(f"winding {winding} is not an integer to 1e-6")
     if count < 0:
         raise InconclusiveCount(f"negative winding {count} for an analytic function")
-    return zeros.CountResult(count=count, certified=certified,
-                             min_modulus_on_circle=mn, circle_nodes_used=len(vals))
+    return zeros.CountResult(count=count, min_modulus_on_circle=mn, circle_nodes_used=n)
 
 
 def ref_circle_mean_log_abs(f, s, tol, *, start_nodes=128, max_nodes=MAX_NODES):
-    _, vals = ref_circle_values(f, s, start_nodes)
+    vals = f.grid(s, start_nodes, 0.0)
     mods = np.abs(vals)
     if mods.min() <= zeros.HARD_FLOOR:
         raise InconclusiveCount("modulus below 1e-300 on the quadrature circle")
@@ -666,43 +701,36 @@ def ref_circle_mean_log_abs(f, s, tol, *, start_nodes=128, max_nodes=MAX_NODES):
         est = new
 
 
-def ref_rouche_certify(gaf, r, tail_bound, *, start_nodes=256, max_nodes=MAX_NODES):
-    _, vals = ref_circle_values(gaf, r, start_nodes)
+def ref_rouche_certify(f, r, tail_bound, *, start_nodes=256, max_nodes=MAX_NODES):
+    # the Rouche certificate: the arc margin clears tail_bound before a
+    # node's modulus falls to it or the grid reaches the node cap
+    vals = f.grid(r, start_nodes, 0.0)
     while True:
         mods = np.abs(vals)
-        mn = float(mods.min())
-        nxt = np.roll(vals, -1)
-        jumps = np.abs(nxt - vals)
-        arc_floor = float((np.minimum(mods, np.abs(nxt)) - jumps).min())
-        phase_ok = float(np.abs(np.angle(nxt / vals)).max()) < zeros.PHASE_LIMIT
-        if phase_ok and arc_floor > tail_bound:
+        if mods.min() <= max(tail_bound, zeros.HARD_FLOOR):
+            return False
+        if ref_margin(f, r, mods) > tail_bound:
             return True
         if len(vals) >= max_nodes:
             return False
-        if phase_ok and mn <= tail_bound:
-            return False
-        vals = ref_interleave(gaf, r, vals)
+        vals = ref_interleave(f, r, vals)
 
 
-class Recorded:
-    """f with a log of every batch of points it was called on."""
-
-    def __init__(self, f):
-        self.f, self.calls = f, []
-
-    def __call__(self, z):
-        self.calls.append(np.array(z, copy=True))
-        return self.f(z)
-
-
-def outcome(fn, f, *args, **kwargs):
-    # (result or exception) of fn on a recorded f, plus the points f saw
-    g = Recorded(f)
+def outcome(fn, *args, **kwargs):
+    # ("ok", result) or ("inconclusive", message) of fn, whether it raises
+    # or returns its InconclusiveCount
     try:
-        res = ("ok", fn(g, *args, **kwargs))
+        res = fn(*args, **kwargs)
     except InconclusiveCount as exc:
-        res = ("inconclusive", str(exc))
-    return res, [z.tobytes() for z in g.calls]
+        res = exc
+    if isinstance(res, InconclusiveCount):
+        return "inconclusive", str(res)
+    return "ok", res
+
+
+def kind(out):
+    # "ok", or the first word of an InconclusiveCount message
+    return out[0] if out[0] == "ok" else out[1].split()[0]
 
 
 # planar r=2.5 and r=4 and hyperbolic rho=1, r=0.9, three draws each
@@ -714,21 +742,20 @@ WALKER_BOUNDS = [0.0, 0.01, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
 
 
 class TestCircleWalker:
+    """One-row walks give the bits of the one-row reference loops."""
+
     def test_counts_match_reference_loop(self):
         kinds = set()
         for r, gaf in WALKER_DRAWS:
             for bound in WALKER_BOUNDS:
                 for max_nodes in (256, 512, MAX_NODES):
-                    got = outcome(count_zeros_winding, gaf, r, bound, max_nodes=max_nodes)
-                    want = outcome(ref_count_zeros_winding, gaf, r, bound,
-                                   max_nodes=max_nodes)
-                    assert got == want
-                    status, value = got[0]
-                    kinds.add(("certified" if value.certified else "uncertified")
-                              if status == "ok" else value.split()[0])
-        # certified and uncertified counts, floor hits ("min |f| = ...") and
-        # node-cap hits ("phase increments unresolved ...") all occur
-        assert kinds == {"certified", "uncertified", "min", "phase"}
+                    got = outcome(walk_count, gaf, r, bound, max_nodes)
+                    assert got == outcome(ref_count, FftReference(gaf), r, bound,
+                                          max_nodes=max_nodes)
+                    kinds.add(kind(got))
+        # counts, floor hits ("min |f| = ...") and node-cap hits ("arc margin
+        # not above ...") all occur
+        assert kinds == {"ok", "min", "arc"}
 
     def test_rouche_matches_reference_loop(self):
         results = set()
@@ -736,7 +763,8 @@ class TestCircleWalker:
             for bound in WALKER_BOUNDS:
                 for max_nodes in (256, 512, MAX_NODES):
                     got = rouche(gaf, r, bound, max_nodes=max_nodes)
-                    assert got == ref_rouche_certify(gaf, r, bound, max_nodes=max_nodes)
+                    assert got == ref_rouche_certify(FftReference(gaf), r, bound,
+                                                     max_nodes=max_nodes)
                     results.add(got)
         assert results == {True, False}
 
@@ -753,19 +781,10 @@ class TestCircleWalker:
                                         (1e-15, 128, 64), (1e-15, 256, 384)):
                     got = outcome(circle_mean_log_abs, gaf, s, tol,
                                   start_nodes=start, max_nodes=cap)
-                    want = outcome(ref_circle_mean_log_abs, gaf, s, tol,
-                                   start_nodes=start, max_nodes=cap)
-                    assert got == want
-                    capped += got[0][0] == "inconclusive"
+                    assert got == outcome(ref_circle_mean_log_abs, FftReference(gaf), s, tol,
+                                          start_nodes=start, max_nodes=cap)
+                    capped += got[0] == "inconclusive"
         assert capped > 0
-
-
-def coefficient_outcome(fn, *args, **kwargs):
-    # (result, or the first word of the InconclusiveCount message) of fn
-    try:
-        return "ok", fn(*args, **kwargs)
-    except InconclusiveCount as exc:
-        return "inconclusive", str(exc).split()[0]
 
 
 def log_oracle_count(gaf, r):
@@ -786,10 +805,10 @@ def log_oracle_count(gaf, r):
 
 
 class TestCoefficientPath:
-    """A TruncatedGaf passed unwrapped is read from its coefficients by inverse FFT.
+    """The walker reads a TruncatedGaf from its coefficients by inverse FFT.
 
-    The reference loops call the gaf on the nodes (Horner), so they give the
-    values of the callable path; outcomes must agree, values up to rounding.
+    The reference loops read it by Horner sums on the nodes
+    (``HornerReference``); outcomes must agree, values up to rounding.
     """
 
     def test_counts_match_reference_loop(self):
@@ -797,22 +816,17 @@ class TestCoefficientPath:
         for r, gaf in WALKER_DRAWS:
             for bound in WALKER_BOUNDS:
                 for max_nodes in (256, 512, MAX_NODES):
-                    got = coefficient_outcome(count_zeros_winding, gaf, r, bound,
-                                              max_nodes=max_nodes)
-                    want = coefficient_outcome(ref_count_zeros_winding, gaf, r, bound,
-                                               max_nodes=max_nodes)
-                    assert got[0] == want[0]
+                    got = outcome(walk_count, gaf, r, bound, max_nodes)
+                    want = outcome(ref_count, HornerReference(gaf), r, bound,
+                                   max_nodes=max_nodes)
+                    assert kind(got) == kind(want)
                     if got[0] == "ok":
                         g, w = got[1], want[1]
-                        assert (g.count, g.certified, g.circle_nodes_used) == \
-                            (w.count, w.certified, w.circle_nodes_used)
+                        assert (g.count, g.circle_nodes_used) == (w.count, w.circle_nodes_used)
                         assert g.min_modulus_on_circle == pytest.approx(
                             w.min_modulus_on_circle, rel=1e-9)
-                        kinds.add("certified" if g.certified else "uncertified")
-                    else:
-                        assert got[1] == want[1]
-                        kinds.add(got[1])
-        assert kinds == {"certified", "uncertified", "min", "phase"}
+                    kinds.add(kind(got))
+        assert kinds == {"ok", "min", "arc"}
 
     def test_rouche_matches_reference_loop(self):
         results = set()
@@ -820,7 +834,8 @@ class TestCoefficientPath:
             for bound in WALKER_BOUNDS:
                 for max_nodes in (256, 512, MAX_NODES):
                     got = rouche(gaf, r, bound, max_nodes=max_nodes)
-                    assert got == ref_rouche_certify(gaf, r, bound, max_nodes=max_nodes)
+                    assert got == ref_rouche_certify(HornerReference(gaf), r, bound,
+                                                     max_nodes=max_nodes)
                     results.add(got)
         assert results == {True, False}
 
@@ -829,39 +844,43 @@ class TestCoefficientPath:
             for s in (0.5 * r, 0.9 * r, r):
                 for tol, start, cap in ((1e-8, 128, MAX_NODES), (1e-15, 128, 512),
                                         (1e-15, 128, 64), (1e-15, 256, 384)):
-                    got = coefficient_outcome(circle_mean_log_abs, gaf, s, tol,
-                                              start_nodes=start, max_nodes=cap)
-                    want = coefficient_outcome(ref_circle_mean_log_abs, gaf, s, tol,
-                                               start_nodes=start, max_nodes=cap)
-                    assert got[0] == want[0]
+                    got = outcome(circle_mean_log_abs, gaf, s, tol,
+                                  start_nodes=start, max_nodes=cap)
+                    want = outcome(ref_circle_mean_log_abs, HornerReference(gaf), s, tol,
+                                   start_nodes=start, max_nodes=cap)
+                    assert kind(got) == kind(want)
                     if got[0] == "ok":
                         assert abs(got[1] - want[1]) <= 1e-12
-                    else:
-                        assert got[1] == want[1]
 
     def test_grid_values_match_horner(self):
-        # rounding of either path is within (2(N+1) + 8 log2 n) eps sum |b_k|,
-        # b_k = w_k r^k; start grids of 8 and 16 nodes fold the coefficients
+        # rounding of either path is within (2(N+1) + 8 log2 n) eps sum |c_k|,
+        # c_k = b_k for f and k b_k for r f'; start grids of 8 and 16 nodes
+        # fold the coefficients
         eps = np.finfo(float).eps
         folded = 0
         for r, gaf in WALKER_DRAWS:
             w = gaf.weighted_coefficients
-            scale = float(np.sum(np.abs(w) * r ** np.arange(len(w))))
+            k = np.arange(len(w))
+            scale = float(np.sum(np.abs(w) * r ** k))
+            on_grid = zeros._coefficient_rows([gaf], [r])
+            ref = HornerReference(gaf)
             for start in (8, 16, 256):
-                # one walk of both paths, every level recorded
+                # one walk, every level recorded
                 levels = []
 
                 def step(rows, vals):
-                    assert rows.tolist() == [0, 1]
-                    levels.append(vals.copy())
-                    return np.ones(2, dtype=bool)
+                    assert rows.tolist() == [0]
+                    levels.append(vals[0].copy())
+                    return np.ones(1, dtype=bool)
 
-                zeros._circle_grids([gaf, lambda z: gaf(z)], [r, r], start, 4096, step)
-                assert [len(v[0]) for v in levels][-1] == 4096
-                for vals, ref in levels:
+                zeros._circle_grids(on_grid, 1, start, 4096, step)
+                assert len(levels[-1]) == 4096
+                for vals in levels:
                     n = len(vals)
                     bound = (2 * (gaf.degree + 1) + 8 * math.log2(n)) * eps * scale
-                    assert np.abs(vals - ref).max() <= bound
+                    assert np.abs(vals - ref.grid(r, n, 0.0)).max() <= bound
+                    slope = np.abs(on_grid(np.zeros(1, dtype=int), n, 0.0, k)[0]) / r
+                    assert np.abs(slope - ref.slope(r, n)).max() <= bound * gaf.degree / r
                     folded += n < gaf.degree + 1 and gaf.degree >= 63
         assert folded > 0
 
@@ -877,13 +896,76 @@ class TestCoefficientPath:
 
     def test_domain_guard(self):
         r, gaf = WALKER_DRAWS[0]
-        for fn, args in ((count_zeros_winding, (0.0,)), (circle_mean_log_abs, (1e-8,)),
+        for fn, args in ((count_with_retry, (0.0,)), (circle_mean_log_abs, (1e-8,)),
                          (max_modulus, ())):
             for slack in (2e-5, 2e-6):
                 with pytest.raises(ValueError, match="outside radius_of_use"):
                     fn(gaf, r * (1.0 + slack), *args)
         # a radius within the guard's DOMAIN_SLACK is counted
-        assert count_zeros_winding(gaf, r * (1.0 + 5e-13), 0.0).count >= 0
+        assert count_with_retry(gaf, r * (1.0 + 5e-13), 0.0)[0].count >= 0
+
+
+def arc_bounds(gaf, r, n):
+    # the walker's lower bound on |f| over the half arcs next to each node
+    # of the n-node grid
+    on_grid, _, bounds = zeros._arc_terms([gaf], [r])
+    row = np.zeros(1, dtype=int)
+    return bounds(row, np.abs(on_grid(row, n, 0.0)))[0]
+
+
+def dense_minima(gaf, r, n, nodes, points=17):
+    # min |f| over the two half arcs next to each of ``nodes`` of the n-node
+    # grid, on ``points`` equispaced points, in 30-digit mpmath, of
+    # f = sum_k a_k sigma_k z^k with the planar sigma_k = 1/sqrt(k!)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        c = [mpmath.mpc(complex(a)) / mpmath.sqrt(mpmath.factorial(k))
+             for k, a in enumerate(gaf.coeffs)][::-1]
+        t = [mpmath.mpf(i) / (points - 1) - mpmath.mpf(1) / 2 for i in range(points)]
+        return [float(min(abs(mpmath.polyval(c, r * mpmath.expjpi(2 * (j + s) / n)))
+                          for s in t)) for j in nodes]
+
+
+class TestArcMargin:
+    """The arc margin is at most a dense 30-digit minimum of |f| on every arc."""
+
+    def check(self, gaf, r, n):
+        # every positive node bound against its half arcs; the others hold
+        # as |f| >= 0.  Returns the number of positive bounds.
+        bound = arc_bounds(gaf, r, n)
+        live = np.flatnonzero(bound > 0)
+        for b, dense in zip(bound[live], dense_minima(gaf, r, n, live)):
+            assert dense >= b
+        return len(live)
+
+    def test_planted_zeros_near_circle(self):
+        # five zeros planted within 1e-3 of |z| = r, inside and outside,
+        # next to one inside and one outside the disk
+        rng = np.random.default_rng(81)
+        checked = 0
+        for r in (0.8, 2.0):
+            angle = np.exp(2j * math.pi * rng.random(5))
+            planted = r * (1.0 + rng.uniform(-1e-3, 1e-3, 5)) * angle
+            c = np.polynomial.polynomial.polyfromroots([*planted, 0.3 * r, 3.0 * r * 1j])
+            for n in (128, 512):
+                checked += self.check(poly(c, r), r, n)
+        assert checked > 1000
+
+    def test_bump_between_nodes(self):
+        # f = 1 - B ((z - z0) (z - z1))^2 with z0, z1 adjacent nodes of the
+        # 64-node grid: f = 1 and f' = 0 at both, and B takes |f| to 1e-4 at
+        # the arc's midpoint.  The first-order terms see no dip; only
+        # l^2 M2/8 keeps that arc's margin below its minimum.
+        r, n = 1.0, 64
+        z0, z1, mid = 1.0, np.exp(2j * math.pi / n), np.exp(1j * math.pi / n)
+        big = (1.0 - 1e-4) / ((mid - z0) * (mid - z1)) ** 2
+        c = -big * np.polynomial.polynomial.polyfromroots([z0, z0, z1, z1])
+        c[0] += 1.0
+        gaf = poly(c, r)
+        assert np.min(np.abs(np.abs(find_roots(gaf.weighted_coefficients)) - r)) < 1e-3
+        assert max(dense_minima(gaf, r, n, [0, 1])) < 2e-4
+        for m in (n, 4 * n):
+            self.check(gaf, r, m)
 
 
 class TestCountReplicas:
@@ -954,88 +1036,49 @@ class TestNumpyRowwise:
                     assert same_bits(got, getattr(row, name)())
 
 
-def ref_certified_count(f, r, floor):
-    # the reference loop's count, an uncertified one as an error
-    res = ref_count_zeros_winding(f, r, floor)
-    if not res.certified:
-        raise InconclusiveCount(f"uncertified count on |z| = {r}")
-    return res
-
-
 def batch_outcomes(results):
-    # a batch's entries as outcome() gives them, exceptions by message
-    return [("inconclusive", str(x)) if isinstance(x, InconclusiveCount) else ("ok", x)
-            for x in results]
-
-
-def ref_outcome(fn, f, *args, **kwargs):
-    # outcome() of a reference loop; a TruncatedGaf row is read through an
-    # FftReference, not called
-    if not isinstance(f, TruncatedGaf):
-        return outcome(fn, f, *args, **kwargs)
-    try:
-        return ("ok", fn(FftReference(f), *args, **kwargs)), []
-    except InconclusiveCount as exc:
-        return ("inconclusive", str(exc)), []
+    # a batch's entries as outcome() gives them
+    return [outcome(lambda x: x, x) for x in results]
 
 
 def mixed_rows():
-    # (f, r): coefficient rows of several degrees and models, Horner
-    # callables and polyval callables, each at two radii
-    rows = []
-    for k, (r, gaf) in enumerate(WALKER_DRAWS):
-        c = gaf.weighted_coefficients
-        f = (lambda z, gaf=gaf: gaf(z), lambda z, c=c: polyval(z, c), gaf)[k % 3]
-        rows += [(f, r), (f, 0.9 * r)]
-    return rows
-
-
-def recorded(rows):
-    # the functions of rows, every callable wrapped to record its points
-    return [f if isinstance(f, TruncatedGaf) else Recorded(f) for f, *_ in rows]
-
-
-def calls(f):
-    return [] if isinstance(f, TruncatedGaf) else [z.tobytes() for z in f.calls]
+    # (gaf, r): coefficient rows of several degrees and models, each at two radii
+    return [(gaf, s) for r, gaf in WALKER_DRAWS for s in (r, 0.9 * r)]
 
 
 class TestBatchedWalker:
-    """Mixed batches give every row the bits of the one-function reference
-    loops, and every callable row the points it was called on there."""
+    """Batches give every row the outcome of the one-row reference loops."""
 
     def check_counts(self, floors, max_nodes):
         rows = mixed_rows()
-        fs = recorded(rows)
-        got = batch_outcomes(zeros._counts(fs, [r for _, r in rows], floors, 256, max_nodes))
-        kinds = set()
-        for g, f, (raw, r), floor in zip(got, fs, rows, floors):
-            assert (g, calls(f)) == ref_outcome(ref_count_zeros_winding, raw, r, floor,
-                                                max_nodes=max_nodes)
-            status, value = g
-            kinds.add(("certified" if value.certified else "uncertified")
-                      if status == "ok" else value.split()[0])
-        return kinds
+        got = batch_outcomes(zeros._counts([gaf for gaf, _ in rows], [r for _, r in rows],
+                                           floors, 256, max_nodes))
+        for g, (gaf, r), floor in zip(got, rows, floors):
+            assert g == outcome(ref_count, FftReference(gaf), r, floor, max_nodes=max_nodes)
+        return {kind(g) for g in got}
 
     def check_means(self, rows, tol, start, cap):
-        fs = recorded(rows)
-        got = batch_outcomes(zeros._means(fs, [s for _, s in rows], tol, start, cap))
-        for g, f, (raw, s) in zip(got, fs, rows):
-            assert (g, calls(f)) == ref_outcome(ref_circle_mean_log_abs, raw, s, tol,
-                                                start_nodes=start, max_nodes=cap)
-        return {g[0] if g[0] == "ok" else g[1].split()[0] for g in got}
+        got = batch_outcomes(zeros._means([gaf for gaf, _ in rows], [s for _, s in rows],
+                                          tol, start, cap))
+        for g, (gaf, s) in zip(got, rows):
+            assert g == outcome(ref_circle_mean_log_abs, FftReference(gaf), s, tol,
+                                start_nodes=start, max_nodes=cap)
+        return {kind(g) for g in got}
 
     def test_grid_rows_match_reference_bitwise(self):
         # rows of different lengths, a sparse one among them and a planar
         # one at r = 18 whose weights are subnormal or 0 from k = 301, on
-        # start grids that fold the long rows: every level of every row has
-        # the bits of the row's own one-row FFT, signed zeros included
-        from gafzeros import make_truncated
+        # start grids that fold the long rows: every level of every row,
+        # and the rows weighted by k and k (k - 1) on its nodes, have the
+        # bits of the row's own one-row FFT, signed zeros included
         coeffs = np.zeros(6, dtype=complex)
         coeffs[5] = 1.0
         sparse = make_truncated(PLANAR, coeffs, 0.9)
         large = sample_truncated(PLANAR, 18.0, stream(11, 0))
         gafs = [gaf for _, gaf in WALKER_DRAWS] + [sparse, large]
         rs = [r for r, _ in WALKER_DRAWS] + [0.9, 18.0]
+        on_grid = zeros._coefficient_rows(gafs, rs)
+        k = np.arange(len(large.coeffs))
         for start in (8, 16, 128):
             levels = []
 
@@ -1043,24 +1086,31 @@ class TestBatchedWalker:
                 levels.append(vals.copy())
                 return np.ones(len(rows), dtype=bool)
 
-            zeros._circle_grids(gafs, rs, start, 1024, step)
+            zeros._circle_grids(on_grid, len(gafs), start, 1024, step)
             for j, (gaf, r) in enumerate(zip(gafs, rs)):
-                _, want = ref_circle_values(FftReference(gaf), r, start)
+                ref = FftReference(gaf)
+                want = ref.grid(r, start, 0.0)
                 for level in levels:
                     assert same_bits(level[j], want)
                     if len(want) < 1024:
-                        want = ref_interleave(FftReference(gaf), r, want)
+                        want = ref_interleave(ref, r, want)
+            n = len(levels[-1][0])
+            for weight in (k * 1.0, k * (k - 1.0)):
+                rows = on_grid(np.arange(len(gafs)), n, 0.0, weight)
+                for got, gaf, r in zip(rows, gafs, rs):
+                    assert same_bits(got, FftReference(gaf).grid(r, n, 0.0,
+                                                                  weight[:gaf.degree + 1]))
 
     def test_counts_match_reference_loop(self):
         kinds = set()
         for i, max_nodes in enumerate((256, 512, MAX_NODES)):
             floors = [WALKER_BOUNDS[(i + j) % len(WALKER_BOUNDS)] for j in range(18)]
             kinds |= self.check_counts(floors, max_nodes)
-        # floor hits, node-cap hits, certified and uncertified rows in one batch
-        assert kinds == {"certified", "uncertified", "min", "phase"}
+        # floor hits, node-cap hits and counts in one batch
+        assert kinds == {"ok", "min", "arc"}
 
     def test_means_match_reference_loop(self):
-        rows = mixed_rows() + [(lambda z: 0 * z, 1.0)]
+        rows = mixed_rows() + [(poly([0.0], 1.0), 1.0)]
         kinds = set()
         for tol, start, cap in ((1e-8, 128, MAX_NODES), (1e-15, 128, 512), (1e-15, 256, 384)):
             kinds |= self.check_means(rows, tol, start, cap)
@@ -1075,11 +1125,11 @@ class TestBatchedWalker:
         shapes = []
         walk = zeros._circle_grids
 
-        def recording(fs, rs, start, cap, step):
+        def recording(on_grid, size, start, cap, step):
             def rec(rows, vals):
                 shapes.append(vals.shape)
                 return step(rows, vals)
-            return walk(fs, rs, start, cap, rec)
+            return walk(on_grid, size, start, cap, rec)
 
         monkeypatch.setattr(zeros, "_circle_grids", recording)
         self.check_counts([WALKER_BOUNDS[j % len(WALKER_BOUNDS)] for j in range(18)], MAX_NODES)
@@ -1096,21 +1146,24 @@ class TestBatchedWalker:
         rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, 1e300, 0, 0, 3))
         assert [(row[3], row[4], row[-1]) for row in rows] == [(-1, -1, False)] * 3
 
-    def test_retries_match_reference_policy(self):
-        # every count is one walk at r.  z^2, zeroed on one side of
-        # |z| = edge, hits its floor at r = 1 for every edge: the walks at
-        # r (1 + 1e-6), r (1 - 1e-6) and r (1 + 2e-6) would clear it for
-        # edges 1 + 5e-7, 1 - 5e-7 and 1 + 1.5e-6, but no count walks
-        # there.  Next to them, z with a floor 1e-6 below |z| = 1, whose
-        # arc margin 1 - 2 pi / n stays below it up to the node cap, planar
-        # draws, and the slowest trial of the roots-jensen panel, which
-        # hits its floor.
-        def zeroed(edge, inside):
-            return lambda z: z * z * np.where(np.abs(z) < edge, inside, 1.0 - inside)
+    def test_one_walk_per_count(self, monkeypatch):
+        # a batch of counts is one walk, each row with the outcome of its
+        # one-row reference loop: polynomials with a zero on the circle, at
+        # the nodes +-1 or between nodes, hit their floor; z with a floor
+        # 1e-6 below |z| = 1 keeps its arc margin 1 - pi/n - E below the
+        # floor up to the node cap; planar draws count; and the slowest
+        # trial of the roots-jensen panel hits its floor
+        walks = []
+        walk = zeros._circle_grids
 
-        rows = [(zeroed(1 + 5e-7, 0.0), 1.0, 1e-3), (zeroed(1 - 5e-7, 1.0), 1.0, 1e-3),
-                (zeroed(1 + 1.5e-6, 0.0), 1.0, 1e-3), (zeroed(5.0, 0.0), 1.0, 1e-3),
-                (lambda z: z, 1.0, 1.0 - 1e-6)]
+        def counting(on_grid, size, *args):
+            walks.append(size)
+            return walk(on_grid, size, *args)
+
+        monkeypatch.setattr(zeros, "_circle_grids", counting)
+        between = np.polynomial.polynomial.polyfromroots([np.exp(1j), -0.3])
+        rows = [(poly([-1, 0, 1], 1.0), 1.0, 1e-3), (poly(between, 1.0), 1.0, 1e-3),
+                (poly([0, 1], 1.0), 1.0, 1.0 - 1e-6)]
         for k in range(6):
             gaf = sample_truncated(PLANAR, 2.3, stream(71, k))
             rows.append((gaf, 2.3, 100.0 * gaf.tail_sd))
@@ -1118,37 +1171,42 @@ class TestBatchedWalker:
         r = 3.0 + 3.0 * rng.random()
         gaf = sample_truncated(PLANAR, 1.25 * r, rng)
         rows.append((gaf, r, 100.0 * gaf.tail_sd))
-        fs = recorded(rows)
-        got = batch_outcomes(zeros.count_with_retry_many(
-            [(f, r, floor) for f, (_, r, floor) in zip(fs, rows)]))
-        for g, f, (raw, r, floor) in zip(got, fs, rows):
-            assert (g, calls(f)) == ref_outcome(ref_certified_count, raw, r, floor)
-        for g in got[:4]:
-            assert g == ("inconclusive", "min |f| = 0.000e+00 at or below floor 1.000e-03 "
-                                         "on |z| = 1.0")
-        assert got[4] == ("inconclusive", "uncertified count on |z| = 1.0")
-        assert {g[0] for g in got[5:-1]} == {"ok"}
+        got = batch_outcomes(zeros.count_with_retry_many(rows))
+        assert walks == [len(rows)]
+        for g, (gaf, r, floor) in zip(got, rows):
+            assert g == outcome(ref_count, FftReference(gaf), r, floor)
+        for g in got[:2]:
+            assert g[0] == "inconclusive" and g[1].startswith("min |f| = ")
+            assert g[1].endswith(" at or below floor 1.000e-03 on |z| = 1.0")
+        assert got[2] == ("inconclusive", "arc margin not above floor 1.000e+00 "
+                                          f"at {MAX_NODES} nodes on |z| = 1.0")
+        assert {g[0] for g in got[3:-1]} == {"ok"}
         assert got[-1][1].startswith("min |f| = 2.893e+01")
 
 
-class TestRetrySkip:
-    """A count that fails its one walk is not walked again."""
+class TestOneWalk:
+    """A count is one walk at r; a count that hits its floor is unresolved."""
 
-    def test_panel_trial_walks_once(self, monkeypatch):
-        # the roots-jensen panel trial hits its floor at 262144 nodes, and
-        # its count makes that one walk
+    def test_floor_hit_is_unresolved(self, monkeypatch):
+        # the roots-jensen panel trial hits its floor at 262144 nodes, in
+        # the one walk of its count
         rng = stream(0, 31)
         r = 3.0 + 3.0 * rng.random()
         gaf = sample_truncated(PLANAR, 1.25 * r, rng)
-        walks = []
+        walks, widths = [], []
         walk = zeros._circle_grids
 
-        def counting(fs, *args):
-            walks.append(len(fs))
-            return walk(fs, *args)
+        def counting(on_grid, size, start, cap, step):
+            walks.append(size)
+
+            def rec(rows, vals):
+                widths.append(vals.shape[1])
+                return step(rows, vals)
+            return walk(on_grid, size, start, cap, rec)
 
         monkeypatch.setattr(zeros, "_circle_grids", counting)
         (res,) = zeros.count_with_retry_many([(gaf, r, 100.0 * gaf.tail_sd)])
         assert isinstance(res, InconclusiveCount)
         assert str(res).startswith("min |f| = 2.893e+01")
         assert walks == [1]
+        assert widths[-1] == 262144
