@@ -48,22 +48,38 @@ def logsumexp(a):
     scipy 1.17's steps without its array-API dispatch: the m entries tied at
     the maximum are taken out of the shifted sum s, the result is
     log1p(s/m) + log m + max, and a non-finite result falls back to the
-    direct log(sum(exp(a))).  An empty array gives -inf.
+    direct log(sum(exp(a))).  An empty array gives -inf; any other is one
+    row of ``logsumexp_rows``, which takes these steps.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return -math.inf
+    return float(logsumexp_rows(a.reshape(1, -1), [a.size])[0])
+
+
+def logsumexp_rows(a, sizes):
+    """``logsumexp(a[i, :sizes[i]])`` for every row i of a 2-D array, sizes >= 1.
+
+    Entries past a row's size are ignored.  The steps of ``logsumexp`` run
+    over all rows at once, but for the shifted sum, which is taken of each
+    row's own slice: numpy's pairwise summation rounds by length, so a sum
+    over the padded row would move the last bits.
+    """
+    a = np.asarray(a, dtype=float)
+    sizes = np.asarray(sizes)
+    valid = np.arange(a.shape[1]) < sizes[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max()
-        ties = a == a_max
-        m = float(np.count_nonzero(ties))
-        s = np.exp(np.where(ties, -np.inf, a) - a_max).sum()
-        if s != 0:
-            s = s / m
+        a = np.where(valid, a, -np.inf)
+        a_max = a.max(axis=1)
+        ties = (a == a_max[:, None]) & valid
+        m = np.count_nonzero(ties, axis=1).astype(float)
+        shifted = np.exp(np.where(ties, -np.inf, a) - a_max[:, None])
+        s = np.array([row[:k].sum() for row, k in zip(shifted, sizes.tolist())])
+        s = np.where(s != 0, s / m, s)
         out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return float(out)
+        for i in np.flatnonzero(~np.isfinite(out)):
+            out[i] = np.log(np.exp(a[i, :sizes[i]]).sum())
+    return out
 
 
 def horner(rows, x):

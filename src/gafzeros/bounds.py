@@ -211,7 +211,9 @@ def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
     Chernoff factor e^{-n log(n/r^2) - r^2 + n} for n > r^2, where it holds,
     and the trivial 1 for n <= r^2.  The n log n and Poisson-product terms
     are formed once up to max(ms); each m sums its own prefix, as
-    ``sum_n_log_n(m)`` and a product over n = 1..m alone would.
+    ``sum_n_log_n(m)`` and a product over n = 1..m alone would, and the
+    binomial factors, the sums with the remainders and the clamp are taken
+    for every m at once.
     """
     ms = list(ms)
     if any(m < max(1.0, r * r) for m in ms):
@@ -219,18 +221,16 @@ def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
     m_top = max(ms, default=1)
     lam = r * r
     n = np.arange(2, m_top + 1)
-    n_log_n = n * np.log(n)
+    n_log_n = (n * np.log(n)).tolist()  # fsum reads a list of floats faster
     n = np.arange(1, m_top + 1)
     product_terms = np.where(n > lam, -n * np.log(n / lam) - lam + n, 0.0)
-    out = []
-    for m in ms:
-        s = float(math.fsum(n_log_n[:m - 1]))
-        log_lower = 0.5 * m * (m + 1) * math.log(r * r / 2.0) - s
-        main = float(_num.lchoose(m * m, m)) + float(np.sum(product_terms[:m]))
-        log_resid = _poisson_tail_bound_series(lam, m * m + 1)
-        log_upper = float(np.logaddexp(main, log_resid))
-        out.append(TailBracket(log_lower, min(log_upper, 0.0)))
-    return out
+    m = np.array(ms, dtype=int)
+    main = _num.lchoose(m * m, m) + np.array([product_terms[:k].sum() for k in ms])
+    log_upper = np.logaddexp(main, [_poisson_tail_bound_series(lam, k * k + 1) for k in ms])
+    log_upper = np.where(log_upper > 0.0, 0.0, log_upper)
+    return [TailBracket(0.5 * k * (k + 1) * math.log(r * r / 2.0)
+                        - math.fsum(n_log_n[:k - 1]), hi)
+            for k, hi in zip(ms, log_upper.tolist())]
 
 
 def hyperbolic_one_tail_brackets(r: float, m: int) -> TailBracket:

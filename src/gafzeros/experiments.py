@@ -38,24 +38,38 @@ class NumericFailure(RuntimeError):
     """An experiment failed numerically (propagated module error)."""
 
 
+def _fmt_bool(v) -> str:
+    return "true" if v else "false"
+
+
+def _fmt_float(v) -> str:
+    return format(float(v), ".17g")
+
+
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
+        return _fmt_bool(v)
     if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
+        return _fmt_float(v)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return str(v)
 
 
+# ``_fmt`` of the common cell types, looked up by exact type
+_CELL_FORMATS = {bool: _fmt_bool, np.bool_: _fmt_bool, float: _fmt_float,
+                 np.float64: _fmt_float, int: str, str: str}
+
+
 def emit_csv(path, header, rows):
     """Write rows as CSV: fixed column order, 17 significant digits, LF endings."""
+    fmt = _CELL_FORMATS.get
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             if len(row) != len(header):
                 raise ValueError("row width does not match header")
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join([fmt(type(v), _fmt)(v) for v in row]) + "\n")
     return path
 
 

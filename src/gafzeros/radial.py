@@ -5,15 +5,19 @@ variables (Kostlan), so the count in a disk of radius r is a sum of
 independent Bernoullis with p_n = P[Gamma(n,1) < r^2].  For the hyperbolic
 model at index one the zero moduli are {U_n^{1/(2n)}} with independent
 uniforms, so p_n = r^{2n}.  Both tails reduce to a Poisson-binomial tail,
-computed here by an exact dynamic program run entirely in log space.  One
-forward sweep of that program per radius prices every level m at once
-(``tail_log_brackets``): the first m states of the absorbing program at level
-m are the plain pmf, which no level changes.
+computed here by an exact dynamic program run entirely in log space.
+``tail_log_brackets`` prices every level m at one radius in rounds.  A
+round is one forward sweep of that program from index 1, which reads the
+state of every pending level at that level's depth (the first m states of
+the absorbing program at level m are the plain pmf, which no level
+changes), and batched brackets of those states, priced as the sweep goes
+in chunks of at most ``BRACKET_CELLS`` cells.  Levels whose brackets are
+still too wide go to the next round, deeper.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +27,12 @@ import numpy as np
 from scipy import special
 
 from . import _num
+
+
+# Most DP-state cells ``_brackets`` prices in one chunk.  Pricing each round
+# of three in-process exact-tails passes in one matrix raised their peak RSS
+# to 62.6 MB; chunks of 8192 cells keep it at 58.5 MB.
+BRACKET_CELLS = 8192
 
 
 class RadialEnsemble(Enum):
@@ -90,21 +100,24 @@ def _log_neglected(ensemble: RadialEnsemble, r: float, n: int) -> float:
 
 
 def _depth_for_mass(ensemble: RadialEnsemble, r: float, log_mass: float, n: int,
-                    growth: float) -> int:
+                    growth: float, neglected=None) -> int:
     """A depth >= n whose neglected mass lies below exp(log_mass).
 
     Hyperbolic: the least such depth, inverted in closed form.  Ginibre: n
-    grown by n -> int(n * growth) + 4 until the remainder bound is small enough.
+    grown by n -> int(n * growth) + 4 until the remainder bound is small
+    enough.  ``neglected(n)``, when given, is ``_log_neglected(ensemble, r, n)``
+    as the caller memoises it.
     """
     if ensemble is RadialEnsemble.HYPERBOLIC_ONE:
         return max(n, math.ceil((log_mass + math.log1p(-r * r)) / (2.0 * math.log(r)) - 1.0))
-    while _log_neglected(ensemble, r, n) >= log_mass:
+    neglected = neglected or functools.partial(_log_neglected, ensemble, r)
+    while neglected(n) >= log_mass:
         n = int(n * growth) + 4
     return n
 
 
 def _profile_depth(ensemble: RadialEnsemble, r: float, eps: float,
-                   min_terms: int | None) -> int:
+                   min_terms: int | None, neglected=None) -> int:
     """Depth of ``bernoulli_probs(ensemble, r, eps, min_terms=min_terms)``."""
     _check_domain(ensemble, r)
     if not 0 < eps <= 1e-3:
@@ -113,7 +126,7 @@ def _profile_depth(ensemble: RadialEnsemble, r: float, eps: float,
         n = max(1, min_terms or 0)
     else:
         n = max(int(math.ceil(2 * r * r)) + 4, 8, min_terms or 0)
-    return _depth_for_mass(ensemble, r, math.log(eps), n, 1.5)
+    return _depth_for_mass(ensemble, r, math.log(eps), n, 1.5, neglected)
 
 
 def bernoulli_probs(ensemble: RadialEnsemble, r: float, eps: float = 1e-9,
@@ -163,38 +176,77 @@ def sample_radii(ensemble: RadialEnsemble, rng: np.random.Generator, trials: int
     return rng.random((trials, depth)) ** (1.0 / (2.0 * k))
 
 
-def _sweep(pmf: np.ndarray, absorbed: np.ndarray, below: np.ndarray,
-           log_p: np.ndarray, log_q: np.ndarray):
-    """Advance the log-space DP by one step per index of (log_p, log_q).
+def _states(levels, depths, log_p, log_q):
+    """(i, state) of every read i, shallowest first: the DP state
+    [log P[S = 0..m-1], log P[S >= m]] at level m = levels[i] >= 1 after the
+    first depths[i] indices.
 
-    ``pmf`` holds log P[S = k] for k = 0..len(pmf)-1 and ``absorbed[j]`` holds
-    log P[S >= below[j] + 1], the absorbing state of the DP at that level.
-    The first m states of the absorbing DP at level m are the plain pmf, so
-    one sweep serves every level.  Returns the advanced (pmf, absorbed).
+    One forward sweep over the indices of (log_p, log_q) serves every read:
+    the first m states of the absorbing DP at level m are the plain pmf, and
+    each level keeps its absorbing state log P[S >= m] beside it.
     """
-    for lp, lq in zip(log_p, log_q):
-        absorbed = np.logaddexp(absorbed, pmf[below] + lp)
-        pmf = np.logaddexp(pmf + lq, np.concatenate(([-np.inf], pmf[:-1] + lp)))
-    return pmf, absorbed
+    levels = np.asarray(levels)
+    below = levels - 1
+    pmf = np.full(int(levels.max()), -np.inf)
+    pmf[0] = 0.0
+    absorbed = np.full(len(levels), -np.inf)
+    done = 0
+    for i in np.argsort(depths, kind="stable").tolist():
+        for lp, lq in zip(log_p[done:depths[i]], log_q[done:depths[i]]):
+            absorbed = np.logaddexp(absorbed, pmf[below] + lp)
+            pmf = np.logaddexp(pmf + lq, np.concatenate(([-np.inf], pmf[:-1] + lp)))
+        done = depths[i]
+        yield i, np.concatenate((pmf[:levels[i]], absorbed[i:i + 1]))
 
 
-def _bracket(state: np.ndarray, log_neglected: float):
-    """Bracket from the DP state [log P[S = 0..m-1], log P[S >= m]].
+def _chunks(states):
+    """The (i, state) pairs of ``states`` in lists of at most ``BRACKET_CELLS`` cells,
+    with every state padded to the longest of its list (one state at the least)."""
+    chunk, width = [], 0
+    for i, state in states:
+        if chunk and (len(chunk) + 1) * max(width, len(state)) > BRACKET_CELLS:
+            yield chunk
+            chunk, width = [], 0
+        chunk.append((i, state))
+        width = max(width, len(state))
+    if chunk:
+        yield chunk
 
-    Returns the bracket and the survival vector log P[S >= k], k = 0..m.
+
+def _brackets(states, log_neglected):
+    """Brackets from the DP states [log P[S = 0..m-1], log P[S >= m]], m >= 1.
+
+    ``states`` yields (i, state) pairs, and ``log_neglected[i]`` is the log
+    neglected mass of the profile behind state i.  Returns the arrays of
+    lower and upper ends and the (len(log_neglected), 2) array of
+    log P[S >= m] and log P[S >= m - 1], by i.  The states are priced in
+    their order in chunks of at most ``BRACKET_CELLS`` cells, and every
+    value has the bits of a chunk of one state: survivals accumulate along
+    rows, and the upper end is ``_num.logsumexp_rows``.
     """
-    m = len(state) - 1
+    log_neglected = np.asarray(log_neglected, dtype=float)
+    lower, upper = np.empty(len(log_neglected)), np.empty(len(log_neglected))
+    head = np.empty((len(log_neglected), 2))
+    for chunk in _chunks(states):
+        rows = [i for i, _ in chunk]
+        sizes = np.array([len(state) for _, state in chunk])
+        # row k holds state k reversed, so acc[k, j] = log P[S >= m - j]
+        rev = np.full((len(chunk), sizes.max()), -np.inf)
+        for k, (_, state) in enumerate(chunk):
+            rev[k, :len(state)] = state[::-1]
+        acc = np.logaddexp.accumulate(rev, axis=1)
+        j = np.arange(rev.shape[1])
+        ln = log_neglected[rows, None]
+        with np.errstate(invalid="ignore"):
+            corr = j * ln - special.gammaln(j + 1) + acc
+        # no neglected mass: only P[S >= m] itself is left
+        corr = np.where(np.isfinite(ln), corr, np.where(j == 0, acc, -np.inf))
+        lower[rows] = rev[:, 0]
+        upper[rows] = _num.logsumexp_rows(corr, sizes)
+        head[rows] = acc[:, :2]
     # where P is within rounding of 1 the log-space sums can land a few ulps
     # above 0; both ends are clamped so the bracket stays <= 0 and ordered
-    log_lower = min(float(state[m]), 0.0)
-    survival = np.logaddexp.accumulate(state[::-1])[::-1]
-    j = np.arange(0, m + 1)
-    with np.errstate(invalid="ignore"):
-        corr = j * log_neglected - special.gammaln(j + 1) + survival[::-1]
-    if not np.isfinite(log_neglected):
-        corr = np.where(j == 0, survival[m], -np.inf)
-    log_upper = min(_num.logsumexp(corr), 0.0)
-    return TailBracket(log_lower, log_upper), survival
+    return np.where(lower > 0.0, 0.0, lower), np.where(upper > 0.0, 0.0, upper), head
 
 
 def poisson_binomial_tail_log(profile: BernoulliProfile, m: int) -> TailBracket:
@@ -210,59 +262,50 @@ def poisson_binomial_tail_log(profile: BernoulliProfile, m: int) -> TailBracket:
         raise ValueError("m must be >= 0")
     if m == 0:
         return TailBracket(0.0, 0.0)
-    pmf = np.full(m, -np.inf)
-    pmf[0] = 0.0
-    pmf, absorbed = _sweep(pmf, np.full(1, -np.inf), np.array([m - 1]),
-                           profile.log_probs, profile.log_one_minus)
-    return _bracket(np.concatenate((pmf, absorbed)), profile.log_neglected)[0]
+    states = _states([m], [profile.size], profile.log_probs, profile.log_one_minus)
+    lower, upper, _ = _brackets(states, [profile.log_neglected])
+    return TailBracket(float(lower[0]), float(upper[0]))
 
 
 def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms, eps: float = 1e-9, *,
                       target_width=1e-6) -> list[TailBracket]:
-    """Tail brackets for every level in ``ms``, priced by one forward DP sweep.
+    """Tail brackets for every level in ``ms``, priced in rounds of one DP sweep each.
 
     Level m is read first at the depth of ``bernoulli_probs(min_terms=m + 8)``.
-    When its bracket is wider than ``target_width``, the survival step at m
-    gives the neglected mass that would meet the target, and m is read again
-    at that deeper depth, at most four times.  Pending reads wait in a heap
-    ordered by depth; a deeper read never precedes a shallower one, so the
-    sweep only moves forward and keeps no per-step history.  Each bracket is
-    the one a DP restarted at index 1 with that depth's profile would give.
+    A round sweeps the DP from index 1 to its deepest read, takes each read's
+    state [pmf[:m], absorbed] at that read's depth, and prices the states in
+    batched brackets (``_brackets``, in chunks of ``BRACKET_CELLS`` cells).
+    A read still wider than ``target_width`` moves to the next round at the
+    depth whose neglected mass its survival step says would meet the target,
+    at most four times per level.  Each bracket is the one a DP restarted at
+    index 1 with that depth's profile would give.
     """
     ms = list(ms)
     if any(m < 0 for m in ms):
         raise ValueError("m must be >= 0")
     done = {0: TailBracket(0.0, 0.0)}
-    levels = np.array(sorted({m for m in ms if m > 0}), dtype=int)
-    if len(levels):
-        pending = [(_profile_depth(ensemble, r, eps, int(m) + 8), j, 0)
-                   for j, m in enumerate(levels)]
-        heapq.heapify(pending)
-        profile = bernoulli_probs(ensemble, r, eps, min_terms=max(pending)[0])
-        pmf = np.full(levels[-1], -np.inf)
-        pmf[0] = 0.0
-        absorbed = np.full(len(levels), -np.inf)
-        below = levels - 1
-        depth = 0
-        while pending:
-            read_depth, j, refinements = heapq.heappop(pending)
-            if read_depth > profile.size:
-                # grow once to the deepest pending read; none is shallower than this one
-                deepest = max(pending, default=(read_depth,))[0]
+    levels = sorted({int(m) for m in ms if m > 0})
+    if levels:
+        neglected = functools.cache(functools.partial(_log_neglected, ensemble, r))
+        reads = {m: _profile_depth(ensemble, r, eps, m + 8, neglected) for m in levels}
+        profile, refinements = None, 0
+        while reads:
+            deepest = max(reads.values())
+            if profile is None or deepest > profile.size:
                 profile = bernoulli_probs(ensemble, r, eps, min_terms=deepest)
-            pmf, absorbed = _sweep(pmf, absorbed, below,
-                                   profile.log_probs[depth:read_depth],
-                                   profile.log_one_minus[depth:read_depth])
-            depth = read_depth
-            m = int(levels[j])
-            br, survival = _bracket(np.concatenate((pmf[:m], absorbed[j:j + 1])),
-                                    _log_neglected(ensemble, r, depth))
-            if br.log_upper - br.log_lower <= target_width or refinements == 4:
-                done[m] = br
-                continue
-            needed = math.log(target_width / 2.0) + survival[m] - survival[m - 1]
-            start = depth + 8 if ensemble is RadialEnsemble.HYPERBOLIC_ONE else depth
-            wanted = _depth_for_mass(ensemble, r, needed, start, 1.4)
-            heapq.heappush(pending, (_profile_depth(ensemble, r, eps, wanted), j,
-                                     refinements + 1))
+            states = _states(list(reads), list(reads.values()),
+                             profile.log_probs, profile.log_one_minus)
+            lower, upper, head = _brackets(states, [neglected(d) for d in reads.values()])
+            met = upper - lower <= target_width
+            wide = {}
+            for i, (m, depth) in enumerate(reads.items()):
+                if met[i] or refinements == 4:
+                    done[m] = TailBracket(float(lower[i]), float(upper[i]))
+                    continue
+                # the survival step at m gives the neglected mass that would meet the target
+                needed = math.log(target_width / 2.0) + head[i, 0] - head[i, 1]
+                start = depth + 8 if ensemble is RadialEnsemble.HYPERBOLIC_ONE else depth
+                wanted = _depth_for_mass(ensemble, r, needed, start, 1.4, neglected)
+                wide[m] = _profile_depth(ensemble, r, eps, wanted, neglected)
+            reads, refinements = wide, refinements + 1
     return [done[m] for m in ms]

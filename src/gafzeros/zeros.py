@@ -213,15 +213,17 @@ def _circle_grids(on_grid, count, start_nodes, max_nodes, step):
 
 
 def _arc_terms(gafs, rs):
-    """``(on_grid, slack, bounds)``: the arc margin of gafs[i] on |z| = rs[i], by parts.
+    """``(on_grid, slack, bounds, ceiling)``: the arc margin of gafs[i] on |z| = rs[i].
 
     ``on_grid`` reads the rows (``_coefficient_rows``).  With l = 2 pi r/n,
     ``slack(rows, n)`` is l^2 M2/8 + E, and ``bounds(rows, mods)`` maps the
     |f_j| of an n-node grid to |f_j| - l |f'_j|/2 - slack, a lower bound on
     |f| over the half arcs next to node j.  |f'| = |sum k b_k u^k|/r, one more
-    inverse FFT.  M2 is ``_circle_max`` of r^2 z^2 f'' = sum k (k-1) b_k u^k
-    (degree d - 2 up to u^2) on the least power of two above 4 (d - 2) nodes,
-    over r^2.  E is the ``_rounding`` of the f grid plus l/2 that of f'.
+    inverse FFT.  ``ceiling(rows, vals, j)`` bounds the margin at node
+    j[i] of row i from above without reading f'.  M2 is ``_circle_max`` of
+    r^2 z^2 f'' = sum k (k-1) b_k u^k (degree d - 2 up to u^2) on the least
+    power of two above 4 (d - 2) nodes, over r^2.  E is the ``_rounding`` of
+    the f grid plus l/2 that of f'.
     """
     on_grid = _coefficient_rows(gafs, rs)
     size, reach = _sizes(gafs, rs)
@@ -247,7 +249,18 @@ def _arc_terms(gafs, rs):
         slope = np.abs(on_grid(rows, n, 0.0, k)) / radius[rows, None]
         return mods - arc[:, None] / 2.0 * slope - slack(rows, n)[:, None]
 
-    return on_grid, slack, bounds
+    def ceiling(rows, vals, j):
+        # at node j and h = f_{j+-1} - f_j, |f'_j| >= |h|/l - l M2/2 by Taylor.
+        # The rounding of |h|/2 and of l |f'_j|/2 is at most E, which the
+        # slack takes off, so the margin at j is at most |f_j| - |h|/2 + l^2 M2/8
+        n = vals.shape[1]
+        at = np.arange(len(rows))
+        f = vals[at, j]
+        h = np.maximum(np.abs(vals[at, (j + 1) % n] - f), np.abs(vals[at, j - 1] - f))
+        arc = _TWO_PI * radius[rows] / n
+        return np.abs(f) - h / 2.0 + arc**2 * bend[rows] / 8.0
+
+    return on_grid, slack, bounds, ceiling
 
 
 def _counts(gafs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
@@ -255,10 +268,10 @@ def _counts(gafs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
 
     A row stops at the first level where its arc margin is above its floor,
     and sums the phase increments there; f' is read only where min |f| less
-    the slack is above the floor, as the margin needs.  Returns one entry
-    per row: its CountResult, or an InconclusiveCount where a node is at or
-    below the floor, the margin stays at or below it at the node cap, or
-    the phase total is no count.
+    the slack and the ceiling of the margin are both above the floor, as the
+    margin needs.  Returns one entry per row: its CountResult, or an
+    InconclusiveCount where a node is at or below the floor, the margin
+    stays at or below it at the node cap, or the phase total is no count.
     """
     for r, floor in zip(rs, floors):
         if not r > 0:
@@ -266,19 +279,21 @@ def _counts(gafs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
         if not floor >= 0:
             raise ValueError("floor must be nonnegative")
     out = [None] * len(gafs)
-    on_grid, slack, bounds = _arc_terms(gafs, rs)
+    on_grid, slack, bounds, ceiling = _arc_terms(gafs, rs)
     floor_of = np.array(floors, dtype=float)
     limit = np.maximum(floor_of, HARD_FLOOR)
 
     def step(rows, vals):
         n = vals.shape[1]
         mods = np.abs(vals)
-        mn = mods.min(axis=1)
+        low = mods.argmin(axis=1)
+        mn = mods[np.arange(len(rows)), low]
         keep = ~(mn <= limit[rows])
         for j, i in zip(np.flatnonzero(~keep), rows[~keep]):
             out[i] = InconclusiveCount(f"min |f| = {mn[j]:.3e} at or below floor "
                                        f"{floors[i]:.3e} on |z| = {rs[i]}")
-        near = np.flatnonzero(keep & (mn - slack(rows, n) > floor_of[rows]))
+        near = np.flatnonzero(keep & (mn - slack(rows, n) > floor_of[rows])
+                              & (ceiling(rows, vals, low) > floor_of[rows]))
         if len(near):
             margin = bounds(rows[near], mods[near]).min(axis=1)
             stop = near[margin > floor_of[rows[near]]]

@@ -13,6 +13,7 @@ from gafzeros import (ExponentRegime, RadialEnsemble, ginibre_tail_brackets,
                       poisson_kernel_bounds, poisson_tail_log_upper,
                       predicted_exponent, sum_n_log_n, sum_n_log_n_closed_form,
                       tail_log_brackets)
+from gafzeros._num import lchoose
 
 
 class TestSumNLogN:
@@ -181,6 +182,25 @@ class TestGinibreBrackets:
     def test_precondition(self):
         with pytest.raises(ValueError):
             ginibre_tail_brackets(2.0, [5, 3])
+
+    @pytest.mark.parametrize("r", [1.0, 3.0, 6.0, 10.0])
+    def test_matches_per_m_formula_bitwise(self, r):
+        # the per-m formula, one m at a time, on the exact-tails rows
+        from gafzeros.bounds import _poisson_tail_bound_series
+        ms = [m for m in range(1, 301) if m >= max(1.0, r * r)]
+        lam = r * r
+        want = []
+        for m in ms:
+            n = np.arange(2, m + 1)
+            s = float(math.fsum(n * np.log(n)))
+            log_lower = 0.5 * m * (m + 1) * math.log(r * r / 2.0) - s
+            n = np.arange(1, m + 1)
+            terms = np.where(n > lam, -n * np.log(n / lam) - lam + n, 0.0)
+            main = float(lchoose(m * m, m)) + float(np.sum(terms))
+            log_upper = float(np.logaddexp(main, _poisson_tail_bound_series(lam, m * m + 1)))
+            want.append((log_lower, min(log_upper, 0.0)))
+        got = ginibre_tail_brackets(r, ms)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestHyperbolicOneBrackets:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gafzeros
@@ -334,6 +335,16 @@ class TestEmitCsv:
     def test_lf_endings(self, tmp_path):
         p = emit_csv(str(tmp_path / "x.csv"), ["v"], [[1.5]])
         assert b"\r" not in read_bytes(p)
+
+    def test_cell_text(self, tmp_path):
+        # the text of every cell type the runners write, and the fallbacks
+        row = [True, False, np.bool_(True), np.bool_(False), 0.1, np.float64(2.0 / 3.0),
+               float("nan"), float("inf"), -float("inf"), -0.0, np.float64(-0.0), 7, -3,
+               np.int64(12), "planar", np.float32(0.5)]
+        p = emit_csv(str(tmp_path / "x.csv"), [f"c{i}" for i in range(len(row))], [row])
+        assert read_bytes(p).split(b"\n")[1] == (
+            b"true,false,true,false,0.10000000000000001,0.66666666666666663,"
+            b"nan,inf,-inf,-0,-0,7,-3,12,planar,0.5")
 
     def test_width_mismatch(self, tmp_path):
         with pytest.raises(ValueError):

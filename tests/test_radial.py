@@ -7,7 +7,7 @@ import pytest
 from scipy import special
 
 from gafzeros import (BernoulliProfile, RadialEnsemble, _num, bernoulli_probs,
-                      poisson_binomial_tail_log, sample_radii, stream,
+                      poisson_binomial_tail_log, radial, sample_radii, stream,
                       tail_log_brackets)
 
 GIN = RadialEnsemble.GINIBRE
@@ -208,6 +208,10 @@ class TestSweep:
         (GIN, 10.0, [0, 1, 100, 180, 200, 250, 200], True),
         (HYP, 0.5, [0, 1, 3, 6, 10, 25, 3], True),
         (HYP, 0.9, [0, 1, 20, 34, 60, 120, 20], True),
+        # several chunks and two rounds, with duplicate levels
+        (GIN, 10.0, [*range(0, 301), 0, 7, 150, 180, 300], True),
+        # the exponent-fit grid: few levels over a deep sweep
+        (GIN, 1.0, list(range(100, 801, 100)), False),
     ])
     def test_batch_equals_per_level(self, ens, r, ms, refines):
         ms = [int(m) for m in stream(83).permutation(ms)]
@@ -219,6 +223,29 @@ class TestSweep:
         first = [reference_tail(bernoulli_probs(ens, r, min_terms=m + 8), m)[0]
                  for m in ms if m > 0]
         assert any(hi - lo > 1e-6 for lo, hi in first) == refines
+
+    def test_rounds_and_chunks(self, monkeypatch):
+        # Ginibre r = 10 over m = 1..300 reads every level once, then the
+        # 121 levels that miss the width once more from index 1; each round
+        # prices its states, shallowest first, in chunks of at most
+        # BRACKET_CELLS cells
+        rounds = []
+        brackets, rows = radial._brackets, _num.logsumexp_rows
+
+        def recording(states, log_neglected):
+            rounds.append([])
+            return brackets(states, log_neglected)
+
+        def chunk(a, sizes):
+            rounds[-1].append(a.shape)
+            return rows(a, sizes)
+
+        monkeypatch.setattr(radial, "_brackets", recording)
+        monkeypatch.setattr(_num, "logsumexp_rows", chunk)
+        tail_log_brackets(GIN, 10.0, range(1, 301))
+        assert [sum(k for k, _ in shapes) for shapes in rounds] == [300, 121]
+        assert [len(shapes) for shapes in rounds] == [7, 4]
+        assert max(k * width for shapes in rounds for k, width in shapes) <= radial.BRACKET_CELLS
 
     def test_other_eps_and_width(self):
         for ens, r, eps, width in ((GIN, 2.0, 1e-6, 1e-3), (HYP, 0.8, 1e-4, 1e-10),
@@ -290,3 +317,20 @@ class TestLogSumExp:
             want = np.float64(special.logsumexp(a))
             got = np.float64(_num.logsumexp(a))
             assert got.tobytes() == want.tobytes(), a
+
+    def test_rows_match_scipy_bitwise(self):
+        # rows of every length to 300, padded with junk past their sizes,
+        # with -inf entries, ties at the max, all -inf and NaN rows
+        rng = np.random.default_rng(18)
+        sizes = rng.integers(1, 301, size=400)
+        a = rng.standard_normal((400, 300)) * 10.0 ** rng.uniform(-3, 3, (400, 1))
+        a += rng.uniform(-1e3, 1e3, (400, 1))
+        a[rng.random(a.shape) < 0.1] = -np.inf
+        for i in range(0, 400, 7):
+            a[i, rng.integers(0, sizes[i], size=3)] = np.max(a[i, :sizes[i]])
+        a[5, :sizes[5]] = -np.inf
+        a[6, 0] = np.nan
+        a[7, :sizes[7]] = 3.0
+        got = _num.logsumexp_rows(a, sizes)
+        want = np.array([special.logsumexp(row[:k]) for row, k in zip(a, sizes)])
+        assert got.tobytes() == want.tobytes()

@@ -908,7 +908,7 @@ class TestCoefficientPath:
 def arc_bounds(gaf, r, n):
     # the walker's lower bound on |f| over the half arcs next to each node
     # of the n-node grid
-    on_grid, _, bounds = zeros._arc_terms([gaf], [r])
+    on_grid, _, bounds, _ = zeros._arc_terms([gaf], [r])
     row = np.zeros(1, dtype=int)
     return bounds(row, np.abs(on_grid(row, n, 0.0)))[0]
 
@@ -928,6 +928,24 @@ def dense_minima(gaf, r, n, nodes, points=17):
 
 class TestArcMargin:
     """The arc margin is at most a dense 30-digit minimum of |f| on every arc."""
+
+    def test_ceiling_bounds_every_node_margin(self):
+        # the ceiling at node j is at least the margin read there with f',
+        # on planted near-circle zeros and planar draws, at every node
+        rng = np.random.default_rng(82)
+        gafs = [sample_truncated(PLANAR, 2.5, stream(72, k)) for k in range(3)]
+        angle = np.exp(2j * math.pi * rng.random(4))
+        c = np.polynomial.polynomial.polyfromroots([*(1.0 + 1e-3) * angle, 0.4, 2.0j])
+        cases = [(gaf, 2.0) for gaf in gafs] + [(poly(c, 1.0), 1.0)]
+        for gaf, r in cases:
+            on_grid, _, bounds, ceiling = zeros._arc_terms([gaf], [r])
+            for n in (64, 256, 1024):
+                row = np.zeros(1, dtype=int)
+                vals = on_grid(row, n, 0.0)
+                margin = bounds(row, np.abs(vals))[0]
+                every = np.zeros(n, dtype=int)
+                top = ceiling(every, np.broadcast_to(vals, (n, n)), np.arange(n))
+                assert np.all(top >= margin)
 
     def check(self, gaf, r, n):
         # every positive node bound against its half arcs; the others hold
@@ -1210,3 +1228,29 @@ class TestOneWalk:
         assert str(res).startswith("min |f| = 2.893e+01")
         assert walks == [1]
         assert widths[-1] == 262144
+
+    def test_no_derivative_read_below_the_ceiling(self, monkeypatch):
+        # the panel trial's margin stays below its floor at the eight levels
+        # 1024-131072 where min |f| less the slack is above it; the ceiling
+        # rules the margin out at all eight, so f' is never read, and the
+        # outcome is the floor hit at 262144 nodes
+        rng = stream(0, 31)
+        r = 3.0 + 3.0 * rng.random()
+        gaf = sample_truncated(PLANAR, 1.25 * r, rng)
+        reads = []
+        terms = zeros._arc_terms
+
+        def recording(gafs, rs):
+            on_grid, slack, bounds, ceiling = terms(gafs, rs)
+
+            def read(rows, mods):
+                reads.append(mods.shape[1])
+                return bounds(rows, mods)
+            return on_grid, slack, read, ceiling
+
+        monkeypatch.setattr(zeros, "_arc_terms", recording)
+        (res,) = zeros.count_with_retry_many([(gaf, r, 100.0 * gaf.tail_sd)])
+        assert outcome(ref_count, FftReference(gaf), r, 100.0 * gaf.tail_sd) == \
+            ("inconclusive", str(res))
+        assert str(res).startswith("min |f| = 2.893e+01")
+        assert reads == []
