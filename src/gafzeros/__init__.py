@@ -16,8 +16,7 @@ from .zeros import (CountResult, InconclusiveCount, JensenCheck,
                     find_roots, find_roots_many, jensen_residual, jensen_residuals,
                     max_modulus)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
-                     bernoulli_probs, poisson_binomial_tail_log, sample_radii,
-                     tail_log_brackets)
+                     bernoulli_probs, sample_radii, tail_log_brackets)
 from .bounds import (ExponentRegime, SumNLogN, ginibre_tail_brackets,
                      hyperbolic_one_tail_brackets, kappa, kappa_argmax,
                      poisson_kernel_bounds, poisson_tail_log_upper,

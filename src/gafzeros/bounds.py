@@ -233,18 +233,21 @@ def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
             for k, hi in zip(ms, log_upper.tolist())]
 
 
-def hyperbolic_one_tail_brackets(r: float, m: int) -> TailBracket:
-    """Analytic bracket on log P[hyperbolic index-one count in D(0,r) >= m].
+def hyperbolic_one_tail_brackets(r: float, ms) -> list[TailBracket]:
+    """Analytic brackets on log P[hyperbolic index-one count in D(0,r) >= m], one per m in ``ms``.
 
     With p_n = r^{2n}, lower: the first m indices all inside, r^{m(m+1)}.
     Upper: some m of the first m^2 indices inside, each such set costing at
     most r^{m(m+1)}, plus any index past m^2 inside, r^{2(m^2+1)}/(1-r^2).
-    The upper end is not clamped at 0.
+    The upper end is not clamped at 0.  Every m is priced at once, with the
+    bits of the same formula at one m.
     """
-    if not 0 < r < 1 or m < 0:
+    ms = list(ms)
+    if not 0 < r < 1 or any(m < 0 for m in ms):
         raise ValueError("bracket needs 0 < r < 1 and m >= 0")
-    log_lower = m * (m + 1) * math.log(r)
-    log_upper = float(np.logaddexp(
-        _num.lchoose(m * m, m) + m * (m + 1) * math.log(r),
-        (2 * m * m + 2) * math.log(r) - math.log1p(-r * r)))
-    return TailBracket(log_lower, log_upper)
+    m = np.array(ms, dtype=int)
+    log_r = math.log(r)
+    log_lower = m * (m + 1) * log_r
+    log_upper = np.logaddexp(_num.lchoose(m * m, m) + log_lower,
+                             (2 * m * m + 2) * log_r - math.log1p(-r * r))
+    return [TailBracket(lo, hi) for lo, hi in zip(log_lower.tolist(), log_upper.tolist())]

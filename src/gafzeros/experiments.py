@@ -188,6 +188,17 @@ def _radius_list(cfg: RunConfig, key="r"):
                     msg="must be a nonempty list of positive numbers")
 
 
+def _check_radii(law, radii):
+    """ConfigError unless the library's domain check of ``law``, a radial
+    ensemble or a model, accepts every radius of ``radii``."""
+    check = radial._check_domain if isinstance(law, RadialEnsemble) else models._check_radius
+    for r in radii:
+        try:
+            check(law, r)
+        except ValueError as exc:
+            raise ConfigError(f"config.r: {exc}") from exc
+
+
 def _tail_guard(cfg: RunConfig) -> float:
     return cfg.read("tail_guard", float, default=events.MC_TAIL_GUARD,
                     cond=lambda v: 0 <= v < math.inf, msg="must be >= 0 and finite")
@@ -245,11 +256,12 @@ def _run_mc_tail(cfg: RunConfig):
     trials = cfg.read("trials", int, **_at_least(1))
     level = cfg.read("level", float, default=0.99, cond=lambda v: 0 < v < 1,
                      msg="must be in (0, 1)")
+    law = _ensemble_from(cfg, "target") if target in _ENSEMBLES else _model_from(cfg, "target")
+    _check_radii(law, [r])
     if target in _ENSEMBLES:
-        est = events.direct_mc_tail(_ensemble_from(cfg, "target"), r, m, trials, cfg.seed,
-                                    level=level)
+        est = events.direct_mc_tail(law, r, m, trials, cfg.seed, level=level)
     else:
-        counts = _replica_counts(cfg, _model_from(cfg, "target"), r, trials)
+        counts = _replica_counts(cfg, law, r, trials)
         est = events.mc_tail_estimate(int((counts >= m).sum()), trials, level,
                                       unresolved=int((counts < 0).sum()))
     return [("mc_tail.csv",
@@ -264,18 +276,17 @@ def _run_exact_tail(cfg: RunConfig):
     m_min = cfg.read("m_min", int, **_at_least(0))
     m_max = cfg.read("m_max", int, **_at_least(m_min, "m_min"))
     ms = range(m_min, m_max + 1)
+    _check_radii(ens, radii)
     rows = []
     for r in radii:
-        analytic = {}
         if ens is RadialEnsemble.GINIBRE:
             valid = [m for m in ms if m >= max(1.0, r * r)]
             analytic = dict(zip(valid, bounds.ginibre_tail_brackets(r, valid)))
+        else:
+            analytic = dict(zip(ms, bounds.hyperbolic_one_tail_brackets(r, ms)))
         for m, br in zip(ms, radial.tail_log_brackets(ens, r, ms)):
             if m in analytic:
                 blo, bhi = analytic[m]
-                contained = blo <= br.log_lower <= bhi
-            elif ens is RadialEnsemble.HYPERBOLIC_ONE:
-                blo, bhi = bounds.hyperbolic_one_tail_brackets(r, m)
                 contained = blo <= br.log_lower <= bhi
             else:
                 blo = bhi = float("nan")
@@ -327,6 +338,7 @@ def _run_exponent_fit(cfg: RunConfig):
                       cond=lambda v: len(v) >= 3 and min(v) >= 1 and len(set(v)) == len(v),
                       msg="need >= 3 distinct positive integers")
     basis = cfg.read("basis", str, default="m2logm+m2", **_one_of(_FIT_BASES))
+    _check_radii(ens, [r])
     pts = []
     point_rows = []
     for m, br in zip(m_grid, radial.tail_log_brackets(ens, r, m_grid)):
@@ -388,6 +400,7 @@ def _run_intensity_check(cfg: RunConfig):
     model = _model_from(cfg)
     r = cfg.read("r", float, **_above(0))
     samples = cfg.read("samples", int, **_at_least(1))
+    _check_radii(model, [r])
     counts = _replica_counts(cfg, model, r, samples)
     ok = counts[counts >= 0]
     n_ok = len(ok)

@@ -45,10 +45,6 @@ class GafModel:
     def hyperbolic(cls, rho: float) -> "GafModel":
         return cls(Kind.HYPERBOLIC, float(rho))
 
-    @property
-    def max_radius(self) -> float:
-        return math.inf if self.kind is Kind.PLANAR else 1.0
-
 
 def log_sigma(model: GafModel, n):
     """log of the coefficient standard deviation sigma_n.

@@ -6,7 +6,8 @@ independent Bernoullis with p_n = P[Gamma(n,1) < r^2].  For the hyperbolic
 model at index one the zero moduli are {U_n^{1/(2n)}} with independent
 uniforms, so p_n = r^{2n}.  Both tails reduce to a Poisson-binomial tail,
 computed here by an exact dynamic program run entirely in log space.
-``tail_log_brackets`` prices every level m at one radius in rounds.  A
+``tail_log_brackets`` is the one entry into that program: it prices every
+level m at one radius (a single level is the list ``[m]``) in rounds.  A
 round is one forward sweep of that program from index 1, which reads the
 state of every pending level at that level's depth (the first m states of
 the absorbing program at level m are the plain pmf, which no level
@@ -216,6 +217,9 @@ def _chunks(states):
 def _brackets(states, log_neglected):
     """Brackets from the DP states [log P[S = 0..m-1], log P[S >= m]], m >= 1.
 
+    The DP value over a profile's indices is an exact lower bound.  The upper
+    end adds the neglected indices through P[T = j] <= mu^j / j!, with mu the
+    neglected mass, paired with the DP survival at m - j, all in log scale.
     ``states`` yields (i, state) pairs, and ``log_neglected[i]`` is the log
     neglected mass of the profile behind state i.  Returns the arrays of
     lower and upper ends and the (len(log_neglected), 2) array of
@@ -247,24 +251,6 @@ def _brackets(states, log_neglected):
     # where P is within rounding of 1 the log-space sums can land a few ulps
     # above 0; both ends are clamped so the bracket stays <= 0 and ordered
     return np.where(lower > 0.0, 0.0, lower), np.where(upper > 0.0, 0.0, upper), head
-
-
-def poisson_binomial_tail_log(profile: BernoulliProfile, m: int) -> TailBracket:
-    """Bracket on log P[sum of Bernoullis >= m] for the full (infinite) profile.
-
-    The DP value over the stored indices is an exact lower bound (dropping
-    indices can only shrink the count).  The upper bound adds the neglected
-    indices through P[T = j] <= mu^j / j! with mu the neglected mass, paired
-    with the DP survival at m - j; everything stays in log scale so the
-    correction is meaningful even when mu is far below the linear floor.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return TailBracket(0.0, 0.0)
-    states = _states([m], [profile.size], profile.log_probs, profile.log_one_minus)
-    lower, upper, _ = _brackets(states, [profile.log_neglected])
-    return TailBracket(float(lower[0]), float(upper[0]))
 
 
 def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms, eps: float = 1e-9, *,
@@ -305,7 +291,7 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms, eps: float = 1e-9,
                 # the survival step at m gives the neglected mass that would meet the target
                 needed = math.log(target_width / 2.0) + head[i, 0] - head[i, 1]
                 start = depth + 8 if ensemble is RadialEnsemble.HYPERBOLIC_ONE else depth
-                wanted = _depth_for_mass(ensemble, r, needed, start, 1.4, neglected)
-                wide[m] = _profile_depth(ensemble, r, eps, wanted, neglected)
+                # past a first-read depth that met eps, so eps needs nothing more
+                wide[m] = _depth_for_mass(ensemble, r, needed, start, 1.4, neglected)
             reads, refinements = wide, refinements + 1
     return [done[m] for m in ms]

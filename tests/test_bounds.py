@@ -207,14 +207,29 @@ class TestHyperbolicOneBrackets:
     def test_contains_dp(self):
         ms = [1, 2, 5, 10, 25, 60]
         for r in (0.5, 0.9):
-            for m, dp in zip(ms, tail_log_brackets(RadialEnsemble.HYPERBOLIC_ONE, r, ms)):
-                bk = hyperbolic_one_tail_brackets(r, m)
+            dps = tail_log_brackets(RadialEnsemble.HYPERBOLIC_ONE, r, ms)
+            for bk, dp in zip(hyperbolic_one_tail_brackets(r, ms), dps):
                 assert bk.log_lower <= dp.log_lower <= bk.log_upper
 
     def test_lower_is_first_m_indices_inside(self):
-        assert hyperbolic_one_tail_brackets(0.5, 3).log_lower == 12 * math.log(0.5)
+        (bk,) = hyperbolic_one_tail_brackets(0.5, [3])
+        assert bk.log_lower == 12 * math.log(0.5)
 
     def test_domain(self):
         for r, m in ((1.0, 3), (0.0, 3), (0.5, -1)):
             with pytest.raises(ValueError):
-                hyperbolic_one_tail_brackets(r, m)
+                hyperbolic_one_tail_brackets(r, [m])
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.7, 0.9, 0.97, 0.999])
+    def test_matches_per_m_formula_bitwise(self, r):
+        # the per-m formula, one m at a time
+        ms = list(range(0, 401))
+        want = []
+        for m in ms:
+            log_lower = m * (m + 1) * math.log(r)
+            log_upper = float(np.logaddexp(
+                lchoose(m * m, m) + m * (m + 1) * math.log(r),
+                (2 * m * m + 2) * math.log(r) - math.log1p(-r * r)))
+            want.append((log_lower, log_upper))
+        got = hyperbolic_one_tail_brackets(r, ms)
+        assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -100,6 +100,32 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
 
+    @pytest.mark.parametrize("data,message", [
+        ({"experiment": "exact-tail", "ensemble": "hyperbolic-one", "r": [0.5, 1.0],
+          "m_min": 0, "m_max": 3}, "hyperbolic radial law needs r < 1"),
+        ({"experiment": "exponent-fit", "ensemble": "hyperbolic-one", "r": 1.0,
+          "m_grid": [3, 4, 5]}, "hyperbolic radial law needs r < 1"),
+        ({"experiment": "mc-tail", "target": "hyperbolic-one", "r": 1.0, "m": 1,
+          "trials": 2}, "hyperbolic radial law needs r < 1"),
+        ({"experiment": "mc-tail", "target": "hyperbolic", "rho": 1.0, "r": 1.0, "m": 1,
+          "trials": 2}, "hyperbolic model lives in the open unit disk"),
+        ({"experiment": "intensity-check", "model": "hyperbolic", "rho": 1.0, "r": 1.5,
+          "samples": 2}, "hyperbolic model lives in the open unit disk"),
+    ], ids=["exact-tail", "exponent-fit", "mc-tail-hyperbolic-one", "mc-tail-hyperbolic",
+            "intensity-check"])
+    def test_hyperbolic_radius_off_the_disk_is_a_config_error(self, tmp_path, capsys,
+                                                              monkeypatch, data, message):
+        # the radius is checked before any work starts: no tail, draw or count runs
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the radius was checked")
+
+        monkeypatch.setattr(experiments.radial, "tail_log_brackets", no_work)
+        monkeypatch.setattr(experiments.events, "direct_mc_tail", no_work)
+        monkeypatch.setattr(experiments, "_replica_counts", no_work)
+        assert run_cli(tmp_path, data) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"config.r: {message}" in err
+
 
 # smallest valid fields of the experiments that have optional fields
 BASE = {

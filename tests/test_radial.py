@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gafzeros import (BernoulliProfile, RadialEnsemble, _num, bernoulli_probs,
-                      poisson_binomial_tail_log, radial, sample_radii, stream,
-                      tail_log_brackets)
+from gafzeros import (BernoulliProfile, RadialEnsemble, TailBracket, _num,
+                      bernoulli_probs, radial, sample_radii, stream, tail_log_brackets)
 
 GIN = RadialEnsemble.GINIBRE
 HYP = RadialEnsemble.HYPERBOLIC_ONE
@@ -41,6 +40,15 @@ def reference_dp(profile, m):
         state[:m] = np.logaddexp(state[:m] + lq, shifted)
         state[m] = np.logaddexp(state[m], up)
     return state
+
+
+def dp_bracket(profile, m):
+    # one level of one profile through the DP primitives of tail_log_brackets
+    if m == 0:
+        return TailBracket(0.0, 0.0)
+    states = radial._states([m], [profile.size], profile.log_probs, profile.log_one_minus)
+    lower, upper, _ = radial._brackets(states, [profile.log_neglected])
+    return TailBracket(float(lower[0]), float(upper[0]))
 
 
 def reference_tail(profile, m):
@@ -146,20 +154,20 @@ class TestTailDP:
     def test_half_half(self):
         prof = BernoulliProfile(GIN, 1.0, np.log([0.5, 0.5]),
                                 np.log([0.5, 0.5]), -np.inf)
-        br = poisson_binomial_tail_log(prof, 1)
+        br = dp_bracket(prof, 1)
         assert br.log_lower == pytest.approx(math.log(0.75), abs=1e-12)
         assert br.log_upper == pytest.approx(math.log(0.75), abs=1e-12)
 
     def test_m_zero(self):
         prof = bernoulli_probs(GIN, 1.0)
-        assert poisson_binomial_tail_log(prof, 0) == (0.0, 0.0)
+        assert dp_bracket(prof, 0) == (0.0, 0.0)
 
     def test_matches_exhaustive_enumeration(self):
         rng = stream(81)
         for n, m in ((12, 3), (16, 1), (18, 9), (20, 5)):
             p = rng.random(n) * 0.9 + 0.05
             prof = BernoulliProfile(GIN, 1.0, np.log(p), np.log1p(-p), -np.inf)
-            got = poisson_binomial_tail_log(prof, m).log_lower
+            got = dp_bracket(prof, m).log_lower
             want = enumerate_tail_log(np.log(p), np.log1p(-p), m)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -226,11 +234,15 @@ class TestSweep:
 
     def test_rounds_and_chunks(self, monkeypatch):
         # Ginibre r = 10 over m = 1..300 reads every level once, then the
-        # 121 levels that miss the width once more from index 1; each round
-        # prices its states, shallowest first, in chunks of at most
-        # BRACKET_CELLS cells
-        rounds = []
-        brackets, rows = radial._brackets, _num.logsumexp_rows
+        # 121 levels that miss the width once more from index 1, at depths
+        # 289..435; each round prices its states, shallowest first, in
+        # chunks of at most BRACKET_CELLS cells
+        rounds, depths = [], []
+        sweep, brackets, rows = radial._states, radial._brackets, _num.logsumexp_rows
+
+        def reading(levels, reads, log_p, log_q):
+            depths.append(list(reads))
+            return sweep(levels, reads, log_p, log_q)
 
         def recording(states, log_neglected):
             rounds.append([])
@@ -240,10 +252,12 @@ class TestSweep:
             rounds[-1].append(a.shape)
             return rows(a, sizes)
 
+        monkeypatch.setattr(radial, "_states", reading)
         monkeypatch.setattr(radial, "_brackets", recording)
         monkeypatch.setattr(_num, "logsumexp_rows", chunk)
         tail_log_brackets(GIN, 10.0, range(1, 301))
         assert [sum(k for k, _ in shapes) for shapes in rounds] == [300, 121]
+        assert (len(depths[1]), min(depths[1]), max(depths[1])) == (121, 289, 435)
         assert [len(shapes) for shapes in rounds] == [7, 4]
         assert max(k * width for shapes in rounds for k, width in shapes) <= radial.BRACKET_CELLS
 
@@ -265,7 +279,7 @@ class TestSweep:
                     bernoulli_probs(GIN, 1.0, min_terms=60), bernoulli_probs(HYP, 0.9)]
         for prof in profiles:
             for m in (1, 2, 7, 33, 60):
-                got = poisson_binomial_tail_log(prof, m)
+                got = dp_bracket(prof, m)
                 assert tuple(got) == reference_tail(prof, m)[0]
 
     def test_empty_and_negative_levels(self):
