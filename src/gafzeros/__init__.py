@@ -6,14 +6,14 @@ draws, closed-form deviation exponents, and the constructive coefficient
 events that realize the lower bounds.
 """
 
-from .models import (GafModel, Kind, TruncatedGaf, choose_truncation,
+from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, coefficient_rows,
                      covariance, expected_count, log_sigma, log_weight,
                      make_truncated, sample_coefficients, sample_truncated,
-                     sigma, stream, tail_sd, weight_ratio_bound)
+                     stream, weight_ratio_bound)
 from .zeros import (CountResult, InconclusiveCount, JensenCheck,
                     RootsDidNotConverge, circle_mean_log_abs, circle_mean_log_abs_many,
                     count_in_disk, count_replicas, count_with_retry, count_with_retry_many,
-                    find_roots, find_roots_many, jensen_residual, jensen_residuals,
+                    find_gaf_roots, find_roots, find_roots_many, jensen_residual, jensen_residuals,
                     max_modulus)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
                      bernoulli_probs, sample_radii, tail_log_brackets)

@@ -19,10 +19,10 @@ import numpy as np
 from scipy import special
 
 from . import _num
-from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, log_weight,
+from .models import (GafModel, Kind, choose_truncation, coefficient_rows, log_weight,
                      make_truncated, stream, weight_ratio_bound)
 from .radial import RadialEnsemble, _profile_depth, sample_radii
-from .zeros import _sizes, count_replicas, count_with_retry, max_modulus
+from .zeros import count_replicas, count_with_retry, max_modulus
 
 
 class EventKind(Enum):
@@ -221,7 +221,7 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         # weighted tail budget sum_k k w_{m+k}/w_m stays O(r/sqrt(m))
         upper = IndexBlock("upper-tail", mm + 1, None, "le", _shifted_log(mm),
                            "|a_n| <= n - m for n > m")
-        budget = _sup_units(upper, model, r, float(log_weight(model, mm, r)))
+        budget = math.exp(_log_sup(upper, model, r, float(log_weight(model, mm, r))))
         anchor = float(mm)
         if bulge + budget >= anchor:
             anchor = (bulge + budget) * (1.0 + 1e-9)
@@ -262,7 +262,7 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         n_band = np.concatenate([np.arange(lo, hi + 1) for lo, hi, _ in below + above])
         lw_m = float(log_weight(model, mm, r))
         band_units = float(np.exp(log_q + log_weight(model, n_band, r) - lw_m).sum())
-        far_units = _sup_units(far, model, r, lw_m)
+        far_units = math.exp(_log_sup(far, model, r, lw_m))
         fixed_units = 4.0 + far_units
         margin = 1.0 + _ANCHOR_MARGIN
 
@@ -365,11 +365,11 @@ def _shifted_log(shift: float):
 _ANCHOR_MARGIN = 2e-9
 
 
-def _sup_units(b: IndexBlock, model: GafModel, r: float, lw_ref: float,
-               lo: int | None = None) -> float:
-    """sum_n c_n w_n / w_ref over the indices of a 'le' block from ``lo`` on.
+def _log_sup(b: IndexBlock, model: GafModel, r: float, lw_ref: float,
+             lo: int | None = None) -> float:
+    """log sum_n c_n w_n / w_ref over the indices of a 'le' block from ``lo`` on.
 
-    An unbounded block is summed as a certified series.
+    An unbounded block is summed as a certified series; no index gives -inf.
     """
     start = b.lo if lo is None else max(b.lo, lo)
 
@@ -377,16 +377,14 @@ def _sup_units(b: IndexBlock, model: GafModel, r: float, lw_ref: float,
         return b.log_threshold(n) + log_weight(model, n, r) - lw_ref
 
     if b.hi is not None:
-        if b.hi < start:
-            return 0.0
-        return float(np.exp(log_terms(np.arange(start, b.hi + 1))).sum())
+        return float(np.logaddexp.reduce(log_terms(np.arange(start, b.hi + 1))))
 
     def ratio(n):
         th0 = float(b.log_threshold(np.array([n]))[0])
         th1 = float(b.log_threshold(np.array([n + 1]))[0])
         return math.exp(th1 - th0) * weight_ratio_bound(model, n, r)
 
-    return math.exp(_num.certified_log_series(log_terms, start, ratio, rel_tol=1e-14))
+    return _num.certified_log_series(log_terms, start, ratio, rel_tol=1e-14)
 
 
 def _check_moderate_budget(ev: EventSpec, far_units: float):
@@ -399,7 +397,7 @@ def _check_moderate_budget(ev: EventSpec, far_units: float):
     """
     lw_m = float(log_weight(ev.model, ev.m, ev.r))
     # in block order: the bounded 'le' blocks are the bands, the far tail comes last
-    bands = sum(_sup_units(b, ev.model, ev.r, lw_m)
+    bands = sum(math.exp(_log_sup(b, ev.model, ev.r, lw_m))
                 for b in ev.blocks if b.mode == "le" and b.hi is not None)
     total = 4.0 + (bands + far_units)
     anchor = ev.params["anchor"]
@@ -410,14 +408,15 @@ def _check_moderate_budget(ev: EventSpec, far_units: float):
 
 
 def event_tail_sup_bound(ev: EventSpec, n_max: int) -> float:
-    """Deterministic bound on the discarded weighted tail past n_max.
+    """The log of a deterministic bound on the discarded weighted tail past n_max.
 
     Under the event, sum_{n > n_max} |a_n| sigma_n r^n is at most the sum of
-    the caps times the weights; this is what certifies counts of truncated
+    the caps times the weights, summed in log units so that it stays finite
+    at every radius; this is the log floor that certifies counts of truncated
     conditioned samples.
     """
-    return sum((_sup_units(b, ev.model, ev.r, 0.0, lo=n_max + 1)
-                for b in ev.blocks if b.mode == "le"), 0.0)
+    return float(np.logaddexp.reduce([_log_sup(b, ev.model, ev.r, 0.0, lo=n_max + 1)
+                                      for b in ev.blocks if b.mode == "le"]))
 
 
 def _le_block_log_prob(block: IndexBlock) -> tuple[float, float]:
@@ -562,31 +561,26 @@ def verify_domination(ev: EventSpec, coeffs: np.ndarray) -> bool:
     """Whether the anchor term provably dominates the rest of the series on |z| = r.
 
     The sample must satisfy the event (checked).  True is a proof for the
-    truncated polynomial plus the event's tail bound: the anchor term, less 1e-9
+    truncated polynomial plus the event's tail bound: in log form, the anchor
+    term |c_m| e^L of the row at r (``models.coefficient_rows``), less 1e-9
     of itself, exceeds ``max_modulus`` of the other terms plus
     ``event_tail_sup_bound``.  False means no proof, not a refutation.
     """
     if not sample_satisfies(ev, coeffs):
         raise ValueError("sample does not satisfy the event")
-    model, r, m = ev.model, ev.r, ev.m
-    gaf = make_truncated(model, coeffs, r)
-    # |a_m| sigma_m r^m from the draw in log form: r^m overflows where
-    # m log r > 709, and sigma_m underflows
-    anchor_term = float(_sizes([gaf], [r])[0][0, m]) if m <= gaf.degree else 0.0
-    if anchor_term == 0.0:
+    gaf = make_truncated(ev.model, coeffs, ev.r)
+    _, log_scale, size, _ = coefficient_rows([gaf], [ev.r])
+    if ev.m > gaf.degree or size[0, ev.m] == 0.0:
         return False
-    others = np.array(coeffs, dtype=complex)
-    others[m] = 0.0
-    rest = TruncatedGaf(model=model, coeffs=others, radius_of_use=r, tail_sd=gaf.tail_sd)
-    tail = event_tail_sup_bound(ev, gaf.degree)
-    return anchor_term * (1.0 - 1e-9) > max_modulus(rest, r) + tail
+    others = np.arange(gaf.degree + 1) != ev.m  # the weight that drops the anchor term
+    rest = np.logaddexp(max_modulus(gaf, ev.r, others), event_tail_sup_bound(ev, gaf.degree))
+    return bool(math.log(size[0, ev.m] * (1.0 - 1e-9)) + log_scale[0] > rest)
 
 
 def certified_event_count(ev: EventSpec, coeffs: np.ndarray):
     """Certified zero count of a conditioned sample, floored by the event tail."""
     gaf = make_truncated(ev.model, coeffs, ev.r)
-    floor = event_tail_sup_bound(ev, gaf.degree)
-    return count_with_retry(gaf, ev.r, floor)
+    return count_with_retry(gaf, ev.r, event_tail_sup_bound(ev, gaf.degree))
 
 
 # Radial trials per RNG stream, and the tail floor of a GAF count in units of
@@ -632,7 +626,7 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
         return mc_tail_estimate(hits, trials, level)
     if isinstance(target, GafModel):
         counts = count_replicas(target, r, choose_truncation(target, r),
-                                MC_TAIL_GUARD, seed, range(trials))
+                                math.log(MC_TAIL_GUARD), seed, range(trials))
         return mc_tail_estimate(int((counts >= m).sum()), trials, level,
                                 unresolved=int((counts < 0).sum()))
     raise TypeError("target must be a GafModel or RadialEnsemble")

@@ -199,9 +199,11 @@ def _check_radii(law, radii):
             raise ConfigError(f"config.r: {exc}") from exc
 
 
-def _tail_guard(cfg: RunConfig) -> float:
-    return cfg.read("tail_guard", float, default=events.MC_TAIL_GUARD,
-                    cond=lambda v: 0 <= v < math.inf, msg="must be >= 0 and finite")
+def _log_tail_guard(cfg: RunConfig) -> float:
+    """log of the ``tail_guard`` field, the count floor in truncation tail sds (log 0 = -inf)."""
+    guard = cfg.read("tail_guard", float, default=events.MC_TAIL_GUARD,
+                     cond=lambda v: 0 <= v < math.inf, msg="must be >= 0 and finite")
+    return math.log(guard) if guard > 0 else -math.inf
 
 
 # ----------------------------------------------------------------------------
@@ -222,8 +224,9 @@ def _run_scatter(cfg: RunConfig):
         free = models.sample_coefficients(models.stream(cfg.seed, 2 * i + 1), len(draw) - 1)
         samples.append((draw, events.verify_domination(ev, draw), free))
     # the conditioned and the free polynomial of every sample, in one solve
-    solved = zeros.find_roots_many([models.make_truncated(ev.model, a, r).weighted_coefficients
-                                    for draw, _, free in samples for a in (draw, free)])
+    gafs = [models.make_truncated(ev.model, a, r)
+            for draw, _, free in samples for a in (draw, free)]
+    solved = zeros.find_gaf_roots(gafs, [r] * len(gafs))
     rows = []
     for i, (_, valid, _) in enumerate(samples):
         for point_set, roots, flag in (("conditioned", solved[2 * i], valid),
@@ -237,15 +240,15 @@ def _run_scatter(cfg: RunConfig):
 
 
 def _count_chunk(args):
-    (model, r, degree, guard, seed, block, count) = args
+    (model, r, degree, log_guard, seed, block, count) = args
     start = block * zeros.REPLICA_BLOCK
-    return zeros.count_replicas(model, r, degree, guard, seed, range(start, start + count))
+    return zeros.count_replicas(model, r, degree, log_guard, seed, range(start, start + count))
 
 
 def _replica_counts(cfg: RunConfig, model: GafModel, r: float, replicas: int):
     """Certified counts of replicas 0..replicas-1, -1 where unresolved."""
     degree = models.choose_truncation(model, r)
-    head = (model, r, degree, _tail_guard(cfg), cfg.seed)
+    head = (model, r, degree, _log_tail_guard(cfg), cfg.seed)
     return np.concatenate(_map_blocks(_count_chunk, head, replicas, cfg.threads))
 
 
@@ -355,7 +358,7 @@ def _run_exponent_fit(cfg: RunConfig):
 
 def _jensen_chunk(args):
     """Jensen-check rows of one block: every trial drawn, all counted together, one root solve."""
-    (r_lo, r_hi, ratio, quad_tol, guard, seed, block, count) = args
+    (r_lo, r_hi, ratio, quad_tol, log_guard, seed, block, count) = args
     model = GafModel.planar()
     start = block * zeros.REPLICA_BLOCK
     trials = []
@@ -364,7 +367,7 @@ def _jensen_chunk(args):
         r = r_lo + (r_hi - r_lo) * rng.random()
         big_r = ratio * r
         trials.append((trial, r, big_r, models.sample_truncated(model, big_r, rng)))
-    counted = zeros.count_with_retry_many([(gaf, r, guard * gaf.tail_sd)
+    counted = zeros.count_with_retry_many([(gaf, r, log_guard + gaf.log_tail_sd)
                                            for _, r, _, gaf in trials])
     resolved = [not isinstance(c, zeros.InconclusiveCount) for c in counted]
     checks = iter(zeros.jensen_residuals([(gaf, r, big_r) for (_, r, big_r, gaf), ok
@@ -389,7 +392,7 @@ def _run_jensen_check(cfg: RunConfig):
     ratio = cfg.read("radius_ratio", float, default=1.25, **_above(1))
     quad_tol = cfg.read("quad_tol", float, default=1e-8, **_above(0))
     chunks = _map_blocks(_jensen_chunk,
-                         (r_lo, r_hi, ratio, quad_tol, _tail_guard(cfg), cfg.seed),
+                         (r_lo, r_hi, ratio, quad_tol, _log_tail_guard(cfg), cfg.seed),
                          trials, cfg.threads)
     return [("jensen_check.csv", ["trial", "r", "R", "winding_count", "root_count",
                                   "jensen_residual", "count_inequality_ok", "certified"],
@@ -467,7 +470,7 @@ def run(cfg: RunConfig, out_dir: str) -> list[str]:
     except ConfigError:
         raise
     except (zeros.InconclusiveCount, zeros.RootsDidNotConverge,
-            events.EventConstructionError, ValueError, RuntimeError) as exc:
+            events.EventConstructionError, ValueError, RuntimeError, ArithmeticError) as exc:
         raise NumericFailure(f"{cfg.experiment}: {exc}") from exc
     stamp = [config_hash(cfg.raw), cfg.seed]
     return [emit_csv(os.path.join(out_dir, name), [*header, "config_hash", "seed"],

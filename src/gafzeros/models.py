@@ -11,7 +11,7 @@ and covariance (1 - z conj(w))^{-rho} inside the unit disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -103,11 +103,6 @@ def _log_gamma_ratio(x, d):
             + (correction(x + d) - correction(x)))
 
 
-def sigma(model: GafModel, n):
-    """Coefficient standard deviation sigma_n (exp of log_sigma)."""
-    return np.exp(log_sigma(model, n))
-
-
 def log_weight(model: GafModel, n, r: float):
     """log of the n-th term's weight w_n = sigma_n r^n at radius r."""
     n = np.asarray(n, dtype=float)
@@ -185,11 +180,6 @@ def log_tail_variance(model: GafModel, degree: int, r: float) -> float:
     return _num.certified_log_series(log_terms, degree + 1, ratio_bound, rel_tol=1e-17)
 
 
-def tail_sd(model: GafModel, degree: int, r: float) -> float:
-    """Standard deviation of the discarded series tail past ``degree`` at radius r."""
-    return math.exp(0.5 * log_tail_variance(model, degree, r))
-
-
 def expected_count(model: GafModel, r: float) -> float:
     """Mean number of zeros in the disk of radius r.
 
@@ -208,7 +198,7 @@ TRUNCATION_REL_TOL = 1e-9
 
 
 def choose_truncation(model: GafModel, r: float) -> int:
-    """Smallest degree with tail_sd <= TRUNCATION_REL_TOL * sqrt(covariance(r, r)).
+    """Smallest degree whose tail sd is <= TRUNCATION_REL_TOL * sqrt(covariance(r, r)).
 
     The statistical guard; per-sample correctness is certified separately by
     the circle tests in ``zeros``.
@@ -240,37 +230,70 @@ DOMAIN_SLACK = 1e-12
 class TruncatedGaf:
     """A sampled partial sum sum_{n<=N} a_n sigma_n z^n with its tail bound.
 
-    ``coeffs`` is the draw a_0..a_N and ``weighted_coefficients`` the vector
-    a_n sigma_n that every evaluation and root solve reads.
+    ``coeffs`` is the draw a_0..a_N, read by every evaluation, circle grid and
+    root solve through ``coefficient_rows``, and ``log_tail_sd`` the log of
+    the sd of the discarded tail at radius_of_use.
     """
 
     model: GafModel
     coeffs: np.ndarray
     radius_of_use: float
-    tail_sd: float
-    weighted_coefficients: np.ndarray = field(init=False, repr=False)
+    log_tail_sd: float
 
     def __post_init__(self):
         _check_radius(self.model, self.radius_of_use)
-        w = self.coeffs * sigma(self.model, np.arange(len(self.coeffs)))
-        object.__setattr__(self, "weighted_coefficients", w)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        """Evaluate the partial sum at z, |z| <= radius_of_use (1 + DOMAIN_SLACK)."""
+        """Evaluate the partial sum at z, |z| <= radius_of_use (1 + DOMAIN_SLACK).
+
+        Horner's rule on the row at s = radius_of_use in u = z/s, times e^L;
+        OverflowError where e^L is past the float range.
+        """
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) > self.radius_of_use * (1.0 + DOMAIN_SLACK)):
+        s = self.radius_of_use
+        if np.any(np.abs(z) > s * (1.0 + DOMAIN_SLACK)):
             raise ValueError("evaluation point outside radius_of_use")
-        out = _num.horner(self.weighted_coefficients, z)
+        c, log_scale, _, _ = coefficient_rows([self], [s])
+        out = math.exp(log_scale[0]) * _num.horner(c[0], np.asarray(z / s))
         return complex(out) if out.ndim == 0 else out
+
+
+def coefficient_rows(gafs, radii):
+    """``(c, log_scale, size, reach)``: the coefficient row of every gafs[i] at radii[i].
+
+    Row i is c_k = exp(log a_k + (log sigma_k + k log s - L)), log a_k the complex
+    log of the draw, s = radii[i] and L = log_scale[i] = max_k log |a_k sigma_k s^k|:
+    f(s u) = e^L sum_k c_k u^k, every |c_k| <= 1, and no weight underflows or power
+    of s overflows.  size_k = |c_k| from the real exponent; reach_k = |log |a_k||
+    + |log sigma_k| + k |log s| + |L| + pi bounds the logs summed into it.  Rows
+    are zero-padded to one matrix, 0 where a_k = 0; a zero draw has L = 0.
+    """
+    width = max((len(gaf.coeffs) for gaf in gafs), default=0)
+    k = np.arange(width)
+    log_a = np.full((len(gafs), width), -np.inf, dtype=complex)
+    log_s = np.zeros((len(gafs), width))
+    with np.errstate(divide="ignore"):
+        for row, gaf in zip(log_a, gafs):
+            row[: len(gaf.coeffs)] = np.log(np.asarray(gaf.coeffs, dtype=complex))
+    for model in {gaf.model for gaf in gafs}:
+        log_s[[gaf.model == model for gaf in gafs]] = log_sigma(model, k)
+    k_log_s = k * np.array([math.log(s) for s in radii])[:, None]
+    log_w = log_s + k_log_s
+    log_scale = (log_a.real + log_w).max(axis=1, initial=-np.inf)
+    log_scale[~np.isfinite(log_scale)] = 0.0
+    x = log_a + (log_w - log_scale[:, None])
+    reach = np.where(np.isfinite(log_a.real), np.abs(log_a.real) + np.abs(log_s) + np.abs(k_log_s)
+                     + np.abs(log_scale)[:, None] + math.pi, 0.0)
+    return np.exp(x), log_scale, np.exp(x.real), reach
 
 
 def make_truncated(model: GafModel, coeffs: np.ndarray, r: float) -> TruncatedGaf:
     return TruncatedGaf(model=model, coeffs=coeffs, radius_of_use=r,
-                        tail_sd=tail_sd(model, len(coeffs) - 1, r))
+                        log_tail_sd=0.5 * log_tail_variance(model, len(coeffs) - 1, r))
 
 
 def sample_truncated(model: GafModel, r: float, rng: np.random.Generator,

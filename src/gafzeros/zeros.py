@@ -9,6 +9,11 @@ M2 >= max |f''| and E the rounding bound (``_arc_terms``).  A positive margin
 turns the phase by less than pi/2 on each half arc, so the principal phase
 increments of the grid sum to the winding number.  The circle maximum is a
 bound proved from one FFT grid (``max_modulus``).
+
+Every grid, bound and root solve reads the row f(r u) = e^L sum_k c_k u^k,
+|c_k| <= 1, of ``models.coefficient_rows`` with L in log form: count moduli
+(``CountResult``, ``InconclusiveCount`` messages, ``HARD_FLOOR``) are |f|/e^L,
+floors come in as logs of |f|, and circle means and maxima go out as logs.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _num
-from .models import DOMAIN_SLACK, GafModel, TruncatedGaf, log_sigma, sample_truncated, stream
+from .models import (DOMAIN_SLACK, GafModel, TruncatedGaf, coefficient_rows, sample_truncated,
+                     stream)
 
 _TWO_PI = 2.0 * math.pi
 MAX_NODES = 2**20
-HARD_FLOOR = 1e-300  # moduli below this are treated as a hard failure, never clamped
+HARD_FLOOR = 1e-300  # row moduli |f|/e^L at or below this are a hard failure, never clamped
 # Roots per block of ``find_roots_many``.  An Aberth iteration pays a fixed
 # numpy call cost per Horner step and per group of equal degree with an
 # active root, whatever the block's width, and larger blocks spread it over
@@ -47,6 +53,8 @@ class RootsDidNotConverge(RuntimeError):
 
 @dataclass(frozen=True)
 class CountResult:
+    """A certified count; ``min_modulus_on_circle`` is min |f|/e^L on its last grid."""
+
     count: int
     min_modulus_on_circle: float
     circle_nodes_used: int
@@ -64,35 +72,21 @@ class JensenCheck:
 
 
 def _coefficient_rows(gafs, rs):
-    """``on_grid(sel, n, shift, weight)``: rows sel of sum_k weight_k b_k u^k on n nodes.
+    """``models.coefficient_rows`` of gafs[i] at rs[i], the c_k read by ``on_grid``.
 
-    The nodes are u = e^{2 pi i (j + shift)/n}, and b_k = w_k r^k scales gafs[i]
-    to rs[i], so unweighted rows are gafs[i] on the nodes: the inverse DFT of
-    the b_k folded mod n, rotated by e^{i pi k/n} for shift 1/2.  b_k =
-    exp(log w_k + k log r), or exp(log a_k + log sigma_k + k log r) from the draw
-    where w_k = a_k sigma_k is 0 or subnormal (planar from k = 301).  The
-    zero-padded rows take one inverse FFT along axis 1; a row is folded over its
-    own blocks of n only and keeps +0 past its own length, so each row gets the
-    bits of a transform of its coefficients alone.
+    ``on_grid(sel, n, shift, weight)`` gives rows sel of sum_k weight_k c_k u^k
+    on the n nodes u = e^{2 pi i (j + shift)/n}: the inverse DFT of the c_k
+    folded mod n, rotated by e^{i pi k/n} for shift 1/2.  The zero-padded rows
+    take one inverse FFT along axis 1; a row is folded over its own blocks of
+    n only and keeps +0 past its own length, so each row gets the bits of a
+    transform of its coefficients alone.
     """
     for gaf, r in zip(gafs, rs):
         if r > gaf.radius_of_use * (1.0 + DOMAIN_SLACK):
             raise ValueError("evaluation point outside radius_of_use")
-    lens = np.array([len(gaf.weighted_coefficients) for gaf in gafs], dtype=int)
-    w = np.zeros((len(gafs), lens.max(initial=0)), dtype=complex)
-    for row, gaf in zip(w, gafs):
-        row[: len(gaf.weighted_coefficients)] = gaf.weighted_coefficients
-    k = np.arange(w.shape[1])
-    log_r = [math.log(r) for r in rs]
-    b = np.zeros_like(w)
-    tiny = np.abs(w) < np.finfo(float).tiny
-    b[~tiny] = np.exp(np.log(w[~tiny]) + (k * np.array(log_r)[:, None])[~tiny])
-    tiny &= k < lens[:, None]
-    for i in np.flatnonzero(tiny.any(axis=1)):
-        a = gafs[i].coeffs
-        j = np.flatnonzero(tiny[i, :lens[i]] & (a != 0))
-        b[i, j] = np.exp(np.log(a[j].astype(complex)) + log_sigma(gafs[i].model, j)
-                         + j * log_r[i])
+    b, log_scale, size, reach = coefficient_rows(gafs, rs)
+    lens = np.array([len(gaf.coeffs) for gaf in gafs], dtype=int)
+    k = np.arange(b.shape[1])
 
     def on_grid(sel, n, shift, weight=None):
         size = lens[sel]
@@ -116,35 +110,14 @@ def _coefficient_rows(gafs, rs):
                 c[more] += blocks[more, j]
         return np.fft.ifft(c, n=n, axis=1, norm="forward")
 
-    return on_grid
-
-
-def _sizes(gafs, rs):
-    """|b_k| and the reach s_k of every row, zero-padded to one matrix each (0 where a_k = 0).
-
-    |b_k| = exp(log |a_k| + log sigma_k + k log r) from the draw in log form, so no
-    weight underflows and no power of r overflows; s_k = |log |a_k|| + |log sigma_k|
-    + k |log r| + pi bounds the logs summed into b_k.
-    """
-    width = max((len(gaf.coeffs) for gaf in gafs), default=0)
-    a, log_s = np.zeros((len(gafs), width)), np.zeros((len(gafs), width))
-    for i, gaf in enumerate(gafs):
-        a[i, :len(gaf.coeffs)] = np.abs(gaf.coeffs)
-    for model in {gaf.model for gaf in gafs}:
-        log_s[[gaf.model == model for gaf in gafs]] = log_sigma(model, np.arange(width))
-    k_log_r = np.arange(width) * np.array([math.log(r) for r in rs])[:, None]
-    with np.errstate(divide="ignore", over="ignore"):
-        log_a = np.log(a)
-        size = np.where(a > 0, np.exp(log_a + log_s + k_log_r), 0.0)
-    reach = np.where(a > 0, np.abs(log_a) + np.abs(log_s) + np.abs(k_log_r) + math.pi, 0.0)
-    return size, reach
+    return on_grid, log_scale, size, reach
 
 
 def _rounding(size, reach, n):
     """A first-order bound on the rounding of n-node grid values of rows |c_k| = ``size``.
 
     8 log2(n) sqrt(n) eps sum |c_k| for the FFT (Higham, Accuracy and Stability
-    of Numerical Algorithms, Thm 24.2), 4 eps (s_k + 2) |c_k| for b_k = exp(x_k)
+    of Numerical Algorithms, Thm 24.2), 4 eps (s_k + 2) |c_k| for c_k = exp(x_k)
     (s_k = ``reach``), and 24 eps sum |c_k| for the weight, midpoint rotation,
     modulus, sums and factors.
     """
@@ -153,7 +126,7 @@ def _rounding(size, reach, n):
 
 
 def _circle_max(on_grid, sel, n, degree, weight, size, reach):
-    """Proved upper bounds on max |sum_k weight_k b_k u^k| over |u| = 1, rows ``sel``.
+    """Proved upper bounds on max |sum_k weight_k c_k u^k| over |u| = 1, rows ``sel``.
 
     Each row is u^j times a polynomial p of degree d = ``degree`` < n, and the
     bound is sec(pi d/(2n)) (max over the n nodes + ``_rounding``).  Proof: let
@@ -212,21 +185,21 @@ def _circle_grids(on_grid, count, start_nodes, max_nodes, step):
             vals = doubled(rows, vals)
 
 
-def _arc_terms(gafs, rs):
+def _arc_terms(gafs, rs, rows=None):
     """``(on_grid, slack, bounds, ceiling)``: the arc margin of gafs[i] on |z| = rs[i].
 
-    ``on_grid`` reads the rows (``_coefficient_rows``).  With l = 2 pi r/n,
+    ``rows`` is ``_coefficient_rows(gafs, rs)``, formed here when not given;
+    ``on_grid`` reads them, and every term is in their units of e^L.  With l = 2 pi r/n,
     ``slack(rows, n)`` is l^2 M2/8 + E, and ``bounds(rows, mods)`` maps the
     |f_j| of an n-node grid to |f_j| - l |f'_j|/2 - slack, a lower bound on
-    |f| over the half arcs next to node j.  |f'| = |sum k b_k u^k|/r, one more
+    |f| over the half arcs next to node j.  |f'| = |sum k c_k u^k|/r, one more
     inverse FFT.  ``ceiling(rows, vals, j)`` bounds the margin at node
     j[i] of row i from above without reading f'.  M2 is ``_circle_max`` of
-    r^2 z^2 f'' = sum k (k-1) b_k u^k (degree d - 2 up to u^2) on the least
+    r^2 z^2 f'' = sum k (k-1) c_k u^k (degree d - 2 up to u^2) on the least
     power of two above 4 (d - 2) nodes, over r^2.  E is the ``_rounding`` of
     the f grid plus l/2 that of f'.
     """
-    on_grid = _coefficient_rows(gafs, rs)
-    size, reach = _sizes(gafs, rs)
+    on_grid, _, size, reach = _coefficient_rows(gafs, rs) if rows is None else rows
     k = np.arange(size.shape[1])
     curve = k * (k - 1.0)
     radius = np.array(rs, dtype=float)
@@ -263,24 +236,28 @@ def _arc_terms(gafs, rs):
     return on_grid, slack, bounds, ceiling
 
 
-def _counts(gafs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
-    """The certified winding count in |z| < r of every (gaf, r, floor) row, on one walk.
+def count_with_retry_many(cases, start_nodes=256, max_nodes=MAX_NODES) -> list:
+    """The certified winding count in |z| < r of every (gaf, r, log floor) case, on one walk.
 
-    A row stops at the first level where its arc margin is above its floor,
-    and sums the phase increments there; f' is read only where min |f| less
-    the slack and the ceiling of the margin are both above the floor, as the
-    margin needs.  Returns one entry per row: its CountResult, or an
+    A case's floor is e^{log floor - L} in units of e^L (0 for a log floor of
+    -inf).  A case stops at the first level where its arc margin is above its
+    floor, and sums the phase increments there; f' is read only where min |f|
+    less the slack and the ceiling of the margin are both above the floor, as
+    the margin needs.  Returns one entry per case: its CountResult, or an
     InconclusiveCount where a node is at or below the floor, the margin
     stays at or below it at the node cap, or the phase total is no count.
     """
-    for r, floor in zip(rs, floors):
+    for _, r, log_floor in cases:
         if not r > 0:
             raise ValueError("radius must be positive")
-        if not floor >= 0:
-            raise ValueError("floor must be nonnegative")
+        if math.isnan(log_floor):
+            raise ValueError("log floor must be a number or -inf")
+    gafs, rs = [f for f, _, _ in cases], [r for _, r, _ in cases]
     out = [None] * len(gafs)
-    on_grid, slack, bounds, ceiling = _arc_terms(gafs, rs)
-    floor_of = np.array(floors, dtype=float)
+    rows = _coefficient_rows(gafs, rs)
+    on_grid, slack, bounds, ceiling = _arc_terms(gafs, rs, rows)
+    with np.errstate(over="ignore"):  # a floor past the float range leaves its row unresolved
+        floor_of = np.exp(np.array([c[2] for c in cases], dtype=float) - rows[1])
     limit = np.maximum(floor_of, HARD_FLOOR)
 
     def step(rows, vals):
@@ -291,7 +268,7 @@ def _counts(gafs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
         keep = ~(mn <= limit[rows])
         for j, i in zip(np.flatnonzero(~keep), rows[~keep]):
             out[i] = InconclusiveCount(f"min |f| = {mn[j]:.3e} at or below floor "
-                                       f"{floors[i]:.3e} on |z| = {rs[i]}")
+                                       f"{floor_of[i]:.3e} on |z| = {rs[i]}")
         near = np.flatnonzero(keep & (mn - slack(rows, n) > floor_of[rows])
                               & (ceiling(rows, vals, low) > floor_of[rows]))
         if len(near):
@@ -303,7 +280,7 @@ def _counts(gafs, rs, floors, start_nodes=256, max_nodes=MAX_NODES) -> list:
                 out[rows[j]] = _winding_result(float(total), float(mn[j]), n)
             keep[stop] = False
         for i in rows[keep] if n >= max_nodes else ():
-            out[i] = InconclusiveCount(f"arc margin not above floor {floors[i]:.3e} "
+            out[i] = InconclusiveCount(f"arc margin not above floor {floor_of[i]:.3e} "
                                        f"at {n} nodes on |z| = {rs[i]}")
         return keep
 
@@ -322,20 +299,14 @@ def _winding_result(total, mn, n):
     return CountResult(count=count, min_modulus_on_circle=mn, circle_nodes_used=n)
 
 
-def count_with_retry_many(cases) -> list:
-    """``_counts`` of every (gaf, r, floor) in ``cases``, one entry per case."""
-    return _counts([f for f, _, _ in cases], [r for _, r, _ in cases],
-                   [floor for _, _, floor in cases])
-
-
-def count_with_retry(f, r, floor):
+def count_with_retry(f, r, log_floor):
     """Certified winding count of the TruncatedGaf f in |z| < r, as (CountResult, 0).
 
     The one-case form of ``count_with_retry_many``; an unresolved count raises.
     No count is retried: the name and the 0 stay because ``perfbench/tracer.py``
     wraps this function and reads that entry.
     """
-    (res,) = count_with_retry_many([(f, r, floor)])
+    (res,) = count_with_retry_many([(f, r, log_floor)])
     if isinstance(res, InconclusiveCount):
         raise res
     return res, 0
@@ -347,11 +318,11 @@ def count_with_retry(f, r, floor):
 REPLICA_BLOCK = 1024
 
 
-def count_replicas(model: GafModel, r, degree, guard, seed, keys):
+def count_replicas(model: GafModel, r, degree, log_guard, seed, keys):
     """Certified zero counts in |z| < r of independent truncated draws.
 
     Replica k samples ``model`` at ``degree`` from ``stream(seed, k)`` and is
-    counted with floor ``guard * tail_sd``; blocks of ``REPLICA_BLOCK``
+    counted with log floor ``log_guard + log_tail_sd``; blocks of ``REPLICA_BLOCK``
     replicas are counted together by ``count_with_retry_many``.  Returns one
     count per key, -1 where the replica's count is not certified.
     """
@@ -360,7 +331,7 @@ def count_replicas(model: GafModel, r, degree, guard, seed, keys):
     for lo in range(0, len(keys), REPLICA_BLOCK):
         gafs = [sample_truncated(model, r, stream(seed, k), degree=degree)
                 for k in keys[lo: lo + REPLICA_BLOCK]]
-        results = count_with_retry_many([(gaf, r, guard * gaf.tail_sd) for gaf in gafs])
+        results = count_with_retry_many([(gaf, r, log_guard + gaf.log_tail_sd) for gaf in gafs])
         counts[lo: lo + len(results)] = [-1 if isinstance(res, InconclusiveCount) else res.count
                                          for res in results]
     return counts
@@ -579,20 +550,36 @@ def find_roots(coeffs, *, residual_tol=1e-10, max_iter=200) -> np.ndarray:
     return roots
 
 
+def find_gaf_roots(gafs, rs) -> list:
+    """``find_roots_many`` of the row of every gafs[i] at rs[i], roots scaled from u to z.
+
+    The polynomial in u = z/rs[i] (``models.coefficient_rows``) has no term
+    that underflows or overflows; its roots, and the partial roots of a
+    RootsDidNotConverge, come back as z = rs[i] u.
+    """
+    rows = coefficient_rows(gafs, rs)[0]
+    solved = find_roots_many([row[: len(gaf.coeffs)] for gaf, row in zip(gafs, rows)])
+    return [RootsDidNotConverge(str(x), roots=r * x.roots) if isinstance(x, RootsDidNotConverge)
+            else r * x for x, r in zip(solved, rs)]
+
+
 def count_in_disk(roots, r) -> int:
     return int(np.count_nonzero(np.abs(roots) < r))
 
 
-def _means(fs, ss, tol, start_nodes=128, max_nodes=MAX_NODES) -> list:
-    """``circle_mean_log_abs`` of every (gaf, s) row, on one circle walk.
+def circle_mean_log_abs_many(cases, tol, start_nodes=128, max_nodes=MAX_NODES) -> list:
+    """``circle_mean_log_abs`` of every (f, s) in ``cases``, on one circle walk.
 
-    Returns one entry per row: its mean, or the InconclusiveCount that
+    The walk reads the rows in units of e^L and adds L to each mean.
+    Returns one entry per case: its mean, or the InconclusiveCount that
     ``circle_mean_log_abs`` raises for it.
     """
+    fs, ss = [f for f, _ in cases], [s for _, s in cases]
     for s in ss:
         if not s > 0:
             raise ValueError("radius must be positive")
     out = [None] * len(fs)
+    on_grid, log_scale, _, _ = _coefficient_rows(fs, ss)
     est = np.full(len(fs), np.nan)  # NaN, like no estimate, passes no test
     cap = max(max_nodes, 2 * start_nodes)
 
@@ -611,32 +598,23 @@ def _means(fs, ss, tol, start_nodes=128, max_nodes=MAX_NODES) -> list:
                     f"quadrature unstable at node cap ({n} nodes)")
         for j in np.flatnonzero(stop):
             out[rows[j]] = (InconclusiveCount("modulus below 1e-300 on the quadrature circle")
-                            if low[j] else float(new[j]))
+                            if low[j] else float(new[j] + log_scale[rows[j]]))
         return ~stop
 
     # at least two grids, so that every mean is checked against a refinement
-    _circle_grids(_coefficient_rows(fs, ss), len(fs), start_nodes, cap, step)
+    _circle_grids(on_grid, len(fs), start_nodes, cap, step)
     return out
-
-
-def circle_mean_log_abs_many(cases, tol) -> list:
-    """``circle_mean_log_abs`` of every (f, s) in ``cases``, on one circle walk.
-
-    Returns one entry per case: its mean, or the InconclusiveCount that
-    ``circle_mean_log_abs`` raises for it.
-    """
-    return _means([f for f, _ in cases], [s for _, s in cases], tol)
 
 
 def circle_mean_log_abs(f, s, tol, *, start_nodes=128, max_nodes=MAX_NODES) -> float:
     """(1/2pi) integral of log |f(s e^{i theta})| d theta by node-doubling trapezoid.
 
     On a periodic uniform grid the trapezoid rule is the plain node mean and
-    converges spectrally for analytic nonvanishing f.  Moduli below 1e-300
-    are a hard failure: clamping would silently corrupt downstream bounds.
+    converges spectrally for analytic nonvanishing f.  Moduli |f|/e^L below
+    1e-300 are a hard failure: clamping would silently corrupt downstream bounds.
     This is the one-case form of ``circle_mean_log_abs_many``.
     """
-    (mean,) = _means([f], [s], tol, start_nodes, max_nodes)
+    (mean,) = circle_mean_log_abs_many([(f, s)], tol, start_nodes, max_nodes)
     if isinstance(mean, InconclusiveCount):
         raise mean
     return mean
@@ -646,18 +624,17 @@ def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
     """``jensen_residual`` of every (gaf, r, R) in ``cases``, from one root solve.
 
     The radii and constant terms of all cases are checked first (ValueError);
-    then ``find_roots_many`` solves every weighted coefficient vector at once,
-    and ``circle_mean_log_abs_many`` takes the means at R and r of every case
-    whose roots converged.  Returns one entry per case:
-    its JensenCheck, or the RootsDidNotConverge or InconclusiveCount that
-    ``jensen_residual`` raises for it.
+    then ``find_gaf_roots`` solves every row at R at once, and
+    ``circle_mean_log_abs_many`` takes the means at R and r of every case whose
+    roots converged.  Returns one entry per case: its JensenCheck, or the
+    RootsDidNotConverge or InconclusiveCount that ``jensen_residual`` raises.
     """
     for gaf, r, R in cases:
         if not (0 < r < R <= gaf.radius_of_use * (1.0 + DOMAIN_SLACK)):
             raise ValueError("need 0 < r < R <= radius_of_use")
-        if abs(gaf.weighted_coefficients[0]) == 0:
+        if gaf.coeffs[0] == 0:
             raise ValueError("f(0) = 0: the identity needs a nonzero constant term")
-    solved = find_roots_many([gaf.weighted_coefficients for gaf, _, _ in cases])
+    solved = find_gaf_roots([gaf for gaf, _, _ in cases], [R for _, _, R in cases])
     means = iter(circle_mean_log_abs_many(
         [(gaf, s) for (gaf, r, R), roots in zip(cases, solved)
          if not isinstance(roots, RootsDidNotConverge) for s in (R, r)], quad_tol))
@@ -667,8 +644,7 @@ def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
             out.append(roots)
             continue
         mods = np.abs(roots)
-        inside = mods < R
-        integral = float(np.sum(np.log(R / np.maximum(mods[inside], r))))
+        integral = float(np.sum(np.log(R / np.maximum(mods[mods < R], r))))
         mean_R, mean_r = next(means), next(means)
         failed = [m for m in (mean_R, mean_r) if isinstance(m, InconclusiveCount)]
         if failed:
@@ -685,7 +661,7 @@ def jensen_residual(gaf: TruncatedGaf, r: float, R: float, *, quad_tol=1e-8) -> 
 
     The radial zero-count integral is assembled exactly from the polynomial
     roots: a root of modulus u < R contributes log(R / max(u, r)).  The roots
-    (``find_roots`` of the weighted coefficients) are returned with the check,
+    (``find_gaf_roots`` at R) are returned with the check,
     so a caller that also counts them needs no second root solve.  This is
     the one-case form of ``jensen_residuals``.
     """
@@ -700,18 +676,21 @@ def jensen_residual(gaf: TruncatedGaf, r: float, R: float, *, quad_tol=1e-8) -> 
 MAX_SLACK = 1e-4
 
 
-def max_modulus(gaf: TruncatedGaf, r) -> float:
-    """A proved upper bound on max |gaf| over |z| = r, from one grid.
+def max_modulus(gaf: TruncatedGaf, r, weight=None) -> float:
+    """The log of a proved upper bound on max |sum_k weight_k a_k sigma_k z^k| over |z| = r.
 
-    The bound is ``_circle_max`` of the scaled coefficients b_k on N nodes,
+    The bound is ``_circle_max`` of the row c_k of gaf at r on N nodes,
     sec(pi d/(2N)) (max over the nodes + E) with d = gaf.degree, N the least
     power of two with N > d and sec(pi d/(2N)) <= 1 + MAX_SLACK (4096 at
-    d = 32).
+    d = 32), plus L.  ``weight`` (all ones by default) has one entry per
+    coefficient.
     """
     d = gaf.degree
     n = 1
     while n <= d or math.cos(math.pi * d / (2 * n)) * (1.0 + MAX_SLACK) < 1.0:
         n *= 2
-    bound = _circle_max(_coefficient_rows([gaf], [r]), np.zeros(1, dtype=int), n, d, None,
-                        *_sizes([gaf], [r]))
-    return float(bound[0])
+    on_grid, log_scale, size, reach = _coefficient_rows([gaf], [r])
+    bound = _circle_max(on_grid, np.zeros(1, dtype=int), n, d, weight,
+                        size if weight is None else size * weight, reach)
+    with np.errstate(divide="ignore"):
+        return float(np.log(bound[0]) + log_scale[0])

@@ -186,7 +186,7 @@ def test_criterion_09_counting_identities():
         gaf = gz.sample_truncated(model, big_r, rng)
         assert gaf.degree <= 200
         try:
-            res, _ = gz.count_with_retry(gaf, r, 100.0 * gaf.tail_sd)
+            res, _ = gz.count_with_retry(gaf, r, math.log(100.0) + gaf.log_tail_sd)
             check = gz.jensen_residual(gaf, r, big_r, quad_tol=1e-8)
         except (gz.InconclusiveCount, gz.RootsDidNotConverge):
             continue
@@ -205,7 +205,7 @@ def _certified_counts(model, r, n_samples, seed_key):
     # fresh draws: the counts of the first n_samples resolved keys among
     # n_samples + 101, and the number of keys up to the last of them
     deg = gz.choose_truncation(model, r)
-    counts = gz.count_replicas(model, r, deg, 100.0, seed_key, range(n_samples + 101))
+    counts = gz.count_replicas(model, r, deg, math.log(100.0), seed_key, range(n_samples + 101))
     resolved = np.flatnonzero(counts >= 0)[:n_samples]
     if len(resolved) < n_samples:
         raise RuntimeError("too many unresolved replicas")

@@ -89,6 +89,18 @@ class TestConfigValidation:
         assert run_cli(tmp_path, data) in (0, 3)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_arithmetic_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an OverflowError raised in a runner is a numeric failure, not a traceback
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(experiments, "_replica_counts", overflow)
+        data = {"experiment": "intensity-check", "model": "planar", "r": 40.0, "samples": 2}
+        assert run_cli(tmp_path, data) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "math range error" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("data,message", [
         ({"kind": "very-large-domination", "r": 3.0, "alpha": 1.5, "gamma": 1.0},
          "very-large regime needs alpha > 2"),

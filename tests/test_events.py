@@ -115,7 +115,7 @@ def rho_below_one_values(rho, r, m):
     head, total = sqrt_n_weight_sums(rho, r)
     ev = build_event(EventKind.HYPERBOLIC_DOMINATION, GafModel.hyperbolic(rho), r=r, m=m)
     return [(ev.params["domination_constant"], (total - sum(head[:m])) / head[m - 1]),
-            (event_tail_sup_bound(ev, 10), total - sum(head))]
+            (math.exp(event_tail_sup_bound(ev, 10)), total - sum(head))]
 
 
 RHO_BELOW_ONE = [(rho, r, m) for rho in (0.3, 0.5) for r in (0.9, 0.999) for m in (1, 2)]
@@ -279,7 +279,7 @@ class TestBuildEvent:
         for alpha, gamma, r in ((1.2, 1.0, 10.0), (1.5, 0.4, 8.0), (1.5, 1.0, 40.0)):
             ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=alpha, gamma=gamma)
             lw_m = float(models.log_weight(ev.model, ev.m, ev.r))
-            want = 4.0 + sum(events._sup_units(b, ev.model, ev.r, lw_m)
+            want = 4.0 + sum(math.exp(events._log_sup(b, ev.model, ev.r, lw_m))
                              for b in ev.blocks if b.mode == "le")
             assert ev.params["sup_budget"] == want
 
@@ -422,11 +422,11 @@ class TestVerifyDomination:
     @pytest.mark.parametrize("r,m", [(2.0, 1100), (3.0, 700), (20.0, 400)])
     def test_anchor_past_float_range(self, r, m):
         # m log r > 709: r^m overflows, and at r = 2 and 3 the anchor term
-        # |a_m| sigma_m r^m itself underflows, so nothing is proved there;
-        # formed in log form it gives a verdict, and at r = 20 a proof
+        # |a_m| sigma_m r^m itself underflows; read in units of the row's
+        # largest term, the anchor |c_m| = 1 dominates the rest, so each
+        # verdict is a proof
         ev = build_event(EventKind.PLANAR_DOMINATION, r=r, m=m)
-        verdict = verify_domination(ev, conditioned_sample(ev, stream(1, 0)))
-        assert verdict is (r == 20.0)
+        assert verify_domination(ev, conditioned_sample(ev, stream(1, 0))) is True
 
     def test_violating_sample_rejected(self):
         ev = build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=3)
@@ -437,6 +437,16 @@ class TestVerifyDomination:
     def test_tail_bound_decreases_with_depth(self):
         ev = build_event(EventKind.PLANAR_DOMINATION, r=2.0, m=16)
         assert event_tail_sup_bound(ev, 40) < event_tail_sup_bound(ev, 25)
+
+    @pytest.mark.parametrize("gamma", [0.4, 1.0])
+    def test_tail_bound_past_float_range(self, gamma):
+        # the moderate event at r = 40: the weights reach e^800, and the log
+        # of the sup bound stays finite and nonincreasing from depth m - 1
+        # to m + 60
+        ev = build_event(EventKind.MODERATE_GROUPED, r=40.0, alpha=1.5, gamma=gamma)
+        logs = [event_tail_sup_bound(ev, n) for n in range(ev.m - 1, ev.m + 61)]
+        assert all(math.isfinite(v) for v in logs)
+        assert all(b <= a for a, b in zip(logs, logs[1:]))
 
 
 class TestClopperPearson:
@@ -732,7 +742,18 @@ def ref_build_event(kind, model=None, *, r, m=None, alpha=None, gamma=None,
                       "tail_budget": budget, "bulge": bulge})
 
 
-def event_values(ev, sup_units):
+def lib_tail_bound(ev, depth):
+    # the event's tail sup bound past depth, from its log
+    return math.exp(event_tail_sup_bound(ev, depth))
+
+
+def ref_tail_bound(ev, depth):
+    # the reference sum of the 'le' blocks' sup units past depth
+    return sum(ref_sup_units(b, ev.model, ev.r, 0.0, lo=depth + 1)
+               for b in ev.blocks if b.mode == "le")
+
+
+def event_values(ev, tail_bound):
     """Every field, threshold, price and tail sup bound of an event, flattened."""
     out = [ev.kind, ev.model, ev.r, ev.m, ev.aggregate, *ev.params.items()]
     for b in ev.blocks:
@@ -741,8 +762,7 @@ def event_values(ev, sup_units):
     detail = event_log_prob_detail(ev)
     out += [detail.total, detail.bound_form, *detail.by_block.items()]
     for depth in (ev.m, ev.m + 5, ev.m + 20, ev.m + 60, 2 * ev.m + 100):
-        out.append(sum(sup_units(b, ev.model, ev.r, 0.0, lo=depth + 1)
-                       for b in ev.blocks if b.mode == "le"))
+        out.append(tail_bound(ev, depth))
     return out
 
 
@@ -802,17 +822,17 @@ class TestSingleAnchorAssembler:
                     kw = {"r": r, "m": m, "anchor_alpha": a}
                     assert_same(
                         event_values(build_event(EventKind.PLANAR_DOMINATION, **kw),
-                                     events._sup_units),
+                                     lib_tail_bound),
                         event_values(ref_build_event(EventKind.PLANAR_DOMINATION, **kw),
-                                     ref_sup_units))
+                                     ref_tail_bound))
         for rho in (0.5, 2.0, 5.0):
             model = GafModel.hyperbolic(rho)
             for r in (0.3, 0.9):
                 for m in (1, 20, 50):
                     kind = EventKind.HYPERBOLIC_DOMINATION
                     assert_same(
-                        event_values(build_event(kind, model, r=r, m=m), events._sup_units),
-                        event_values(ref_build_event(kind, model, r=r, m=m), ref_sup_units))
+                        event_values(build_event(kind, model, r=r, m=m), lib_tail_bound),
+                        event_values(ref_build_event(kind, model, r=r, m=m), ref_tail_bound))
 
     def test_very_large_events_match_reference(self):
         for alpha in (2.2, 3.0, 4.0):
@@ -821,9 +841,9 @@ class TestSingleAnchorAssembler:
                     kw = {"r": r, "alpha": alpha, "gamma": gamma}
                     assert_same(
                         event_values(build_event(EventKind.VERY_LARGE_DOMINATION, **kw),
-                                     events._sup_units),
+                                     lib_tail_bound),
                         event_values(ref_build_event(EventKind.VERY_LARGE_DOMINATION, **kw),
-                                     ref_sup_units))
+                                     ref_tail_bound))
 
     def test_moderate_sup_units_match_head_walk(self):
         for alpha, gamma, r in ((1.5, 1.0, 10.0), (1.2, 0.4, 20.0), (1.8, 1.0, 5.0)):
@@ -832,5 +852,5 @@ class TestSingleAnchorAssembler:
             for b in ev.blocks:
                 if b.mode == "le":
                     for lo in (None, ev.m + 1, 2 * ev.m):
-                        assert_same([events._sup_units(b, ev.model, ev.r, lw_m, lo=lo)],
+                        assert_same([math.exp(events._log_sup(b, ev.model, ev.r, lw_m, lo=lo))],
                                     [ref_sup_units(b, ev.model, ev.r, lw_m, lo=lo)])

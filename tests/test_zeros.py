@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge, TruncatedGaf,
-                      choose_truncation, circle_mean_log_abs, count_in_disk, count_replicas,
-                      count_with_retry, direct_mc_tail, experiments, find_roots,
-                      find_roots_many, jensen_residual, make_truncated, max_modulus,
-                      sample_truncated, stream, zeros)
+                      choose_truncation, circle_mean_log_abs, coefficient_rows, count_in_disk,
+                      count_replicas, count_with_retry, direct_mc_tail, experiments,
+                      find_gaf_roots, find_roots, find_roots_many, jensen_residual,
+                      make_truncated, max_modulus, sample_truncated, stream, zeros)
 from gafzeros._num import horner
 from gafzeros.models import log_sigma
 
@@ -29,21 +29,26 @@ def polyval(x, c):
 
 def poly(c, r):
     # a planar TruncatedGaf on radius r whose weighted coefficients are c, up
-    # to rounding: the draw c exp(-log sigma_k), with tail_sd 0
+    # to rounding: the draw c exp(-log sigma_k), with tail sd 0
     c = np.asarray(c, dtype=complex)
     return TruncatedGaf(model=PLANAR, coeffs=c * np.exp(-log_sigma(PLANAR, np.arange(len(c)))),
-                        radius_of_use=r, tail_sd=0.0)
+                        radius_of_use=r, log_tail_sd=-math.inf)
 
 
-def walk_count(gaf, r, floor, max_nodes=MAX_NODES):
+def row_of(gaf, r):
+    # the coefficient row of gaf at r, the polynomial in u = z/r
+    return coefficient_rows([gaf], [r])[0][0]
+
+
+def walk_count(gaf, r, log_floor, max_nodes=MAX_NODES):
     # the one-row count of the walker, its CountResult or InconclusiveCount
-    (res,) = zeros._counts([gaf], [r], [floor], 256, max_nodes)
+    (res,) = zeros.count_with_retry_many([(gaf, r, log_floor)], 256, max_nodes)
     return res
 
 
-def rouche(gaf, r, tail_bound, max_nodes=MAX_NODES):
-    # the Rouche certificate: a count certified with tail_bound as its floor
-    return not isinstance(walk_count(gaf, r, tail_bound, max_nodes), InconclusiveCount)
+def rouche(gaf, r, log_tail_bound, max_nodes=MAX_NODES):
+    # the Rouche certificate: a count certified with the tail bound as its floor
+    return not isinstance(walk_count(gaf, r, log_tail_bound, max_nodes), InconclusiveCount)
 
 
 def extreme_scale_draws(n):
@@ -133,17 +138,17 @@ class TestHorner:
 
 class TestWinding:
     def test_pure_power(self):
-        res, _ = count_with_retry(poly([0, 0, 0, 1], 1.0), 1.0, 1e-12)
+        res, _ = count_with_retry(poly([0, 0, 0, 1], 1.0), 1.0, math.log(1e-12))
         assert res.count == 3
 
     def test_roots_outside(self):
-        res, _ = count_with_retry(poly([6, -5, 1], 1.0), 1.0, 1e-9)  # (z - 2) (z - 3)
+        res, _ = count_with_retry(poly([6, -5, 1], 1.0), 1.0, math.log(1e-9))  # (z - 2) (z - 3)
         assert res.count == 0
 
     def test_inconclusive_near_zero_on_circle(self):
         # a root a hair off the circle: the floor test must trip
         with pytest.raises(InconclusiveCount):
-            count_with_retry(poly([-(1.0 + 1e-14), 1], 1.0), 1.0, 1e-6)
+            count_with_retry(poly([-(1.0 + 1e-14), 1], 1.0), 1.0, math.log(1e-6))
 
     def test_matches_root_count_on_random_polynomials(self):
         rng = stream(11)
@@ -154,7 +159,7 @@ class TestWinding:
             roots = find_roots(c)
             if np.min(np.abs(np.abs(roots) - r)) < 1e-6 * r:
                 continue  # zero essentially on the test circle
-            res, _ = count_with_retry(poly(c, r), r, 0.0)
+            res, _ = count_with_retry(poly(c, r), r, -math.inf)
             assert res.count == count_in_disk(roots, r)
 
     def test_rotation_invariance(self):
@@ -164,16 +169,16 @@ class TestWinding:
         for _ in range(25):
             gaf = sample_truncated(PLANAR, 2.0, rng)
             turned = TruncatedGaf(model=PLANAR, coeffs=gaf.coeffs * u ** np.arange(gaf.degree + 1),
-                                  radius_of_use=2.0, tail_sd=gaf.tail_sd)
-            a, _ = count_with_retry(gaf, 2.0, 0.0)
-            b, _ = count_with_retry(turned, 2.0, 0.0)
+                                  radius_of_use=2.0, log_tail_sd=gaf.log_tail_sd)
+            a, _ = count_with_retry(gaf, 2.0, -math.inf)
+            b, _ = count_with_retry(turned, 2.0, -math.inf)
             assert a.count == b.count
 
     def test_count_is_nonnegative_integer(self):
         rng = stream(13)
         for _ in range(50):
             gaf = sample_truncated(PLANAR, 1.5, rng)
-            res, _ = count_with_retry(gaf, 1.5, 0.0)
+            res, _ = count_with_retry(gaf, 1.5, -math.inf)
             assert res.count >= 0
 
 
@@ -204,9 +209,9 @@ class TestRoots:
         assert err.value.roots is not None
 
     def test_wide_magnitude_profile(self):
-        # weighted planar coefficients at radius 3 span many orders
+        # the planar row at radius 3 spans many orders
         gaf = sample_truncated(PLANAR, 3.0, stream(23))
-        roots = find_roots(gaf.weighted_coefficients)
+        roots = find_roots(row_of(gaf, 3.0))
         assert len(roots) == gaf.degree
 
     def test_extreme_scales_never_lie(self):
@@ -217,7 +222,7 @@ class TestRoots:
             if isinstance(roots, RootsDidNotConverge):
                 continue
             try:
-                res, _ = count_with_retry(poly(c, r), r, 0.0)
+                res, _ = count_with_retry(poly(c, r), r, -math.inf)
             except InconclusiveCount:
                 # the oracle cannot resolve a root within about one node
                 # spacing of the circle at the node cap
@@ -432,7 +437,7 @@ class TestJensen:
     def test_returns_the_roots_it_used(self):
         gaf = sample_truncated(PLANAR, 2.5, stream(33))
         check = jensen_residual(gaf, 2.0, 2.5)
-        assert same_bits(check.roots, find_roots(gaf.weighted_coefficients))
+        assert same_bits(check.roots, 2.5 * find_roots(row_of(gaf, 2.5)))
         assert "roots" not in repr(check)
 
     def test_jensen_chunk_solves_roots_once_per_trial(self, monkeypatch):
@@ -446,8 +451,8 @@ class TestJensen:
             return many(polys, **kwargs)
 
         monkeypatch.setattr(zeros, "find_roots_many", recording)
-        trials, guard, seed = 24, 1e7, 0
-        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, guard, seed, 0, trials))
+        trials, log_guard, seed = 24, math.log(1e7), 0
+        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, log_guard, seed, 0, trials))
         assert len(rows) == trials
         resolved = []
         for j in range(trials):
@@ -455,10 +460,10 @@ class TestJensen:
             r = 0.5 + 2.5 * rng.random()
             gaf = sample_truncated(PLANAR, 1.25 * r, rng)
             try:
-                count_with_retry(gaf, r, guard * gaf.tail_sd)
+                count_with_retry(gaf, r, log_guard + gaf.log_tail_sd)
             except InconclusiveCount:
                 continue
-            resolved.append(gaf.weighted_coefficients)
+            resolved.append(row_of(gaf, 1.25 * r))
         assert 0 < len(resolved) < trials
         assert len(solved) == len(resolved)
         assert all(same_bits(a, b) for a, b in zip(solved, resolved))
@@ -467,7 +472,7 @@ class TestJensen:
         rng = stream(32)
         for _ in range(25):
             gaf = sample_truncated(PLANAR, 2.5, rng, degree=25)
-            res, _ = count_with_retry(gaf, 2.0, 0.0)
+            res, _ = count_with_retry(gaf, 2.0, -math.inf)
             check = jensen_residual(gaf, 2.0, 2.5)
             assert res.count * math.log(2.5 / 2.0) <= check.integral_n_over_u + 1e-9
 
@@ -475,16 +480,15 @@ class TestJensen:
 class TestRouche:
     def test_zero_tail_bound(self):
         gaf = sample_truncated(PLANAR, 1.0, stream(41))
-        assert rouche(gaf, 1.0, 0.0)
+        assert rouche(gaf, 1.0, -math.inf)
 
     def test_power_analogy(self):
         # min |z^5| on |z|=0.9 is 0.9^5; anything smaller certifies
-        from gafzeros import make_truncated, sigma
         vals = np.zeros(6, dtype=complex)
-        vals[5] = 1.0 / sigma(PLANAR, 5)
+        vals[5] = math.exp(-log_sigma(PLANAR, 5))
         gaf = make_truncated(PLANAR, vals, 0.9)
-        assert rouche(gaf, 0.9, 0.5 * 0.9**5)
-        assert not rouche(gaf, 0.9, 2.0 * 0.9**5)
+        assert rouche(gaf, 0.9, math.log(0.5 * 0.9**5))
+        assert not rouche(gaf, 0.9, math.log(2.0 * 0.9**5))
 
     def test_certificates_agree_with_deeper_truncation(self):
         # statistical soundness: passing certificates never disagree with a
@@ -499,29 +503,30 @@ class TestRouche:
             vals[: gaf.degree + 1] = gaf.coeffs
             from gafzeros import make_truncated
             deeper = make_truncated(PLANAR, vals, 1.0)
-            floor = 100.0 * gaf.tail_sd
+            log_floor = math.log(100.0) + gaf.log_tail_sd
             try:
-                res, _ = count_with_retry(gaf, 1.0, floor)
+                res, _ = count_with_retry(gaf, 1.0, log_floor)
             except InconclusiveCount:
                 continue
             checked += 1
-            res2, _ = count_with_retry(deeper, 1.0, 0.0)
+            res2, _ = count_with_retry(deeper, 1.0, -math.inf)
             disagreements += res.count != res2.count
         assert checked > 250
         assert disagreements == 0
 
 
 def dense_max(gaf, r):
-    # max |gaf| on 2^18 equispaced points of |z| = r, by polyval
+    # max |gaf| on 2^18 equispaced points of |z| = r, by polyval of a_k sigma_k
     theta = np.arange(1 << 18) * (2.0 * math.pi / (1 << 18))
-    return float(np.abs(polyval(r * np.exp(1j * theta), gaf.weighted_coefficients)).max())
+    w = gaf.coeffs * np.exp(log_sigma(gaf.model, np.arange(len(gaf.coeffs))))
+    return float(np.abs(polyval(r * np.exp(1j * theta), w)).max())
 
 
 class TestMaxModulus:
-    """``max_modulus`` is a proved upper bound, within MAX_SLACK of the maximum."""
+    """``max_modulus`` is the log of a proved upper bound, within MAX_SLACK of the maximum."""
 
     def check(self, gaf, r):
-        got, dense = max_modulus(gaf, r), dense_max(gaf, r)
+        got, dense = math.exp(max_modulus(gaf, r)), dense_max(gaf, r)
         assert dense <= got <= (1.0 + zeros.MAX_SLACK) * (1.0 + 1e-12) * dense
         return got, dense
 
@@ -572,25 +577,34 @@ class FftReference:
     """A TruncatedGaf read on a grid by a one-row inverse FFT of its own.
 
     Reference copy of the coefficient path of the one-function walker: the
-    scaled coefficients b_k = w_k r^k, read from the draw as
-    a_k exp(log sigma_k + k log r) where w_k is 0 or subnormal, weighted,
-    rotated by e^{i pi k/n} for the midpoints, folded mod n and transformed
-    alone; and the terms of the arc margin computed from them.  The
-    reference loops read an instance through ``grid``, ``slope`` and
-    ``slack``.
+    row c_k = exp(log a_k + (log sigma_k + k log r - L)) of the draw at r, L
+    the largest log |a_k sigma_k r^k|, weighted, rotated by e^{i pi k/n} for
+    the midpoints, folded mod n and transformed alone; and the terms of the
+    arc margin computed from it, in units of e^L.  The reference loops read
+    an instance through ``row``, ``grid``, ``slope`` and ``slack``.
     """
 
     def __init__(self, gaf):
         self.gaf = gaf
 
+    def logs(self, r):
+        # log a_k, log sigma_k, k log r and L
+        a = np.asarray(self.gaf.coeffs, dtype=complex)
+        k = np.arange(len(a))
+        with np.errstate(divide="ignore"):
+            log_a = np.log(a)
+        log_s, k_log_r = log_sigma(self.gaf.model, k), k * math.log(r)
+        top = float((log_a.real + (log_s + k_log_r)).max())
+        return log_a, log_s, k_log_r, top if math.isfinite(top) else 0.0
+
+    def row(self, r):
+        # the row c_k at r and its log scale L
+        log_a, log_s, k_log_r, big_l = self.logs(r)
+        return np.exp(log_a + ((log_s + k_log_r) - big_l)), big_l
+
     def grid(self, r, n, shift, weight=None):
-        w = self.gaf.weighted_coefficients
-        k = np.arange(len(w))
-        b = np.zeros(len(w), dtype=complex)
-        tiny = np.abs(w) < np.finfo(float).tiny
-        b[~tiny] = np.exp(np.log(w[~tiny]) + k[~tiny] * math.log(r))
-        j = k[tiny & (self.gaf.coeffs != 0)]
-        b[j] = np.exp(np.log(self.gaf.coeffs[j]) + log_sigma(self.gaf.model, j) + j * math.log(r))
+        b, _ = self.row(r)
+        k = np.arange(len(b))
         if weight is not None:
             b = b * weight
         if shift:
@@ -601,15 +615,16 @@ class FftReference:
         return np.fft.ifft(b, n=n, norm="forward")
 
     def slope(self, r, n):
-        # |f'| on the n nodes from angle 0
+        # |f'|/e^L on the n nodes from angle 0
         return np.abs(self.grid(r, n, 0.0, np.arange(self.gaf.degree + 1))) / r
 
     def rounding(self, r, n, weight):
-        # the rounding bound of the grid values of sum weight_k b_k u^k on n nodes
+        # the rounding bound of the grid values of sum weight_k c_k u^k on n nodes
+        log_a, log_s, k_log_r, big_l = self.logs(r)
         k = np.flatnonzero(self.gaf.coeffs)
-        log_a, log_s = np.log(np.abs(self.gaf.coeffs[k])), log_sigma(self.gaf.model, k)
-        size = np.exp(log_a + log_s + k * math.log(r)) * weight[k]
-        reach = np.abs(log_a) + np.abs(log_s) + k * abs(math.log(r)) + math.pi
+        size = np.exp(log_a.real[k] + ((log_s[k] + k_log_r[k]) - big_l)) * weight[k]
+        reach = (np.abs(log_a.real[k]) + np.abs(log_s[k]) + np.abs(k_log_r[k]) + abs(big_l)
+                 + math.pi)
         return np.finfo(float).eps * np.sum(
             (8.0 * math.log2(n) * math.sqrt(n) + 32.0 + 4.0 * reach) * size)
 
@@ -629,17 +644,22 @@ class FftReference:
 
 
 class HornerReference(FftReference):
-    """An FftReference whose f and f' values are Horner sums on the nodes."""
+    """An FftReference whose f and f' values are Horner sums on the nodes.
+
+    f is the TruncatedGaf's own evaluation over e^L, f' a polyval of the row.
+    """
 
     def grid(self, r, n, shift, weight=None):
         if weight is not None:
             return super().grid(r, n, shift, weight)
-        return self.gaf(r * np.exp(1j * (np.arange(n) + shift) * (2.0 * math.pi / n)))
+        _, big_l = self.row(r)
+        return self.gaf(r * np.exp(1j * (np.arange(n) + shift) * (2.0 * math.pi / n))) \
+            / math.exp(big_l)
 
     def slope(self, r, n):
-        z = r * np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
-        w = self.gaf.weighted_coefficients
-        return np.abs(polyval(z, w[1:] * np.arange(1, len(w))))
+        u = np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
+        c, _ = self.row(r)
+        return np.abs(polyval(u, c[1:] * np.arange(1, len(c)))) / r
 
 
 def ref_interleave(f, r, old_vals):
@@ -657,7 +677,8 @@ def ref_margin(f, r, mods):
     return float((mods - arc / 2.0 * f.slope(r, n) - f.slack(r, n)).min())
 
 
-def ref_count(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES):
+def ref_count(f, r, log_floor, *, start_nodes=256, max_nodes=MAX_NODES):
+    floor = float(np.exp(log_floor - f.row(r)[1]))
     vals = f.grid(r, start_nodes, 0.0)
     while True:
         n = len(vals)
@@ -682,6 +703,7 @@ def ref_count(f, r, floor, *, start_nodes=256, max_nodes=MAX_NODES):
 
 
 def ref_circle_mean_log_abs(f, s, tol, *, start_nodes=128, max_nodes=MAX_NODES):
+    big_l = f.row(s)[1]
     vals = f.grid(s, start_nodes, 0.0)
     mods = np.abs(vals)
     if mods.min() <= zeros.HARD_FLOOR:
@@ -694,16 +716,17 @@ def ref_circle_mean_log_abs(f, s, tol, *, start_nodes=128, max_nodes=MAX_NODES):
             raise InconclusiveCount("modulus below 1e-300 on the quadrature circle")
         new = float(np.mean(np.log(mods)))
         if abs(new - est) < tol:
-            return new
+            return new + big_l
         if len(vals) >= max_nodes:
             raise InconclusiveCount(
                 f"quadrature unstable at node cap ({len(vals)} nodes)")
         est = new
 
 
-def ref_rouche_certify(f, r, tail_bound, *, start_nodes=256, max_nodes=MAX_NODES):
-    # the Rouche certificate: the arc margin clears tail_bound before a
+def ref_rouche_certify(f, r, log_tail_bound, *, start_nodes=256, max_nodes=MAX_NODES):
+    # the Rouche certificate: the arc margin clears the tail bound before a
     # node's modulus falls to it or the grid reaches the node cap
+    tail_bound = float(np.exp(log_tail_bound - f.row(r)[1]))
     vals = f.grid(r, start_nodes, 0.0)
     while True:
         mods = np.abs(vals)
@@ -738,7 +761,7 @@ WALKER_DRAWS = [(r, sample_truncated(model, r, stream(61 + i, k)))
                 for k, (model, r) in enumerate([(PLANAR, 2.5), (PLANAR, 4.0),
                                                 (GafModel.hyperbolic(1.0), 0.9)])
                 for i in range(3)]
-WALKER_BOUNDS = [0.0, 0.01, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
+WALKER_BOUNDS = [-math.inf, *(math.log(b) for b in (0.01, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0))]
 
 
 class TestCircleWalker:
@@ -768,10 +791,10 @@ class TestCircleWalker:
                     results.add(got)
         assert results == {True, False}
 
-    def test_rouche_rejects_negative_bound(self):
+    def test_rouche_rejects_nan_floor(self):
         r, gaf = WALKER_DRAWS[0]
         with pytest.raises(ValueError):
-            rouche(gaf, r, -1.0)
+            rouche(gaf, r, math.nan)
 
     def test_circle_means_match_reference_loop(self):
         capped = 0
@@ -854,16 +877,16 @@ class TestCoefficientPath:
 
     def test_grid_values_match_horner(self):
         # rounding of either path is within (2(N+1) + 8 log2 n) eps sum |c_k|,
-        # c_k = b_k for f and k b_k for r f'; start grids of 8 and 16 nodes
-        # fold the coefficients
+        # for the row c_k of f and k c_k for r f'; start grids of 8 and 16
+        # nodes fold the coefficients
         eps = np.finfo(float).eps
         folded = 0
         for r, gaf in WALKER_DRAWS:
-            w = gaf.weighted_coefficients
-            k = np.arange(len(w))
-            scale = float(np.sum(np.abs(w) * r ** k))
-            on_grid = zeros._coefficient_rows([gaf], [r])
             ref = HornerReference(gaf)
+            c, _ = ref.row(r)
+            k = np.arange(len(c))
+            scale = float(np.sum(np.abs(c)))
+            on_grid = zeros._coefficient_rows([gaf], [r])[0]
             for start in (8, 16, 256):
                 # one walk, every level recorded
                 levels = []
@@ -886,31 +909,33 @@ class TestCoefficientPath:
 
     def test_planar_large_r_counts_match_log_oracle(self):
         # at degrees 408-587 the planar weights a_k sigma_k are subnormal
-        # from k = 301 and 0 from k = 314; the walk must read those terms
-        # from the draw, as the oracle does, and certify every count
-        for r in (16.0, 18.0, 20.0):
+        # from k = 301 and 0 from k = 314, and past r = 37.6 the largest term
+        # e^L overflows a float; the walk reads the row in units of e^L, as
+        # the oracle does, and must certify every count
+        for r in (16.0, 18.0, 20.0, 30.0, 37.0, 38.0, 40.0):
             for k in range(5):
                 gaf = sample_truncated(PLANAR, r, stream(11, k))
-                res, _ = count_with_retry(gaf, r, 4.0 * gaf.tail_sd)
+                res, _ = count_with_retry(gaf, r, math.log(4.0) + gaf.log_tail_sd)
                 assert res.count == log_oracle_count(gaf, r)
 
     def test_domain_guard(self):
         r, gaf = WALKER_DRAWS[0]
-        for fn, args in ((count_with_retry, (0.0,)), (circle_mean_log_abs, (1e-8,)),
+        for fn, args in ((count_with_retry, (-math.inf,)), (circle_mean_log_abs, (1e-8,)),
                          (max_modulus, ())):
             for slack in (2e-5, 2e-6):
                 with pytest.raises(ValueError, match="outside radius_of_use"):
                     fn(gaf, r * (1.0 + slack), *args)
         # a radius within the guard's DOMAIN_SLACK is counted
-        assert count_with_retry(gaf, r * (1.0 + 5e-13), 0.0)[0].count >= 0
+        assert count_with_retry(gaf, r * (1.0 + 5e-13), -math.inf)[0].count >= 0
 
 
 def arc_bounds(gaf, r, n):
     # the walker's lower bound on |f| over the half arcs next to each node
-    # of the n-node grid
-    on_grid, _, bounds, _ = zeros._arc_terms([gaf], [r])
+    # of the n-node grid, from units of e^L back to |f|
+    rows = zeros._coefficient_rows([gaf], [r])
+    on_grid, _, bounds, _ = zeros._arc_terms([gaf], [r], rows)
     row = np.zeros(1, dtype=int)
-    return bounds(row, np.abs(on_grid(row, n, 0.0)))[0]
+    return bounds(row, np.abs(on_grid(row, n, 0.0)))[0] * math.exp(rows[1][0])
 
 
 def dense_minima(gaf, r, n, nodes, points=17):
@@ -980,7 +1005,7 @@ class TestArcMargin:
         c = -big * np.polynomial.polynomial.polyfromroots([z0, z0, z1, z1])
         c[0] += 1.0
         gaf = poly(c, r)
-        assert np.min(np.abs(np.abs(find_roots(gaf.weighted_coefficients)) - r)) < 1e-3
+        assert np.min(np.abs(np.abs(find_gaf_roots([gaf], [r])[0]) - r)) < 1e-3
         assert max(dense_minima(gaf, r, n, [0, 1])) < 2e-4
         for m in (n, 4 * n):
             self.check(gaf, r, m)
@@ -991,12 +1016,12 @@ class TestCountReplicas:
         model, r, guard, seed = GafModel.hyperbolic(1.0), 0.9, 100.0, 5
         degree = choose_truncation(model, r)
         keys = [7, 0, 3, 3, 12]
-        counts = count_replicas(model, r, degree, guard, seed, keys)
+        counts = count_replicas(model, r, degree, math.log(guard), seed, keys)
         want = []
         for k in keys:
             gaf = sample_truncated(model, r, stream(seed, k), degree=degree)
             try:
-                res, retries = count_with_retry(gaf, r, guard * gaf.tail_sd)
+                res, retries = count_with_retry(gaf, r, math.log(guard) + gaf.log_tail_sd)
             except InconclusiveCount:
                 want.append(-1)
                 continue
@@ -1006,7 +1031,7 @@ class TestCountReplicas:
 
     def test_unresolved_replica_counts_minus_one(self):
         # a floor above every |f| on the circle leaves each replica unresolved
-        counts = count_replicas(PLANAR, 1.0, 8, 1e300, 2, range(3))
+        counts = count_replicas(PLANAR, 1.0, 8, math.log(1e300), 2, range(3))
         assert counts.tolist() == [-1, -1, -1]
 
     def test_direct_mc_tail_equals_mc_tail_csv(self, tmp_path):
@@ -1064,20 +1089,24 @@ def mixed_rows():
     return [(gaf, s) for r, gaf in WALKER_DRAWS for s in (r, 0.9 * r)]
 
 
+# the floor hit of the roots-jensen panel trial (stream (0, 31)), min |f| =
+# 28.93 on its circle, in units of its largest term e^L = e^12.33
+PANEL_FLOOR_HIT = "min |f| = 1.281e-04 at or below floor 4.208e-04"
+
+
 class TestBatchedWalker:
     """Batches give every row the outcome of the one-row reference loops."""
 
     def check_counts(self, floors, max_nodes):
         rows = mixed_rows()
-        got = batch_outcomes(zeros._counts([gaf for gaf, _ in rows], [r for _, r in rows],
-                                           floors, 256, max_nodes))
+        got = batch_outcomes(zeros.count_with_retry_many(
+            [(gaf, r, floor) for (gaf, r), floor in zip(rows, floors)], 256, max_nodes))
         for g, (gaf, r), floor in zip(got, rows, floors):
             assert g == outcome(ref_count, FftReference(gaf), r, floor, max_nodes=max_nodes)
         return {kind(g) for g in got}
 
     def check_means(self, rows, tol, start, cap):
-        got = batch_outcomes(zeros._means([gaf for gaf, _ in rows], [s for _, s in rows],
-                                          tol, start, cap))
+        got = batch_outcomes(zeros.circle_mean_log_abs_many(rows, tol, start, cap))
         for g, (gaf, s) in zip(got, rows):
             assert g == outcome(ref_circle_mean_log_abs, FftReference(gaf), s, tol,
                                 start_nodes=start, max_nodes=cap)
@@ -1095,7 +1124,7 @@ class TestBatchedWalker:
         large = sample_truncated(PLANAR, 18.0, stream(11, 0))
         gafs = [gaf for _, gaf in WALKER_DRAWS] + [sparse, large]
         rs = [r for r, _ in WALKER_DRAWS] + [0.9, 18.0]
-        on_grid = zeros._coefficient_rows(gafs, rs)
+        on_grid = zeros._coefficient_rows(gafs, rs)[0]
         k = np.arange(len(large.coeffs))
         for start in (8, 16, 128):
             levels = []
@@ -1161,7 +1190,7 @@ class TestBatchedWalker:
         assert zeros.count_with_retry_many([]) == []
         assert zeros.circle_mean_log_abs_many([], 1e-8) == []
         assert zeros.jensen_residuals([]) == []
-        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, 1e300, 0, 0, 3))
+        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, math.log(1e300), 0, 0, 3))
         assert [(row[3], row[4], row[-1]) for row in rows] == [(-1, -1, False)] * 3
 
     def test_one_walk_per_count(self, monkeypatch):
@@ -1180,15 +1209,16 @@ class TestBatchedWalker:
 
         monkeypatch.setattr(zeros, "_circle_grids", counting)
         between = np.polynomial.polynomial.polyfromroots([np.exp(1j), -0.3])
-        rows = [(poly([-1, 0, 1], 1.0), 1.0, 1e-3), (poly(between, 1.0), 1.0, 1e-3),
-                (poly([0, 1], 1.0), 1.0, 1.0 - 1e-6)]
+        rows = [(poly([-1, 0, 1], 1.0), 1.0, math.log(1e-3)),
+                (poly(between, 1.0), 1.0, math.log(1e-3)),
+                (poly([0, 1], 1.0), 1.0, math.log(1.0 - 1e-6))]
         for k in range(6):
             gaf = sample_truncated(PLANAR, 2.3, stream(71, k))
-            rows.append((gaf, 2.3, 100.0 * gaf.tail_sd))
+            rows.append((gaf, 2.3, math.log(100.0) + gaf.log_tail_sd))
         rng = stream(0, 31)
         r = 3.0 + 3.0 * rng.random()
         gaf = sample_truncated(PLANAR, 1.25 * r, rng)
-        rows.append((gaf, r, 100.0 * gaf.tail_sd))
+        rows.append((gaf, r, math.log(100.0) + gaf.log_tail_sd))
         got = batch_outcomes(zeros.count_with_retry_many(rows))
         assert walks == [len(rows)]
         for g, (gaf, r, floor) in zip(got, rows):
@@ -1199,7 +1229,7 @@ class TestBatchedWalker:
         assert got[2] == ("inconclusive", "arc margin not above floor 1.000e+00 "
                                           f"at {MAX_NODES} nodes on |z| = 1.0")
         assert {g[0] for g in got[3:-1]} == {"ok"}
-        assert got[-1][1].startswith("min |f| = 2.893e+01")
+        assert got[-1][1].startswith(PANEL_FLOOR_HIT)
 
 
 class TestOneWalk:
@@ -1223,9 +1253,9 @@ class TestOneWalk:
             return walk(on_grid, size, start, cap, rec)
 
         monkeypatch.setattr(zeros, "_circle_grids", counting)
-        (res,) = zeros.count_with_retry_many([(gaf, r, 100.0 * gaf.tail_sd)])
+        (res,) = zeros.count_with_retry_many([(gaf, r, math.log(100.0) + gaf.log_tail_sd)])
         assert isinstance(res, InconclusiveCount)
-        assert str(res).startswith("min |f| = 2.893e+01")
+        assert str(res).startswith(PANEL_FLOOR_HIT)
         assert walks == [1]
         assert widths[-1] == 262144
 
@@ -1240,8 +1270,8 @@ class TestOneWalk:
         reads = []
         terms = zeros._arc_terms
 
-        def recording(gafs, rs):
-            on_grid, slack, bounds, ceiling = terms(gafs, rs)
+        def recording(gafs, rs, rows=None):
+            on_grid, slack, bounds, ceiling = terms(gafs, rs, rows)
 
             def read(rows, mods):
                 reads.append(mods.shape[1])
@@ -1249,8 +1279,9 @@ class TestOneWalk:
             return on_grid, slack, read, ceiling
 
         monkeypatch.setattr(zeros, "_arc_terms", recording)
-        (res,) = zeros.count_with_retry_many([(gaf, r, 100.0 * gaf.tail_sd)])
-        assert outcome(ref_count, FftReference(gaf), r, 100.0 * gaf.tail_sd) == \
+        log_floor = math.log(100.0) + gaf.log_tail_sd
+        (res,) = zeros.count_with_retry_many([(gaf, r, log_floor)])
+        assert outcome(ref_count, FftReference(gaf), r, log_floor) == \
             ("inconclusive", str(res))
-        assert str(res).startswith("min |f| = 2.893e+01")
+        assert str(res).startswith(PANEL_FLOOR_HIT)
         assert reads == []
