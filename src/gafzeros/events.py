@@ -257,8 +257,10 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         # The sup budget in anchor-weight units is 4 (window) + far tail
         # + beta * (band caps at beta = 1); the anchor floor is that budget
         # times a margin above the budget check's slack.
-        log_q = np.concatenate([np.full(hi - lo + 1, k * _num.LOG2 - math.log(big_m))
-                                for lo, hi, k in below + above])
+        # every band's log cap at beta = 1, once per band and once per index
+        widths = np.array([hi - lo + 1 for lo, hi, _ in below + above])
+        log_q_band = np.array([k * _num.LOG2 - math.log(big_m) for _, _, k in below + above])
+        log_q = np.repeat(log_q_band, widths)
         n_band = np.concatenate([np.arange(lo, hi + 1) for lo, hi, _ in below + above])
         lw_m = float(log_weight(model, mm, r))
         band_units = float(np.exp(log_q + log_weight(model, n_band, r) - lw_m).sum())
@@ -270,8 +272,10 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
             return (fixed_units + math.exp(log_beta) * band_units) * margin
 
         def price(log_beta):
-            # the beta-dependent part of the exact price: bands, anchor
-            bands_lp = float(np.sum(_num.log_bernoulli_le(2.0 * (log_beta + log_q))))
+            # the beta-dependent part of the exact price: bands, anchor; each
+            # band's cap is priced once and counted once per index
+            caps_lp = _num.log_bernoulli_le(2.0 * (log_beta + log_q_band))
+            bands_lp = float(np.sum(np.repeat(caps_lp, widths)))
             return bands_lp - anchor_at(log_beta) ** 2
 
         # beta is the unique maximiser of the exact price, which is concave in
@@ -393,13 +397,19 @@ def _check_moderate_budget(ev: EventSpec, far_units: float):
     The per-band caps, the windowed aggregate (worth 4 units by construction)
     and the far tail, ``far_units`` as the builder summed it, must sum below
     the event's anchor floor ``params["anchor"]``; the sum is stored as
-    ``params["sup_budget"]``.
+    ``params["sup_budget"]``.  Each band's log units are its terms
+    (cap + weight) - anchor weight, reduced in index order, as ``_log_sup``
+    sums a bounded block, but over every band in one array pass.
     """
     lw_m = float(log_weight(ev.model, ev.m, ev.r))
     # in block order: the bounded 'le' blocks are the bands, the far tail comes last
-    bands = sum(math.exp(_log_sup(b, ev.model, ev.r, lw_m))
-                for b in ev.blocks if b.mode == "le" and b.hi is not None)
-    total = 4.0 + (bands + far_units)
+    bands = [b for b in ev.blocks if b.mode == "le" and b.hi is not None]
+    n = [np.arange(b.lo, b.hi + 1) for b in bands]
+    caps = np.concatenate([b.log_threshold(k) for b, k in zip(bands, n)])
+    starts = np.cumsum([0] + [len(k) for k in n[:-1]])
+    log_units = np.logaddexp.reduceat(
+        (caps + log_weight(ev.model, np.concatenate(n), ev.r)) - lw_m, starts)
+    total = 4.0 + (sum(math.exp(u) for u in log_units.tolist()) + far_units)
     anchor = ev.params["anchor"]
     if not total < anchor * (1.0 - 1e-9):
         raise EventConstructionError(
@@ -419,17 +429,26 @@ def event_tail_sup_bound(ev: EventSpec, n_max: int) -> float:
                                       for b in ev.blocks if b.mode == "le"]))
 
 
-def _le_block_log_prob(block: IndexBlock) -> tuple[float, float]:
-    """Exact and closed-form-bound log probabilities of a 'le' block."""
-    if block.hi is not None:
-        n = np.arange(block.lo, block.hi + 1)
-        if len(n) == 0:
-            return 0.0, 0.0
-        t2 = 2.0 * np.asarray(block.log_threshold(n), dtype=float)
-        vals = _num.log_bernoulli_le(t2)
-        bound = np.where(t2 < 0.0, t2 - math.log(2.0), vals)
-        return float(np.sum(vals)), float(np.sum(bound))
-    # unbounded block: thresholds grow, terms die off superexponentially
+def _bounded_log_probs(blocks: list[IndexBlock]):
+    """Exact and closed-form-bound log probabilities of bounded 'le' blocks, in order.
+
+    One ``log_bernoulli_le`` prices the concatenated thresholds of every
+    block; each block sums its own slice, so it keeps the bits of being
+    priced alone.
+    """
+    t2 = [2.0 * np.asarray(b.log_threshold(np.arange(b.lo, b.hi + 1)), dtype=float)
+          for b in blocks]
+    ends = np.cumsum([0] + [len(t) for t in t2]).tolist()
+    t2 = np.concatenate([np.empty(0), *t2])
+    vals = _num.log_bernoulli_le(t2)
+    bound = np.where(t2 < 0.0, t2 - math.log(2.0), vals)
+    return [(float(np.sum(vals[a:z])), float(np.sum(bound[a:z])))
+            for a, z in zip(ends[:-1], ends[1:])]
+
+
+def _unbounded_log_prob(block: IndexBlock) -> tuple[float, float]:
+    """Exact and closed-form-bound log probabilities of an unbounded 'le' block."""
+    # thresholds grow, terms die off superexponentially
     total = 0.0
     lik = 0.0  # sum of e^{-c^2} for the union-style closed form
     n = block.lo
@@ -456,12 +475,16 @@ def event_log_prob_detail(ev: EventSpec) -> EventLogProb:
     by_block = {}
     total = 0.0
     bound_total = 0.0
+    bounded = iter(_bounded_log_probs([b for b in ev.blocks
+                                       if b.mode == "le" and b.hi is not None]))
     for b in ev.blocks:
         if b.mode == "ge":
             c2 = math.exp(2.0 * float(b.log_threshold(np.array([b.lo]))[0]))
             exact = bound = -c2
+        elif b.hi is not None:
+            exact, bound = next(bounded)
         else:
-            exact, bound = _le_block_log_prob(b)
+            exact, bound = _unbounded_log_prob(b)
         by_block[b.label] = exact
         total += exact
         bound_total += bound

@@ -8,12 +8,13 @@ uniforms, so p_n = r^{2n}.  Both tails reduce to a Poisson-binomial tail,
 computed here by an exact dynamic program run entirely in log space.
 ``tail_log_brackets`` is the one entry into that program: it prices every
 level m at one radius (a single level is the list ``[m]``) in rounds.  A
-round is one forward sweep of that program from index 1, which reads the
-state of every pending level at that level's depth (the first m states of
-the absorbing program at level m are the plain pmf, which no level
-changes), and batched brackets of those states, priced as the sweep goes
-in chunks of at most ``BRACKET_CELLS`` cells.  Levels whose brackets are
-still too wide go to the next round, deeper.
+round is one forward sweep of that program, which reads the state of every
+pending level at that level's depth (the first m states of the absorbing
+program at level m are the plain pmf, which no level changes), and batched
+brackets of those states, priced as the sweep goes in chunks of at most
+``BRACKET_CELLS`` cells.  Levels whose brackets are still too wide go to the
+next round, deeper, which resumes from a state the earlier sweeps saved at
+a power-of-two depth instead of from index 1.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def sample_radii(ensemble: RadialEnsemble, rng: np.random.Generator, trials: int
     return rng.random((trials, depth)) ** (1.0 / (2.0 * k))
 
 
-def _states(levels, depths, log_p, log_q):
+def _states(levels, depths, log_p, log_q, saved=None):
     """(i, state) of every read i, shallowest first: the DP state
     [log P[S = 0..m-1], log P[S >= m]] at level m = levels[i] >= 1 after the
     first depths[i] indices.
@@ -185,17 +186,36 @@ def _states(levels, depths, log_p, log_q):
     One forward sweep over the indices of (log_p, log_q) serves every read:
     the first m states of the absorbing DP at level m are the plain pmf, and
     each level keeps its absorbing state log P[S >= m] beside it.
+
+    ``saved``, when given, maps a depth to the sweep state (levels, pmf,
+    absorbed) there, and is shared by the rounds of one radius.  The sweep
+    starts from the deepest saved depth at or below its shallowest read, with
+    the pmf up to its own top level and the absorbing states of its own
+    levels (ascending, and among the levels of the sweep that saved the
+    state).  It saves its state at every power-of-two depth it passes from
+    the last one at or below its shallowest read on: a later round reads no
+    shallower, so no earlier state would serve it.  A step acts on each cell
+    alone, so a resumed read has the bits of a sweep from index 1.
     """
     levels = np.asarray(levels)
     below = levels - 1
-    pmf = np.full(int(levels.max()), -np.inf)
-    pmf[0] = 0.0
-    absorbed = np.full(len(levels), -np.inf)
-    done = 0
-    for i in np.argsort(depths, kind="stable").tolist():
-        for lp, lq in zip(log_p[done:depths[i]], log_q[done:depths[i]]):
+    order = np.argsort(depths, kind="stable").tolist()
+    first = depths[order[0]]
+    done = max((d for d in saved or () if d <= first), default=0)
+    if done:
+        had, pmf, absorbed = saved[done]
+        pmf, absorbed = pmf[:levels.max()], absorbed[np.searchsorted(had, levels)]
+    else:
+        pmf = np.full(int(levels.max()), -np.inf)
+        pmf[0] = 0.0
+        absorbed = np.full(len(levels), -np.inf)
+    for i in order:
+        for d, lp, lq in zip(range(done, depths[i]), log_p[done:depths[i]],
+                             log_q[done:depths[i]]):
             absorbed = np.logaddexp(absorbed, pmf[below] + lp)
             pmf = np.logaddexp(pmf + lq, np.concatenate(([-np.inf], pmf[:-1] + lp)))
+            if saved is not None and (d & (d + 1)) == 0 and 2 * (d + 1) > first:
+                saved[d + 1] = levels, pmf, absorbed
         done = depths[i]
         yield i, np.concatenate((pmf[:levels[i]], absorbed[i:i + 1]))
 
@@ -258,9 +278,11 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms, eps: float = 1e-9,
     """Tail brackets for every level in ``ms``, priced in rounds of one DP sweep each.
 
     Level m is read first at the depth of ``bernoulli_probs(min_terms=m + 8)``.
-    A round sweeps the DP from index 1 to its deepest read, takes each read's
-    state [pmf[:m], absorbed] at that read's depth, and prices the states in
-    batched brackets (``_brackets``, in chunks of ``BRACKET_CELLS`` cells).
+    A round sweeps the DP to its deepest read, from index 1 or from the
+    deepest state an earlier round saved at or below its shallowest read
+    (``_states``), takes each read's state [pmf[:m], absorbed] at that
+    read's depth, and prices the states in batched brackets (``_brackets``,
+    in chunks of ``BRACKET_CELLS`` cells).
     A read still wider than ``target_width`` moves to the next round at the
     depth whose neglected mass its survival step says would meet the target,
     at most four times per level.  Each bracket is the one a DP restarted at
@@ -274,13 +296,13 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms, eps: float = 1e-9,
     if levels:
         neglected = functools.cache(functools.partial(_log_neglected, ensemble, r))
         reads = {m: _profile_depth(ensemble, r, eps, m + 8, neglected) for m in levels}
-        profile, refinements = None, 0
+        profile, refinements, saved = None, 0, {}
         while reads:
             deepest = max(reads.values())
             if profile is None or deepest > profile.size:
                 profile = bernoulli_probs(ensemble, r, eps, min_terms=deepest)
             states = _states(list(reads), list(reads.values()),
-                             profile.log_probs, profile.log_one_minus)
+                             profile.log_probs, profile.log_one_minus, saved)
             lower, upper, head = _brackets(states, [neglected(d) for d in reads.values()])
             met = upper - lower <= target_width
             wide = {}

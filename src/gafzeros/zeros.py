@@ -340,12 +340,13 @@ def count_replicas(model: GafModel, r, degree, log_guard, seed, keys):
 def _initial_root_guesses(coeffs):
     """Starting points on circles read off the coefficient magnitude profile.
 
-    Upper convex hull of (n, log |c_n|); each hull edge contributes points on
-    the circle whose radius matches the two dominant terms trading places.
+    Upper convex hull of (n, log |c_n|) over the nonzero terms, subnormal ones
+    at their true logs; each hull edge contributes points on the circle whose
+    radius matches the two dominant terms trading places (its log is kept
+    within the float range).
     """
-    mags = np.abs(coeffs)
     with np.errstate(divide="ignore"):
-        logm = np.where(mags > 0, np.log(np.maximum(mags, 1e-300)), -np.inf)
+        logm = np.log(np.abs(coeffs))
     pts = [(i, y) for i, y in enumerate(logm.tolist()) if math.isfinite(y)]
     hull = []
     for p in pts:
@@ -358,7 +359,8 @@ def _initial_root_guesses(coeffs):
         hull.append(p)
     edges = list(zip(hull[:-1], hull[1:]))
     cnt = np.array([k2 - k1 for (k1, _), (k2, _) in edges])
-    radius = [math.exp((u1 - u2) / (k2 - k1)) for (k1, u1), (k2, u2) in edges]
+    radius = [math.exp(min(max((u1 - u2) / (k2 - k1), -708.0), 709.0))
+              for (k1, u1), (k2, u2) in edges]
     seg = np.repeat(np.arange(len(cnt)), cnt)
     each = np.repeat(cnt, cnt)
     j = np.arange(len(seg)) - np.repeat(np.cumsum(cnt) - cnt, cnt)

@@ -854,3 +854,109 @@ class TestSingleAnchorAssembler:
                     for lo in (None, ev.m + 1, 2 * ev.m):
                         assert_same([math.exp(events._log_sup(b, ev.model, ev.r, lw_m, lo=lo))],
                                     [ref_sup_units(b, ev.model, ev.r, lw_m, lo=lo)])
+
+
+# Reference copies of the per-block pricing that one array pass per event
+# replaced: each bounded 'le' block priced and summed alone, the moderate
+# price over every band index, and the budget as one sum per band.  Every
+# value must keep its bits.
+
+
+def ref_le_block_log_prob(block):
+    if block.hi is not None:
+        n = np.arange(block.lo, block.hi + 1)
+        if len(n) == 0:
+            return 0.0, 0.0
+        t2 = 2.0 * np.asarray(block.log_threshold(n), dtype=float)
+        vals = _num.log_bernoulli_le(t2)
+        bound = np.where(t2 < 0.0, t2 - math.log(2.0), vals)
+        return float(np.sum(vals)), float(np.sum(bound))
+    total, lik, n = 0.0, 0.0, block.lo
+    while True:
+        t2 = 2.0 * float(block.log_threshold(np.array([n]))[0])
+        if t2 > 4.06:
+            break
+        total += float(_num.log_bernoulli_le(t2))
+        lik += math.exp(-math.exp(t2))
+        n += 1
+    return total, (math.log1p(-lik) if lik < 1.0 else total)
+
+
+def ref_event_log_prob_detail(ev):
+    by_block, total, bound_total = {}, 0.0, 0.0
+    for b in ev.blocks:
+        if b.mode == "ge":
+            exact = bound = -math.exp(2.0 * float(b.log_threshold(np.array([b.lo]))[0]))
+        else:
+            exact, bound = ref_le_block_log_prob(b)
+        by_block[b.label] = exact
+        total += exact
+        bound_total += bound
+    if ev.aggregate is not None:
+        k, log_s = ev.aggregate.size, ev.aggregate.log_bound
+        exact = _num.log_lower_gamma_cdf(k, log_s)
+        s = math.exp(min(log_s, 700.0))
+        bound = (k * (log_s - math.log(2.0)) - float(special.gammaln(k)) - s / 2.0
+                 if s <= k else exact)
+        by_block[ev.aggregate.label] = exact
+        total += exact
+        bound_total += bound
+    return total, bound_total, by_block
+
+
+def ref_moderate_scale(ev):
+    # the golden search over log beta with the price summed over every band index
+    r, mm, big_m = ev.r, ev.m, ev.params["window_lo"]
+    bands = [b for b in ev.blocks if b.label.startswith("decay-")]
+    log_q = np.concatenate([np.full(b.hi - b.lo + 1, int(b.label.rsplit("-", 1)[1]) * _num.LOG2
+                                    - math.log(big_m)) for b in bands])
+    n_band = np.concatenate([np.arange(b.lo, b.hi + 1) for b in bands])
+    lw_m = float(models.log_weight(ev.model, mm, r))
+    band_units = float(np.exp(log_q + models.log_weight(ev.model, n_band, r) - lw_m).sum())
+    far = next(b for b in ev.blocks if b.label == "far-tail")
+    far_units = math.exp(events._log_sup(far, ev.model, r, lw_m))
+    fixed_units, margin = 4.0 + far_units, 1.0 + events._ANCHOR_MARGIN
+
+    def anchor_at(log_beta):
+        return (fixed_units + math.exp(log_beta) * band_units) * margin
+
+    def price(log_beta):
+        return (float(np.sum(_num.log_bernoulli_le(2.0 * (log_beta + log_q))))
+                - anchor_at(log_beta) ** 2)
+
+    n_idx = len(log_q)
+    log_quad = np.logaddexp(math.log(2.0 * margin ** 2) + 2.0 * math.log(band_units),
+                            _num.logsumexp(2.0 * log_q))
+    log_lin = math.log(2.0 * margin ** 2 * fixed_units * band_units)
+    log_beta_lo = math.log(4.0 * n_idx) - float(np.logaddexp(log_lin, 0.5 * np.logaddexp(
+        2.0 * log_lin, math.log(8.0 * n_idx) + log_quad)))
+    log_beta, _ = _num.golden_max(price, log_beta_lo, math.log(n_idx / (4.0 * band_units)), 1e-9)
+    budget = 4.0 + (sum(math.exp(events._log_sup(b, ev.model, r, lw_m)) for b in bands)
+                    + far_units)
+    return math.exp(log_beta), anchor_at(log_beta), budget
+
+
+class TestOnePassPricing:
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("r", [10.0, 40.0, 150.0])
+    def test_moderate_matches_per_block_reference(self, alpha, r):
+        ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=alpha, gamma=1.0)
+        beta, anchor, budget = ref_moderate_scale(ev)
+        assert (ev.params["band_scale"], ev.params["anchor"], ev.params["sup_budget"]) == \
+            (beta, anchor, budget)
+        d = event_log_prob_detail(ev)
+        assert (d.total, d.bound_form, d.by_block) == ref_event_log_prob_detail(ev)
+
+    def test_single_anchor_kinds_match_per_block_reference(self):
+        cases = [build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=m) for m in (1, 8, 200)]
+        cases += [build_event(EventKind.PLANAR_DOMINATION, r=3.0, m=50),
+                  build_event(EventKind.HYPERBOLIC_DOMINATION, GafModel.hyperbolic(1.0),
+                              r=0.5, m=6),
+                  build_event(EventKind.HYPERBOLIC_DOMINATION, GafModel.hyperbolic(0.5),
+                              r=0.9, m=30),
+                  *(build_event(EventKind.VERY_LARGE_DOMINATION, r=r, alpha=3.0, gamma=1.0)
+                    for r in (3.0, 6.0)),
+                  single_index_event("le", 0.0), single_index_event("ge", 0.0)]
+        for ev in cases:
+            d = event_log_prob_detail(ev)
+            assert (d.total, d.bound_form, d.by_block) == ref_event_log_prob_detail(ev)

@@ -234,15 +234,18 @@ class TestSweep:
 
     def test_rounds_and_chunks(self, monkeypatch):
         # Ginibre r = 10 over m = 1..300 reads every level once, then the
-        # 121 levels that miss the width once more from index 1, at depths
-        # 289..435; each round prices its states, shallowest first, in
-        # chunks of at most BRACKET_CELLS cells
-        rounds, depths = [], []
+        # 121 levels that miss the width once more at depths 289..435; the
+        # second round resumes from the state the first saved at depth 256,
+        # so the radius sweeps 308 + 179 steps, not 308 + 435.  Each round
+        # prices its states, shallowest first, in chunks of at most
+        # BRACKET_CELLS cells
+        rounds, depths, starts = [], [], []
         sweep, brackets, rows = radial._states, radial._brackets, _num.logsumexp_rows
 
-        def reading(levels, reads, log_p, log_q):
+        def reading(levels, reads, log_p, log_q, saved):
             depths.append(list(reads))
-            return sweep(levels, reads, log_p, log_q)
+            starts.append(max((d for d in saved if d <= min(reads)), default=0))
+            return sweep(levels, reads, log_p, log_q, saved)
 
         def recording(states, log_neglected):
             rounds.append([])
@@ -260,6 +263,24 @@ class TestSweep:
         assert (len(depths[1]), min(depths[1]), max(depths[1])) == (121, 289, 435)
         assert [len(shapes) for shapes in rounds] == [7, 4]
         assert max(k * width for shapes in rounds for k, width in shapes) <= radial.BRACKET_CELLS
+        assert starts[0] == 0 and starts[1] >= 256
+        assert sum(max(d) - s for d, s in zip(depths, starts)) == 308 + 179
+
+    def test_resumed_sweep_keeps_the_bits_of_a_full_sweep(self):
+        # a second sweep over some of the first sweep's levels, resumed from
+        # its saved states, reads what one sweep from index 1 reads
+        prof = bernoulli_probs(GIN, 6.0, min_terms=300)
+        saved = {}
+        first = dict(radial._states([3, 40, 90, 150], [60, 100, 130, 170],
+                                    prof.log_probs, prof.log_one_minus, saved))
+        # from the last power of two at or below the shallowest read, 60
+        assert sorted(saved) == [32, 64, 128]
+        assert all(len(pmf) == 150 and len(absorbed) == 4 for _, pmf, absorbed in saved.values())
+        levels, reads = [40, 150], [270, 140]
+        resumed = dict(radial._states(levels, reads, prof.log_probs, prof.log_one_minus, saved))
+        fresh = dict(radial._states(levels, reads, prof.log_probs, prof.log_one_minus))
+        assert 256 in saved and len(first) == 4
+        assert all(resumed[i].tobytes() == fresh[i].tobytes() for i in range(2))
 
     def test_other_eps_and_width(self):
         for ens, r, eps, width in ((GIN, 2.0, 1e-6, 1e-3), (HYP, 0.8, 1e-4, 1e-10),

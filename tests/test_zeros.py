@@ -230,12 +230,26 @@ class TestRoots:
                 continue
             assert res.count == count_in_disk(roots, r)
 
+    def test_subnormal_terms_take_their_true_logs(self):
+        # hull points (0, log 1e-310), (2, 0), (6, log 1e-310): two start
+        # points at 1e-155 and four at 1e77.5, the root moduli of the row,
+        # where a log clamped at 1e-300 gives 1e-150 and 1e75
+        tiny = 1e-310
+        c = np.array([tiny, 0.0, 1.0, 0.0, 0.0, 0.0, tiny * 1j])
+        want = np.repeat([math.exp(math.log(tiny) / 2), math.exp(-math.log(tiny) / 4)], [2, 4])
+        assert np.allclose(np.abs(zeros._initial_root_guesses(c)), want, rtol=1e-12, atol=0.0)
+        roots = np.sort(np.abs(find_roots(c)))
+        assert np.allclose(roots, want, rtol=1e-6, atol=0.0)
+        # a one-step edge past the float range keeps a finite, nonzero radius
+        for edge in ([1.0, 5e-324], [5e-324, 1.0]):
+            radius = np.abs(zeros._initial_root_guesses(np.array(edge)))
+            assert np.all(np.isfinite(radius) & (radius > 0.0))
+
 
 def ref_initial_root_guesses(coeffs):
     # reference copy of the start points, one hull segment at a time
-    mags = np.abs(coeffs)
     with np.errstate(divide="ignore"):
-        logm = np.where(mags > 0, np.log(np.maximum(mags, 1e-300)), -np.inf)
+        logm = np.log(np.abs(coeffs))
     pts = [(i, y) for i, y in enumerate(logm.tolist()) if math.isfinite(y)]
     hull = []
     for p in pts:
@@ -249,7 +263,7 @@ def ref_initial_root_guesses(coeffs):
     guesses = []
     for seg, ((k1, u1), (k2, u2)) in enumerate(zip(hull[:-1], hull[1:])):
         cnt = k2 - k1
-        radius = math.exp((u1 - u2) / cnt)
+        radius = math.exp(min(max((u1 - u2) / cnt, -708.0), 709.0))
         ang = 2.0 * math.pi * (np.arange(cnt) + 0.375) / cnt + 0.61 * seg
         guesses.append(radius * np.exp(1j * ang))
     return np.concatenate(guesses)
