@@ -11,10 +11,9 @@ from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, coefficien
                      make_truncated, sample_coefficients, sample_truncated,
                      stream, weight_ratio_bound)
 from .zeros import (CountResult, InconclusiveCount, JensenCheck,
-                    RootsDidNotConverge, circle_mean_log_abs, circle_mean_log_abs_many,
-                    count_in_disk, count_replicas, count_with_retry, count_with_retry_many,
-                    find_gaf_roots, find_roots, find_roots_many, jensen_residual, jensen_residuals,
-                    max_modulus)
+                    RootsDidNotConverge, circle_mean_log_abs_many, count_in_disk,
+                    count_replicas, count_with_retry, count_with_retry_many,
+                    find_gaf_roots, find_roots_many, jensen_residuals, max_modulus)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
                      bernoulli_probs, sample_radii, tail_log_brackets)
 from .bounds import (ExponentRegime, SumNLogN, ginibre_tail_brackets,

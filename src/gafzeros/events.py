@@ -22,7 +22,7 @@ from . import _num
 from .models import (GafModel, Kind, choose_truncation, coefficient_rows, log_weight,
                      make_truncated, stream, weight_ratio_bound)
 from .radial import RadialEnsemble, _profile_depth, sample_radii
-from .zeros import count_replicas, count_with_retry, max_modulus
+from .zeros import count_with_retry, max_modulus
 
 
 class EventKind(Enum):
@@ -606,10 +606,8 @@ def certified_event_count(ev: EventSpec, coeffs: np.ndarray):
     return count_with_retry(gaf, ev.r, event_tail_sup_bound(ev, gaf.degree))
 
 
-# Radial trials per RNG stream, and the tail floor of a GAF count in units of
-# the truncation's tail sd (the default ``tail_guard`` of every config).
+# Radial trials per RNG stream of ``direct_mc_tail``.
 _MC_CHUNK = 65536
-MC_TAIL_GUARD = 100.0
 
 
 def mc_tail_estimate(hits: int, trials: int, level: float, *,
@@ -629,30 +627,25 @@ def mc_tail_estimate(hits: int, trials: int, level: float, *,
 
 def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
                    level: float = 0.99) -> TailEstimate:
-    """Monte Carlo estimate of P[count in D(0,r) >= m] with exact CP bracket.
+    """Monte Carlo estimate of P[count in D(0,r) >= m] for a radial ensemble, with CP bracket.
 
-    ``target`` is a GafModel (counts are winding-certified, one walk per
-    replica, and replicas left uncertified count as failures)
-    or a RadialEnsemble (counts come from the exact radial laws, the first
-    ``bernoulli_probs(target, r, min_terms=m + 8).size`` radii of each
-    trial, drawn ``_MC_CHUNK`` trials per stream).
+    Counts come from the exact radial laws of the RadialEnsemble ``target``:
+    the first ``bernoulli_probs(target, r, min_terms=m + 8).size`` radii of
+    each trial, drawn ``_MC_CHUNK`` trials per stream.  A GAF tail is
+    ``mc_tail_estimate`` of certified ``zeros.count_replicas`` counts, as the
+    mc-tail experiment takes it.
     """
+    if not isinstance(target, RadialEnsemble):
+        raise TypeError("target must be a RadialEnsemble")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(target, RadialEnsemble):
-        depth = _profile_depth(target, r, 1e-9, m + 8)
-        hits = 0
-        for block in range((trials + _MC_CHUNK - 1) // _MC_CHUNK):
-            take = min(_MC_CHUNK, trials - block * _MC_CHUNK)
-            counts = (sample_radii(target, stream(seed, block), take, depth) < r).sum(axis=1)
-            hits += int((counts >= m).sum())
-        return mc_tail_estimate(hits, trials, level)
-    if isinstance(target, GafModel):
-        counts = count_replicas(target, r, choose_truncation(target, r),
-                                math.log(MC_TAIL_GUARD), seed, range(trials))
-        return mc_tail_estimate(int((counts >= m).sum()), trials, level,
-                                unresolved=int((counts < 0).sum()))
-    raise TypeError("target must be a GafModel or RadialEnsemble")
+    depth = _profile_depth(target, r, 1e-9, m + 8)
+    hits = 0
+    for block in range((trials + _MC_CHUNK - 1) // _MC_CHUNK):
+        take = min(_MC_CHUNK, trials - block * _MC_CHUNK)
+        counts = (sample_radii(target, stream(seed, block), take, depth) < r).sum(axis=1)
+        hits += int((counts >= m).sum())
+    return mc_tail_estimate(hits, trials, level)
 
 
 @dataclass(frozen=True)

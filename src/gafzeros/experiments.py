@@ -140,17 +140,20 @@ class RunConfig:
 
         ``typ`` is int, float (integers widen to float), str, or ``[t]`` for a
         list of ``t``.  A value of the wrong type, or one failing ``cond``,
-        raises ``ConfigError`` naming ``config.<key>``; an absent optional
-        field returns ``default`` as given.
+        raises ``ConfigError`` naming ``config.<key>``.  An absent optional
+        field takes ``default``, which ``cond`` checks too unless it is None:
+        a default that hangs on another field (``r_max`` above ``r_min``)
+        can fail.
         """
-        if key not in self.params:
-            if default is _REQUIRED:
-                raise ConfigError(f"config.{key}: missing")
-            return default
-        v = _typed(self.params[key], typ)
-        if v is None:
-            raise ConfigError(f"config.{key}: expected {_type_name(typ)}")
-        if cond is not None and not cond(v):
+        if key in self.params:
+            v = _typed(self.params[key], typ)
+            if v is None:
+                raise ConfigError(f"config.{key}: expected {_type_name(typ)}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"config.{key}: missing")
+        else:
+            v = default
+        if v is not None and cond is not None and not cond(v):
             raise ConfigError(f"config.{key}: {msg}")
         return v
 
@@ -199,9 +202,14 @@ def _check_radii(law, radii):
             raise ConfigError(f"config.r: {exc}") from exc
 
 
+# The tail floor of a GAF count in units of the truncation's tail sd, the
+# default ``tail_guard`` of every config.
+MC_TAIL_GUARD = 100.0
+
+
 def _log_tail_guard(cfg: RunConfig) -> float:
     """log of the ``tail_guard`` field, the count floor in truncation tail sds (log 0 = -inf)."""
-    guard = cfg.read("tail_guard", float, default=events.MC_TAIL_GUARD,
+    guard = cfg.read("tail_guard", float, default=MC_TAIL_GUARD,
                      cond=lambda v: 0 <= v < math.inf, msg="must be >= 0 and finite")
     return math.log(guard) if guard > 0 else -math.inf
 

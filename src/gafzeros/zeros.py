@@ -185,12 +185,12 @@ def _circle_grids(on_grid, count, start_nodes, max_nodes, step):
             vals = doubled(rows, vals)
 
 
-def _arc_terms(gafs, rs, rows=None):
+def _arc_terms(gafs, rs, rows):
     """``(on_grid, slack, bounds, ceiling)``: the arc margin of gafs[i] on |z| = rs[i].
 
-    ``rows`` is ``_coefficient_rows(gafs, rs)``, formed here when not given;
-    ``on_grid`` reads them, and every term is in their units of e^L.  With l = 2 pi r/n,
-    ``slack(rows, n)`` is l^2 M2/8 + E, and ``bounds(rows, mods)`` maps the
+    ``rows`` is ``_coefficient_rows(gafs, rs)``; ``on_grid`` reads them, and
+    every term is in their units of e^L.  With l = 2 pi r/n, ``slack(rows, n)``
+    is l^2 M2/8 + E, and ``bounds(rows, mods)`` maps the
     |f_j| of an n-node grid to |f_j| - l |f'_j|/2 - slack, a lower bound on
     |f| over the half arcs next to node j.  |f'| = |sum k c_k u^k|/r, one more
     inverse FFT.  ``ceiling(rows, vals, j)`` bounds the margin at node
@@ -199,7 +199,7 @@ def _arc_terms(gafs, rs, rows=None):
     power of two above 4 (d - 2) nodes, over r^2.  E is the ``_rounding`` of
     the f grid plus l/2 that of f'.
     """
-    on_grid, _, size, reach = _coefficient_rows(gafs, rs) if rows is None else rows
+    on_grid, _, size, reach = rows
     k = np.arange(size.shape[1])
     curve = k * (k - 1.0)
     radius = np.array(rs, dtype=float)
@@ -426,7 +426,7 @@ def _values_with_pullback(rows, z):
 
 
 def _aberth_block(cs, at_zero, residual_tol, max_iter):
-    """``find_roots`` of the polynomials cs (degree >= 2, ascending), in one loop.
+    """``find_roots_many`` of the polynomials cs (degree >= 2, ascending), in one loop.
 
     ``at_zero[j]`` holds the roots at 0 that polynomial j had stripped.  The
     roots of all polynomials sit in one vector, polynomial after polynomial.
@@ -499,14 +499,16 @@ def _aberth_block(cs, at_zero, residual_tol, max_iter):
 
 
 def find_roots_many(polys, *, residual_tol=1e-10, max_iter=200) -> list:
-    """``find_roots`` of every polynomial in ``polys``, solved together.
+    """All roots of every polynomial sum c_n z^n in ``polys``, solved together.
 
-    Returns one entry per polynomial: its roots, or the RootsDidNotConverge
-    (partial roots attached) that ``find_roots`` raises for it, so a failure
-    stays with its own polynomial.  The polynomials of degree 2 and up are
-    sorted by degree and cut into blocks of at most ROOT_BLOCK roots (a
-    larger one is a block of its own); one Aberth loop runs per block, and
-    every root comes out bit for bit as from a solve of its polynomial
+    Roots come from Aberth-Ehrlich iteration with two Newton polish steps,
+    and pass when every residual |p(z)| is within ``residual_tol`` of the
+    backward-error scale sum |c_n| |z|^n.  Returns one entry per polynomial:
+    its roots, or a RootsDidNotConverge carrying the partial roots, so a
+    failure stays with its own polynomial.  The polynomials of degree 2 and
+    up are sorted by degree and cut into blocks of at most ROOT_BLOCK roots
+    (a larger one is a block of its own); one Aberth loop runs per block,
+    and every root comes out bit for bit as from a block of its polynomial
     alone.  A zero polynomial raises ValueError.
     """
     out = [None] * len(polys)
@@ -539,19 +541,6 @@ def find_roots_many(polys, *, residual_tol=1e-10, max_iter=200) -> list:
     return out
 
 
-def find_roots(coeffs, *, residual_tol=1e-10, max_iter=200) -> np.ndarray:
-    """All roots of sum c_n z^n by Aberth-Ehrlich iteration with Newton polish.
-
-    Residuals are checked against the backward-error scale sum |c_n| |z|^n; a
-    failure raises RootsDidNotConverge carrying the partial result.  This is
-    the one-polynomial case of ``find_roots_many``.
-    """
-    (roots,) = find_roots_many([coeffs], residual_tol=residual_tol, max_iter=max_iter)
-    if isinstance(roots, RootsDidNotConverge):
-        raise roots
-    return roots
-
-
 def find_gaf_roots(gafs, rs) -> list:
     """``find_roots_many`` of the row of every gafs[i] at rs[i], roots scaled from u to z.
 
@@ -570,11 +559,16 @@ def count_in_disk(roots, r) -> int:
 
 
 def circle_mean_log_abs_many(cases, tol, start_nodes=128, max_nodes=MAX_NODES) -> list:
-    """``circle_mean_log_abs`` of every (f, s) in ``cases``, on one circle walk.
+    """(1/2pi) integral of log |f(s e^{i theta})| d theta of every (f, s) in ``cases``.
 
-    The walk reads the rows in units of e^L and adds L to each mean.
-    Returns one entry per case: its mean, or the InconclusiveCount that
-    ``circle_mean_log_abs`` raises for it.
+    Node-doubling trapezoid rule on one circle walk: on a periodic uniform
+    grid the rule is the plain node mean, which converges spectrally for
+    analytic nonvanishing f, and a case stops when two levels agree within
+    ``tol``.  The walk reads the rows in units of e^L and adds L to each
+    mean.  Moduli |f|/e^L at or below HARD_FLOOR are a hard failure, since
+    clamping would silently corrupt downstream bounds.  Returns one entry
+    per case: its mean, or an InconclusiveCount for a modulus at the floor
+    or a case unsettled at the node cap.
     """
     fs, ss = [f for f, _ in cases], [s for _, s in cases]
     for s in ss:
@@ -608,28 +602,18 @@ def circle_mean_log_abs_many(cases, tol, start_nodes=128, max_nodes=MAX_NODES) -
     return out
 
 
-def circle_mean_log_abs(f, s, tol, *, start_nodes=128, max_nodes=MAX_NODES) -> float:
-    """(1/2pi) integral of log |f(s e^{i theta})| d theta by node-doubling trapezoid.
-
-    On a periodic uniform grid the trapezoid rule is the plain node mean and
-    converges spectrally for analytic nonvanishing f.  Moduli |f|/e^L below
-    1e-300 are a hard failure: clamping would silently corrupt downstream bounds.
-    This is the one-case form of ``circle_mean_log_abs_many``.
-    """
-    (mean,) = circle_mean_log_abs_many([(f, s)], tol, start_nodes, max_nodes)
-    if isinstance(mean, InconclusiveCount):
-        raise mean
-    return mean
-
-
 def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
-    """``jensen_residual`` of every (gaf, r, R) in ``cases``, from one root solve.
+    """Residual of the circular-mean identity for log |f| between radii r < R, per case.
 
-    The radii and constant terms of all cases are checked first (ValueError);
-    then ``find_gaf_roots`` solves every row at R at once, and
+    Jensen's formula equates mean log |f| at R less that at r with the
+    integral of n(u)/u over [r, R], which is assembled exactly from the
+    roots: a root of modulus u < R contributes log(R / max(u, r)).  The
+    radii and constant terms of all (gaf, r, R) cases are checked first
+    (ValueError); then ``find_gaf_roots`` solves every row at R at once, and
     ``circle_mean_log_abs_many`` takes the means at R and r of every case whose
-    roots converged.  Returns one entry per case: its JensenCheck, or the
-    RootsDidNotConverge or InconclusiveCount that ``jensen_residual`` raises.
+    roots converged.  Returns one entry per case: its JensenCheck, which
+    carries the roots so a caller that also counts them needs no second
+    solve, or the RootsDidNotConverge or InconclusiveCount of the case.
     """
     for gaf, r, R in cases:
         if not (0 < r < R <= gaf.radius_of_use * (1.0 + DOMAIN_SLACK)):
@@ -656,21 +640,6 @@ def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
                                integral_n_over_u=integral,
                                residual=abs(mean_R - mean_r - integral), roots=roots))
     return out
-
-
-def jensen_residual(gaf: TruncatedGaf, r: float, R: float, *, quad_tol=1e-8) -> JensenCheck:
-    """Residual of the circular-mean identity for log |f| between radii r < R.
-
-    The radial zero-count integral is assembled exactly from the polynomial
-    roots: a root of modulus u < R contributes log(R / max(u, r)).  The roots
-    (``find_gaf_roots`` at R) are returned with the check,
-    so a caller that also counts them needs no second root solve.  This is
-    the one-case form of ``jensen_residuals``.
-    """
-    (check,) = jensen_residuals([(gaf, r, R)], quad_tol=quad_tol)
-    if isinstance(check, Exception):
-        raise check
-    return check
 
 
 # Relative slack of the circle-maximum certificate: ``max_modulus`` reads the

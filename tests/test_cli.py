@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gafzeros
-from gafzeros import EventKind, GafModel, events, experiments
+from gafzeros import EventKind, GafModel, events, experiments, models
 from gafzeros.cli import main
 from gafzeros.experiments import EXPERIMENTS, ConfigError, RunConfig, emit_csv
 from gafzeros.zeros import REPLICA_BLOCK
@@ -195,6 +195,13 @@ class TestFieldReader:
     def test_radius_list_must_be_positive(self, tmp_path, capsys, data):
         assert run_cli(tmp_path, data) == 2
         assert "config.r:" in capsys.readouterr().err
+
+    def test_jensen_check_default_r_max_must_exceed_r_min(self, tmp_path, capsys):
+        # an absent r_max takes its default 3.0, which r_min = 4 leaves below
+        data = {"experiment": "jensen-check", "trials": 3, "r_min": 4.0}
+        assert run_cli(tmp_path, data) == 2
+        assert "config.r_max: must be > r_min" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "jensen_check.csv")
 
     def test_exponent_fit_rejects_repeated_m(self, tmp_path, capsys):
         data = {"experiment": "exponent-fit", "ensemble": "ginibre", "r": 1.0,
@@ -423,12 +430,22 @@ class TestBenchmarkTracer:
                     (EventKind.VERY_LARGE_DOMINATION, {"r": 2.0, "alpha": 3.0, "gamma": 1.0}),
                     (EventKind.MODERATE_GROUPED, {"r": 8.0, "alpha": 1.5, "gamma": 1.0})):
                 events.event_log_prob_detail(events.build_event(kind, **kw))
+            # a conditioned count reaches zeros.count_with_retry through its
+            # binding in events, whose (CountResult, 0) pair the probe reads
+            ev = events.build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=3)
+            res, _ = events.certified_event_count(
+                ev, events.conditioned_sample(ev, models.stream(5, 0)))
         finally:
             tracer.uninstall()
         calls, _, _ = tracer.self_times()
-        assert calls["events.build_event"] == 4
+        assert calls["events.build_event"] == 5
         assert calls["events.event_log_prob_detail"] == 4
+        assert calls["events.certified_event_count"] == 1
+        assert calls["zeros.count_with_retry"] == 1
+        assert tracer.counts["zeros.count_with_retry"] == [0]
+        assert res.count == 3
         assert not hasattr(events.build_event, "__wrapped__")
+        assert not hasattr(events.count_with_retry, "__wrapped__")
 
 
 class TestBenchmarkOutputChecks:

@@ -16,7 +16,7 @@ from gafzeros import (EventConstructionError, EventKind, EventSpec, GafModel,
                       domination_constant, event_log_prob_detail, event_tail_sup_bound,
                       exponent_fit, mc_tail_estimate, sample_satisfies, stream,
                       tail_log_brackets, verify_domination)
-from gafzeros import _num, events, experiments, models
+from gafzeros import _num, events, experiments, models, zeros
 from gafzeros.experiments import RunConfig
 from gafzeros.models import Kind, choose_truncation, log_tail_variance
 
@@ -486,10 +486,17 @@ class TestDirectMc:
     def test_planar_counts_monotone_in_m(self):
         # P[n(2) >= 6] sits near the Ginibre analog 0.07, so 1500 replicas
         # give a solidly finite estimate
-        e6 = direct_mc_tail(PLANAR, 2.0, 6, 1500, seed=3)
-        e5 = direct_mc_tail(PLANAR, 2.0, 5, 1500, seed=3)
+        counts = zeros.count_replicas(PLANAR, 2.0, choose_truncation(PLANAR, 2.0),
+                                      math.log(experiments.MC_TAIL_GUARD), 3, range(1500))
+        e6, e5 = (mc_tail_estimate(int((counts >= m).sum()), 1500, 0.99,
+                                   unresolved=int((counts < 0).sum())) for m in (6, 5))
         assert np.isfinite(e6.log_p)
         assert e6.hits <= e5.hits
+
+    def test_gaf_target_is_a_type_error(self):
+        # GAF tails come from certified replica counts, never from this path
+        with pytest.raises(TypeError):
+            direct_mc_tail(PLANAR, 1.0, 2, 10, seed=1)
 
     def test_bracket_is_ordered(self):
         est = direct_mc_tail(RadialEnsemble.HYPERBOLIC_ONE, 0.5, 2, 50000, seed=4)
@@ -507,9 +514,16 @@ class TestDirectMc:
         (path,) = experiments.run(cfg, str(tmp_path))
         with open(path) as fh:
             (row,) = list(csv.DictReader(fh))
-        model = (RadialEnsemble.GINIBRE if target == "ginibre"
-                 else GafModel.hyperbolic(extra["rho"]))
-        est = direct_mc_tail(model, extra["r"], extra["m"], extra["trials"], seed=5)
+        r, m, trials = extra["r"], extra["m"], extra["trials"]
+        if target == "ginibre":
+            est = direct_mc_tail(RadialEnsemble.GINIBRE, r, m, trials, seed=5)
+        else:
+            # a GAF row is the estimate of its certified replica counts
+            model = GafModel.hyperbolic(extra["rho"])
+            counts = zeros.count_replicas(model, r, choose_truncation(model, r),
+                                          math.log(experiments.MC_TAIL_GUARD), 5, range(trials))
+            est = mc_tail_estimate(int((counts >= m).sum()), trials, 0.99,
+                                   unresolved=int((counts < 0).sum()))
         assert [float(row[k]) for k in ("log_p", "log_lo", "log_hi")] == \
             [est.log_p, est.log_lo, est.log_hi]
         assert [int(row[k]) for k in ("hits", "unresolved")] == [est.hits, est.unresolved]
@@ -543,7 +557,10 @@ class TestLowerBoundConsistency:
         # below any Monte Carlo upper confidence bound for the tail
         ev = build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=2)
         lp = event_log_prob_detail(ev).total
-        est = direct_mc_tail(PLANAR, 1.0, 2, 2000, seed=11)
+        counts = zeros.count_replicas(PLANAR, 1.0, choose_truncation(PLANAR, 1.0),
+                                      math.log(experiments.MC_TAIL_GUARD), 11, range(2000))
+        est = mc_tail_estimate(int((counts >= 2).sum()), 2000, 0.99,
+                               unresolved=int((counts < 0).sum()))
         assert lp <= est.log_hi
 
 

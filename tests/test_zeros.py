@@ -1,16 +1,15 @@
 """Winding counts, roots, circle means, certification."""
 
-import csv
 import math
 
 import numpy as np
 import pytest
 
 from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge, TruncatedGaf,
-                      choose_truncation, circle_mean_log_abs, coefficient_rows, count_in_disk,
-                      count_replicas, count_with_retry, direct_mc_tail, experiments,
-                      find_gaf_roots, find_roots, find_roots_many, jensen_residual,
-                      make_truncated, max_modulus, sample_truncated, stream, zeros)
+                      choose_truncation, circle_mean_log_abs_many, coefficient_rows,
+                      count_in_disk, count_replicas, count_with_retry, experiments,
+                      find_gaf_roots, find_roots_many, jensen_residuals, make_truncated,
+                      max_modulus, sample_truncated, stream, zeros)
 from gafzeros._num import horner
 from gafzeros.models import log_sigma
 
@@ -156,7 +155,7 @@ class TestWinding:
             deg = int(rng.integers(5, 51))
             c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             r = 0.5 + 2.5 * rng.random()
-            roots = find_roots(c)
+            (roots,) = find_roots_many([c])
             if np.min(np.abs(np.abs(roots) - r)) < 1e-6 * r:
                 continue  # zero essentially on the test circle
             res, _ = count_with_retry(poly(c, r), r, -math.inf)
@@ -184,11 +183,12 @@ class TestWinding:
 
 class TestRoots:
     def test_quadratic(self):
-        roots = np.sort_complex(find_roots([-1.0, 0.0, 1.0]))
+        (roots,) = find_roots_many([[-1.0, 0.0, 1.0]])
+        roots = np.sort_complex(roots)
         assert np.allclose(roots, [-1.0, 1.0], atol=1e-12)
 
     def test_triple_zero(self):
-        roots = find_roots([0.0, 0.0, 0.0, 1.0])
+        (roots,) = find_roots_many([[0.0, 0.0, 0.0, 1.0]])
         assert len(roots) == 3
         assert np.max(np.abs(roots)) < 1e-8
 
@@ -196,7 +196,7 @@ class TestRoots:
         rng = stream(21)
         for _ in range(20):
             c = rng.standard_normal(31) + 1j * rng.standard_normal(31)
-            roots = find_roots(c)
+            (roots,) = find_roots_many([c])
             scale = np.polynomial.polynomial.polyval(np.abs(roots), np.abs(c))
             resid = np.abs(np.polynomial.polynomial.polyval(roots, c))
             assert np.all(resid <= 1e-10 * scale)
@@ -204,14 +204,14 @@ class TestRoots:
     def test_nonconvergence_flags_partial_result(self):
         rng = stream(22)
         c = rng.standard_normal(26) + 1j * rng.standard_normal(26)
-        with pytest.raises(RootsDidNotConverge) as err:
-            find_roots(c, max_iter=1, residual_tol=1e-14)
-        assert err.value.roots is not None
+        (res,) = find_roots_many([c], max_iter=1, residual_tol=1e-14)
+        assert isinstance(res, RootsDidNotConverge)
+        assert res.roots is not None
 
     def test_wide_magnitude_profile(self):
         # the planar row at radius 3 spans many orders
         gaf = sample_truncated(PLANAR, 3.0, stream(23))
-        roots = find_roots(row_of(gaf, 3.0))
+        (roots,) = find_roots_many([row_of(gaf, 3.0)])
         assert len(roots) == gaf.degree
 
     def test_extreme_scales_never_lie(self):
@@ -238,7 +238,8 @@ class TestRoots:
         c = np.array([tiny, 0.0, 1.0, 0.0, 0.0, 0.0, tiny * 1j])
         want = np.repeat([math.exp(math.log(tiny) / 2), math.exp(-math.log(tiny) / 4)], [2, 4])
         assert np.allclose(np.abs(zeros._initial_root_guesses(c)), want, rtol=1e-12, atol=0.0)
-        roots = np.sort(np.abs(find_roots(c)))
+        (roots,) = find_roots_many([c])
+        roots = np.sort(np.abs(roots))
         assert np.allclose(roots, want, rtol=1e-6, atol=0.0)
         # a one-step edge past the float range keeps a finite, nonzero radius
         for edge in ([1.0, 5e-324], [5e-324, 1.0]):
@@ -335,7 +336,7 @@ def ref_find_roots(coeffs, *, residual_tol=1e-10, max_iter=200):
 
 
 class TestFindRootsMany:
-    """find_roots_many gives every polynomial the bits of its own find_roots."""
+    """find_roots_many gives every polynomial the bits of a solve of it alone."""
 
     def test_degrees_and_zero_padding_match_single_solves(self):
         rng = np.random.default_rng(99)
@@ -350,7 +351,8 @@ class TestFindRootsMany:
         polys.insert(80, polys.pop(3))  # out of degree order
         got = find_roots_many(polys)
         assert sum(len(c) - 1 for c in polys) > 4 * zeros.ROOT_BLOCK
-        assert [solve_outcome(x) for x in got] == [solve_with(find_roots, c) for c in polys]
+        assert [solve_outcome(x) for x in got] == \
+            [solve_outcome(find_roots_many([c])[0]) for c in polys]
         # and the bits of the one-polynomial reference loop, zero padding included
         some = [*range(0, 161, 5), *range(161, len(polys))]
         assert [solve_outcome(got[i]) for i in some] == \
@@ -370,7 +372,7 @@ class TestFindRootsMany:
         polys = [c for c, _ in extreme_scale_draws(12)]
         got = [solve_outcome(x) for x in find_roots_many(polys)]
         assert sum(overflowed) > 0
-        assert got == [solve_with(find_roots, c) for c in polys]
+        assert got == [solve_outcome(find_roots_many([c])[0]) for c in polys]
         assert got[:8] == [solve_with(ref_find_roots, c) for c in polys[:8]]
         failed = sum(msg is not None for msg, _ in got[:8])
         assert 0 < failed < 8
@@ -384,15 +386,15 @@ class TestFindRootsMany:
         kwargs = {"max_iter": 1, "residual_tol": 1e-14}
         got = find_roots_many(polys, **kwargs)
         assert isinstance(got[2], RootsDidNotConverge)
-        with pytest.raises(RootsDidNotConverge) as err:
-            find_roots(c, **kwargs)
-        assert same_bits(got[2].roots, err.value.roots)
+        (alone,) = find_roots_many([c], **kwargs)
+        assert isinstance(alone, RootsDidNotConverge)
+        assert same_bits(got[2].roots, alone.roots)
         got = [solve_outcome(x) for x in got]
-        assert got == [solve_with(find_roots, p, **kwargs) for p in polys]
+        assert got == [solve_outcome(find_roots_many([p], **kwargs)[0]) for p in polys]
         assert got == [solve_with(ref_find_roots, p, **kwargs) for p in polys]
         # with the default settings every neighbour converges, to the same bits
         assert [solve_outcome(x) for x in find_roots_many(polys[:2] + polys[3:])] == \
-            [(None, find_roots(p).tobytes()) for p in polys[:2] + polys[3:]]
+            [(None, find_roots_many([p])[0].tobytes()) for p in polys[:2] + polys[3:]]
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(ValueError):
@@ -401,32 +403,31 @@ class TestFindRootsMany:
 
 class TestCircleMean:
     def test_constant(self):
-        assert circle_mean_log_abs(poly([3.7], 1.0), 1.0, 1e-10) == pytest.approx(
-            math.log(3.7), abs=1e-10)
+        (got,) = circle_mean_log_abs_many([(poly([3.7], 1.0), 1.0)], 1e-10)
+        assert got == pytest.approx(math.log(3.7), abs=1e-10)
 
     def test_root_outside_mean_value(self):
         a = 2.5
-        got = circle_mean_log_abs(poly([-a, 1], 1.0), 1.0, 1e-10)
+        (got,) = circle_mean_log_abs_many([(poly([-a, 1], 1.0), 1.0)], 1e-10)
         assert got == pytest.approx(math.log(a), abs=1e-9)
 
     def test_root_inside_gives_log_radius(self):
         a = 0.3 + 0.1j
         s = 1.7
-        got = circle_mean_log_abs(poly([-a, 1], s), s, 1e-10)
+        (got,) = circle_mean_log_abs_many([(poly([-a, 1], s), s)], 1e-10)
         assert got == pytest.approx(math.log(s), abs=1e-9)
 
     def test_hard_floor(self):
-        with pytest.raises(InconclusiveCount):
-            circle_mean_log_abs(poly([0.0], 1.0), 1.0, 1e-8)
+        (got,) = circle_mean_log_abs_many([(poly([0.0], 1.0), 1.0)], 1e-8)
+        assert isinstance(got, InconclusiveCount)
 
 
 class TestJensen:
     def test_identity_on_random_draws(self):
         rng = stream(31)
-        for _ in range(25):
-            gaf = sample_truncated(PLANAR, 2.5, rng, degree=20)
-            check = jensen_residual(gaf, 2.0, 2.5)
-            assert check.residual < 1e-6
+        checks = jensen_residuals([(sample_truncated(PLANAR, 2.5, rng, degree=20), 2.0, 2.5)
+                                   for _ in range(25)])
+        assert all(check.residual < 1e-6 for check in checks)
 
     def test_no_zeros_in_annulus(self):
         # f = (z - 3)(z - 4): integral over [1, 2] counts nothing new
@@ -434,7 +435,7 @@ class TestJensen:
         draw_vals = c / np.array([1.0, 1.0, math.sqrt(0.5)])  # undo sigma weights
         from gafzeros import make_truncated
         gaf = make_truncated(PLANAR, draw_vals, 2.0)
-        check = jensen_residual(gaf, 1.0, 2.0)
+        (check,) = jensen_residuals([(gaf, 1.0, 2.0)])
         assert check.integral_n_over_u == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_annulus_with_interior_roots(self):
@@ -444,14 +445,14 @@ class TestJensen:
         draw_vals = c / np.array([1.0, 1.0, math.sqrt(0.5)])
         from gafzeros import make_truncated
         gaf = make_truncated(PLANAR, draw_vals, 2.0)
-        check = jensen_residual(gaf, 1.0, 2.0)
+        (check,) = jensen_residuals([(gaf, 1.0, 2.0)])
         assert check.integral_n_over_u == pytest.approx(math.log(2.0), rel=1e-12)
         assert check.residual < 1e-8
 
     def test_returns_the_roots_it_used(self):
         gaf = sample_truncated(PLANAR, 2.5, stream(33))
-        check = jensen_residual(gaf, 2.0, 2.5)
-        assert same_bits(check.roots, 2.5 * find_roots(row_of(gaf, 2.5)))
+        (check,) = jensen_residuals([(gaf, 2.0, 2.5)])
+        assert same_bits(check.roots, 2.5 * find_roots_many([row_of(gaf, 2.5)])[0])
         assert "roots" not in repr(check)
 
     def test_jensen_chunk_solves_roots_once_per_trial(self, monkeypatch):
@@ -487,7 +488,7 @@ class TestJensen:
         for _ in range(25):
             gaf = sample_truncated(PLANAR, 2.5, rng, degree=25)
             res, _ = count_with_retry(gaf, 2.0, -math.inf)
-            check = jensen_residual(gaf, 2.0, 2.5)
+            (check,) = jensen_residuals([(gaf, 2.0, 2.5)])
             assert res.count * math.log(2.5 / 2.0) <= check.integral_n_over_u + 1e-9
 
 
@@ -816,8 +817,8 @@ class TestCircleWalker:
             for s in (0.5 * r, 0.9 * r, r):
                 for tol, start, cap in ((1e-8, 128, MAX_NODES), (1e-15, 128, 512),
                                         (1e-15, 128, 64), (1e-15, 256, 384)):
-                    got = outcome(circle_mean_log_abs, gaf, s, tol,
-                                  start_nodes=start, max_nodes=cap)
+                    (got,) = batch_outcomes(circle_mean_log_abs_many([(gaf, s)], tol,
+                                                                     start, cap))
                     assert got == outcome(ref_circle_mean_log_abs, FftReference(gaf), s, tol,
                                           start_nodes=start, max_nodes=cap)
                     capped += got[0] == "inconclusive"
@@ -881,8 +882,8 @@ class TestCoefficientPath:
             for s in (0.5 * r, 0.9 * r, r):
                 for tol, start, cap in ((1e-8, 128, MAX_NODES), (1e-15, 128, 512),
                                         (1e-15, 128, 64), (1e-15, 256, 384)):
-                    got = outcome(circle_mean_log_abs, gaf, s, tol,
-                                  start_nodes=start, max_nodes=cap)
+                    (got,) = batch_outcomes(circle_mean_log_abs_many([(gaf, s)], tol,
+                                                                     start, cap))
                     want = outcome(ref_circle_mean_log_abs, HornerReference(gaf), s, tol,
                                    start_nodes=start, max_nodes=cap)
                     assert kind(got) == kind(want)
@@ -934,11 +935,14 @@ class TestCoefficientPath:
 
     def test_domain_guard(self):
         r, gaf = WALKER_DRAWS[0]
-        for fn, args in ((count_with_retry, (-math.inf,)), (circle_mean_log_abs, (1e-8,)),
-                         (max_modulus, ())):
-            for slack in (2e-5, 2e-6):
-                with pytest.raises(ValueError, match="outside radius_of_use"):
-                    fn(gaf, r * (1.0 + slack), *args)
+        for slack in (2e-5, 2e-6):
+            s = r * (1.0 + slack)
+            with pytest.raises(ValueError, match="outside radius_of_use"):
+                count_with_retry(gaf, s, -math.inf)
+            with pytest.raises(ValueError, match="outside radius_of_use"):
+                circle_mean_log_abs_many([(gaf, s)], 1e-8)
+            with pytest.raises(ValueError, match="outside radius_of_use"):
+                max_modulus(gaf, s)
         # a radius within the guard's DOMAIN_SLACK is counted
         assert count_with_retry(gaf, r * (1.0 + 5e-13), -math.inf)[0].count >= 0
 
@@ -977,7 +981,8 @@ class TestArcMargin:
         c = np.polynomial.polynomial.polyfromroots([*(1.0 + 1e-3) * angle, 0.4, 2.0j])
         cases = [(gaf, 2.0) for gaf in gafs] + [(poly(c, 1.0), 1.0)]
         for gaf, r in cases:
-            on_grid, _, bounds, ceiling = zeros._arc_terms([gaf], [r])
+            on_grid, _, bounds, ceiling = zeros._arc_terms(
+                [gaf], [r], zeros._coefficient_rows([gaf], [r]))
             for n in (64, 256, 1024):
                 row = np.zeros(1, dtype=int)
                 vals = on_grid(row, n, 0.0)
@@ -1047,18 +1052,6 @@ class TestCountReplicas:
         # a floor above every |f| on the circle leaves each replica unresolved
         counts = count_replicas(PLANAR, 1.0, 8, math.log(1e300), 2, range(3))
         assert counts.tolist() == [-1, -1, -1]
-
-    def test_direct_mc_tail_equals_mc_tail_csv(self, tmp_path):
-        est = direct_mc_tail(PLANAR, 2.0, 6, 1500, seed=3)
-        cfg = experiments.RunConfig.from_dict(
-            {"experiment": "mc-tail", "seed": 3, "target": "planar", "r": 2.0,
-             "m": 6, "trials": 1500})
-        (path,) = experiments.run(cfg, str(tmp_path))
-        with open(path) as fh:
-            (row,) = list(csv.DictReader(fh))
-        assert int(row["hits"]) == est.hits
-        assert int(row["unresolved"]) == est.unresolved
-        assert float(row["log_p"]) == est.log_p
 
 
 class TestNumpyRowwise:
@@ -1284,7 +1277,7 @@ class TestOneWalk:
         reads = []
         terms = zeros._arc_terms
 
-        def recording(gafs, rs, rows=None):
+        def recording(gafs, rs, rows):
             on_grid, slack, bounds, ceiling = terms(gafs, rs, rows)
 
             def read(rows, mods):
