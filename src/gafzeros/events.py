@@ -4,8 +4,10 @@ An event is a product of constraints on disjoint coefficient sets: per-index
 magnitude caps or floors plus at most one aggregate quadratic cap.  Each kind
 is built so that occurrence forces the anchored term to dominate the rest of
 the series on the circle, which pins the zero count in the disk.  Prices are
-exact exponential/Gamma probabilities computed in log space; the looser
-closed-form bounds used in asymptotic work are reported alongside.
+exact exponential/Gamma probabilities computed in log space, every cap of an
+event in one ``_num.log_bernoulli_le`` call; the looser closed-form bounds used
+in asymptotic work are reported alongside.  ``_log_sup`` is the one sum of caps
+times weights, behind every sup budget and the domination constant.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from scipy import special
 
 from . import _num
-from .models import (GafModel, Kind, choose_truncation, coefficient_rows, log_weight,
-                     make_truncated, stream, weight_ratio_bound)
+from .models import (GafModel, Kind, choose_truncation, log_weight, make_truncated, stream,
+                     weight_ratio_bound)
 from .radial import RadialEnsemble, _profile_depth, sample_radii
 from .zeros import count_with_retry, max_modulus
 
@@ -41,7 +43,8 @@ class IndexBlock:
     """Per-index constraint |a_n| <= c_n (mode 'le') or |a_n| >= c_n ('ge').
 
     ``hi`` is inclusive; None marks an unbounded block whose thresholds must
-    be nondecreasing past the point where e^{-c_n^2} is negligible.
+    be nondecreasing past the point where e^{-c_n^2} is negligible: pricing
+    cuts it at its first index with 2 log c_n > 4.06, where e^{-c_n^2} < 1e-25.
     """
 
     label: str
@@ -124,27 +127,25 @@ def domination_constant(model: GafModel, r: float, m: int) -> float:
     """Smallest C with sum_{n>m} g(n) sigma_n r^n <= C g(m) m-th weight.
 
     The growth factor g is n for the planar scaling and sqrt(n) for the
-    hyperbolic one, matching the tail caps of the corresponding events.
-    Computed by direct log-space summation with a certified remainder.
+    hyperbolic one, matching the tail caps of the corresponding events: the
+    sum is ``_log_sup`` of the event's own upper-tail block.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    growth_power = 0.5 if model.kind is Kind.HYPERBOLIC else 1.0
-
-    def log_terms(n):
-        return growth_power * np.log(n) + log_weight(model, n, r)
-
-    def ratio_bound(n):
-        # term ratio ((n+1)/n)^g w_{n+1}/w_n; both factors bound every later one
-        return ((n + 1.0) / n) ** growth_power * weight_ratio_bound(model, n, r)
-
-    log_tail = _num.certified_log_series(log_terms, m + 1, ratio_bound, rel_tol=1e-16)
-    log_scale = growth_power * math.log(m) + float(log_weight(model, m, r))
+    g = 0.5 if model.kind is Kind.HYPERBOLIC else 1.0
+    log_tail = _log_sup([_growth_tail(m, g)], model, r, 0.0)[0]
+    log_scale = g * math.log(m) + float(log_weight(model, m, r))
     try:
         return math.exp(log_tail - log_scale)
     except OverflowError:
         raise EventConstructionError(f"domination constant exp({log_tail - log_scale:.6g}) "
                                      "overflows a float") from None
+
+
+def _growth_tail(m: int, g: float) -> IndexBlock:
+    """The upper-tail caps |a_n| <= n^g for n > m of the fixed-disk kinds (g = 1 or 1/2)."""
+    return IndexBlock("upper-tail", m + 1, None, "le", _power_log(g),
+                      f"|a_n| <= {'n' if g == 1.0 else 'sqrt(n)'} for n > m")
 
 
 def check_event_domain(kind: EventKind, model: GafModel | None, *, r: float,
@@ -209,9 +210,7 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         return _single_anchor_event(
             kind, model, r, m, (g - 1.0) * math.log(m),
             "keeping each lower term under the anchor weight" if planar
-            else "at 1/sqrt(m) of the anchor weight",
-            IndexBlock("upper-tail", m + 1, None, "le", _power_log(g),
-                       f"|a_n| <= {'n' if planar else 'sqrt(n)'} for n > m"),
+            else "at 1/sqrt(m) of the anchor weight", _growth_tail(m, g),
             {"domination_constant": c, "anchor": anchor, "anchor_alpha": a})
 
     if kind is EventKind.VERY_LARGE_DOMINATION:
@@ -221,7 +220,7 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         # weighted tail budget sum_k k w_{m+k}/w_m stays O(r/sqrt(m))
         upper = IndexBlock("upper-tail", mm + 1, None, "le", _shifted_log(mm),
                            "|a_n| <= n - m for n > m")
-        budget = math.exp(_log_sup(upper, model, r, float(log_weight(model, mm, r))))
+        budget = math.exp(_log_sup([upper], model, r, float(log_weight(model, mm, r)))[0])
         anchor = float(mm)
         if bulge + budget >= anchor:
             anchor = (bulge + budget) * (1.0 + 1e-9)
@@ -264,7 +263,7 @@ def build_event(kind: EventKind, model: GafModel | None = None, *, r: float,
         n_band = np.concatenate([np.arange(lo, hi + 1) for lo, hi, _ in below + above])
         lw_m = float(log_weight(model, mm, r))
         band_units = float(np.exp(log_q + log_weight(model, n_band, r) - lw_m).sum())
-        far_units = math.exp(_log_sup(far, model, r, lw_m))
+        far_units = math.exp(_log_sup([far], model, r, lw_m)[0])
         fixed_units = 4.0 + far_units
         margin = 1.0 + _ANCHOR_MARGIN
 
@@ -369,47 +368,45 @@ def _shifted_log(shift: float):
 _ANCHOR_MARGIN = 2e-9
 
 
-def _log_sup(b: IndexBlock, model: GafModel, r: float, lw_ref: float,
-             lo: int | None = None) -> float:
-    """log sum_n c_n w_n / w_ref over the indices of a 'le' block from ``lo`` on.
+def _log_sup(blocks: list[IndexBlock], model: GafModel, r: float, lw_ref: float,
+             lo: int | None = None) -> list[float]:
+    """log sum_n c_n w_n / w_ref over each 'le' block's indices from ``lo`` on.
 
-    An unbounded block is summed as a certified series; no index gives -inf.
+    One ``np.logaddexp.reduceat`` reduces every bounded block in index order,
+    keeping the bits of reducing it alone; a block with no index left gives
+    -inf (reduceat would give its start term).  An unbounded one is a certified series.
     """
-    start = b.lo if lo is None else max(b.lo, lo)
-
-    def log_terms(n):
-        return b.log_threshold(n) + log_weight(model, n, r) - lw_ref
-
-    if b.hi is not None:
-        return float(np.logaddexp.reduce(log_terms(np.arange(start, b.hi + 1))))
-
-    def ratio(n):
-        th0 = float(b.log_threshold(np.array([n]))[0])
-        th1 = float(b.log_threshold(np.array([n + 1]))[0])
-        return math.exp(th1 - th0) * weight_ratio_bound(model, n, r)
-
-    return _num.certified_log_series(log_terms, start, ratio, rel_tol=1e-14)
+    out = [-math.inf] * len(blocks)
+    starts = [b.lo if lo is None else max(b.lo, lo) for b in blocks]
+    bounded = [i for i, b in enumerate(blocks) if b.hi is not None and starts[i] <= b.hi]
+    if bounded:
+        n = [np.arange(starts[i], blocks[i].hi + 1) for i in bounded]
+        caps = np.concatenate([blocks[i].log_threshold(k) for i, k in zip(bounded, n)])
+        sums = np.logaddexp.reduceat((caps + log_weight(model, np.concatenate(n), r)) - lw_ref,
+                                     np.cumsum([0] + [len(k) for k in n[:-1]]))
+        for i, v in zip(bounded, sums.tolist()):
+            out[i] = v
+    for i, b in enumerate(blocks):
+        if b.hi is None:
+            th = b.log_threshold
+            out[i] = _num.certified_log_series(
+                lambda n: th(n) + log_weight(model, n, r) - lw_ref, starts[i],
+                lambda n: math.exp(float(th(np.array([n + 1]))[0] - th(np.array([n]))[0]))
+                * weight_ratio_bound(model, n, r), rel_tol=1e-14)
+    return out
 
 
 def _check_moderate_budget(ev: EventSpec, far_units: float):
     """Exact sup-side budget for the grouped event, in anchor-weight units.
 
-    The per-band caps, the windowed aggregate (worth 4 units by construction)
-    and the far tail, ``far_units`` as the builder summed it, must sum below
-    the event's anchor floor ``params["anchor"]``; the sum is stored as
-    ``params["sup_budget"]``.  Each band's log units are its terms
-    (cap + weight) - anchor weight, reduced in index order, as ``_log_sup``
-    sums a bounded block, but over every band in one array pass.
+    The band caps (``_log_sup`` of the bounded 'le' blocks), the windowed
+    aggregate (4 units by construction) and the far tail, ``far_units`` as
+    the builder summed it, must sum below the anchor floor
+    ``params["anchor"]``; the sum is stored as ``params["sup_budget"]``.
     """
-    lw_m = float(log_weight(ev.model, ev.m, ev.r))
-    # in block order: the bounded 'le' blocks are the bands, the far tail comes last
     bands = [b for b in ev.blocks if b.mode == "le" and b.hi is not None]
-    n = [np.arange(b.lo, b.hi + 1) for b in bands]
-    caps = np.concatenate([b.log_threshold(k) for b, k in zip(bands, n)])
-    starts = np.cumsum([0] + [len(k) for k in n[:-1]])
-    log_units = np.logaddexp.reduceat(
-        (caps + log_weight(ev.model, np.concatenate(n), ev.r)) - lw_m, starts)
-    total = 4.0 + (sum(math.exp(u) for u in log_units.tolist()) + far_units)
+    log_units = _log_sup(bands, ev.model, ev.r, float(log_weight(ev.model, ev.m, ev.r)))
+    total = 4.0 + (sum(math.exp(u) for u in log_units) + far_units)
     anchor = ev.params["anchor"]
     if not total < anchor * (1.0 - 1e-9):
         raise EventConstructionError(
@@ -425,43 +422,47 @@ def event_tail_sup_bound(ev: EventSpec, n_max: int) -> float:
     at every radius; this is the log floor that certifies counts of truncated
     conditioned samples.
     """
-    return float(np.logaddexp.reduce([_log_sup(b, ev.model, ev.r, 0.0, lo=n_max + 1)
-                                      for b in ev.blocks if b.mode == "le"]))
+    return float(np.logaddexp.reduce(_log_sup([b for b in ev.blocks if b.mode == "le"],
+                                              ev.model, ev.r, 0.0, lo=n_max + 1)))
 
 
-def _bounded_log_probs(blocks: list[IndexBlock]):
-    """Exact and closed-form-bound log probabilities of bounded 'le' blocks, in order.
+def _le_log_probs(blocks: list[IndexBlock]):
+    """Exact and closed-form-bound log probabilities of 'le' blocks, in order.
 
-    One ``log_bernoulli_le`` prices the concatenated thresholds of every
-    block; each block sums its own slice, so it keeps the bits of being
-    priced alone.
+    One ``log_bernoulli_le`` prices the thresholds of every block, an
+    unbounded one's up to its cut (``IndexBlock``), read in index blocks of
+    64, 128, ... within 10**6 + 1 indices.  Each block sums its own slice,
+    keeping the bits of being priced alone: a bounded one by ``np.sum``, an
+    unbounded one in index order with the bound log(1 - sum e^{-c^2}).
     """
-    t2 = [2.0 * np.asarray(b.log_threshold(np.arange(b.lo, b.hi + 1)), dtype=float)
-          for b in blocks]
+    t2 = []
+    for b in blocks:
+        if b.hi is not None:
+            t2.append(2.0 * np.asarray(b.log_threshold(np.arange(b.lo, b.hi + 1)), dtype=float))
+            continue
+        t, n, size = np.empty(0), b.lo, 64
+        while not (t > 4.06).any():
+            if n > b.lo + 10**6:
+                raise RuntimeError("unbounded block does not decay")
+            k = np.arange(n, min(n + size, b.lo + 10**6 + 1))
+            t = np.concatenate((t, 2.0 * np.asarray(b.log_threshold(k), dtype=float)))
+            n, size = n + size, 2 * size
+        t2.append(t[:np.argmax(t > 4.06)])
     ends = np.cumsum([0] + [len(t) for t in t2]).tolist()
     t2 = np.concatenate([np.empty(0), *t2])
     vals = _num.log_bernoulli_le(t2)
     bound = np.where(t2 < 0.0, t2 - math.log(2.0), vals)
-    return [(float(np.sum(vals[a:z])), float(np.sum(bound[a:z])))
-            for a, z in zip(ends[:-1], ends[1:])]
-
-
-def _unbounded_log_prob(block: IndexBlock) -> tuple[float, float]:
-    """Exact and closed-form-bound log probabilities of an unbounded 'le' block."""
-    # thresholds grow, terms die off superexponentially
-    total = 0.0
-    lik = 0.0  # sum of e^{-c^2} for the union-style closed form
-    n = block.lo
-    while True:
-        t2 = 2.0 * float(block.log_threshold(np.array([n]))[0])
-        if t2 > 4.06:  # e^{-c^2} below ~1e-25: remainder negligible
-            break
-        total += float(_num.log_bernoulli_le(t2))
-        lik += math.exp(-math.exp(t2))
-        n += 1
-        if n > block.lo + 10**6:
-            raise RuntimeError("unbounded block does not decay")
-    return total, (math.log1p(-lik) if lik < 1.0 else total)
+    out = []
+    for b, a, z in zip(blocks, ends[:-1], ends[1:]):
+        if b.hi is not None:
+            out.append((float(np.sum(vals[a:z])), float(np.sum(bound[a:z]))))
+            continue
+        total = lik = 0.0
+        for v, x in zip(vals[a:z].tolist(), t2[a:z].tolist()):
+            total += v
+            lik += math.exp(-math.exp(x))
+        out.append((total, math.log1p(-lik) if lik < 1.0 else total))
+    return out
 
 
 def event_log_prob_detail(ev: EventSpec) -> EventLogProb:
@@ -475,16 +476,13 @@ def event_log_prob_detail(ev: EventSpec) -> EventLogProb:
     by_block = {}
     total = 0.0
     bound_total = 0.0
-    bounded = iter(_bounded_log_probs([b for b in ev.blocks
-                                       if b.mode == "le" and b.hi is not None]))
+    le_probs = iter(_le_log_probs([b for b in ev.blocks if b.mode == "le"]))
     for b in ev.blocks:
         if b.mode == "ge":
             c2 = math.exp(2.0 * float(b.log_threshold(np.array([b.lo]))[0]))
             exact = bound = -c2
-        elif b.hi is not None:
-            exact, bound = next(bounded)
         else:
-            exact, bound = _unbounded_log_prob(b)
+            exact, bound = next(le_probs)
         by_block[b.label] = exact
         total += exact
         bound_total += bound
@@ -585,19 +583,20 @@ def verify_domination(ev: EventSpec, coeffs: np.ndarray) -> bool:
 
     The sample must satisfy the event (checked).  True is a proof for the
     truncated polynomial plus the event's tail bound: in log form, the anchor
-    term |c_m| e^L of the row at r (``models.coefficient_rows``), less 1e-9
-    of itself, exceeds ``max_modulus`` of the other terms plus
-    ``event_tail_sup_bound``.  False means no proof, not a refutation.
+    term log |a_m| + log w_m at r, less 1e-9 of itself, exceeds
+    ``max_modulus`` of the other terms plus ``event_tail_sup_bound``.  False
+    means no proof, not a refutation.
     """
     if not sample_satisfies(ev, coeffs):
         raise ValueError("sample does not satisfy the event")
     gaf = make_truncated(ev.model, coeffs, ev.r)
-    _, log_scale, size, _ = coefficient_rows([gaf], [ev.r])
-    if ev.m > gaf.degree or size[0, ev.m] == 0.0:
+    if ev.m > gaf.degree or coeffs[ev.m] == 0:
         return False
+    log_anchor = math.log(abs(coeffs[ev.m]) * (1.0 - 1e-9)) + float(
+        log_weight(ev.model, ev.m, ev.r))
     others = np.arange(gaf.degree + 1) != ev.m  # the weight that drops the anchor term
     rest = np.logaddexp(max_modulus(gaf, ev.r, others), event_tail_sup_bound(ev, gaf.degree))
-    return bool(math.log(size[0, ev.m] * (1.0 - 1e-9)) + log_scale[0] > rest)
+    return bool(log_anchor > rest)
 
 
 def certified_event_count(ev: EventSpec, coeffs: np.ndarray):

@@ -433,8 +433,10 @@ class TestBenchmarkTracer:
             # a conditioned count reaches zeros.count_with_retry through its
             # binding in events, whose (CountResult, 0) pair the probe reads
             ev = events.build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=3)
-            res, _ = events.certified_event_count(
-                ev, events.conditioned_sample(ev, models.stream(5, 0)))
+            sample = events.conditioned_sample(ev, models.stream(5, 0))
+            res, _ = events.certified_event_count(ev, sample)
+            # the benchmark's false share reads one bool per verdict
+            events.verify_domination(ev, sample)
         finally:
             tracer.uninstall()
         calls, _, _ = tracer.self_times()
@@ -443,6 +445,9 @@ class TestBenchmarkTracer:
         assert calls["events.certified_event_count"] == 1
         assert calls["zeros.count_with_retry"] == 1
         assert tracer.counts["zeros.count_with_retry"] == [0]
+        assert calls["events.verify_domination"] == 1
+        (verdict,) = tracer.counts["events.verify_domination"]
+        assert type(verdict) is bool and verdict == events.verify_domination(ev, sample)
         assert res.count == 3
         assert not hasattr(events.build_event, "__wrapped__")
         assert not hasattr(events.count_with_retry, "__wrapped__")

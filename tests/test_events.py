@@ -279,7 +279,7 @@ class TestBuildEvent:
         for alpha, gamma, r in ((1.2, 1.0, 10.0), (1.5, 0.4, 8.0), (1.5, 1.0, 40.0)):
             ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=alpha, gamma=gamma)
             lw_m = float(models.log_weight(ev.model, ev.m, ev.r))
-            want = 4.0 + sum(math.exp(events._log_sup(b, ev.model, ev.r, lw_m))
+            want = 4.0 + sum(math.exp(events._log_sup([b], ev.model, ev.r, lw_m)[0])
                              for b in ev.blocks if b.mode == "le")
             assert ev.params["sup_budget"] == want
 
@@ -292,6 +292,19 @@ class TestEventLogProb:
     def test_single_cap(self):
         v = event_log_prob_detail(single_index_event("le", 0.0)).total
         assert v == pytest.approx(math.log(1.0 - math.exp(-1.0)), rel=1e-13)
+
+    @pytest.mark.parametrize("cut,decays", [(10**6, True), (10**6 + 1, False)])
+    def test_unbounded_cap_must_pass_the_cut_within_a_million_indices(self, cut, decays):
+        # log caps 0 up to the cut, then 2 log c = 6 > 4.06: pricing reads
+        # at most 10**6 + 1 indices of an unbounded block for its cut
+        blk = IndexBlock("only", 0, None, "le", lambda n: np.where(n < cut, 0.0, 3.0), "test")
+        ev = EventSpec(EventKind.PLANAR_DOMINATION, PLANAR, 1.0, 0, [blk], None, {})
+        if decays:
+            d = event_log_prob_detail(ev)
+            assert d.total == pytest.approx(cut * math.log1p(-math.exp(-1.0)), rel=1e-9)
+        else:
+            with pytest.raises(RuntimeError, match="does not decay"):
+                event_log_prob_detail(ev)
 
     def test_exact_at_least_bound_form(self):
         cases = [build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=8),
@@ -863,14 +876,31 @@ class TestSingleAnchorAssembler:
                                      ref_tail_bound))
 
     def test_moderate_sup_units_match_head_walk(self):
+        # every 'le' block in one batched call.  From lo = m every band below
+        # the anchor is empty; from lo = window_lo (the top index of the
+        # first band below) the farther bands below are empty and sit
+        # between non-empty ones.  np.logaddexp.reduceat would give an empty
+        # slice the term at its start, not -inf.
         for alpha, gamma, r in ((1.5, 1.0, 10.0), (1.2, 0.4, 20.0), (1.8, 1.0, 5.0)):
             ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=alpha, gamma=gamma)
             lw_m = float(models.log_weight(ev.model, ev.m, ev.r))
-            for b in ev.blocks:
-                if b.mode == "le":
-                    for lo in (None, ev.m + 1, 2 * ev.m):
-                        assert_same([math.exp(events._log_sup(b, ev.model, ev.r, lw_m, lo=lo))],
-                                    [ref_sup_units(b, ev.model, ev.r, lw_m, lo=lo)])
+            le = [b for b in ev.blocks if b.mode == "le"]
+            big_m = ev.params["window_lo"]
+            for lo in (None, ev.m, ev.m + 1, 2 * ev.m, big_m):
+                got = events._log_sup(le, ev.model, ev.r, lw_m, lo=lo)
+                assert len(got) == len(le)
+                for b, g in zip(le, got):
+                    assert_same([math.exp(g)], [ref_sup_units(b, ev.model, ev.r, lw_m, lo=lo)])
+                    if b.hi is not None:
+                        n = np.arange(b.lo if lo is None else max(b.lo, lo), b.hi + 1)
+                        alone = np.logaddexp.reduce(
+                            (b.log_threshold(n) + models.log_weight(ev.model, n, ev.r)) - lw_m)
+                        assert g == float(alone)
+                empty = [g == -math.inf for g in got]
+                if lo == ev.m:
+                    assert empty == [b.hi is not None and b.hi < ev.m for b in le]
+                if lo == big_m:
+                    assert (empty[0], empty[1], empty[-2]) == (False, True, False)
 
 
 # Reference copies of the per-block pricing that one array pass per event
@@ -931,7 +961,7 @@ def ref_moderate_scale(ev):
     lw_m = float(models.log_weight(ev.model, mm, r))
     band_units = float(np.exp(log_q + models.log_weight(ev.model, n_band, r) - lw_m).sum())
     far = next(b for b in ev.blocks if b.label == "far-tail")
-    far_units = math.exp(events._log_sup(far, ev.model, r, lw_m))
+    far_units = math.exp(events._log_sup([far], ev.model, r, lw_m)[0])
     fixed_units, margin = 4.0 + far_units, 1.0 + events._ANCHOR_MARGIN
 
     def anchor_at(log_beta):
@@ -948,7 +978,7 @@ def ref_moderate_scale(ev):
     log_beta_lo = math.log(4.0 * n_idx) - float(np.logaddexp(log_lin, 0.5 * np.logaddexp(
         2.0 * log_lin, math.log(8.0 * n_idx) + log_quad)))
     log_beta, _ = _num.golden_max(price, log_beta_lo, math.log(n_idx / (4.0 * band_units)), 1e-9)
-    budget = 4.0 + (sum(math.exp(events._log_sup(b, ev.model, r, lw_m)) for b in bands)
+    budget = 4.0 + (sum(math.exp(events._log_sup([b], ev.model, r, lw_m)[0]) for b in bands)
                     + far_units)
     return math.exp(log_beta), anchor_at(log_beta), budget
 
