@@ -8,8 +8,7 @@ events that realize the lower bounds.
 
 from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, coefficient_rows,
                      covariance, expected_count, log_sigma, log_weight,
-                     make_truncated, sample_coefficients, sample_truncated,
-                     stream, weight_ratio_bound)
+                     sample_coefficients, sample_truncated, stream, weight_ratio_bound)
 from .zeros import (CountResult, InconclusiveCount, JensenCheck,
                     RootsDidNotConverge, circle_mean_log_abs_many, count_in_disk,
                     count_replicas, count_with_retry, count_with_retry_many,

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from . import _num
-from .models import (GafModel, Kind, choose_truncation, log_weight, make_truncated, stream,
+from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, log_weight, stream,
                      weight_ratio_bound)
 from .radial import RadialEnsemble, _profile_depth, sample_radii
 from .zeros import count_with_retry, max_modulus
@@ -589,7 +589,7 @@ def verify_domination(ev: EventSpec, coeffs: np.ndarray) -> bool:
     """
     if not sample_satisfies(ev, coeffs):
         raise ValueError("sample does not satisfy the event")
-    gaf = make_truncated(ev.model, coeffs, ev.r)
+    gaf = TruncatedGaf(ev.model, coeffs, ev.r)
     if ev.m > gaf.degree or coeffs[ev.m] == 0:
         return False
     log_anchor = math.log(abs(coeffs[ev.m]) * (1.0 - 1e-9)) + float(
@@ -601,7 +601,7 @@ def verify_domination(ev: EventSpec, coeffs: np.ndarray) -> bool:
 
 def certified_event_count(ev: EventSpec, coeffs: np.ndarray):
     """Certified zero count of a conditioned sample, floored by the event tail."""
-    gaf = make_truncated(ev.model, coeffs, ev.r)
+    gaf = TruncatedGaf(ev.model, coeffs, ev.r)
     return count_with_retry(gaf, ev.r, event_tail_sup_bound(ev, gaf.degree))
 
 

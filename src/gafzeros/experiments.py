@@ -10,6 +10,7 @@ because replica k always draws from its own spawn-keyed RNG stream
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -232,7 +233,7 @@ def _run_scatter(cfg: RunConfig):
         free = models.sample_coefficients(models.stream(cfg.seed, 2 * i + 1), len(draw) - 1)
         samples.append((draw, events.verify_domination(ev, draw), free))
     # the conditioned and the free polynomial of every sample, in one solve
-    gafs = [models.make_truncated(ev.model, a, r)
+    gafs = [models.TruncatedGaf(ev.model, a, r)
             for draw, _, free in samples for a in (draw, free)]
     solved = zeros.find_gaf_roots(gafs, [r] * len(gafs))
     rows = []
@@ -247,17 +248,11 @@ def _run_scatter(cfg: RunConfig):
              rows)]
 
 
-def _count_chunk(args):
-    (model, r, degree, log_guard, seed, block, count) = args
-    start = block * zeros.REPLICA_BLOCK
-    return zeros.count_replicas(model, r, degree, log_guard, seed, range(start, start + count))
-
-
 def _replica_counts(cfg: RunConfig, model: GafModel, r: float, replicas: int):
     """Certified counts of replicas 0..replicas-1, -1 where unresolved."""
-    degree = models.choose_truncation(model, r)
-    head = (model, r, degree, _log_tail_guard(cfg), cfg.seed)
-    return np.concatenate(_map_blocks(_count_chunk, head, replicas, cfg.threads))
+    count = functools.partial(zeros.count_replicas, model, r, models.choose_truncation(model, r),
+                              _log_tail_guard(cfg), cfg.seed)
+    return np.concatenate(_map_blocks(count, replicas, cfg.threads))
 
 
 def _run_mc_tail(cfg: RunConfig):
@@ -364,13 +359,11 @@ def _run_exponent_fit(cfg: RunConfig):
                                   "coefficient", "max_rel_residual"], fit_rows)]
 
 
-def _jensen_chunk(args):
-    """Jensen-check rows of one block: every trial drawn, all counted together, one root solve."""
-    (r_lo, r_hi, ratio, quad_tol, log_guard, seed, block, count) = args
+def _jensen_chunk(r_lo, r_hi, ratio, quad_tol, log_guard, seed, keys):
+    """Jensen-check rows of trials ``keys``: each drawn, all counted together, one root solve."""
     model = GafModel.planar()
-    start = block * zeros.REPLICA_BLOCK
     trials = []
-    for trial in range(start, start + count):
+    for trial in keys:
         rng = models.stream(seed, trial)
         r = r_lo + (r_hi - r_lo) * rng.random()
         big_r = ratio * r
@@ -399,9 +392,9 @@ def _run_jensen_check(cfg: RunConfig):
     r_hi = cfg.read("r_max", float, default=3.0, **_above(r_lo, "r_min"))
     ratio = cfg.read("radius_ratio", float, default=1.25, **_above(1))
     quad_tol = cfg.read("quad_tol", float, default=1e-8, **_above(0))
-    chunks = _map_blocks(_jensen_chunk,
-                         (r_lo, r_hi, ratio, quad_tol, _log_tail_guard(cfg), cfg.seed),
-                         trials, cfg.threads)
+    chunk = functools.partial(_jensen_chunk, r_lo, r_hi, ratio, quad_tol, _log_tail_guard(cfg),
+                              cfg.seed)
+    chunks = _map_blocks(chunk, trials, cfg.threads)
     return [("jensen_check.csv", ["trial", "r", "R", "winding_count", "root_count",
                                   "jensen_residual", "count_inequality_ok", "certified"],
              [row for chunk in chunks for row in chunk])]
@@ -456,10 +449,10 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
-def _map_blocks(fn, head, total, threads):
-    """``fn(head + (block, count))`` over REPLICA_BLOCK-sized blocks of 0..total-1, in order."""
+def _map_blocks(fn, total, threads):
+    """``fn(keys)`` over the REPLICA_BLOCK-sized ranges of 0..total-1, in order."""
     size = zeros.REPLICA_BLOCK
-    blocks = [(*head, b, min(size, total - b * size)) for b in range((total + size - 1) // size)]
+    blocks = [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
     if threads <= 1 or len(blocks) <= 1:
         return [fn(b) for b in blocks]
     with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -228,17 +228,16 @@ DOMAIN_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class TruncatedGaf:
-    """A sampled partial sum sum_{n<=N} a_n sigma_n z^n with its tail bound.
+    """A sampled partial sum sum_{n<=N} a_n sigma_n z^n fit for use on |z| <= radius_of_use.
 
     ``coeffs`` is the draw a_0..a_N, read by every evaluation, circle grid and
-    root solve through ``coefficient_rows``, and ``log_tail_sd`` the log of
-    the sd of the discarded tail at radius_of_use.
+    root solve through ``coefficient_rows``.  The tail bound ``log_tail_sd``
+    is derived from (model, N, radius_of_use) when read, never stored.
     """
 
     model: GafModel
     coeffs: np.ndarray
     radius_of_use: float
-    log_tail_sd: float
 
     def __post_init__(self):
         _check_radius(self.model, self.radius_of_use)
@@ -246,6 +245,11 @@ class TruncatedGaf:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @property
+    def log_tail_sd(self) -> float:
+        """log of the sd of the discarded tail sum_{n>N} a_n sigma_n z^n at radius_of_use."""
+        return 0.5 * log_tail_variance(self.model, self.degree, self.radius_of_use)
 
     def __call__(self, z):
         """Evaluate the partial sum at z, |z| <= radius_of_use (1 + DOMAIN_SLACK).
@@ -291,13 +295,12 @@ def coefficient_rows(gafs, radii):
     return np.exp(x), log_scale, np.exp(x.real), reach
 
 
-def make_truncated(model: GafModel, coeffs: np.ndarray, r: float) -> TruncatedGaf:
-    return TruncatedGaf(model=model, coeffs=coeffs, radius_of_use=r,
-                        log_tail_sd=0.5 * log_tail_variance(model, len(coeffs) - 1, r))
-
-
 def sample_truncated(model: GafModel, r: float, rng: np.random.Generator,
                      degree: int | None = None) -> TruncatedGaf:
-    """Sample a truncated model function fit for use on the disk of radius r."""
+    """Sample a truncated model function fit for use on the disk of radius r.
+
+    The degree is ``choose_truncation(model, r)`` unless given; the tail sd is
+    not computed here, only where ``log_tail_sd`` is read.
+    """
     n = choose_truncation(model, r) if degree is None else degree
-    return make_truncated(model, sample_coefficients(rng, n), r)
+    return TruncatedGaf(model, sample_coefficients(rng, n), r)

@@ -186,9 +186,9 @@ def _circle_grids(on_grid, count, start_nodes, max_nodes, step):
 
 
 def _arc_terms(gafs, rs, rows):
-    """``(on_grid, slack, bounds, ceiling)``: the arc margin of gafs[i] on |z| = rs[i].
+    """``(slack, bounds, ceiling)``: the arc margin of gafs[i] on |z| = rs[i].
 
-    ``rows`` is ``_coefficient_rows(gafs, rs)``; ``on_grid`` reads them, and
+    ``rows`` is ``_coefficient_rows(gafs, rs)``; its ``on_grid`` reads them, and
     every term is in their units of e^L.  With l = 2 pi r/n, ``slack(rows, n)``
     is l^2 M2/8 + E, and ``bounds(rows, mods)`` maps the
     |f_j| of an n-node grid to |f_j| - l |f'_j|/2 - slack, a lower bound on
@@ -233,7 +233,7 @@ def _arc_terms(gafs, rs, rows):
         arc = _TWO_PI * radius[rows] / n
         return np.abs(f) - h / 2.0 + arc**2 * bend[rows] / 8.0
 
-    return on_grid, slack, bounds, ceiling
+    return slack, bounds, ceiling
 
 
 def count_with_retry_many(cases, start_nodes=256, max_nodes=MAX_NODES) -> list:
@@ -255,7 +255,7 @@ def count_with_retry_many(cases, start_nodes=256, max_nodes=MAX_NODES) -> list:
     gafs, rs = [f for f, _, _ in cases], [r for _, r, _ in cases]
     out = [None] * len(gafs)
     rows = _coefficient_rows(gafs, rs)
-    on_grid, slack, bounds, ceiling = _arc_terms(gafs, rs, rows)
+    slack, bounds, ceiling = _arc_terms(gafs, rs, rows)
     with np.errstate(over="ignore"):  # a floor past the float range leaves its row unresolved
         floor_of = np.exp(np.array([c[2] for c in cases], dtype=float) - rows[1])
     limit = np.maximum(floor_of, HARD_FLOOR)
@@ -284,7 +284,7 @@ def count_with_retry_many(cases, start_nodes=256, max_nodes=MAX_NODES) -> list:
                                        f"at {n} nodes on |z| = {rs[i]}")
         return keep
 
-    _circle_grids(on_grid, len(gafs), start_nodes, max_nodes, step)
+    _circle_grids(rows[0], len(gafs), start_nodes, max_nodes, step)
     return out
 
 
@@ -321,17 +321,19 @@ REPLICA_BLOCK = 1024
 def count_replicas(model: GafModel, r, degree, log_guard, seed, keys):
     """Certified zero counts in |z| < r of independent truncated draws.
 
-    Replica k samples ``model`` at ``degree`` from ``stream(seed, k)`` and is
-    counted with log floor ``log_guard + log_tail_sd``; blocks of ``REPLICA_BLOCK``
-    replicas are counted together by ``count_with_retry_many``.  Returns one
-    count per key, -1 where the replica's count is not certified.
+    Replica k samples ``model`` at ``degree`` from ``stream(seed, k)``; blocks of
+    ``REPLICA_BLOCK`` replicas are counted together by ``count_with_retry_many``.
+    Every replica shares (model, degree, r), so a block reads the log floor
+    ``log_guard + log_tail_sd`` once, from its first draw.  Returns one count
+    per key, -1 where the replica's count is not certified.
     """
     keys = list(keys)
     counts = np.empty(len(keys), dtype=int)
     for lo in range(0, len(keys), REPLICA_BLOCK):
         gafs = [sample_truncated(model, r, stream(seed, k), degree=degree)
                 for k in keys[lo: lo + REPLICA_BLOCK]]
-        results = count_with_retry_many([(gaf, r, log_guard + gaf.log_tail_sd) for gaf in gafs])
+        log_floor = log_guard + gafs[0].log_tail_sd
+        results = count_with_retry_many([(gaf, r, log_floor) for gaf in gafs])
         counts[lo: lo + len(results)] = [-1 if isinstance(res, InconclusiveCount) else res.count
                                          for res in results]
     return counts

@@ -308,9 +308,11 @@ class TestDeterminism:
 
     def test_worker_results_keep_block_order(self):
         # rows are joined in the order _map_blocks returns, with no sort
-        serial = experiments._map_blocks(repr, ("head",), 3 * REPLICA_BLOCK + 5, 1)
-        assert serial == [repr(("head", b, REPLICA_BLOCK if b < 3 else 5)) for b in range(4)]
-        assert experiments._map_blocks(repr, ("head",), 3 * REPLICA_BLOCK + 5, 2) == serial
+        total = 3 * REPLICA_BLOCK + 5
+        serial = experiments._map_blocks(repr, total, 1)
+        assert serial == [repr(range(b * REPLICA_BLOCK, min((b + 1) * REPLICA_BLOCK, total)))
+                          for b in range(4)]
+        assert experiments._map_blocks(repr, total, 2) == serial
 
 
 class TestArtifacts:

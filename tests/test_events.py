@@ -441,6 +441,23 @@ class TestVerifyDomination:
         ev = build_event(EventKind.PLANAR_DOMINATION, r=r, m=m)
         assert verify_domination(ev, conditioned_sample(ev, stream(1, 0))) is True
 
+    def test_no_tail_variance_read(self, monkeypatch):
+        # the event's own tail bound is the floor of both, never the truncation tail sd
+        ev = build_event(EventKind.PLANAR_DOMINATION, r=2.0, m=16)
+        draw = conditioned_sample(ev, stream(5000, 0))
+        calls = []
+        variance = models.log_tail_variance
+
+        def counting(*args):
+            calls.append(args)
+            return variance(*args)
+
+        monkeypatch.setattr(models, "log_tail_variance", counting)
+        assert verify_domination(ev, draw)
+        res, _ = certified_event_count(ev, draw)
+        assert res.count == 16
+        assert calls == []
+
     def test_violating_sample_rejected(self):
         ev = build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=3)
         vals = np.full(20, 100.0, dtype=complex)

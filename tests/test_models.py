@@ -1,5 +1,6 @@
 """Model weights, sampling law, truncation tails."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from gafzeros import (GafModel, _num, choose_truncation, coefficient_rows, covariance,
-                      expected_count, log_sigma, log_weight, make_truncated, models,
+from gafzeros import (GafModel, TruncatedGaf, _num, choose_truncation, coefficient_rows,
+                      covariance, expected_count, log_sigma, log_weight, models,
                       sample_coefficients, sample_truncated, stream, weight_ratio_bound)
 
 PLANAR = GafModel.planar()
@@ -172,18 +173,48 @@ class TestSampling:
         assert np.array_equal(a, b)
 
 
+class TestTruncatedGaf:
+    def test_fields_are_the_draw_at_a_radius(self):
+        names = [f.name for f in dataclasses.fields(TruncatedGaf)]
+        assert names == ["model", "coeffs", "radius_of_use"]
+
+    def test_tail_variance_only_on_read(self, monkeypatch):
+        calls = []
+        variance = models.log_tail_variance
+
+        def counting(*args):
+            calls.append(args)
+            return variance(*args)
+
+        monkeypatch.setattr(models, "log_tail_variance", counting)
+        gaf = TruncatedGaf(PLANAR, sample_coefficients(stream(1), 10), 2.0)
+        sample_truncated(PLANAR, 2.0, stream(2), degree=10)
+        sample_truncated(HYP1, 0.5, stream(3), degree=10)
+        assert calls == []
+        gaf.log_tail_sd
+        assert calls == [(PLANAR, 10, 2.0)]
+
+    @pytest.mark.parametrize("model,r", [(PLANAR, 1.0), (PLANAR, 3.0), (PLANAR, 20.0),
+                                         (GafModel.hyperbolic(0.5), 0.7), (HYP1, 0.7),
+                                         (GafModel.hyperbolic(2.0), 0.7)])
+    def test_log_tail_sd_is_half_the_log_tail_variance(self, model, r):
+        gaf = sample_truncated(model, r, stream(7))
+        want = 0.5 * models.log_tail_variance(model, gaf.degree, r)
+        assert gaf.log_tail_sd.hex() == want.hex()
+
+
 class TestEvaluate:
     def test_constant_coefficient(self):
         vals = np.zeros(6, dtype=complex)
         vals[0] = 1.0
-        gaf = make_truncated(PLANAR, vals, 3.0)
+        gaf = TruncatedGaf(PLANAR, vals, 3.0)
         for z in (0.0, 1.0 + 1j, -2.5):
             assert gaf(z) == pytest.approx(sigma(PLANAR, 0), rel=1e-15)
 
     def test_linear_planar(self):
         vals = np.zeros(6, dtype=complex)
         vals[1] = 1.0
-        gaf = make_truncated(PLANAR, vals, 3.0)
+        gaf = TruncatedGaf(PLANAR, vals, 3.0)
         assert gaf(2.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_matches_naive_summation_oracle(self):

@@ -8,8 +8,8 @@ import pytest
 from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge, TruncatedGaf,
                       choose_truncation, circle_mean_log_abs_many, coefficient_rows,
                       count_in_disk, count_replicas, count_with_retry, experiments,
-                      find_gaf_roots, find_roots_many, jensen_residuals, make_truncated,
-                      max_modulus, sample_truncated, stream, zeros)
+                      find_gaf_roots, find_roots_many, jensen_residuals, max_modulus, models,
+                      sample_truncated, stream, zeros)
 from gafzeros._num import horner
 from gafzeros.models import log_sigma
 
@@ -28,10 +28,9 @@ def polyval(x, c):
 
 def poly(c, r):
     # a planar TruncatedGaf on radius r whose weighted coefficients are c, up
-    # to rounding: the draw c exp(-log sigma_k), with tail sd 0
+    # to rounding: the draw c exp(-log sigma_k)
     c = np.asarray(c, dtype=complex)
-    return TruncatedGaf(model=PLANAR, coeffs=c * np.exp(-log_sigma(PLANAR, np.arange(len(c)))),
-                        radius_of_use=r, log_tail_sd=-math.inf)
+    return TruncatedGaf(PLANAR, c * np.exp(-log_sigma(PLANAR, np.arange(len(c)))), r)
 
 
 def row_of(gaf, r):
@@ -167,8 +166,7 @@ class TestWinding:
         u = np.exp(1j * 0.7331)
         for _ in range(25):
             gaf = sample_truncated(PLANAR, 2.0, rng)
-            turned = TruncatedGaf(model=PLANAR, coeffs=gaf.coeffs * u ** np.arange(gaf.degree + 1),
-                                  radius_of_use=2.0, log_tail_sd=gaf.log_tail_sd)
+            turned = TruncatedGaf(PLANAR, gaf.coeffs * u ** np.arange(gaf.degree + 1), 2.0)
             a, _ = count_with_retry(gaf, 2.0, -math.inf)
             b, _ = count_with_retry(turned, 2.0, -math.inf)
             assert a.count == b.count
@@ -433,8 +431,7 @@ class TestJensen:
         # f = (z - 3)(z - 4): integral over [1, 2] counts nothing new
         c = np.array([12.0, -7.0, 1.0], dtype=complex)
         draw_vals = c / np.array([1.0, 1.0, math.sqrt(0.5)])  # undo sigma weights
-        from gafzeros import make_truncated
-        gaf = make_truncated(PLANAR, draw_vals, 2.0)
+        gaf = TruncatedGaf(PLANAR, draw_vals, 2.0)
         (check,) = jensen_residuals([(gaf, 1.0, 2.0)])
         assert check.integral_n_over_u == pytest.approx(0.0, abs=1e-12)
 
@@ -443,8 +440,7 @@ class TestJensen:
         # integral collapses to n(r) log(R/r)
         c = np.array([1.5, -3.5, 1.0], dtype=complex)
         draw_vals = c / np.array([1.0, 1.0, math.sqrt(0.5)])
-        from gafzeros import make_truncated
-        gaf = make_truncated(PLANAR, draw_vals, 2.0)
+        gaf = TruncatedGaf(PLANAR, draw_vals, 2.0)
         (check,) = jensen_residuals([(gaf, 1.0, 2.0)])
         assert check.integral_n_over_u == pytest.approx(math.log(2.0), rel=1e-12)
         assert check.residual < 1e-8
@@ -467,7 +463,7 @@ class TestJensen:
 
         monkeypatch.setattr(zeros, "find_roots_many", recording)
         trials, log_guard, seed = 24, math.log(1e7), 0
-        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, log_guard, seed, 0, trials))
+        rows = experiments._jensen_chunk(0.5, 3.0, 1.25, 1e-8, log_guard, seed, range(trials))
         assert len(rows) == trials
         resolved = []
         for j in range(trials):
@@ -501,7 +497,7 @@ class TestRouche:
         # min |z^5| on |z|=0.9 is 0.9^5; anything smaller certifies
         vals = np.zeros(6, dtype=complex)
         vals[5] = math.exp(-log_sigma(PLANAR, 5))
-        gaf = make_truncated(PLANAR, vals, 0.9)
+        gaf = TruncatedGaf(PLANAR, vals, 0.9)
         assert rouche(gaf, 0.9, math.log(0.5 * 0.9**5))
         assert not rouche(gaf, 0.9, math.log(2.0 * 0.9**5))
 
@@ -516,8 +512,7 @@ class TestRouche:
             deeper = sample_truncated(PLANAR, 1.0, rng, degree=2 * gaf.degree)
             vals = deeper.coeffs.copy()
             vals[: gaf.degree + 1] = gaf.coeffs
-            from gafzeros import make_truncated
-            deeper = make_truncated(PLANAR, vals, 1.0)
+            deeper = TruncatedGaf(PLANAR, vals, 1.0)
             log_floor = math.log(100.0) + gaf.log_tail_sd
             try:
                 res, _ = count_with_retry(gaf, 1.0, log_floor)
@@ -951,9 +946,9 @@ def arc_bounds(gaf, r, n):
     # the walker's lower bound on |f| over the half arcs next to each node
     # of the n-node grid, from units of e^L back to |f|
     rows = zeros._coefficient_rows([gaf], [r])
-    on_grid, _, bounds, _ = zeros._arc_terms([gaf], [r], rows)
+    _, bounds, _ = zeros._arc_terms([gaf], [r], rows)
     row = np.zeros(1, dtype=int)
-    return bounds(row, np.abs(on_grid(row, n, 0.0)))[0] * math.exp(rows[1][0])
+    return bounds(row, np.abs(rows[0](row, n, 0.0)))[0] * math.exp(rows[1][0])
 
 
 def dense_minima(gaf, r, n, nodes, points=17):
@@ -981,8 +976,9 @@ class TestArcMargin:
         c = np.polynomial.polynomial.polyfromroots([*(1.0 + 1e-3) * angle, 0.4, 2.0j])
         cases = [(gaf, 2.0) for gaf in gafs] + [(poly(c, 1.0), 1.0)]
         for gaf, r in cases:
-            on_grid, _, bounds, ceiling = zeros._arc_terms(
-                [gaf], [r], zeros._coefficient_rows([gaf], [r]))
+            rows = zeros._coefficient_rows([gaf], [r])
+            on_grid = rows[0]
+            _, bounds, ceiling = zeros._arc_terms([gaf], [r], rows)
             for n in (64, 256, 1024):
                 row = np.zeros(1, dtype=int)
                 vals = on_grid(row, n, 0.0)
@@ -1047,6 +1043,22 @@ class TestCountReplicas:
             want.append(res.count)
             assert retries == 0
         assert counts.tolist() == want
+
+    @pytest.mark.parametrize("replicas,reads", [(5, 1), (zeros.REPLICA_BLOCK + 1, 2)])
+    def test_one_tail_variance_per_block(self, monkeypatch, replicas, reads):
+        # the replicas of a block share (model, degree, r), so the block
+        # reads its floor once
+        calls = []
+        variance = models.log_tail_variance
+
+        def counting(*args):
+            calls.append(args)
+            return variance(*args)
+
+        monkeypatch.setattr(models, "log_tail_variance", counting)
+        counts = count_replicas(PLANAR, 1.0, 8, math.log(100.0), 2, range(replicas))
+        assert len(counts) == replicas
+        assert calls == [(PLANAR, 8, 1.0)] * reads
 
     def test_unresolved_replica_counts_minus_one(self):
         # a floor above every |f| on the circle leaves each replica unresolved
@@ -1127,7 +1139,7 @@ class TestBatchedWalker:
         # bits of the row's own one-row FFT, signed zeros included
         coeffs = np.zeros(6, dtype=complex)
         coeffs[5] = 1.0
-        sparse = make_truncated(PLANAR, coeffs, 0.9)
+        sparse = TruncatedGaf(PLANAR, coeffs, 0.9)
         large = sample_truncated(PLANAR, 18.0, stream(11, 0))
         gafs = [gaf for _, gaf in WALKER_DRAWS] + [sparse, large]
         rs = [r for r, _ in WALKER_DRAWS] + [0.9, 18.0]
@@ -1197,7 +1209,7 @@ class TestBatchedWalker:
         assert zeros.count_with_retry_many([]) == []
         assert zeros.circle_mean_log_abs_many([], 1e-8) == []
         assert zeros.jensen_residuals([]) == []
-        rows = experiments._jensen_chunk((0.5, 3.0, 1.25, 1e-8, math.log(1e300), 0, 0, 3))
+        rows = experiments._jensen_chunk(0.5, 3.0, 1.25, 1e-8, math.log(1e300), 0, range(3))
         assert [(row[3], row[4], row[-1]) for row in rows] == [(-1, -1, False)] * 3
 
     def test_one_walk_per_count(self, monkeypatch):
@@ -1278,12 +1290,12 @@ class TestOneWalk:
         terms = zeros._arc_terms
 
         def recording(gafs, rs, rows):
-            on_grid, slack, bounds, ceiling = terms(gafs, rs, rows)
+            slack, bounds, ceiling = terms(gafs, rs, rows)
 
             def read(rows, mods):
                 reads.append(mods.shape[1])
                 return bounds(rows, mods)
-            return on_grid, slack, read, ceiling
+            return slack, read, ceiling
 
         monkeypatch.setattr(zeros, "_arc_terms", recording)
         log_floor = math.log(100.0) + gaf.log_tail_sd
