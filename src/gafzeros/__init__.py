@@ -10,8 +10,8 @@ from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, coefficien
                      covariance, expected_count, log_sigma, log_weight,
                      sample_coefficients, sample_truncated, stream, weight_ratio_bound)
 from .zeros import (CountResult, InconclusiveCount, JensenCheck,
-                    RootsDidNotConverge, circle_mean_log_abs_many, count_in_disk,
-                    count_replicas, count_with_retry, count_with_retry_many,
+                    RootsDidNotConverge, certified_counts, circle_mean_log_abs_many,
+                    count_in_disk, count_replicas, count_with_retry,
                     find_gaf_roots, find_roots_many, jensen_residuals, max_modulus)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
                      bernoulli_probs, sample_radii, tail_log_brackets)

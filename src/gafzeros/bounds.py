@@ -18,10 +18,16 @@ from .radial import TailBracket
 
 
 class ExponentRegime(Enum):
+    """The displayed rates that ``predicted_exponent`` evaluates.
+
+    Every regime but one is the scale of one event kind in the
+    ``event-bound`` experiment.  HYPERBOLIC_UPPER_KAPPA has no reader yet: it
+    is the kappa-scale surrogate that a certified hyperbolic upper bound is
+    to be compared with.
+    """
+
     # overcrowding a fixed disk, planar model: (1/2) m^2 log m
     PLANAR_OVERCROWD = "planar-overcrowd"
-    # hyperbolic lower bound as stated: m^2 / |log r|
-    HYPERBOLIC_LOWER = "hyperbolic-lower"
     # hyperbolic lower bound realized by the constructive event: m(m+1) |log r|
     HYPERBOLIC_LOWER_CONSTRUCTIVE = "hyperbolic-lower-constructive"
     # hyperbolic upper bound surrogate: kappa(r) m^2 log^2 r
@@ -30,12 +36,6 @@ class ExponentRegime(Enum):
     VERY_LARGE = "very-large"
     # same with 1 < alpha < 2: gamma^3 r^{3 alpha - 2}
     MODERATE = "moderate"
-    # P[log max modulus <= -m], planar: 2 m^2 / log m
-    MAXMOD_PLANAR_UPPER = "maxmod-planar-upper"
-    # P[max modulus <= e^{-m}], hyperbolic: m^2 / |log r|
-    MAXMOD_HYPERBOLIC_UPPER = "maxmod-hyperbolic-upper"
-    # doubly exponential max-modulus bound: inner exponent e^{eps t^2}
-    MAXMOD_DOUBLE_EXP = "maxmod-double-exp"
 
 
 class SumNLogN(NamedTuple):
@@ -93,14 +93,10 @@ def _poisson_tail_bound_series(lam: float, n_start: int) -> float:
 
 _REGIME_PARAMS = {
     ExponentRegime.PLANAR_OVERCROWD: {"m"},
-    ExponentRegime.HYPERBOLIC_LOWER: {"m", "r"},
     ExponentRegime.HYPERBOLIC_LOWER_CONSTRUCTIVE: {"m", "r"},
     ExponentRegime.HYPERBOLIC_UPPER_KAPPA: {"m", "r"},
     ExponentRegime.VERY_LARGE: {"alpha", "gamma", "r"},
     ExponentRegime.MODERATE: {"alpha", "gamma", "r"},
-    ExponentRegime.MAXMOD_PLANAR_UPPER: {"m"},
-    ExponentRegime.MAXMOD_HYPERBOLIC_UPPER: {"m", "r"},
-    ExponentRegime.MAXMOD_DOUBLE_EXP: {"epsilon", "t"},
 }
 
 
@@ -124,10 +120,6 @@ def predicted_exponent(regime: ExponentRegime, **params) -> float:
         m = params["m"]
         need(m >= 2, "m must be >= 2")
         return 0.5 * m * m * math.log(m)
-    if regime is ExponentRegime.HYPERBOLIC_LOWER:
-        m, r = params["m"], params["r"]
-        need(m >= 1 and 0 < r < 1, "m >= 1 and 0 < r < 1")
-        return m * m / abs(math.log(r))
     if regime is ExponentRegime.HYPERBOLIC_LOWER_CONSTRUCTIVE:
         m, r = params["m"], params["r"]
         need(m >= 1 and 0 < r < 1, "m >= 1 and 0 < r < 1")
@@ -144,18 +136,6 @@ def predicted_exponent(regime: ExponentRegime, **params) -> float:
         a, g, r = params["alpha"], params["gamma"], params["r"]
         need(1 < a < 2 and g > 0 and r > 0, "1 < alpha < 2, gamma > 0, r > 0")
         return g ** 3 * r ** (3 * a - 2)
-    if regime is ExponentRegime.MAXMOD_PLANAR_UPPER:
-        m = params["m"]
-        need(m >= 2, "m must be >= 2")
-        return 2.0 * m * m / math.log(m)
-    if regime is ExponentRegime.MAXMOD_HYPERBOLIC_UPPER:
-        m, r = params["m"], params["r"]
-        need(m >= 1 and 0 < r < 1, "m >= 1 and 0 < r < 1")
-        return m * m / abs(math.log(r))
-    if regime is ExponentRegime.MAXMOD_DOUBLE_EXP:
-        eps, t = params["epsilon"], params["t"]
-        need(eps > 0 and t > 0, "epsilon > 0 and t > 0")
-        return math.exp(eps * t * t)
     raise AssertionError("unreachable")
 
 

@@ -368,8 +368,8 @@ def _jensen_chunk(r_lo, r_hi, ratio, quad_tol, log_guard, seed, keys):
         r = r_lo + (r_hi - r_lo) * rng.random()
         big_r = ratio * r
         trials.append((trial, r, big_r, models.sample_truncated(model, big_r, rng)))
-    counted = zeros.count_with_retry_many([(gaf, r, log_guard + gaf.log_tail_sd)
-                                           for _, r, _, gaf in trials])
+    counted = zeros.certified_counts([(gaf, r, log_guard + gaf.log_tail_sd)
+                                      for _, r, _, gaf in trials])
     resolved = [not isinstance(c, zeros.InconclusiveCount) for c in counted]
     checks = iter(zeros.jensen_residuals([(gaf, r, big_r) for (_, r, big_r, gaf), ok
                                           in zip(trials, resolved) if ok], quad_tol=quad_tol))

@@ -274,8 +274,14 @@ def coefficient_rows(gafs, radii):
     f(s u) = e^L sum_k c_k u^k, every |c_k| <= 1, and no weight underflows or power
     of s overflows.  size_k = |c_k| from the real exponent; reach_k = |log |a_k||
     + |log sigma_k| + k |log s| + |L| + pi bounds the logs summed into it.  Rows
-    are zero-padded to one matrix, 0 where a_k = 0; a zero draw has L = 0.
+    are zero-padded to one matrix, 0 where a_k = 0; a zero draw has L = 0.  Each
+    radius must lie in (0, radius_of_use (1 + DOMAIN_SLACK)] of its draw (ValueError).
     """
+    for gaf, s in zip(gafs, radii):
+        if not s > 0:
+            raise ValueError("radius must be positive")
+        if s > gaf.radius_of_use * (1.0 + DOMAIN_SLACK):
+            raise ValueError("evaluation point outside radius_of_use")
     width = max((len(gaf.coeffs) for gaf in gafs), default=0)
     k = np.arange(width)
     log_a = np.full((len(gafs), width), -np.inf, dtype=complex)

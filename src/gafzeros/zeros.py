@@ -81,9 +81,6 @@ def _coefficient_rows(gafs, rs):
     n only and keeps +0 past its own length, so each row gets the bits of a
     transform of its coefficients alone.
     """
-    for gaf, r in zip(gafs, rs):
-        if r > gaf.radius_of_use * (1.0 + DOMAIN_SLACK):
-            raise ValueError("evaluation point outside radius_of_use")
     b, log_scale, size, reach = coefficient_rows(gafs, rs)
     lens = np.array([len(gaf.coeffs) for gaf in gafs], dtype=int)
     k = np.arange(b.shape[1])
@@ -236,7 +233,7 @@ def _arc_terms(gafs, rs, rows):
     return slack, bounds, ceiling
 
 
-def count_with_retry_many(cases, start_nodes=256, max_nodes=MAX_NODES) -> list:
+def certified_counts(cases, start_nodes=256, max_nodes=MAX_NODES) -> list:
     """The certified winding count in |z| < r of every (gaf, r, log floor) case, on one walk.
 
     A case's floor is e^{log floor - L} in units of e^L (0 for a log floor of
@@ -246,12 +243,11 @@ def count_with_retry_many(cases, start_nodes=256, max_nodes=MAX_NODES) -> list:
     the margin needs.  Returns one entry per case: its CountResult, or an
     InconclusiveCount where a node is at or below the floor, the margin
     stays at or below it at the node cap, or the phase total is no count.
+    A radius at or below 0 or past radius_of_use raises ValueError in
+    ``models.coefficient_rows``.
     """
-    for _, r, log_floor in cases:
-        if not r > 0:
-            raise ValueError("radius must be positive")
-        if math.isnan(log_floor):
-            raise ValueError("log floor must be a number or -inf")
+    if any(math.isnan(log_floor) for _, _, log_floor in cases):
+        raise ValueError("log floor must be a number or -inf")
     gafs, rs = [f for f, _, _ in cases], [r for _, r, _ in cases]
     out = [None] * len(gafs)
     rows = _coefficient_rows(gafs, rs)
@@ -302,11 +298,12 @@ def _winding_result(total, mn, n):
 def count_with_retry(f, r, log_floor):
     """Certified winding count of the TruncatedGaf f in |z| < r, as (CountResult, 0).
 
-    The one-case form of ``count_with_retry_many``; an unresolved count raises.
-    No count is retried: the name and the 0 stay because ``perfbench/tracer.py``
-    wraps this function and reads that entry.
+    The one-case form of ``certified_counts``; an unresolved count raises.
+    No code in the package calls it, and no count is retried: the function,
+    its name and the 0 stay only because ``perfbench/tracer.py`` wraps it and
+    reads that entry.
     """
-    (res,) = count_with_retry_many([(f, r, log_floor)])
+    (res,) = certified_counts([(f, r, log_floor)])
     if isinstance(res, InconclusiveCount):
         raise res
     return res, 0
@@ -322,7 +319,7 @@ def count_replicas(model: GafModel, r, degree, log_guard, seed, keys):
     """Certified zero counts in |z| < r of independent truncated draws.
 
     Replica k samples ``model`` at ``degree`` from ``stream(seed, k)``; blocks of
-    ``REPLICA_BLOCK`` replicas are counted together by ``count_with_retry_many``.
+    ``REPLICA_BLOCK`` replicas are counted together by one ``certified_counts`` call.
     Every replica shares (model, degree, r), so a block reads the log floor
     ``log_guard + log_tail_sd`` once, from its first draw.  Returns one count
     per key, -1 where the replica's count is not certified.
@@ -333,7 +330,7 @@ def count_replicas(model: GafModel, r, degree, log_guard, seed, keys):
         gafs = [sample_truncated(model, r, stream(seed, k), degree=degree)
                 for k in keys[lo: lo + REPLICA_BLOCK]]
         log_floor = log_guard + gafs[0].log_tail_sd
-        results = count_with_retry_many([(gaf, r, log_floor) for gaf in gafs])
+        results = certified_counts([(gaf, r, log_floor) for gaf in gafs])
         counts[lo: lo + len(results)] = [-1 if isinstance(res, InconclusiveCount) else res.count
                                          for res in results]
     return counts
@@ -573,9 +570,6 @@ def circle_mean_log_abs_many(cases, tol, start_nodes=128, max_nodes=MAX_NODES) -
     or a case unsettled at the node cap.
     """
     fs, ss = [f for f, _ in cases], [s for _, s in cases]
-    for s in ss:
-        if not s > 0:
-            raise ValueError("radius must be positive")
     out = [None] * len(fs)
     on_grid, log_scale, _, _ = _coefficient_rows(fs, ss)
     est = np.full(len(fs), np.nan)  # NaN, like no estimate, passes no test

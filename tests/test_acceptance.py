@@ -79,12 +79,9 @@ def test_criterion_03_hyperbolic_sandwich():
 def test_criterion_04_constructive_event_soundness():
     t0 = time.time()
     ev = gz.build_event(EventKind.PLANAR_DOMINATION, r=2.0, m=16)
-    failures = 0
-    for k in range(1000):
-        draw = gz.conditioned_sample(ev, gz.stream(SEED, k))
-        res, _ = gz.certified_event_count(ev, draw)
-        if res.count != 16:
-            failures += 1
+    draws = [gz.conditioned_sample(ev, gz.stream(SEED, k)) for k in range(1000)]
+    failures = sum(not (isinstance(res, gz.CountResult) and res.count == 16)
+                   for res in gz.certified_event_count(ev, draws))
     elapsed = time.time() - t0
     ok = failures == 0 and elapsed < 300.0
     _report(4, ok, f"1000 conditioned samples at r=2, m=16 "

@@ -75,17 +75,18 @@ class TestPredictedExponent:
                                   r=10.0) == pytest.approx(0.5e6 * math.log(10), rel=1e-12)
         assert predicted_exponent(ExponentRegime.MODERATE, alpha=1.5, gamma=2.0,
                                   r=100.0) == pytest.approx(8.0e5, rel=1e-12)
-        m = math.e**2
-        assert predicted_exponent(ExponentRegime.MAXMOD_PLANAR_UPPER, m=m) == pytest.approx(
-            math.e**4, rel=1e-12)
 
-    def test_hyperbolic_and_double_exp(self):
-        assert predicted_exponent(ExponentRegime.HYPERBOLIC_LOWER, m=10, r=0.5) == \
-            pytest.approx(100 / math.log(2), rel=1e-12)
+    def test_hyperbolic_lower_constructive(self):
         assert predicted_exponent(ExponentRegime.HYPERBOLIC_LOWER_CONSTRUCTIVE,
                                   m=10, r=0.5) == pytest.approx(110 * math.log(2), rel=1e-12)
-        assert predicted_exponent(ExponentRegime.MAXMOD_DOUBLE_EXP, epsilon=0.1,
-                                  t=3.0) == pytest.approx(math.exp(0.9), rel=1e-12)
+
+    def test_hyperbolic_upper_kappa(self):
+        for m, r in ((10, 0.5), (3, 0.9)):
+            assert predicted_exponent(ExponentRegime.HYPERBOLIC_UPPER_KAPPA, m=m, r=r) == \
+                pytest.approx(kappa(r) * m * m * math.log(r) ** 2, rel=1e-12)
+        for m, r in ((10, 1.0), (0, 0.5)):
+            with pytest.raises(ValueError):
+                predicted_exponent(ExponentRegime.HYPERBOLIC_UPPER_KAPPA, m=m, r=r)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -432,11 +432,14 @@ class TestBenchmarkTracer:
                     (EventKind.VERY_LARGE_DOMINATION, {"r": 2.0, "alpha": 3.0, "gamma": 1.0}),
                     (EventKind.MODERATE_GROUPED, {"r": 8.0, "alpha": 1.5, "gamma": 1.0})):
                 events.event_log_prob_detail(events.build_event(kind, **kw))
-            # a conditioned count reaches zeros.count_with_retry through its
-            # binding in events, whose (CountResult, 0) pair the probe reads
             ev = events.build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=3)
             sample = events.conditioned_sample(ev, models.stream(5, 0))
-            res, _ = events.certified_event_count(ev, sample)
+            (res,) = events.certified_event_count(ev, [sample])
+            # a call through the binding of zeros.count_with_retry in events is
+            # traced, and the probe reads the 0 of its (CountResult, 0) pair
+            gaf = models.TruncatedGaf(ev.model, sample, ev.r)
+            floor = events.event_tail_sup_bound(ev, gaf.degree)
+            one, _ = events.count_with_retry(gaf, ev.r, floor)
             # the benchmark's false share reads one bool per verdict
             events.verify_domination(ev, sample)
         finally:
@@ -450,9 +453,27 @@ class TestBenchmarkTracer:
         assert calls["events.verify_domination"] == 1
         (verdict,) = tracer.counts["events.verify_domination"]
         assert type(verdict) is bool and verdict == events.verify_domination(ev, sample)
-        assert res.count == 3
+        assert res.count == 3 and one == res
         assert not hasattr(events.build_event, "__wrapped__")
         assert not hasattr(events.count_with_retry, "__wrapped__")
+
+    @pytest.mark.parametrize("workload", ["roots-jensen", "exact-tails"])
+    def test_tiny_workloads_run_clean_under_the_tracer(self, workload, tmp_path):
+        # a public name that collides with a tracer probe, or a probe that
+        # fails on what it reads, shows here and not first in a benchmark run
+        workloads = _load_benchmark_module("workloads")
+        tracer = _load_benchmark_module("tracer").Tracer()
+        tracer.install()
+        try:
+            for i, cfg in enumerate(workloads.configs(workload, 1, tiny=True)):
+                experiments.run(RunConfig.from_dict(cfg), str(tmp_path / str(i)))
+        finally:
+            tracer.uninstall()
+        assert dict(tracer.errors) == {}
+        metrics = tracer.layer_metrics(1.0)
+        assert all(math.isfinite(v) for v in metrics.values())
+        if workload == "roots-jensen":
+            assert metrics["events.verify_domination.calls"] > 0
 
 
 class TestBenchmarkOutputChecks:

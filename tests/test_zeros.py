@@ -40,7 +40,7 @@ def row_of(gaf, r):
 
 def walk_count(gaf, r, log_floor, max_nodes=MAX_NODES):
     # the one-row count of the walker, its CountResult or InconclusiveCount
-    (res,) = zeros.count_with_retry_many([(gaf, r, log_floor)], 256, max_nodes)
+    (res,) = zeros.certified_counts([(gaf, r, log_floor)], 256, max_nodes)
     return res
 
 
@@ -941,6 +941,23 @@ class TestCoefficientPath:
         # a radius within the guard's DOMAIN_SLACK is counted
         assert count_with_retry(gaf, r * (1.0 + 5e-13), -math.inf)[0].count >= 0
 
+    @pytest.mark.parametrize("entry", [
+        lambda gaf, s: coefficient_rows([gaf], [s]),
+        lambda gaf, s: find_gaf_roots([gaf], [s]),
+        lambda gaf, s: zeros.certified_counts([(gaf, s, -math.inf)]),
+        lambda gaf, s: circle_mean_log_abs_many([(gaf, s)], 1e-8),
+        lambda gaf, s: max_modulus(gaf, s),
+    ], ids=["rows", "roots", "counts", "means", "max"])
+    def test_every_row_reader_checks_its_radius(self, entry):
+        # one guard in models.coefficient_rows: a planar draw fit for r = 2
+        # has no row at 3 (its tail bound holds only up to 2), nor at 0 or -1
+        gaf = sample_truncated(PLANAR, 2.0, stream(7, 0))
+        with pytest.raises(ValueError, match="outside radius_of_use"):
+            entry(gaf, 3.0)
+        for s in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                entry(gaf, s)
+
 
 def arc_bounds(gaf, r, n):
     # the walker's lower bound on |f| over the half arcs next to each node
@@ -1118,7 +1135,7 @@ class TestBatchedWalker:
 
     def check_counts(self, floors, max_nodes):
         rows = mixed_rows()
-        got = batch_outcomes(zeros.count_with_retry_many(
+        got = batch_outcomes(zeros.certified_counts(
             [(gaf, r, floor) for (gaf, r), floor in zip(rows, floors)], 256, max_nodes))
         for g, (gaf, r), floor in zip(got, rows, floors):
             assert g == outcome(ref_count, FftReference(gaf), r, floor, max_nodes=max_nodes)
@@ -1206,7 +1223,7 @@ class TestBatchedWalker:
 
     def test_empty_batches(self):
         # a chunk whose every count stays unresolved solves and walks nothing
-        assert zeros.count_with_retry_many([]) == []
+        assert zeros.certified_counts([]) == []
         assert zeros.circle_mean_log_abs_many([], 1e-8) == []
         assert zeros.jensen_residuals([]) == []
         rows = experiments._jensen_chunk(0.5, 3.0, 1.25, 1e-8, math.log(1e300), 0, range(3))
@@ -1238,7 +1255,7 @@ class TestBatchedWalker:
         r = 3.0 + 3.0 * rng.random()
         gaf = sample_truncated(PLANAR, 1.25 * r, rng)
         rows.append((gaf, r, math.log(100.0) + gaf.log_tail_sd))
-        got = batch_outcomes(zeros.count_with_retry_many(rows))
+        got = batch_outcomes(zeros.certified_counts(rows))
         assert walks == [len(rows)]
         for g, (gaf, r, floor) in zip(got, rows):
             assert g == outcome(ref_count, FftReference(gaf), r, floor)
@@ -1272,7 +1289,7 @@ class TestOneWalk:
             return walk(on_grid, size, start, cap, rec)
 
         monkeypatch.setattr(zeros, "_circle_grids", counting)
-        (res,) = zeros.count_with_retry_many([(gaf, r, math.log(100.0) + gaf.log_tail_sd)])
+        (res,) = zeros.certified_counts([(gaf, r, math.log(100.0) + gaf.log_tail_sd)])
         assert isinstance(res, InconclusiveCount)
         assert str(res).startswith(PANEL_FLOOR_HIT)
         assert walks == [1]
@@ -1299,7 +1316,7 @@ class TestOneWalk:
 
         monkeypatch.setattr(zeros, "_arc_terms", recording)
         log_floor = math.log(100.0) + gaf.log_tail_sd
-        (res,) = zeros.count_with_retry_many([(gaf, r, log_floor)])
+        (res,) = zeros.certified_counts([(gaf, r, log_floor)])
         assert outcome(ref_count, FftReference(gaf), r, log_floor) == \
             ("inconclusive", str(res))
         assert str(res).startswith(PANEL_FLOOR_HIT)
