@@ -150,8 +150,6 @@ def log_lower_gamma_cdf(shape, log_x):
         raise ValueError("shape must be positive")
     with np.errstate(over="ignore"):
         x = math.exp(min(log_x, 700.0))
-    if x > shape:
-        return float(np.log(special.gammainc(shape, x)))
     v = special.gammainc(shape, x) if log_x > -700 else 0.0
     if v > 1e-280:
         return float(np.log(v))
@@ -215,7 +213,7 @@ def golden_max(f, lo, hi, tol):
     return x, f(x)
 
 
-def certified_log_series(log_terms, start, ratio_bound, *, rel_tol=1e-18):
+def certified_log_series(log_terms, start, ratio_bound, *, rel_tol):
     """log of sum_{n >= start} exp(log_terms(n)) with a certified remainder.
 
     ``log_terms`` maps an index array to its log terms, and ``ratio_bound(n)``

@@ -645,7 +645,7 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
         raise TypeError("target must be a RadialEnsemble")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    depth = _profile_depth(target, r, 1e-9, m + 8)
+    depth = _profile_depth(target, r, m + 8)
     hits = 0
     for block in range((trials + _MC_CHUNK - 1) // _MC_CHUNK):
         take = min(_MC_CHUNK, trials - block * _MC_CHUNK)

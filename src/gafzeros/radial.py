@@ -35,6 +35,8 @@ from . import _num
 # of three in-process exact-tails passes in one matrix raised their peak RSS
 # to 62.6 MB; chunks of 8192 cells keep it at 58.5 MB.
 BRACKET_CELLS = 8192
+PROFILE_EPS = 1e-9  # the neglected-index mass of a profile is below it
+BRACKET_WIDTH = 1e-6  # ``tail_log_brackets`` deepens a read until it is this wide
 
 
 class RadialEnsemble(Enum):
@@ -118,29 +120,25 @@ def _depth_for_mass(ensemble: RadialEnsemble, r: float, log_mass: float, n: int,
     return n
 
 
-def _profile_depth(ensemble: RadialEnsemble, r: float, eps: float,
-                   min_terms: int | None, neglected=None) -> int:
-    """Depth of ``bernoulli_probs(ensemble, r, eps, min_terms=min_terms)``."""
+def _profile_depth(ensemble: RadialEnsemble, r: float, min_terms: int | None,
+                   neglected=None) -> int:
+    """Depth of ``bernoulli_probs(ensemble, r, min_terms=min_terms)``."""
     _check_domain(ensemble, r)
-    if not 0 < eps <= 1e-3:
-        raise ValueError("eps must lie in (0, 1e-3]")
-    if ensemble is RadialEnsemble.HYPERBOLIC_ONE:
-        n = max(1, min_terms or 0)
-    else:
-        n = max(int(math.ceil(2 * r * r)) + 4, 8, min_terms or 0)
-    return _depth_for_mass(ensemble, r, math.log(eps), n, 1.5, neglected)
+    least = 1 if ensemble is RadialEnsemble.HYPERBOLIC_ONE else max(math.ceil(2 * r * r) + 4, 8)
+    return _depth_for_mass(ensemble, r, math.log(PROFILE_EPS), max(least, min_terms or 0), 1.5,
+                           neglected)
 
 
-def bernoulli_probs(ensemble: RadialEnsemble, r: float, eps: float = 1e-9,
-                    *, min_terms: int | None = None) -> BernoulliProfile:
-    """Success probabilities with the neglected-index mass bounded below eps.
+def bernoulli_probs(ensemble: RadialEnsemble, r: float, *,
+                    min_terms: int | None = None) -> BernoulliProfile:
+    """Success probabilities with the neglected-index mass bounded below PROFILE_EPS.
 
-    ``min_terms`` forces a deeper profile than eps alone would pick; tail
+    ``min_terms`` forces a deeper profile than PROFILE_EPS alone would pick; tail
     evaluations at level m need indices well past m regardless of how small
     their individual probabilities are.  Every entry depends on its index
     alone, so a deeper profile extends a shallower one bit for bit.
     """
-    n = _profile_depth(ensemble, r, eps, min_terms)
+    n = _profile_depth(ensemble, r, min_terms)
     idx = np.arange(1, n + 1)
     if ensemble is RadialEnsemble.HYPERBOLIC_ONE:
         log_p = idx * (2.0 * math.log(r))
@@ -149,12 +147,14 @@ def bernoulli_probs(ensemble: RadialEnsemble, r: float, eps: float = 1e-9,
     else:
         lam = r * r
         log_p = _ginibre_log_p(r, idx)
-        # 1 - p_n = Q(n, lam): the complementary gamma keeps log(1-p) accurate
-        # when p is within rounding of 1
+        # 1 - p_n = Q(n, lam) = P[Pois(lam) < n], accurate where p is within rounding
+        # of 1; where Q underflows, its log is the running log-sum of the terms k < n
         lin_q = special.gammaincc(idx.astype(float), lam)
-        with np.errstate(divide="ignore"):
-            log_q = np.where(lin_q > 1e-280, np.log(np.maximum(lin_q, 1e-300)),
-                             np.log1p(-np.exp(log_p)))
+        log_q = np.log(np.maximum(lin_q, 1e-300))
+        under = np.flatnonzero(~(lin_q > 1e-280))
+        k = np.arange(under.max(initial=-1) + 1)
+        log_q[under] = np.logaddexp.accumulate(k * math.log(lam) - lam
+                                               - special.gammaln(k + 1))[under]
     return BernoulliProfile(ensemble=ensemble, r=r, log_probs=log_p, log_one_minus=log_q,
                             log_neglected=_log_neglected(ensemble, r, n))
 
@@ -273,8 +273,7 @@ def _brackets(states, log_neglected):
     return np.where(lower > 0.0, 0.0, lower), np.where(upper > 0.0, 0.0, upper), head
 
 
-def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms, eps: float = 1e-9, *,
-                      target_width=1e-6) -> list[TailBracket]:
+def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms) -> list[TailBracket]:
     """Tail brackets for every level in ``ms``, priced in rounds of one DP sweep each.
 
     Level m is read first at the depth of ``bernoulli_probs(min_terms=m + 8)``.
@@ -283,7 +282,7 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms, eps: float = 1e-9,
     (``_states``), takes each read's state [pmf[:m], absorbed] at that
     read's depth, and prices the states in batched brackets (``_brackets``,
     in chunks of ``BRACKET_CELLS`` cells).
-    A read still wider than ``target_width`` moves to the next round at the
+    A read still wider than BRACKET_WIDTH moves to the next round at the
     depth whose neglected mass its survival step says would meet the target,
     at most four times per level.  Each bracket is the one a DP restarted at
     index 1 with that depth's profile would give.
@@ -295,25 +294,25 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms, eps: float = 1e-9,
     levels = sorted({int(m) for m in ms if m > 0})
     if levels:
         neglected = functools.cache(functools.partial(_log_neglected, ensemble, r))
-        reads = {m: _profile_depth(ensemble, r, eps, m + 8, neglected) for m in levels}
+        reads = {m: _profile_depth(ensemble, r, m + 8, neglected) for m in levels}
         profile, refinements, saved = None, 0, {}
         while reads:
             deepest = max(reads.values())
             if profile is None or deepest > profile.size:
-                profile = bernoulli_probs(ensemble, r, eps, min_terms=deepest)
+                profile = bernoulli_probs(ensemble, r, min_terms=deepest)
             states = _states(list(reads), list(reads.values()),
                              profile.log_probs, profile.log_one_minus, saved)
             lower, upper, head = _brackets(states, [neglected(d) for d in reads.values()])
-            met = upper - lower <= target_width
+            met = upper - lower <= BRACKET_WIDTH
             wide = {}
             for i, (m, depth) in enumerate(reads.items()):
                 if met[i] or refinements == 4:
                     done[m] = TailBracket(float(lower[i]), float(upper[i]))
                     continue
                 # the survival step at m gives the neglected mass that would meet the target
-                needed = math.log(target_width / 2.0) + head[i, 0] - head[i, 1]
+                needed = math.log(BRACKET_WIDTH / 2.0) + head[i, 0] - head[i, 1]
                 start = depth + 8 if ensemble is RadialEnsemble.HYPERBOLIC_ONE else depth
-                # past a first-read depth that met eps, so eps needs nothing more
+                # past a first-read depth that met PROFILE_EPS, which needs nothing more
                 wide[m] = _depth_for_mass(ensemble, r, needed, start, 1.4, neglected)
             reads, refinements = wide, refinements + 1
     return [done[m] for m in ms]

@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _num
-from .models import (DOMAIN_SLACK, GafModel, TruncatedGaf, coefficient_rows, sample_truncated,
-                     stream)
+from .models import GafModel, TruncatedGaf, coefficient_rows, sample_truncated, stream
 
 _TWO_PI = 2.0 * math.pi
-MAX_NODES = 2**20
+MAX_NODES = 2**20  # node cap of both circle walks, past either start grid
+COUNT_START_NODES = 256
+MEAN_START_NODES = 128
 HARD_FLOOR = 1e-300  # row moduli |f|/e^L at or below this are a hard failure, never clamped
 # Roots per block of ``find_roots_many``.  An Aberth iteration pays a fixed
 # numpy call cost per Horner step and per group of equal degree with an
@@ -37,6 +38,8 @@ HARD_FLOOR = 1e-300  # row moduli |f|/e^L at or below this are a hard failure, n
 # a roots-jensen pass, iterating only the active roots, 512 and 1024 took
 # the same CPU time (0.26-0.27 s), 2048 and 4096 more (0.28 and 0.30-0.33 s).
 ROOT_BLOCK = 1024
+ROOT_RESIDUAL_TOL = 1e-10  # of the backward-error scale, see ``find_roots_many``
+ROOT_MAX_ITER = 200
 
 
 class InconclusiveCount(RuntimeError):
@@ -233,16 +236,17 @@ def _arc_terms(gafs, rs, rows):
     return slack, bounds, ceiling
 
 
-def certified_counts(cases, start_nodes=256, max_nodes=MAX_NODES) -> list:
+def certified_counts(cases) -> list:
     """The certified winding count in |z| < r of every (gaf, r, log floor) case, on one walk.
 
-    A case's floor is e^{log floor - L} in units of e^L (0 for a log floor of
-    -inf).  A case stops at the first level where its arc margin is above its
-    floor, and sums the phase increments there; f' is read only where min |f|
-    less the slack and the ceiling of the margin are both above the floor, as
-    the margin needs.  Returns one entry per case: its CountResult, or an
+    The walk starts on COUNT_START_NODES nodes.  A case's floor is
+    e^{log floor - L} in units of e^L (0 for a log floor of -inf).  A case
+    stops at the first level where its arc margin is above its floor, and
+    sums the phase increments there; f' is read only where min |f| less the
+    slack and the ceiling of the margin are both above the floor, as the
+    margin needs.  Returns one entry per case: its CountResult, or an
     InconclusiveCount where a node is at or below the floor, the margin
-    stays at or below it at the node cap, or the phase total is no count.
+    stays at or below it at MAX_NODES, or the phase total is no count.
     A radius at or below 0 or past radius_of_use raises ValueError in
     ``models.coefficient_rows``.
     """
@@ -275,12 +279,12 @@ def certified_counts(cases, start_nodes=256, max_nodes=MAX_NODES) -> list:
             for j, total in zip(stop, np.angle(nxt / vals).sum(axis=1)):
                 out[rows[j]] = _winding_result(float(total), float(mn[j]), n)
             keep[stop] = False
-        for i in rows[keep] if n >= max_nodes else ():
+        for i in rows[keep] if n >= MAX_NODES else ():
             out[i] = InconclusiveCount(f"arc margin not above floor {floor_of[i]:.3e} "
                                        f"at {n} nodes on |z| = {rs[i]}")
         return keep
 
-    _circle_grids(rows[0], len(gafs), start_nodes, max_nodes, step)
+    _circle_grids(rows[0], len(gafs), COUNT_START_NODES, MAX_NODES, step)
     return out
 
 
@@ -424,7 +428,7 @@ def _values_with_pullback(rows, z):
     return z, p, dp
 
 
-def _aberth_block(cs, at_zero, residual_tol, max_iter):
+def _aberth_block(cs, at_zero):
     """``find_roots_many`` of the polynomials cs (degree >= 2, ascending), in one loop.
 
     ``at_zero[j]`` holds the roots at 0 that polynomial j had stripped.  The
@@ -450,7 +454,7 @@ def _aberth_block(cs, at_zero, residual_tol, max_iter):
     groups = [(int(lo), int(d), int(lo + c * d)) for lo, d, c in zip(starts[at], ds, counts)]
     active = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(ROOT_MAX_ITER):
             za, p, dp = _values_with_pullback(rows[:, np.concatenate([active, n + active])],
                                               z[active])
             z[active] = za
@@ -485,7 +489,7 @@ def _aberth_block(cs, at_zero, residual_tol, max_iter):
         resid = np.abs(_num.horner(c, z))
     rel = resid / np.maximum(scale, 1e-300)
     # NaN must count as failure, never as a pass
-    ok = np.isfinite(rel) & (rel <= residual_tol)
+    ok = np.isfinite(rel) & (rel <= ROOT_RESIDUAL_TOL)
     out = []
     for a, b, zeros_j in zip(starts, ends, at_zero):
         roots = np.concatenate([zeros_j, z[a:b]])
@@ -497,18 +501,18 @@ def _aberth_block(cs, at_zero, residual_tol, max_iter):
     return out
 
 
-def find_roots_many(polys, *, residual_tol=1e-10, max_iter=200) -> list:
+def find_roots_many(polys) -> list:
     """All roots of every polynomial sum c_n z^n in ``polys``, solved together.
 
-    Roots come from Aberth-Ehrlich iteration with two Newton polish steps,
-    and pass when every residual |p(z)| is within ``residual_tol`` of the
-    backward-error scale sum |c_n| |z|^n.  Returns one entry per polynomial:
-    its roots, or a RootsDidNotConverge carrying the partial roots, so a
-    failure stays with its own polynomial.  The polynomials of degree 2 and
-    up are sorted by degree and cut into blocks of at most ROOT_BLOCK roots
-    (a larger one is a block of its own); one Aberth loop runs per block,
-    and every root comes out bit for bit as from a block of its polynomial
-    alone.  A zero polynomial raises ValueError.
+    Roots come from at most ROOT_MAX_ITER Aberth-Ehrlich iterations with two
+    Newton polish steps, and pass when every residual |p(z)| is within
+    ROOT_RESIDUAL_TOL of the backward-error scale sum |c_n| |z|^n.  Returns
+    one entry per polynomial: its roots, or a RootsDidNotConverge carrying
+    the partial roots, so a failure stays with its own polynomial.  The
+    polynomials of degree 2 and up are sorted by degree and cut into blocks
+    of at most ROOT_BLOCK roots (a larger one is a block of its own); one
+    Aberth loop runs per block, and every root comes out bit for bit as from
+    a block of its polynomial alone.  A zero polynomial raises ValueError.
     """
     out = [None] * len(polys)
     todo = []
@@ -535,7 +539,7 @@ def find_roots_many(polys, *, residual_tol=1e-10, max_iter=200) -> list:
         size += t[0]
     for block in blocks:
         _, index, cs, at_zero = zip(*block)
-        for i, res in zip(index, _aberth_block(cs, at_zero, residual_tol, max_iter)):
+        for i, res in zip(index, _aberth_block(cs, at_zero)):
             out[i] = res
     return out
 
@@ -557,23 +561,22 @@ def count_in_disk(roots, r) -> int:
     return int(np.count_nonzero(np.abs(roots) < r))
 
 
-def circle_mean_log_abs_many(cases, tol, start_nodes=128, max_nodes=MAX_NODES) -> list:
+def circle_mean_log_abs_many(cases, tol) -> list:
     """(1/2pi) integral of log |f(s e^{i theta})| d theta of every (f, s) in ``cases``.
 
-    Node-doubling trapezoid rule on one circle walk: on a periodic uniform
-    grid the rule is the plain node mean, which converges spectrally for
-    analytic nonvanishing f, and a case stops when two levels agree within
-    ``tol``.  The walk reads the rows in units of e^L and adds L to each
-    mean.  Moduli |f|/e^L at or below HARD_FLOOR are a hard failure, since
-    clamping would silently corrupt downstream bounds.  Returns one entry
-    per case: its mean, or an InconclusiveCount for a modulus at the floor
-    or a case unsettled at the node cap.
+    Node-doubling trapezoid rule on one circle walk from MEAN_START_NODES
+    nodes: on a periodic uniform grid the rule is the plain node mean, which
+    converges spectrally for analytic nonvanishing f, and a case stops when
+    two levels agree within ``tol``.  The walk reads the rows in units of
+    e^L and adds L to each mean.  Moduli |f|/e^L at or below HARD_FLOOR are
+    a hard failure, since clamping would silently corrupt downstream bounds.
+    Returns one entry per case: its mean, or an InconclusiveCount for a
+    modulus at the floor or a case unsettled at MAX_NODES.
     """
     fs, ss = [f for f, _ in cases], [s for _, s in cases]
     out = [None] * len(fs)
     on_grid, log_scale, _, _ = _coefficient_rows(fs, ss)
     est = np.full(len(fs), np.nan)  # NaN, like no estimate, passes no test
-    cap = max(max_nodes, 2 * start_nodes)
 
     def step(rows, vals):
         mods = np.abs(vals)
@@ -584,7 +587,7 @@ def circle_mean_log_abs_many(cases, tol, start_nodes=128, max_nodes=MAX_NODES) -
         stop = low | (np.abs(new - est[rows]) < tol)
         est[rows] = new
         n = vals.shape[1]
-        if n >= cap:
+        if n >= MAX_NODES:
             for j in np.flatnonzero(~stop):
                 out[rows[j]] = InconclusiveCount(
                     f"quadrature unstable at node cap ({n} nodes)")
@@ -593,8 +596,7 @@ def circle_mean_log_abs_many(cases, tol, start_nodes=128, max_nodes=MAX_NODES) -
                             if low[j] else float(new[j] + log_scale[rows[j]]))
         return ~stop
 
-    # at least two grids, so that every mean is checked against a refinement
-    _circle_grids(on_grid, len(fs), start_nodes, cap, step)
+    _circle_grids(on_grid, len(fs), MEAN_START_NODES, MAX_NODES, step)
     return out
 
 
@@ -612,8 +614,8 @@ def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
     solve, or the RootsDidNotConverge or InconclusiveCount of the case.
     """
     for gaf, r, R in cases:
-        if not (0 < r < R <= gaf.radius_of_use * (1.0 + DOMAIN_SLACK)):
-            raise ValueError("need 0 < r < R <= radius_of_use")
+        if not 0 < r < R:
+            raise ValueError("need 0 < r < R")
         if gaf.coeffs[0] == 0:
             raise ValueError("f(0) = 0: the identity needs a nonzero constant term")
     solved = find_gaf_roots([gaf for gaf, _, _ in cases], [R for _, _, R in cases])

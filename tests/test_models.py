@@ -345,7 +345,7 @@ class TestCertifiedLogSeries:
         r = 5.0
         got = _num.certified_log_series(
             lambda n: n * math.log(r) - 0.5 * special.gammaln(n + 1), 0,
-            lambda n: r / math.sqrt(n + 1.0))
+            lambda n: r / math.sqrt(n + 1.0), rel_tol=1e-18)
         with mpmath.workdps(40):
             oracle = mpmath.log(mpmath.nsum(
                 lambda n: mpmath.mpf(5) ** n / mpmath.sqrt(mpmath.factorial(n)),

@@ -63,11 +63,12 @@ def reference_tail(profile, m):
     return (min(float(state[m]), 0.0), min(float(special.logsumexp(corr)), 0.0)), survival
 
 
-def reference_bracket(ens, r, m, eps=1e-9, target_width=1e-6):
+def reference_bracket(ens, r, m):
     # per-level refinement: deepen the profile until the bracket meets the target
     if m == 0:
         return (0.0, 0.0)
-    profile = bernoulli_probs(ens, r, eps, min_terms=m + 8)
+    target_width = radial.BRACKET_WIDTH
+    profile = bernoulli_probs(ens, r, min_terms=m + 8)
     br, survival = reference_tail(profile, m)
     for _ in range(4):
         if br[1] - br[0] <= target_width:
@@ -79,7 +80,7 @@ def reference_bracket(ens, r, m, eps=1e-9, target_width=1e-6):
         else:
             while _num.log_poisson_tail_remainder(r * r, n + 1) >= needed:
                 n = int(n * 1.4) + 4
-        profile = bernoulli_probs(ens, r, eps, min_terms=n)
+        profile = bernoulli_probs(ens, r, min_terms=n)
         br, survival = reference_tail(profile, m)
     return br
 
@@ -94,6 +95,21 @@ class TestProfiles:
         for n in range(1, 51):
             assert prof.probs[n - 1] == pytest.approx(brute_poisson_tail(1.0, n), rel=1e-12)
 
+    def test_ginibre_log_one_minus_where_q_underflows(self):
+        # Q(n, r^2) < 1e-280 for the first 6 indices at r = 26, 74 at r = 30
+        # and 404 at r = 40; log Q stays finite there (-r^2 at n = 1)
+        mpmath = pytest.importorskip("mpmath")
+        for r in (26.0, 30.0, 40.0):
+            prof = bernoulli_probs(GIN, r, min_terms=50)
+            assert prof.log_one_minus[0] == -r * r
+            for n in (1, 5, 50):
+                got = prof.log_one_minus[n - 1]
+                with mpmath.workdps(40):
+                    want = float(mpmath.log(mpmath.gammainc(n, r * r, mpmath.inf,
+                                                            regularized=True)))
+                assert math.isfinite(got)
+                assert got == pytest.approx(want, rel=1e-13)
+
     def test_hyperbolic_probabilities(self):
         prof = bernoulli_probs(HYP, 0.5)
         assert prof.probs[1] == pytest.approx(0.0625, rel=1e-14)
@@ -104,17 +120,16 @@ class TestProfiles:
         start = int(math.ceil(4.0))
         assert np.all(np.diff(prof.log_probs[start:]) < 0)
 
-    def test_neglected_mass_below_eps(self):
+    def test_neglected_mass_below_eps(self, monkeypatch):
+        monkeypatch.setattr(radial, "PROFILE_EPS", 1e-6)
         for ens, r in ((GIN, 1.5), (HYP, 0.7)):
-            prof = bernoulli_probs(ens, r, eps=1e-6)
+            prof = bernoulli_probs(ens, r)
             assert prof.neglected_mass < 1e-6
             assert np.all((prof.probs > 0) & (prof.probs < 1))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             bernoulli_probs(HYP, 1.1)
-        with pytest.raises(ValueError):
-            bernoulli_probs(GIN, 1.0, eps=0.5)
 
 
 class TestSampleRadii:
@@ -282,13 +297,33 @@ class TestSweep:
         assert 256 in saved and len(first) == 4
         assert all(resumed[i].tobytes() == fresh[i].tobytes() for i in range(2))
 
-    def test_other_eps_and_width(self):
+    def test_other_eps_and_width(self, monkeypatch):
         for ens, r, eps, width in ((GIN, 2.0, 1e-6, 1e-3), (HYP, 0.8, 1e-4, 1e-10),
                                    (GIN, 6.0, 1e-9, 1e-12)):
+            monkeypatch.setattr(radial, "PROFILE_EPS", eps)
+            monkeypatch.setattr(radial, "BRACKET_WIDTH", width)
             ms = [9, 1, 30, 4, 0, 17]
-            batch = tail_log_brackets(ens, r, ms, eps, target_width=width)
-            assert [tuple(b) for b in batch] == \
-                [reference_bracket(ens, r, m, eps, width) for m in ms]
+            batch = tail_log_brackets(ens, r, ms)
+            assert [tuple(b) for b in batch] == [reference_bracket(ens, r, m) for m in ms]
+
+    def test_refinement_stops_after_four_rounds(self, monkeypatch):
+        # with every depth left where it starts, no round can narrow a
+        # bracket: each level is refined four times, then returned as it is
+        monkeypatch.setattr(radial, "_depth_for_mass", lambda ens, r, log_mass, n, *args: n)
+        rounds = []
+        brackets = radial._brackets
+
+        def counting(states, log_neglected):
+            rounds.append(len(log_neglected))
+            return brackets(states, log_neglected)
+
+        monkeypatch.setattr(radial, "_brackets", counting)
+        got = tail_log_brackets(GIN, 3.0, [10, 15, 20])
+        assert rounds == [3] * 5
+        for br in got:
+            assert math.isfinite(br.log_lower) and math.isfinite(br.log_upper)
+            assert br.log_lower <= br.log_upper <= 0.0
+            assert br.log_upper - br.log_lower > radial.BRACKET_WIDTH
 
     def test_dp_matches_reference_bitwise(self):
         rng = stream(84)

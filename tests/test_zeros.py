@@ -1,5 +1,6 @@
 """Winding counts, roots, circle means, certification."""
 
+import inspect
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge, Truncate
                       choose_truncation, circle_mean_log_abs_many, coefficient_rows,
                       count_in_disk, count_replicas, count_with_retry, experiments,
                       find_gaf_roots, find_roots_many, jensen_residuals, max_modulus, models,
-                      sample_truncated, stream, zeros)
-from gafzeros._num import horner
+                      radial, sample_truncated, stream, zeros)
+from gafzeros._num import certified_log_series, horner
 from gafzeros.models import log_sigma
 
 PLANAR = GafModel.planar()
@@ -38,10 +39,24 @@ def row_of(gaf, r):
     return coefficient_rows([gaf], [r])[0][0]
 
 
+def with_settings(fn, *args, **settings):
+    # fn(*args) with the zeros module constants named in ``settings`` set
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in settings.items():
+            mp.setattr(zeros, name, value)
+        return fn(*args)
+
+
 def walk_count(gaf, r, log_floor, max_nodes=MAX_NODES):
     # the one-row count of the walker, its CountResult or InconclusiveCount
-    (res,) = zeros.certified_counts([(gaf, r, log_floor)], 256, max_nodes)
+    (res,) = with_settings(zeros.certified_counts, [(gaf, r, log_floor)], MAX_NODES=max_nodes)
     return res
+
+
+def walk_means(cases, tol, start, cap):
+    # circle_mean_log_abs_many from a start grid of ``start`` nodes up to ``cap``
+    return with_settings(circle_mean_log_abs_many, cases, tol, MEAN_START_NODES=start,
+                         MAX_NODES=cap)
 
 
 def rouche(gaf, r, log_tail_bound, max_nodes=MAX_NODES):
@@ -199,10 +214,12 @@ class TestRoots:
             resid = np.abs(np.polynomial.polynomial.polyval(roots, c))
             assert np.all(resid <= 1e-10 * scale)
 
-    def test_nonconvergence_flags_partial_result(self):
+    def test_nonconvergence_flags_partial_result(self, monkeypatch):
         rng = stream(22)
         c = rng.standard_normal(26) + 1j * rng.standard_normal(26)
-        (res,) = find_roots_many([c], max_iter=1, residual_tol=1e-14)
+        monkeypatch.setattr(zeros, "ROOT_MAX_ITER", 1)
+        monkeypatch.setattr(zeros, "ROOT_RESIDUAL_TOL", 1e-14)
+        (res,) = find_roots_many([c])
         assert isinstance(res, RootsDidNotConverge)
         assert res.roots is not None
 
@@ -375,22 +392,25 @@ class TestFindRootsMany:
         failed = sum(msg is not None for msg, _ in got[:8])
         assert 0 < failed < 8
 
-    def test_failure_stays_with_its_polynomial(self):
+    def test_failure_stays_with_its_polynomial(self, monkeypatch):
         rng = stream(22)
         c = rng.standard_normal(26) + 1j * rng.standard_normal(26)
         polys = [rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
                  for deg in (30, 1, 25, 40)]
         polys.insert(2, c)
-        kwargs = {"max_iter": 1, "residual_tol": 1e-14}
-        got = find_roots_many(polys, **kwargs)
+        monkeypatch.setattr(zeros, "ROOT_MAX_ITER", 1)
+        monkeypatch.setattr(zeros, "ROOT_RESIDUAL_TOL", 1e-14)
+        got = find_roots_many(polys)
         assert isinstance(got[2], RootsDidNotConverge)
-        (alone,) = find_roots_many([c], **kwargs)
+        (alone,) = find_roots_many([c])
         assert isinstance(alone, RootsDidNotConverge)
         assert same_bits(got[2].roots, alone.roots)
         got = [solve_outcome(x) for x in got]
-        assert got == [solve_outcome(find_roots_many([p], **kwargs)[0]) for p in polys]
-        assert got == [solve_with(ref_find_roots, p, **kwargs) for p in polys]
+        assert got == [solve_outcome(find_roots_many([p])[0]) for p in polys]
+        assert got == [solve_with(ref_find_roots, p, max_iter=1, residual_tol=1e-14)
+                       for p in polys]
         # with the default settings every neighbour converges, to the same bits
+        monkeypatch.undo()
         assert [solve_outcome(x) for x in find_roots_many(polys[:2] + polys[3:])] == \
             [(None, find_roots_many([p])[0].tobytes()) for p in polys[:2] + polys[3:]]
 
@@ -811,9 +831,8 @@ class TestCircleWalker:
         for r, gaf in WALKER_DRAWS:
             for s in (0.5 * r, 0.9 * r, r):
                 for tol, start, cap in ((1e-8, 128, MAX_NODES), (1e-15, 128, 512),
-                                        (1e-15, 128, 64), (1e-15, 256, 384)):
-                    (got,) = batch_outcomes(circle_mean_log_abs_many([(gaf, s)], tol,
-                                                                     start, cap))
+                                        (1e-15, 256, 384)):
+                    (got,) = batch_outcomes(walk_means([(gaf, s)], tol, start, cap))
                     assert got == outcome(ref_circle_mean_log_abs, FftReference(gaf), s, tol,
                                           start_nodes=start, max_nodes=cap)
                     capped += got[0] == "inconclusive"
@@ -876,9 +895,8 @@ class TestCoefficientPath:
         for r, gaf in WALKER_DRAWS:
             for s in (0.5 * r, 0.9 * r, r):
                 for tol, start, cap in ((1e-8, 128, MAX_NODES), (1e-15, 128, 512),
-                                        (1e-15, 128, 64), (1e-15, 256, 384)):
-                    (got,) = batch_outcomes(circle_mean_log_abs_many([(gaf, s)], tol,
-                                                                     start, cap))
+                                        (1e-15, 256, 384)):
+                    (got,) = batch_outcomes(walk_means([(gaf, s)], tol, start, cap))
                     want = outcome(ref_circle_mean_log_abs, HornerReference(gaf), s, tol,
                                    start_nodes=start, max_nodes=cap)
                     assert kind(got) == kind(want)
@@ -941,21 +959,24 @@ class TestCoefficientPath:
         # a radius within the guard's DOMAIN_SLACK is counted
         assert count_with_retry(gaf, r * (1.0 + 5e-13), -math.inf)[0].count >= 0
 
-    @pytest.mark.parametrize("entry", [
-        lambda gaf, s: coefficient_rows([gaf], [s]),
-        lambda gaf, s: find_gaf_roots([gaf], [s]),
-        lambda gaf, s: zeros.certified_counts([(gaf, s, -math.inf)]),
-        lambda gaf, s: circle_mean_log_abs_many([(gaf, s)], 1e-8),
-        lambda gaf, s: max_modulus(gaf, s),
-    ], ids=["rows", "roots", "counts", "means", "max"])
-    def test_every_row_reader_checks_its_radius(self, entry):
+    @pytest.mark.parametrize("entry, nonpositive", [
+        (lambda gaf, s: coefficient_rows([gaf], [s]), "radius must be positive"),
+        (lambda gaf, s: find_gaf_roots([gaf], [s]), "radius must be positive"),
+        (lambda gaf, s: zeros.certified_counts([(gaf, s, -math.inf)]),
+         "radius must be positive"),
+        (lambda gaf, s: circle_mean_log_abs_many([(gaf, s)], 1e-8), "radius must be positive"),
+        (lambda gaf, s: max_modulus(gaf, s), "radius must be positive"),
+        (lambda gaf, s: jensen_residuals([(gaf, 0.5 * s, s)]), "need 0 < r < R"),
+    ], ids=["rows", "roots", "counts", "means", "max", "jensen"])
+    def test_every_row_reader_checks_its_radius(self, entry, nonpositive):
         # one guard in models.coefficient_rows: a planar draw fit for r = 2
-        # has no row at 3 (its tail bound holds only up to 2), nor at 0 or -1
+        # has no row at 3 (its tail bound holds only up to 2), nor at 0 or -1;
+        # jensen_residuals checks its inner radius r = R/2 up front
         gaf = sample_truncated(PLANAR, 2.0, stream(7, 0))
         with pytest.raises(ValueError, match="outside radius_of_use"):
             entry(gaf, 3.0)
         for s in (0.0, -1.0):
-            with pytest.raises(ValueError, match="radius must be positive"):
+            with pytest.raises(ValueError, match=nonpositive):
                 entry(gaf, s)
 
 
@@ -1135,14 +1156,15 @@ class TestBatchedWalker:
 
     def check_counts(self, floors, max_nodes):
         rows = mixed_rows()
-        got = batch_outcomes(zeros.certified_counts(
-            [(gaf, r, floor) for (gaf, r), floor in zip(rows, floors)], 256, max_nodes))
+        got = batch_outcomes(with_settings(
+            zeros.certified_counts, [(gaf, r, floor) for (gaf, r), floor in zip(rows, floors)],
+            MAX_NODES=max_nodes))
         for g, (gaf, r), floor in zip(got, rows, floors):
             assert g == outcome(ref_count, FftReference(gaf), r, floor, max_nodes=max_nodes)
         return {kind(g) for g in got}
 
     def check_means(self, rows, tol, start, cap):
-        got = batch_outcomes(zeros.circle_mean_log_abs_many(rows, tol, start, cap))
+        got = batch_outcomes(walk_means(rows, tol, start, cap))
         for g, (gaf, s) in zip(got, rows):
             assert g == outcome(ref_circle_mean_log_abs, FftReference(gaf), s, tol,
                                 start_nodes=start, max_nodes=cap)
@@ -1321,3 +1343,27 @@ class TestOneWalk:
             ("inconclusive", str(res))
         assert str(res).startswith(PANEL_FLOOR_HIT)
         assert reads == []
+
+
+EMPTY = inspect.Parameter.empty
+
+
+class TestTuningSettings:
+    """Walk, root and DP settings are module constants, not parameters."""
+
+    @pytest.mark.parametrize("entry, params", [
+        (zeros.certified_counts, [("cases", EMPTY)]),
+        (zeros.circle_mean_log_abs_many, [("cases", EMPTY), ("tol", EMPTY)]),
+        (zeros.find_roots_many, [("polys", EMPTY)]),
+        (radial.tail_log_brackets, [("ensemble", EMPTY), ("r", EMPTY), ("ms", EMPTY)]),
+        (radial.bernoulli_probs, [("ensemble", EMPTY), ("r", EMPTY), ("min_terms", None)]),
+        (radial._profile_depth, [("ensemble", EMPTY), ("r", EMPTY), ("min_terms", EMPTY),
+                                 ("neglected", None)]),
+        (certified_log_series, [("log_terms", EMPTY), ("start", EMPTY),
+                                ("ratio_bound", EMPTY), ("rel_tol", EMPTY)]),
+    ], ids=["certified_counts", "circle_mean_log_abs_many", "find_roots_many",
+            "tail_log_brackets", "bernoulli_probs", "_profile_depth", "certified_log_series"])
+    def test_parameter_lists(self, entry, params):
+        # a tuning parameter comes back only by editing this list
+        got = [(p.name, p.default) for p in inspect.signature(entry).parameters.values()]
+        assert got == params
