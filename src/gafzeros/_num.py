@@ -106,91 +106,70 @@ def lchoose(n, k):
     return special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
 
 
-def log_poisson_tail(lam, n):
-    """log P[Poisson(lam) >= n].
+def log_gamma_lower(a, x, log_x):
+    """log P(a, x) = log P[Gamma(a, 1) <= x], the regularized lower incomplete gamma.
 
-    The bulk is the regularized lower incomplete gamma identity
-    P[Pois(lam) >= n] = P(n, lam); the deep tail (where that underflows)
-    is summed as a log-scale series with geometrically decaying terms.
+    Vectorised in ``a`` >= 0 (a scalar ``a`` gives a float); for integer a it
+    is also log P[Poisson(x) >= a].  Both x and its log are taken, so neither
+    is rounded through the other: x may underflow to 0 while log x stays
+    exact.  Where scipy's ``gammainc`` is above 1e-280 this is its log; below,
+    the deep tail is the series a log x - x - log Gamma(a + 1) + log sum_j t_j
+    with t_0 = 1 and t_j = t_{j-1} x/(a + j), summed until a term falls below
+    1e-17 of the sum.  A series not settled within 10 000 terms raises.
     """
-    if n <= 0:
-        return 0.0
-    v = special.gammainc(n, lam)
-    if v > 1e-280:
-        return float(np.log(v))
-    # deep tail: n >> lam, terms ratio lam/(n+j) < 1
+    lin = special.gammainc(a, x)
+    if lin.ndim == 0:
+        if not a >= 0:
+            raise ValueError("a must be >= 0")
+        return float(np.log(lin)) if lin > 1e-280 else _log_gamma_lower_series(a, x, log_x)
+    a = np.asarray(a)
+    if not (a >= 0).all():
+        raise ValueError("a must be >= 0")
+    deep = ~(lin > 1e-280)
+    out = np.log(np.where(deep, 1.0, lin))
+    for i in np.flatnonzero(deep).tolist():
+        out[i] = _log_gamma_lower_series(float(a[i]), x, log_x)
+    return out
+
+
+def _log_gamma_lower_series(a, x, log_x):
+    """The deep-tail series of ``log_gamma_lower`` at one scalar a."""
     s, term = 1.0, 1.0
-    for j in range(1, 500):
-        term *= lam / (n + j)
+    for j in range(1, 10_000):
+        term *= x / (a + j)
         s += term
         if term < 1e-17 * s:
-            break
-    return n * math.log(lam) - lam - float(special.gammaln(n + 1)) + math.log(s)
-
-
-def log_poisson_tail_remainder(lam, n_start):
-    """log upper bound on sum_{n >= n_start} P[Poisson(lam) >= n].
-
-    Valid whenever n_start >= 2*lam + 4 (the ratio bound below is then < 1).
-    """
-    q = (lam / (n_start + 1)) / (1.0 - lam / (n_start + 2))
-    if not q < 1.0:
-        raise ValueError("n_start too small for a certified remainder bound")
-    return log_poisson_tail(lam, n_start) - math.log1p(-q)
-
-
-def log_lower_gamma_cdf(shape, log_x):
-    """log P[Gamma(shape, 1) <= x] given log x, accurate for tiny x.
-
-    Series form shape*log(x) - lgamma(shape+1) - x + log sum_j x^j / prod(shape+i),
-    truncated at relative 1e-14; falls back to the scipy regularized gamma when
-    the probability is comfortably representable.
-    """
-    if shape <= 0:
-        raise ValueError("shape must be positive")
-    with np.errstate(over="ignore"):
-        x = math.exp(min(log_x, 700.0))
-    v = special.gammainc(shape, x) if log_x > -700 else 0.0
-    if v > 1e-280:
-        return float(np.log(v))
-    # x << shape here, the series converges geometrically
-    s, term = 1.0, 1.0
-    for j in range(1, 10000):
-        term *= x / (shape + j)
-        s += term
-        if term < 1e-14 * s:
-            break
-    return shape * log_x - float(special.gammaln(shape + 1)) - x + math.log(s)
-
-
-def log_gamma_pdf(shape, y):
-    """log density of Gamma(shape, 1) at y > 0."""
-    return (shape - 1.0) * math.log(y) - y - float(special.gammaln(shape))
+            return a * log_x - x - float(special.gammaln(a + 1)) + math.log(s)
+    raise RuntimeError("incomplete-gamma series not settled within 10 000 terms")
 
 
 def inverse_conditional_gamma(shape, log_s, u):
-    """Quantile of Gamma(shape,1) conditioned on being <= s, at probability u.
+    """log y of the quantile y of Gamma(shape, 1) conditioned on being <= s, at probability u.
 
-    Solves log F(y) = log u + log F(s) by Newton iteration in t = log y.
-    Exact conditional law; used by the conditioned coefficient sampler.
+    Solves log F(y) = log u + log F(s) by Newton iteration in t = log y, given
+    log s, so s and y may lie below the smallest double.  The iteration stops
+    once a step is below 1e-13 of max(1, |t|), within 100 steps or it raises
+    RuntimeError.  Exact conditional law; used by the conditioned coefficient
+    sampler.
     """
     if not 0.0 < u < 1.0:
         raise ValueError("u must be in (0,1)")
-    target = math.log(u) + log_lower_gamma_cdf(shape, log_s)
+    log_norm = float(special.gammaln(shape))
+    target = math.log(u) + log_gamma_lower(shape, math.exp(min(log_s, 700.0)), log_s)
     # F(y) ~ y^shape / Gamma(shape+1) for small y gives the starting point
     t = (target + float(special.gammaln(shape + 1))) / shape
     t = min(t, log_s)
     for _ in range(100):
-        lf = log_lower_gamma_cdf(shape, t)
         y = math.exp(t)
-        # d log F / dt = y f(y) / F(y)
-        dlf = math.exp(t + log_gamma_pdf(shape, y) - lf)
+        lf = log_gamma_lower(shape, y, t)
+        # d log F / dt = y f(y) / F(y), with log(y f(y)) = shape t - y - log Gamma(shape)
+        dlf = math.exp(shape * t - y - log_norm - lf)
         step = (lf - target) / max(dlf, 1e-300)
         step = max(min(step, 2.0), -2.0)
         t -= step
-        if abs(step) < 1e-13:
-            break
-    return math.exp(t)
+        if abs(step) < 1e-13 * max(1.0, abs(t)):
+            return t
+    raise RuntimeError("conditional Gamma quantile not settled within 100 steps")
 
 
 def golden_max(f, lo, hi, tol):

@@ -490,8 +490,8 @@ def event_log_prob_detail(ev: EventSpec) -> EventLogProb:
     if ev.aggregate is not None:
         k = ev.aggregate.size
         log_s = ev.aggregate.log_bound
-        exact = _num.log_lower_gamma_cdf(k, log_s)
         s = math.exp(min(log_s, 700.0))
+        exact = _num.log_gamma_lower(k, s, log_s)
         if s <= k:
             bound = k * (log_s - math.log(2.0)) - float(special.gammaln(k)) - s / 2.0
         else:
@@ -515,8 +515,7 @@ def conditioned_sample(ev: EventSpec, rng: np.random.Generator,
     if n_max < structural:
         raise ValueError(f"n_max must cover the structural indices (>= {structural})")
 
-    sq = np.empty(n_max + 1)
-    sq[:] = np.nan
+    mag = np.full(n_max + 1, np.nan)
     for b in ev.blocks:
         n = b.indices_upto(n_max)
         if len(n) == 0:
@@ -531,24 +530,25 @@ def conditioned_sample(ev: EventSpec, rng: np.random.Generator,
             vals = np.where(tiny, u * w, -np.log1p(-u * w))
         else:
             vals = np.exp(t2) + rng.standard_exponential(len(n))
-        sq[n] = vals
+        mag[n] = np.sqrt(vals)
     if ev.aggregate is not None:
         agg = ev.aggregate
-        total = _num.inverse_conditional_gamma(agg.size, agg.log_bound, float(rng.random()))
+        log_total = _num.inverse_conditional_gamma(agg.size, agg.log_bound, float(rng.random()))
         if agg.size == 1:
-            parts = np.array([total])
+            shares = np.array([1.0])
         else:
             cuts = np.sort(rng.random(agg.size - 1))
-            parts = np.diff(np.concatenate(([0.0], cuts, [1.0]))) * total
-        sq[agg.lo: agg.hi + 1] = parts
+            shares = np.diff(np.concatenate(([0.0], cuts, [1.0])))
+        # from log total: the total can underflow where its square roots do not
+        mag[agg.lo: agg.hi + 1] = np.sqrt(shares) * math.exp(0.5 * log_total)
 
-    free = np.isnan(sq)
+    free = np.isnan(mag)
     values = np.empty(n_max + 1, dtype=complex)
     k = int(free.sum())
     values[free] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * math.sqrt(0.5)
     constrained = ~free
     phases = rng.random(int(constrained.sum())) * 2.0 * math.pi
-    values[constrained] = np.sqrt(sq[constrained]) * np.exp(1j * phases)
+    values[constrained] = mag[constrained] * np.exp(1j * phases)
     return values
 
 

@@ -106,6 +106,7 @@ class RunConfig:
     params: dict
     threads: int = 1
     raw: dict = field(default_factory=dict)
+    seen: set = field(default_factory=set)  # the fields ``read`` has been asked for
 
     @classmethod
     def from_dict(cls, data: dict, *, experiment: str | None = None,
@@ -146,6 +147,7 @@ class RunConfig:
         a default that hangs on another field (``r_max`` above ``r_min``)
         can fail.
         """
+        self.seen.add(key)
         if key in self.params:
             v = _typed(self.params[key], typ)
             if v is None:
@@ -463,7 +465,9 @@ def run(cfg: RunConfig, out_dir: str) -> list[str]:
     """Execute one experiment and write its tables; returns the artifact paths.
 
     Each table goes to ``out_dir`` under its file name, with the columns
-    ``config_hash`` and ``seed`` added to its header and to every row.
+    ``config_hash`` and ``seed`` added to its header and to every row.  A
+    config field the experiment did not read is a ``ConfigError``, raised
+    before any table is written.
     """
     os.makedirs(out_dir, exist_ok=True)
     try:
@@ -473,6 +477,10 @@ def run(cfg: RunConfig, out_dir: str) -> list[str]:
     except (zeros.InconclusiveCount, zeros.RootsDidNotConverge,
             events.EventConstructionError, ValueError, RuntimeError, ArithmeticError) as exc:
         raise NumericFailure(f"{cfg.experiment}: {exc}") from exc
+    unread = sorted(set(cfg.params) - cfg.seen)
+    if unread:
+        raise ConfigError(f"config.{unread[0]}: not a field {cfg.experiment} reads "
+                          f"for this config")
     stamp = [config_hash(cfg.raw), cfg.seed]
     return [emit_csv(os.path.join(out_dir, name), [*header, "config_hash", "seed"],
                      ([*row, *stamp] for row in rows))

@@ -167,7 +167,7 @@ def log_tail_variance(model: GafModel, degree: int, r: float) -> float:
         raise ValueError("degree must be >= -1")
     if model.kind is Kind.PLANAR:
         lam = r * r
-        return lam + _num.log_poisson_tail(lam, degree + 1)
+        return lam + _num.log_gamma_lower(degree + 1, lam, math.log(lam))
 
     log_x = math.log(r * r)
 

@@ -84,23 +84,21 @@ def _check_domain(ensemble: RadialEnsemble, r: float):
         raise ValueError("hyperbolic radial law needs r < 1")
 
 
-def _ginibre_log_p(r: float, n: np.ndarray) -> np.ndarray:
-    lam = r * r
-    out = np.empty(len(n))
-    lin = special.gammainc(n, lam)
-    ok = lin > 1e-280
-    out[ok] = np.log(lin[ok])
-    for i in np.nonzero(~ok)[0]:
-        out[i] = _num.log_poisson_tail(lam, int(n[i]))
-    return out
-
-
 def _log_neglected(ensemble: RadialEnsemble, r: float, n: int) -> float:
-    """log of an upper bound on sum_{k>n} p_k, the mass a depth-n profile drops."""
+    """log of an upper bound on sum_{k>n} p_k, the mass a depth-n profile drops.
+
+    Ginibre: p_k = P[Pois(r^2) >= k], and past k = n+1 each term is at most
+    q = (r^2/(n+2)) / (1 - r^2/(n+3)) times the one before, so the sum is at
+    most p_{n+1}/(1-q); that needs q < 1, which n >= 2r^2 + 3 gives.
+    """
     if ensemble is RadialEnsemble.HYPERBOLIC_ONE:
         # remainder sum_{k>n} r^{2k} = r^{2(n+1)}/(1-r^2)
         return float((n + 1) * (2.0 * math.log(r)) - math.log1p(-r * r))
-    return float(_num.log_poisson_tail_remainder(r * r, n + 1))
+    lam = r * r
+    q = (lam / (n + 2)) / (1.0 - lam / (n + 3))
+    if not q < 1.0:
+        raise ValueError("profile depth too small for a certified remainder bound")
+    return float(_num.log_gamma_lower(n + 1, lam, math.log(lam)) - math.log1p(-q))
 
 
 def _depth_for_mass(ensemble: RadialEnsemble, r: float, log_mass: float, n: int,
@@ -146,7 +144,7 @@ def bernoulli_probs(ensemble: RadialEnsemble, r: float, *,
             log_q = np.log1p(-np.exp(log_p))
     else:
         lam = r * r
-        log_p = _ginibre_log_p(r, idx)
+        log_p = _num.log_gamma_lower(idx, lam, math.log(lam))
         # 1 - p_n = Q(n, lam) = P[Pois(lam) < n], accurate where p is within rounding
         # of 1; where Q underflows, its log is the running log-sum of the terms k < n
         lin_q = special.gammaincc(idx.astype(float), lam)

@@ -203,6 +203,19 @@ class TestFieldReader:
         assert "config.r_max: must be > r_min" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out" / "jensen_check.csv")
 
+    @pytest.mark.parametrize("data,key", [
+        ({"experiment": "kappa", "r": 0.5, "grid_ponts": 10}, "grid_ponts"),
+        ({"experiment": "mc-tail", "target": "ginibre", "r": 0.5, "m": 1, "trials": 10,
+          "tail_guard": 5.0}, "tail_guard"),
+        ({"experiment": "event-bound", "kind": "planar-domination", "r": 1.0, "m": 3,
+          "rho": 1.0}, "rho"),
+    ])
+    def test_unread_field_is_a_config_error(self, tmp_path, capsys, data, key):
+        # a misspelt field, and fields the experiment reads only for other configs
+        assert run_cli(tmp_path, data) == 2
+        assert f"config.{key}:" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_exponent_fit_rejects_repeated_m(self, tmp_path, capsys):
         data = {"experiment": "exponent-fit", "ensemble": "ginibre", "r": 1.0,
                 "m_grid": [3, 4, 4]}

@@ -390,6 +390,21 @@ class TestConditionedSampling:
         assert all(sample_satisfies(ev, draw) for draw in draws)
         assert [res.count for res in certified_event_count(ev, draws)] == [ev.m] * 5
 
+    @pytest.mark.parametrize("r", [60.0, 100.0])
+    def test_moderate_window_below_the_double_range(self, r):
+        # the window's cap s is e^-1111.4 at r=60 and e^-2561.5 at r=100, below
+        # the smallest double; its magnitudes are near e^-560 at r=60, which a
+        # double holds, and near e^-1285 at r=100, which it does not
+        ev = build_event(EventKind.MODERATE_GROUPED, r=r, alpha=1.8, gamma=2.0)
+        agg = ev.aggregate
+        draw = conditioned_sample(ev, stream(4200, 0))
+        assert sample_satisfies(ev, draw)
+        window = np.abs(draw[agg.lo: agg.hi + 1])
+        if 0.5 * agg.log_bound > -700.0:
+            assert np.all(window > 0.0)
+            # the window total, in log form since its squares underflow
+            assert _num.logsumexp(2.0 * np.log(window)) <= agg.log_bound * (1.0 - 1e-12)
+
     def test_moderate_sampling_and_count(self):
         ev = build_event(EventKind.MODERATE_GROUPED, r=6.0, alpha=1.5, gamma=0.4)
         draws = [conditioned_sample(ev, stream(4100, k)) for k in range(5)]
@@ -615,7 +630,7 @@ def ref_certified_log_series(log_term, start, ratio_bound, *, rel_tol=1e-18,
 def ref_log_tail_variance(model, degree, r):
     if model.kind is Kind.PLANAR:
         lam = r * r
-        return lam + _num.log_poisson_tail(lam, degree + 1)
+        return lam + _num.log_gamma_lower(degree + 1, lam, math.log(lam))
     rho, x = model.rho, r * r
 
     def log_term(n):
@@ -952,8 +967,8 @@ def ref_event_log_prob_detail(ev):
         bound_total += bound
     if ev.aggregate is not None:
         k, log_s = ev.aggregate.size, ev.aggregate.log_bound
-        exact = _num.log_lower_gamma_cdf(k, log_s)
         s = math.exp(min(log_s, 700.0))
+        exact = _num.log_gamma_lower(k, s, log_s)
         bound = (k * (log_s - math.log(2.0)) - float(special.gammaln(k)) - s / 2.0
                  if s <= k else exact)
         by_block[ev.aggregate.label] = exact

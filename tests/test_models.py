@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from gafzeros import (GafModel, TruncatedGaf, _num, choose_truncation, coefficient_rows,
-                      covariance, expected_count, log_sigma, log_weight, models,
+                      covariance, expected_count, log_sigma, log_weight, models, radial,
                       sample_coefficients, sample_truncated, stream, weight_ratio_bound)
 
 PLANAR = GafModel.planar()
@@ -373,6 +373,127 @@ class TestCertifiedLogSeries:
         monkeypatch.setattr(_num, "certified_log_series", spy)
         assert choose_truncation(GafModel.hyperbolic(0.5), 0.999) == 19505
         assert calls and max(calls) <= 15
+
+
+def ref_log_poisson_tail(lam, n):
+    # log P[Pois(lam) >= n], the per-call form ``_num.log_gamma_lower`` replaced
+    if n <= 0:
+        return 0.0
+    v = special.gammainc(n, lam)
+    if v > 1e-280:
+        return float(np.log(v))
+    s, term = 1.0, 1.0
+    for j in range(1, 500):
+        term *= lam / (n + j)
+        s += term
+        if term < 1e-17 * s:
+            break
+    return n * math.log(lam) - lam - float(special.gammaln(n + 1)) + math.log(s)
+
+
+def ref_ginibre_log_p(r, n):
+    # log p_n of a Ginibre profile, per index where gammainc underflows
+    lam = r * r
+    out = np.empty(len(n))
+    lin = special.gammainc(n, lam)
+    ok = lin > 1e-280
+    out[ok] = np.log(lin[ok])
+    for i in np.nonzero(~ok)[0]:
+        out[i] = ref_log_poisson_tail(lam, int(n[i]))
+    return out
+
+
+def mp_log_gamma_lower(a, log_x):
+    # log P(a, x) to 60 digits, through the upper function above x = a
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.exp(mpmath.mpf(log_x))
+        if x < a:
+            return float(mpmath.log(mpmath.gammainc(a, 0, x, regularized=True)))
+        return float(mpmath.log1p(-mpmath.gammainc(a, x, mpmath.inf, regularized=True)))
+
+
+class TestLogGammaLower:
+    @pytest.mark.parametrize("a", [1, 2, 5, 20, 100, 1000, 20000])
+    def test_against_mpmath(self, a):
+        pytest.importorskip("mpmath")
+        log_xs = [-700.0, -50.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0, 100.0, 700.0,
+                  *(math.log(a) + d for d in (-0.5, -0.01, 0.0, 0.5))]
+        branches = set()
+        for log_x in log_xs:
+            x = math.exp(log_x)
+            branches.add(bool(special.gammainc(a, x) > 1e-280))
+            got = _num.log_gamma_lower(a, x, log_x)
+            want = mp_log_gamma_lower(a, log_x)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (log_x, got, want)
+        assert branches == {True, False}
+
+    @pytest.mark.parametrize("a", [1, 5, 100, 20000])
+    @pytest.mark.parametrize("log_x", [-800.0, -2000.0])
+    def test_underflowed_x_against_mpmath(self, a, log_x):
+        # x = e^{log x} is 0 as a double; the series reads log x
+        got = _num.log_gamma_lower(a, 0.0, log_x)
+        assert got == pytest.approx(mp_log_gamma_lower(a, log_x), rel=1e-15)
+
+    @pytest.mark.parametrize("lam", [1e-6, 0.25, 1.0, 9.0, 36.0, 100.0, 900.0, 2500.0])
+    def test_scalar_matches_poisson_tail_reference(self, lam):
+        for n in (0, 1, 2, 5, 10, 50, 100, 300, 1000, 3000, 10000):
+            got = _num.log_gamma_lower(n, lam, math.log(lam))
+            assert got.hex() == ref_log_poisson_tail(lam, n).hex(), (lam, n)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 6.0, 10.0, 15.0, 25.0, 30.0])
+    def test_ginibre_profile_matches_reference(self, r):
+        # the benchmark's Ginibre radii (1, 3, 6, 10) and beyond, 20 indices past
+        # the first one priced by the series; the neglected mass is p_{n+1} / (1 - q)
+        lam = r * r
+        deep = next(n for n in range(1, 10**5) if not special.gammainc(n, lam) > 1e-280)
+        prof = radial.bernoulli_probs(radial.RadialEnsemble.GINIBRE, r, min_terms=deep + 20)
+        n = np.arange(1, prof.size + 1)
+        assert np.array_equal(prof.log_probs, ref_ginibre_log_p(r, n))
+        q = (lam / (prof.size + 2)) / (1.0 - lam / (prof.size + 3))
+        assert prof.log_neglected == ref_log_poisson_tail(lam, prof.size + 1) - math.log1p(-q)
+
+    def test_array_matches_scalar_calls(self):
+        a = np.arange(0, 3000)
+        got = _num.log_gamma_lower(a, 100.0, math.log(100.0))
+        assert np.array_equal(got, [_num.log_gamma_lower(int(k), 100.0, math.log(100.0))
+                                    for k in a])
+
+    def test_negative_a_raises(self):
+        with pytest.raises(ValueError):
+            _num.log_gamma_lower(-1, 2.0, math.log(2.0))
+        with pytest.raises(ValueError):
+            _num.log_gamma_lower(np.array([1.0, -0.5]), 2.0, math.log(2.0))
+
+    def test_unsettled_series_raises(self):
+        # at a = 1e9, x = a - 40 sqrt(a) gammainc underflows and the term ratios
+        # stay near 1 - 1.3e-3, so 10 000 terms leave the series unsettled
+        a = 1e9
+        x = a - 40.0 * math.sqrt(a)
+        with pytest.raises(RuntimeError, match="not settled"):
+            _num.log_gamma_lower(a, x, math.log(x))
+
+
+class TestInverseConditionalGamma:
+    @pytest.mark.parametrize("shape,log_s", [(1, 0.5), (5, 2.0), (40, -3.0),
+                                             (6349, -1111.4267662665443),
+                                             (15925, -2561.4943046304397)])
+    def test_solves_the_conditional_cdf(self, shape, log_s):
+        # the last two are moderate windows (r = 60 and 100 at alpha 1.8,
+        # gamma 2) whose cap s and quantiles lie below the smallest double
+        s = math.exp(min(log_s, 700.0))
+        for u in np.random.default_rng(3).random(50):
+            t = _num.inverse_conditional_gamma(shape, log_s, float(u))
+            assert t <= log_s
+            target = math.log(u) + _num.log_gamma_lower(shape, s, log_s)
+            lf = _num.log_gamma_lower(shape, math.exp(t), t)
+            assert abs(lf - target) <= 1e-10 * max(1.0, abs(target))
+
+    def test_unsettled_newton_raises(self, monkeypatch):
+        # a log F that never moves toward the target leaves every step at -2
+        monkeypatch.setattr(_num, "log_gamma_lower", lambda a, x, log_x: -1.0)
+        with pytest.raises(RuntimeError, match="not settled"):
+            _num.inverse_conditional_gamma(3, 0.0, 0.5)
 
 
 class TestExpectedCount:

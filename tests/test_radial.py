@@ -78,7 +78,7 @@ def reference_bracket(ens, r, m):
         if ens is HYP:
             n = max(n + 8, math.ceil((needed + math.log1p(-r * r)) / (2.0 * math.log(r)) - 1.0))
         else:
-            while _num.log_poisson_tail_remainder(r * r, n + 1) >= needed:
+            while radial._log_neglected(ens, r, n) >= needed:
                 n = int(n * 1.4) + 4
         profile = bernoulli_probs(ens, r, min_terms=n)
         br, survival = reference_tail(profile, m)
