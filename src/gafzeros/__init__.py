@@ -15,10 +15,9 @@ from .zeros import (CountResult, InconclusiveCount, JensenCheck,
                     find_gaf_roots, find_roots_many, jensen_residuals, max_modulus)
 from .radial import (BernoulliProfile, RadialEnsemble, TailBracket,
                      bernoulli_probs, sample_radii, tail_log_brackets)
-from .bounds import (ExponentRegime, SumNLogN, ginibre_tail_brackets,
-                     hyperbolic_one_tail_brackets, kappa, kappa_argmax,
-                     poisson_kernel_bounds, poisson_tail_log_upper,
-                     predicted_exponent, sum_n_log_n, sum_n_log_n_closed_form)
+from .bounds import (ExponentRegime, ginibre_tail_brackets, hyperbolic_one_tail_brackets,
+                     kappa, kappa_argmax, poisson_kernel_bounds, poisson_tail_log_upper,
+                     predicted_exponent)
 from .events import (AggregateBlock, EventConstructionError, EventKind,
                      EventLogProb, EventSpec, FitResult, IndexBlock, TailEstimate,
                      build_event, certified_event_count, conditioned_sample,

@@ -13,6 +13,19 @@ import numpy as np
 from scipy import special
 
 LOG2 = math.log(2.0)
+# The least radius r whose r*r is a normal float (2^-511, about 1.49e-154).
+# Below it r*r loses bits or underflows to 0, and a log of r^2 or a division
+# by it fails.
+MIN_RADIUS = 2.0 ** -511
+
+
+def check_radius(r):
+    """ValueError unless r >= MIN_RADIUS, the domain check every model and ensemble shares."""
+    if not r > 0:
+        raise ValueError("radius must be positive")
+    if r < MIN_RADIUS:
+        raise ValueError(f"radius must be >= {MIN_RADIUS:.6g} = 2^-511, "
+                         f"where r*r is a normal float")
 
 
 def log1mexp(x):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,36 +35,6 @@ class ExponentRegime(Enum):
     VERY_LARGE = "very-large"
     # same with 1 < alpha < 2: gamma^3 r^{3 alpha - 2}
     MODERATE = "moderate"
-
-
-class SumNLogN(NamedTuple):
-    exact: float
-    lower: float
-    upper: float
-
-
-def sum_n_log_n(m: int) -> SumNLogN:
-    """sum_{n=1}^m n log n, with the integral-comparison sandwich endpoints.
-
-    ``lower`` is the sum itself and ``upper`` the sum extended one term, the
-    two sides that pin the closed form (see sum_n_log_n_closed_form) between
-    them.  The exact value uses compensated summation.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = np.arange(2, m + 2)
-    terms = n * np.log(n)
-    exact = float(math.fsum(terms[:-1]))
-    return SumNLogN(exact=exact, lower=exact, upper=float(math.fsum(terms)))
-
-
-def sum_n_log_n_closed_form(m: int) -> float:
-    """Integral closed form (1/2)(m+1)^2 log(m+1) - (m+1)^2/4 + 1/4.
-
-    Sits between sum_{n<=m} n log n and sum_{n<=m+1} n log n.
-    """
-    a = m + 1.0
-    return 0.5 * a * a * math.log(a) - a * a / 4.0 + 0.25
 
 
 def poisson_tail_log_upper(theta: float, a: float) -> float:
@@ -190,8 +159,8 @@ def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
     certified remainder of the indices past m^2.  The bound at n is the
     Chernoff factor e^{-n log(n/r^2) - r^2 + n} for n > r^2, where it holds,
     and the trivial 1 for n <= r^2.  The n log n and Poisson-product terms
-    are formed once up to max(ms); each m sums its own prefix, as
-    ``sum_n_log_n(m)`` and a product over n = 1..m alone would, and the
+    are formed once up to max(ms); each m sums its own prefix, as a sum and
+    a product over n = 1..m alone would, and the
     binomial factors, the sums with the remainders and the clamp are taken
     for every m at once.
     """

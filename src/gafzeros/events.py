@@ -553,28 +553,32 @@ def conditioned_sample(ev: EventSpec, rng: np.random.Generator,
 
 
 def sample_satisfies(ev: EventSpec, coeffs: np.ndarray) -> bool:
-    """Check every constraint of the event against a coefficient vector, to 1e-9 relative."""
+    """Check every constraint of the event against a coefficient vector, to 1e-9 relative.
+
+    The check is in log form, log |a_n| against each log threshold and the log
+    sum of |a_n|^2 against the window's log bound, so a cap or a window far
+    below the float range is checked as tightly as any other.
+    """
     slack = 1e-9
-    v = np.abs(coeffs)
+    with np.errstate(divide="ignore"):
+        log_v = np.log(np.abs(coeffs))
     n_max = len(coeffs) - 1
     for b in ev.blocks:
         n = b.indices_upto(n_max)
         if len(n) == 0:
             continue
-        with np.errstate(over="ignore"):
-            c = np.exp(np.asarray(b.log_threshold(n), dtype=float))
+        t = np.asarray(b.log_threshold(n), dtype=float)
         if b.mode == "le":
-            if np.any(v[n] > c * (1.0 + slack)):
+            if np.any(log_v[n] > t + math.log1p(slack)):
                 return False
         else:
-            if np.any(v[n] < c * (1.0 - slack)):
+            if np.any(log_v[n] < t + math.log1p(-slack)):
                 return False
     if ev.aggregate is not None:
         agg = ev.aggregate
         if agg.hi > n_max:
             return False
-        tot = float(np.sum(v[agg.lo: agg.hi + 1] ** 2))
-        if tot > math.exp(agg.log_bound) * (1.0 + slack):
+        if _num.logsumexp(2.0 * log_v[agg.lo: agg.hi + 1]) > agg.log_bound + math.log1p(slack):
             return False
     return True
 
@@ -614,12 +618,12 @@ def certified_event_count(ev: EventSpec, draws) -> list:
 
 # Radial trials per RNG stream of ``direct_mc_tail``.
 _MC_CHUNK = 65536
+MC_LEVEL = 0.99  # confidence level of every Clopper-Pearson bracket
 
 
-def mc_tail_estimate(hits: int, trials: int, level: float, *,
-                     unresolved: int = 0) -> TailEstimate:
-    """Monte Carlo tail estimate from ``hits`` of ``trials``, with the exact CP bracket."""
-    a = 1.0 - level
+def mc_tail_estimate(hits: int, trials: int, *, unresolved: int = 0) -> TailEstimate:
+    """Monte Carlo tail estimate from ``hits`` of ``trials``, with the MC_LEVEL CP bracket."""
+    a = 1.0 - MC_LEVEL
     # the Beta quantiles of the Clopper-Pearson ends, as scipy.stats.beta.ppf
     # computes them
     lo = special.betaincinv(hits, trials - hits + 1, a / 2.0) if hits > 0 else 0.0
@@ -631,8 +635,7 @@ def mc_tail_estimate(hits: int, trials: int, level: float, *,
                         unresolved=unresolved)
 
 
-def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
-                   level: float = 0.99) -> TailEstimate:
+def direct_mc_tail(target, r: float, m: int, trials: int, seed: int) -> TailEstimate:
     """Monte Carlo estimate of P[count in D(0,r) >= m] for a radial ensemble, with CP bracket.
 
     Counts come from the exact radial laws of the RadialEnsemble ``target``:
@@ -651,7 +654,7 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int, *,
         take = min(_MC_CHUNK, trials - block * _MC_CHUNK)
         counts = (sample_radii(target, stream(seed, block), take, depth) < r).sum(axis=1)
         hits += int((counts >= m).sum())
-    return mc_tail_estimate(hits, trials, level)
+    return mc_tail_estimate(hits, trials)
 
 
 @dataclass(frozen=True)

@@ -194,27 +194,15 @@ def _radius_list(cfg: RunConfig, key="r"):
                     msg="must be a nonempty list of positive numbers")
 
 
-def _check_radii(law, radii):
-    """ConfigError unless the library's domain check of ``law``, a radial
-    ensemble or a model, accepts every radius of ``radii``."""
+def _check_radii(law, radii, key="r"):
+    """ConfigError naming field ``key`` unless the library's domain check of
+    ``law``, a radial ensemble or a model, accepts every radius of ``radii``."""
     check = radial._check_domain if isinstance(law, RadialEnsemble) else models._check_radius
     for r in radii:
         try:
             check(law, r)
         except ValueError as exc:
-            raise ConfigError(f"config.r: {exc}") from exc
-
-
-# The tail floor of a GAF count in units of the truncation's tail sd, the
-# default ``tail_guard`` of every config.
-MC_TAIL_GUARD = 100.0
-
-
-def _log_tail_guard(cfg: RunConfig) -> float:
-    """log of the ``tail_guard`` field, the count floor in truncation tail sds (log 0 = -inf)."""
-    guard = cfg.read("tail_guard", float, default=MC_TAIL_GUARD,
-                     cond=lambda v: 0 <= v < math.inf, msg="must be >= 0 and finite")
-    return math.log(guard) if guard > 0 else -math.inf
+            raise ConfigError(f"config.{key}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------------
@@ -225,8 +213,8 @@ def _run_scatter(cfg: RunConfig):
     r = cfg.read("r", float, **_above(0))
     m = cfg.read("m", int, **_at_least(1))
     n_samples = cfg.read("samples", int, default=1, **_at_least(1))
-    clip = cfg.read("clip_radius", float, default=3.0 * r, **_above(0))
     anchor_alpha = cfg.read("anchor_alpha", float, default=None, **_above(-1))
+    _check_radii(GafModel.planar(), [r])
     ev = events.build_event(EventKind.PLANAR_DOMINATION, r=r, m=m,
                             anchor_alpha=anchor_alpha)
     samples = []
@@ -244,7 +232,7 @@ def _run_scatter(cfg: RunConfig):
                                        ("unconditioned", solved[2 * i + 1], False)):
             if isinstance(roots, zeros.RootsDidNotConverge):
                 raise roots
-            for z in roots[np.abs(roots) <= clip]:
+            for z in roots[np.abs(roots) <= 3.0 * r]:
                 rows.append([point_set, i, z.real, z.imag, flag])
     return [("scatter.csv", ["point_set", "sample", "re", "im", "domination_verified"],
              rows)]
@@ -253,7 +241,7 @@ def _run_scatter(cfg: RunConfig):
 def _replica_counts(cfg: RunConfig, model: GafModel, r: float, replicas: int):
     """Certified counts of replicas 0..replicas-1, -1 where unresolved."""
     count = functools.partial(zeros.count_replicas, model, r, models.choose_truncation(model, r),
-                              _log_tail_guard(cfg), cfg.seed)
+                              cfg.seed)
     return np.concatenate(_map_blocks(count, replicas, cfg.threads))
 
 
@@ -262,15 +250,13 @@ def _run_mc_tail(cfg: RunConfig):
     r = cfg.read("r", float, **_above(0))
     m = cfg.read("m", int, **_at_least(0))
     trials = cfg.read("trials", int, **_at_least(1))
-    level = cfg.read("level", float, default=0.99, cond=lambda v: 0 < v < 1,
-                     msg="must be in (0, 1)")
     law = _ensemble_from(cfg, "target") if target in _ENSEMBLES else _model_from(cfg, "target")
     _check_radii(law, [r])
     if target in _ENSEMBLES:
-        est = events.direct_mc_tail(law, r, m, trials, cfg.seed, level=level)
+        est = events.direct_mc_tail(law, r, m, trials, cfg.seed)
     else:
         counts = _replica_counts(cfg, law, r, trials)
-        est = events.mc_tail_estimate(int((counts >= m).sum()), trials, level,
+        est = events.mc_tail_estimate(int((counts >= m).sum()), trials,
                                       unresolved=int((counts < 0).sum()))
     return [("mc_tail.csv",
              ["target", "r", "m", "trials", "hits", "log_p", "log_lo", "log_hi", "unresolved"],
@@ -361,20 +347,26 @@ def _run_exponent_fit(cfg: RunConfig):
                                   "coefficient", "max_rel_residual"], fit_rows)]
 
 
-def _jensen_chunk(r_lo, r_hi, ratio, quad_tol, log_guard, seed, keys):
+# R/r of every jensen-check trial: the identity runs between the counting
+# radius r and R, where the trial's draw is truncated.
+JENSEN_RADIUS_RATIO = 1.25
+
+
+def _jensen_chunk(r_lo, r_hi, seed, keys):
     """Jensen-check rows of trials ``keys``: each drawn, all counted together, one root solve."""
     model = GafModel.planar()
     trials = []
     for trial in keys:
         rng = models.stream(seed, trial)
         r = r_lo + (r_hi - r_lo) * rng.random()
-        big_r = ratio * r
+        big_r = JENSEN_RADIUS_RATIO * r
         trials.append((trial, r, big_r, models.sample_truncated(model, big_r, rng)))
+    log_guard = math.log(zeros.TAIL_GUARD)
     counted = zeros.certified_counts([(gaf, r, log_guard + gaf.log_tail_sd)
                                       for _, r, _, gaf in trials])
     resolved = [not isinstance(c, zeros.InconclusiveCount) for c in counted]
     checks = iter(zeros.jensen_residuals([(gaf, r, big_r) for (_, r, big_r, gaf), ok
-                                          in zip(trials, resolved) if ok], quad_tol=quad_tol))
+                                          in zip(trials, resolved) if ok]))
     out = []
     for (trial, r, big_r, _), res, ok in zip(trials, counted, resolved):
         check = next(checks) if ok else None
@@ -392,10 +384,8 @@ def _run_jensen_check(cfg: RunConfig):
     trials = cfg.read("trials", int, **_at_least(1))
     r_lo = cfg.read("r_min", float, default=0.5, **_above(0))
     r_hi = cfg.read("r_max", float, default=3.0, **_above(r_lo, "r_min"))
-    ratio = cfg.read("radius_ratio", float, default=1.25, **_above(1))
-    quad_tol = cfg.read("quad_tol", float, default=1e-8, **_above(0))
-    chunk = functools.partial(_jensen_chunk, r_lo, r_hi, ratio, quad_tol, _log_tail_guard(cfg),
-                              cfg.seed)
+    _check_radii(GafModel.planar(), [r_lo], "r_min")
+    chunk = functools.partial(_jensen_chunk, r_lo, r_hi, cfg.seed)
     chunks = _map_blocks(chunk, trials, cfg.threads)
     return [("jensen_check.csv", ["trial", "r", "R", "winding_count", "root_count",
                                   "jensen_residual", "count_inequality_ok", "certified"],

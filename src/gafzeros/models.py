@@ -148,8 +148,7 @@ def stream(seed: int, key: int = 0) -> np.random.Generator:
 
 
 def _check_radius(model: GafModel, r: float):
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    _num.check_radius(r)
     if model.kind is Kind.HYPERBOLIC and not r < 1:
         raise ValueError("hyperbolic model lives in the open unit disk")
 

@@ -78,8 +78,7 @@ class BernoulliProfile:
 
 
 def _check_domain(ensemble: RadialEnsemble, r: float):
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    _num.check_radius(r)
     if ensemble is RadialEnsemble.HYPERBOLIC_ONE and not r < 1:
         raise ValueError("hyperbolic radial law needs r < 1")
 

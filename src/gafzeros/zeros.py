@@ -30,6 +30,7 @@ _TWO_PI = 2.0 * math.pi
 MAX_NODES = 2**20  # node cap of both circle walks, past either start grid
 COUNT_START_NODES = 256
 MEAN_START_NODES = 128
+MEAN_TOL = 1e-8  # a circle mean stops when two levels of its walk agree within this
 HARD_FLOOR = 1e-300  # row moduli |f|/e^L at or below this are a hard failure, never clamped
 # Roots per block of ``find_roots_many``.  An Aberth iteration pays a fixed
 # numpy call cost per Horner step and per group of equal degree with an
@@ -317,19 +318,24 @@ def count_with_retry(f, r, log_floor):
 # worker task of the ``experiments`` runners: their draws and their start
 # grids (1024 x 256 values) stay small whatever the number of keys.
 REPLICA_BLOCK = 1024
+# The count floor of a truncated draw in units of its truncation's tail sd:
+# ``count_replicas`` and the jensen-check counts floor |f| at
+# log(TAIL_GUARD) + log_tail_sd.
+TAIL_GUARD = 100.0
 
 
-def count_replicas(model: GafModel, r, degree, log_guard, seed, keys):
+def count_replicas(model: GafModel, r, degree, seed, keys):
     """Certified zero counts in |z| < r of independent truncated draws.
 
     Replica k samples ``model`` at ``degree`` from ``stream(seed, k)``; blocks of
     ``REPLICA_BLOCK`` replicas are counted together by one ``certified_counts`` call.
     Every replica shares (model, degree, r), so a block reads the log floor
-    ``log_guard + log_tail_sd`` once, from its first draw.  Returns one count
-    per key, -1 where the replica's count is not certified.
+    ``log(TAIL_GUARD) + log_tail_sd`` once, from its first draw.  Returns one
+    count per key, -1 where the replica's count is not certified.
     """
     keys = list(keys)
     counts = np.empty(len(keys), dtype=int)
+    log_guard = math.log(TAIL_GUARD)
     for lo in range(0, len(keys), REPLICA_BLOCK):
         gafs = [sample_truncated(model, r, stream(seed, k), degree=degree)
                 for k in keys[lo: lo + REPLICA_BLOCK]]
@@ -561,13 +567,13 @@ def count_in_disk(roots, r) -> int:
     return int(np.count_nonzero(np.abs(roots) < r))
 
 
-def circle_mean_log_abs_many(cases, tol) -> list:
+def circle_mean_log_abs_many(cases) -> list:
     """(1/2pi) integral of log |f(s e^{i theta})| d theta of every (f, s) in ``cases``.
 
     Node-doubling trapezoid rule on one circle walk from MEAN_START_NODES
     nodes: on a periodic uniform grid the rule is the plain node mean, which
     converges spectrally for analytic nonvanishing f, and a case stops when
-    two levels agree within ``tol``.  The walk reads the rows in units of
+    two levels agree within MEAN_TOL.  The walk reads the rows in units of
     e^L and adds L to each mean.  Moduli |f|/e^L at or below HARD_FLOOR are
     a hard failure, since clamping would silently corrupt downstream bounds.
     Returns one entry per case: its mean, or an InconclusiveCount for a
@@ -577,6 +583,7 @@ def circle_mean_log_abs_many(cases, tol) -> list:
     out = [None] * len(fs)
     on_grid, log_scale, _, _ = _coefficient_rows(fs, ss)
     est = np.full(len(fs), np.nan)  # NaN, like no estimate, passes no test
+    tol = MEAN_TOL
 
     def step(rows, vals):
         mods = np.abs(vals)
@@ -600,7 +607,7 @@ def circle_mean_log_abs_many(cases, tol) -> list:
     return out
 
 
-def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
+def jensen_residuals(cases) -> list:
     """Residual of the circular-mean identity for log |f| between radii r < R, per case.
 
     Jensen's formula equates mean log |f| at R less that at r with the
@@ -621,7 +628,7 @@ def jensen_residuals(cases, *, quad_tol=1e-8) -> list:
     solved = find_gaf_roots([gaf for gaf, _, _ in cases], [R for _, _, R in cases])
     means = iter(circle_mean_log_abs_many(
         [(gaf, s) for (gaf, r, R), roots in zip(cases, solved)
-         if not isinstance(roots, RootsDidNotConverge) for s in (R, r)], quad_tol))
+         if not isinstance(roots, RootsDidNotConverge) for s in (R, r)]))
     out = []
     for (gaf, r, R), roots in zip(cases, solved):
         if isinstance(roots, RootsDidNotConverge):

@@ -4,44 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import special
 
 from gafzeros import (ExponentRegime, RadialEnsemble, ginibre_tail_brackets,
                       hyperbolic_one_tail_brackets, kappa, kappa_argmax,
                       poisson_kernel_bounds, poisson_tail_log_upper,
-                      predicted_exponent, sum_n_log_n, sum_n_log_n_closed_form,
-                      tail_log_brackets)
+                      predicted_exponent, tail_log_brackets)
 from gafzeros._num import lchoose
-
-
-class TestSumNLogN:
-    def test_first_values(self):
-        assert sum_n_log_n(1).exact == 0.0
-        expect = 2 * math.log(2) + 3 * math.log(3)
-        assert sum_n_log_n(3).exact == pytest.approx(expect, rel=1e-14)
-
-    def test_displayed_sandwich_at_three(self):
-        s = sum_n_log_n(3)
-        closed = sum_n_log_n_closed_form(3)
-        assert closed == pytest.approx(0.5 * 16 * math.log(4) - 4 + 0.25, rel=1e-14)
-        assert s.lower <= closed <= s.upper
-        assert s.lower == pytest.approx(4.6821312, abs=1e-6)
-        # direct summation: 2 log 2 + 3 log 3 + 4 log 4
-        assert s.upper == pytest.approx(10.2273087, abs=1e-6)
-
-    def test_sandwich_holds_up_to_1e4(self):
-        for m in (1, 2, 7, 50, 313, 2048, 10**4):
-            s = sum_n_log_n(m)
-            closed = sum_n_log_n_closed_form(m)
-            assert s.lower <= closed <= s.upper
-
-    @given(st.integers(min_value=1, max_value=3000))
-    @settings(max_examples=40, deadline=None)
-    def test_sandwich_property(self, m):
-        s = sum_n_log_n(m)
-        assert s.lower <= sum_n_log_n_closed_form(m) <= s.upper
 
 
 class TestPoissonTailUpper:
@@ -140,7 +109,7 @@ class TestKernelConstants:
 class TestGinibreBrackets:
     def test_lower_value_at_unit_radius(self):
         (bk,) = ginibre_tail_brackets(1.0, [5])
-        expect = 15 * math.log(0.5) - sum_n_log_n(5).exact
+        expect = 15 * math.log(0.5) - math.fsum(n * math.log(n) for n in range(2, 6))
         assert bk.log_lower == pytest.approx(expect, rel=1e-14)
 
     def test_contains_dp_small_grid(self):

@@ -138,6 +138,42 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error" in err and f"config.r: {message}" in err
 
+    @pytest.mark.parametrize("data,key", [
+        ({"experiment": "intensity-check", "model": "planar", "r": 1e-170, "samples": 2}, "r"),
+        ({"experiment": "mc-tail", "target": "planar", "r": 1e-170, "m": 1, "trials": 2}, "r"),
+        ({"experiment": "mc-tail", "target": "hyperbolic", "rho": 1.0, "r": 1e-170, "m": 1,
+          "trials": 2}, "r"),
+        ({"experiment": "mc-tail", "target": "ginibre", "r": 1e-170, "m": 1, "trials": 2}, "r"),
+        ({"experiment": "exact-tail", "ensemble": "ginibre", "r": 1e-170, "m_min": 0,
+          "m_max": 3}, "r"),
+        ({"experiment": "jensen-check", "r_min": 1e-170, "trials": 2}, "r_min"),
+        ({"experiment": "scatter", "r": 1e-170, "m": 2}, "r"),
+    ], ids=["intensity-check", "mc-tail-planar", "mc-tail-hyperbolic", "mc-tail-ginibre",
+            "exact-tail", "jensen-check", "scatter"])
+    def test_radius_whose_square_underflows_is_a_config_error(self, tmp_path, capsys,
+                                                             monkeypatch, data, key):
+        # r*r below the least normal float is checked before any work starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the radius was checked")
+
+        monkeypatch.setattr(experiments.radial, "tail_log_brackets", no_work)
+        monkeypatch.setattr(experiments.events, "direct_mc_tail", no_work)
+        monkeypatch.setattr(experiments, "_replica_counts", no_work)
+        monkeypatch.setattr(experiments, "_map_blocks", no_work)
+        monkeypatch.setattr(experiments.events, "build_event", no_work)
+        assert run_cli(tmp_path, data) == 2
+        err = capsys.readouterr().err
+        assert f"config.{key}: radius must be >= 1.49167e-154 = 2^-511" in err
+
+    def test_least_radius_counts(self, tmp_path, capsys):
+        # just above the bound every replica resolves, with no zero in the disk
+        data = {"experiment": "intensity-check", "model": "planar", "r": 1.5e-154,
+                "samples": 3}
+        assert run_cli(tmp_path, data) == 0
+        with open(tmp_path / "out" / "intensity_check.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (row["resolved"], row["mean_count"]) == ("3", "0")
+
 
 # smallest valid fields of the experiments that have optional fields
 BASE = {
@@ -152,18 +188,24 @@ BASE = {
 # (experiment, optional field, a value of the wrong type, an out-of-range value)
 OPTIONAL_FIELDS = [
     ("scatter", "samples", "2", 0),
-    ("scatter", "clip_radius", "3", 0.0),
     ("scatter", "anchor_alpha", True, -1.0),
-    ("mc-tail", "level", "0.9", 1.5),
-    ("mc-tail", "tail_guard", [100], -1.0),
     ("exponent-fit", "basis", 1, "r2alpha-logr"),
     ("jensen-check", "r_min", "0.5", 0.0),
     ("jensen-check", "r_max", None, 0.4),
-    ("jensen-check", "radius_ratio", "1.25", 1.0),
-    ("jensen-check", "quad_tol", True, 0.0),
-    ("jensen-check", "tail_guard", "100", float("inf")),
-    ("intensity-check", "tail_guard", "100", -0.5),
     ("kappa", "grid_points", 10.0, 0),
+]
+
+# (experiment, field, the value it took by default) of the fields that are
+# library constants now: zeros.TAIL_GUARD, events.MC_LEVEL, zeros.MEAN_TOL,
+# experiments.JENSEN_RADIUS_RATIO and the scatter clip 3r
+REMOVED_FIELDS = [
+    ("scatter", "clip_radius", 3.0),
+    ("mc-tail", "level", 0.99),
+    ("mc-tail", "tail_guard", 100.0),
+    ("jensen-check", "radius_ratio", 1.25),
+    ("jensen-check", "quad_tol", 1e-8),
+    ("jensen-check", "tail_guard", 100.0),
+    ("intensity-check", "tail_guard", 100.0),
 ]
 
 
@@ -181,6 +223,15 @@ class TestFieldReader:
             data = {"experiment": experiment, **BASE[experiment], key: value}
             assert run_cli(tmp_path, data) == 2, value
             assert f"config.{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,key,value", REMOVED_FIELDS,
+                             ids=[f"{e}-{k}" for e, k, _ in REMOVED_FIELDS])
+    def test_removed_field_is_a_config_error(self, tmp_path, capsys, experiment, key, value):
+        # even at the value of its constant, a removed field fails loudly
+        data = {"experiment": experiment, **BASE[experiment], key: value}
+        assert run_cli(tmp_path, data) == 2
+        assert f"config.{key}: not a field {experiment} reads" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     @pytest.mark.parametrize("key", ["m", "seed", "threads"])
     def test_bool_is_not_a_number(self, tmp_path, capsys, key):
@@ -222,10 +273,10 @@ class TestFieldReader:
         assert run_cli(tmp_path, data) == 2
         assert "config.m_grid:" in capsys.readouterr().err
 
-    def test_intensity_check_with_no_resolved_replica(self, tmp_path, capsys):
+    def test_intensity_check_with_no_resolved_replica(self, tmp_path, capsys, monkeypatch):
         # a floor above every |f| on the circle leaves each replica unresolved
-        data = {"experiment": "intensity-check", "model": "planar", "r": 1.0,
-                "samples": 3, "tail_guard": 1e300}
+        monkeypatch.setattr(experiments.zeros, "TAIL_GUARD", 1e300)
+        data = {"experiment": "intensity-check", "model": "planar", "r": 1.0, "samples": 3}
         assert run_cli(tmp_path, data) == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and "3 of 3 replicas unresolved" in err
@@ -272,6 +323,8 @@ def schema_sections():
 
 class TestSchemaDocs:
     def test_every_field_read_is_documented(self, tmp_path, monkeypatch):
+        # both ways: each section lists exactly the fields its runner reads,
+        # so a row left behind for a removed field fails too
         read = RunConfig.read
         seen = {}
 
@@ -287,7 +340,7 @@ class TestSchemaDocs:
         assert set(seen) == set(EXPERIMENTS)
         for name in EXPERIMENTS:
             assert name in sections, f"docs/config_schema.md has no section for {name}"
-            assert seen[name] <= sections[name], (name, seen[name] - sections[name])
+            assert seen[name] == sections[name], (name, seen[name] ^ sections[name])
 
 
 class TestDeterminism:

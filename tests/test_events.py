@@ -405,6 +405,22 @@ class TestConditionedSampling:
             # the window total, in log form since its squares underflow
             assert _num.logsumexp(2.0 * np.log(window)) <= agg.log_bound * (1.0 - 1e-12)
 
+    def test_window_past_its_cap_fails_below_the_double_range(self):
+        # at r=60 the window's squares underflow to 0, so only its log total
+        # sees a window scaled by e^20, e^40 over its cap
+        ev = build_event(EventKind.MODERATE_GROUPED, r=60.0, alpha=1.8, gamma=2.0)
+        agg = ev.aggregate
+        draw = conditioned_sample(ev, stream(4200, 0))
+        assert sample_satisfies(ev, draw)
+        draw[agg.lo: agg.hi + 1] *= math.exp(20.0)
+        assert not sample_satisfies(ev, draw)
+
+    def test_floor_below_the_double_range(self):
+        # |a_0| >= e^-800 is met by e^-700 and not by 0, though e^-800 is 0 in doubles
+        ev = single_index_event("ge", -800.0)
+        assert sample_satisfies(ev, np.array([math.exp(-700.0)], dtype=complex))
+        assert not sample_satisfies(ev, np.zeros(1, dtype=complex))
+
     def test_moderate_sampling_and_count(self):
         ev = build_event(EventKind.MODERATE_GROUPED, r=6.0, alpha=1.5, gamma=0.4)
         draws = [conditioned_sample(ev, stream(4100, k)) for k in range(5)]
@@ -490,7 +506,7 @@ class TestVerifyDomination:
 
 class TestClopperPearson:
     @pytest.mark.parametrize("trials", [1, 2, 10, 128, 10**4, 10**6])
-    def test_ends_equal_scipy_stats_beta_ppf(self, trials):
+    def test_ends_equal_scipy_stats_beta_ppf(self, trials, monkeypatch):
         # scipy.stats stays the reference here; the package prices the ends
         # through special.betaincinv so that it never imports scipy.stats
         from scipy import stats
@@ -499,7 +515,8 @@ class TestClopperPearson:
         for hits in hit_grid:
             for level in (0.9, 0.95, 0.99, 0.999):
                 a = 1.0 - level
-                est = mc_tail_estimate(hits, trials, level)
+                monkeypatch.setattr(events, "MC_LEVEL", level)
+                est = mc_tail_estimate(hits, trials)
                 if hits == 0:
                     assert est.log_lo == -math.inf
                 else:
@@ -525,9 +542,8 @@ class TestDirectMc:
     def test_planar_counts_monotone_in_m(self):
         # P[n(2) >= 6] sits near the Ginibre analog 0.07, so 1500 replicas
         # give a solidly finite estimate
-        counts = zeros.count_replicas(PLANAR, 2.0, choose_truncation(PLANAR, 2.0),
-                                      math.log(experiments.MC_TAIL_GUARD), 3, range(1500))
-        e6, e5 = (mc_tail_estimate(int((counts >= m).sum()), 1500, 0.99,
+        counts = zeros.count_replicas(PLANAR, 2.0, choose_truncation(PLANAR, 2.0), 3, range(1500))
+        e6, e5 = (mc_tail_estimate(int((counts >= m).sum()), 1500,
                                    unresolved=int((counts < 0).sum())) for m in (6, 5))
         assert np.isfinite(e6.log_p)
         assert e6.hits <= e5.hits
@@ -559,9 +575,8 @@ class TestDirectMc:
         else:
             # a GAF row is the estimate of its certified replica counts
             model = GafModel.hyperbolic(extra["rho"])
-            counts = zeros.count_replicas(model, r, choose_truncation(model, r),
-                                          math.log(experiments.MC_TAIL_GUARD), 5, range(trials))
-            est = mc_tail_estimate(int((counts >= m).sum()), trials, 0.99,
+            counts = zeros.count_replicas(model, r, choose_truncation(model, r), 5, range(trials))
+            est = mc_tail_estimate(int((counts >= m).sum()), trials,
                                    unresolved=int((counts < 0).sum()))
         assert [float(row[k]) for k in ("log_p", "log_lo", "log_hi")] == \
             [est.log_p, est.log_lo, est.log_hi]
@@ -596,9 +611,8 @@ class TestLowerBoundConsistency:
         # below any Monte Carlo upper confidence bound for the tail
         ev = build_event(EventKind.PLANAR_DOMINATION, r=1.0, m=2)
         lp = event_log_prob_detail(ev).total
-        counts = zeros.count_replicas(PLANAR, 1.0, choose_truncation(PLANAR, 1.0),
-                                      math.log(experiments.MC_TAIL_GUARD), 11, range(2000))
-        est = mc_tail_estimate(int((counts >= 2).sum()), 2000, 0.99,
+        counts = zeros.count_replicas(PLANAR, 1.0, choose_truncation(PLANAR, 1.0), 11, range(2000))
+        est = mc_tail_estimate(int((counts >= 2).sum()), 2000,
                                unresolved=int((counts < 0).sum()))
         assert lp <= est.log_hi
 

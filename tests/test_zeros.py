@@ -8,7 +8,7 @@ import pytest
 
 from gafzeros import (GafModel, InconclusiveCount, RootsDidNotConverge, TruncatedGaf,
                       choose_truncation, circle_mean_log_abs_many, coefficient_rows,
-                      count_in_disk, count_replicas, count_with_retry, experiments,
+                      count_in_disk, count_replicas, count_with_retry, events, experiments,
                       find_gaf_roots, find_roots_many, jensen_residuals, max_modulus, models,
                       radial, sample_truncated, stream, zeros)
 from gafzeros._num import certified_log_series, horner
@@ -54,8 +54,8 @@ def walk_count(gaf, r, log_floor, max_nodes=MAX_NODES):
 
 
 def walk_means(cases, tol, start, cap):
-    # circle_mean_log_abs_many from a start grid of ``start`` nodes up to ``cap``
-    return with_settings(circle_mean_log_abs_many, cases, tol, MEAN_START_NODES=start,
+    # circle_mean_log_abs_many to ``tol`` from a start grid of ``start`` nodes up to ``cap``
+    return with_settings(circle_mean_log_abs_many, cases, MEAN_TOL=tol, MEAN_START_NODES=start,
                          MAX_NODES=cap)
 
 
@@ -420,23 +420,27 @@ class TestFindRootsMany:
 
 
 class TestCircleMean:
+    @pytest.fixture(autouse=True)
+    def tight_tol(self, monkeypatch):
+        monkeypatch.setattr(zeros, "MEAN_TOL", 1e-10)
+
     def test_constant(self):
-        (got,) = circle_mean_log_abs_many([(poly([3.7], 1.0), 1.0)], 1e-10)
+        (got,) = circle_mean_log_abs_many([(poly([3.7], 1.0), 1.0)])
         assert got == pytest.approx(math.log(3.7), abs=1e-10)
 
     def test_root_outside_mean_value(self):
         a = 2.5
-        (got,) = circle_mean_log_abs_many([(poly([-a, 1], 1.0), 1.0)], 1e-10)
+        (got,) = circle_mean_log_abs_many([(poly([-a, 1], 1.0), 1.0)])
         assert got == pytest.approx(math.log(a), abs=1e-9)
 
     def test_root_inside_gives_log_radius(self):
         a = 0.3 + 0.1j
         s = 1.7
-        (got,) = circle_mean_log_abs_many([(poly([-a, 1], s), s)], 1e-10)
+        (got,) = circle_mean_log_abs_many([(poly([-a, 1], s), s)])
         assert got == pytest.approx(math.log(s), abs=1e-9)
 
     def test_hard_floor(self):
-        (got,) = circle_mean_log_abs_many([(poly([0.0], 1.0), 1.0)], 1e-8)
+        (got,) = circle_mean_log_abs_many([(poly([0.0], 1.0), 1.0)])
         assert isinstance(got, InconclusiveCount)
 
 
@@ -482,8 +486,9 @@ class TestJensen:
             return many(polys, **kwargs)
 
         monkeypatch.setattr(zeros, "find_roots_many", recording)
-        trials, log_guard, seed = 24, math.log(1e7), 0
-        rows = experiments._jensen_chunk(0.5, 3.0, 1.25, 1e-8, log_guard, seed, range(trials))
+        guard, trials, seed = 1e7, 24, 0
+        monkeypatch.setattr(zeros, "TAIL_GUARD", guard)
+        rows = experiments._jensen_chunk(0.5, 3.0, seed, range(trials))
         assert len(rows) == trials
         resolved = []
         for j in range(trials):
@@ -491,7 +496,7 @@ class TestJensen:
             r = 0.5 + 2.5 * rng.random()
             gaf = sample_truncated(PLANAR, 1.25 * r, rng)
             try:
-                count_with_retry(gaf, r, log_guard + gaf.log_tail_sd)
+                count_with_retry(gaf, r, math.log(guard) + gaf.log_tail_sd)
             except InconclusiveCount:
                 continue
             resolved.append(row_of(gaf, 1.25 * r))
@@ -953,7 +958,7 @@ class TestCoefficientPath:
             with pytest.raises(ValueError, match="outside radius_of_use"):
                 count_with_retry(gaf, s, -math.inf)
             with pytest.raises(ValueError, match="outside radius_of_use"):
-                circle_mean_log_abs_many([(gaf, s)], 1e-8)
+                circle_mean_log_abs_many([(gaf, s)])
             with pytest.raises(ValueError, match="outside radius_of_use"):
                 max_modulus(gaf, s)
         # a radius within the guard's DOMAIN_SLACK is counted
@@ -964,7 +969,7 @@ class TestCoefficientPath:
         (lambda gaf, s: find_gaf_roots([gaf], [s]), "radius must be positive"),
         (lambda gaf, s: zeros.certified_counts([(gaf, s, -math.inf)]),
          "radius must be positive"),
-        (lambda gaf, s: circle_mean_log_abs_many([(gaf, s)], 1e-8), "radius must be positive"),
+        (lambda gaf, s: circle_mean_log_abs_many([(gaf, s)]), "radius must be positive"),
         (lambda gaf, s: max_modulus(gaf, s), "radius must be positive"),
         (lambda gaf, s: jensen_residuals([(gaf, 0.5 * s, s)]), "need 0 < r < R"),
     ], ids=["rows", "roots", "counts", "means", "max", "jensen"])
@@ -1066,15 +1071,16 @@ class TestArcMargin:
 
 class TestCountReplicas:
     def test_matches_per_replica_counts(self):
-        model, r, guard, seed = GafModel.hyperbolic(1.0), 0.9, 100.0, 5
+        model, r, seed = GafModel.hyperbolic(1.0), 0.9, 5
         degree = choose_truncation(model, r)
         keys = [7, 0, 3, 3, 12]
-        counts = count_replicas(model, r, degree, math.log(guard), seed, keys)
+        counts = count_replicas(model, r, degree, seed, keys)
         want = []
         for k in keys:
             gaf = sample_truncated(model, r, stream(seed, k), degree=degree)
             try:
-                res, retries = count_with_retry(gaf, r, math.log(guard) + gaf.log_tail_sd)
+                res, retries = count_with_retry(gaf, r,
+                                                math.log(zeros.TAIL_GUARD) + gaf.log_tail_sd)
             except InconclusiveCount:
                 want.append(-1)
                 continue
@@ -1094,13 +1100,14 @@ class TestCountReplicas:
             return variance(*args)
 
         monkeypatch.setattr(models, "log_tail_variance", counting)
-        counts = count_replicas(PLANAR, 1.0, 8, math.log(100.0), 2, range(replicas))
+        counts = count_replicas(PLANAR, 1.0, 8, 2, range(replicas))
         assert len(counts) == replicas
         assert calls == [(PLANAR, 8, 1.0)] * reads
 
-    def test_unresolved_replica_counts_minus_one(self):
+    def test_unresolved_replica_counts_minus_one(self, monkeypatch):
         # a floor above every |f| on the circle leaves each replica unresolved
-        counts = count_replicas(PLANAR, 1.0, 8, math.log(1e300), 2, range(3))
+        monkeypatch.setattr(zeros, "TAIL_GUARD", 1e300)
+        counts = count_replicas(PLANAR, 1.0, 8, 2, range(3))
         assert counts.tolist() == [-1, -1, -1]
 
 
@@ -1243,12 +1250,13 @@ class TestBatchedWalker:
         assert max(k * n for k, n in shapes if k > 1) <= 1024
         assert (8, 128) in shapes and (4, 256) in shapes and (2, 512) in shapes
 
-    def test_empty_batches(self):
+    def test_empty_batches(self, monkeypatch):
         # a chunk whose every count stays unresolved solves and walks nothing
         assert zeros.certified_counts([]) == []
-        assert zeros.circle_mean_log_abs_many([], 1e-8) == []
+        assert zeros.circle_mean_log_abs_many([]) == []
         assert zeros.jensen_residuals([]) == []
-        rows = experiments._jensen_chunk(0.5, 3.0, 1.25, 1e-8, math.log(1e300), 0, range(3))
+        monkeypatch.setattr(zeros, "TAIL_GUARD", 1e300)
+        rows = experiments._jensen_chunk(0.5, 3.0, 0, range(3))
         assert [(row[3], row[4], row[-1]) for row in rows] == [(-1, -1, False)] * 3
 
     def test_one_walk_per_count(self, monkeypatch):
@@ -1349,11 +1357,19 @@ EMPTY = inspect.Parameter.empty
 
 
 class TestTuningSettings:
-    """Walk, root and DP settings are module constants, not parameters."""
+    """Walk, root, DP, count-floor and bracket settings are module constants, not parameters."""
 
     @pytest.mark.parametrize("entry, params", [
         (zeros.certified_counts, [("cases", EMPTY)]),
-        (zeros.circle_mean_log_abs_many, [("cases", EMPTY), ("tol", EMPTY)]),
+        (zeros.circle_mean_log_abs_many, [("cases", EMPTY)]),
+        (zeros.jensen_residuals, [("cases", EMPTY)]),
+        (zeros.count_replicas, [("model", EMPTY), ("r", EMPTY), ("degree", EMPTY),
+                                ("seed", EMPTY), ("keys", EMPTY)]),
+        (events.mc_tail_estimate, [("hits", EMPTY), ("trials", EMPTY), ("unresolved", 0)]),
+        (events.direct_mc_tail, [("target", EMPTY), ("r", EMPTY), ("m", EMPTY),
+                                 ("trials", EMPTY), ("seed", EMPTY)]),
+        (experiments._jensen_chunk, [("r_lo", EMPTY), ("r_hi", EMPTY), ("seed", EMPTY),
+                                     ("keys", EMPTY)]),
         (zeros.find_roots_many, [("polys", EMPTY)]),
         (radial.tail_log_brackets, [("ensemble", EMPTY), ("r", EMPTY), ("ms", EMPTY)]),
         (radial.bernoulli_probs, [("ensemble", EMPTY), ("r", EMPTY), ("min_terms", None)]),
@@ -1361,7 +1377,8 @@ class TestTuningSettings:
                                  ("neglected", None)]),
         (certified_log_series, [("log_terms", EMPTY), ("start", EMPTY),
                                 ("ratio_bound", EMPTY), ("rel_tol", EMPTY)]),
-    ], ids=["certified_counts", "circle_mean_log_abs_many", "find_roots_many",
+    ], ids=["certified_counts", "circle_mean_log_abs_many", "jensen_residuals", "count_replicas",
+            "mc_tail_estimate", "direct_mc_tail", "_jensen_chunk", "find_roots_many",
             "tail_log_brackets", "bernoulli_probs", "_profile_depth", "certified_log_series"])
     def test_parameter_lists(self, entry, params):
         # a tuning parameter comes back only by editing this list
