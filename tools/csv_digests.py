@@ -5,7 +5,8 @@ Usage, from anywhere:  python3 tools/csv_digests.py
 The configs are every config of ``perfbench/workloads.py`` (both workloads,
 full size) at seeds 1, 2 and 3, and a fixed extra list that reaches every
 experiment: all four event kinds, Ginibre exact tails and exponent fits out
-to r = 30, and the replica experiments at threads 1 and 2.  Each line is
+to r = 30, hyperbolic-one exact tails out to r = 0.999, where p_k is near 1,
+and the replica and radial-sampler experiments at threads 1 and 2.  Each line is
 ``<sha256>  <label>/<file name>``, in a fixed order.  The code run is that of
 the checkout holding this script, so to compare two commits, run it in each
 checkout (copy it into one that lacks it) and diff the two outputs.
@@ -56,6 +57,10 @@ EXTRA = [
         {"experiment": "mc-tail", "seed": 1, "target": "ginibre", "r": 2.0, "m": 8,
          "trials": 4096},
     )),
+    *({"experiment": "mc-tail", "seed": 1, "target": "hyperbolic-one", "r": 0.9, "m": 8,
+       "trials": 4096, "threads": threads} for threads in (1, 2)),
+    {"experiment": "exact-tail", "seed": 1, "ensemble": "hyperbolic-one",
+     "r": [0.3, 0.99, 0.999], "m_min": 1, "m_max": 60},
 ]
 
 
