@@ -23,7 +23,7 @@ from scipy import special
 from . import _num
 from .models import (GafModel, Kind, TruncatedGaf, choose_truncation, log_weight, stream,
                      weight_ratio_bound)
-from .radial import RadialEnsemble, _profile_depth, sample_radii
+from .radial import RadialEnsemble, sample_radii
 from .zeros import certified_counts, max_modulus
 from .zeros import count_with_retry  # noqa: F401  (perfbench's Tracer.install checks this binding)
 
@@ -648,7 +648,7 @@ def direct_mc_tail(target, r: float, m: int, trials: int, seed: int) -> TailEsti
         raise TypeError("target must be a RadialEnsemble")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    depth = _profile_depth(target, r, m + 8)
+    depth = target.law(r).profile_depth(m + 8)
     hits = 0
     for block in range((trials + _MC_CHUNK - 1) // _MC_CHUNK):
         take = min(_MC_CHUNK, trials - block * _MC_CHUNK)

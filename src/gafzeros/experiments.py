@@ -197,10 +197,10 @@ def _radius_list(cfg: RunConfig, key="r"):
 def _check_radii(law, radii, key="r"):
     """ConfigError naming field ``key`` unless the library's domain check of
     ``law``, a radial ensemble or a model, accepts every radius of ``radii``."""
-    check = radial._check_domain if isinstance(law, RadialEnsemble) else models._check_radius
+    check = law.law if isinstance(law, RadialEnsemble) else lambda r: models._check_radius(law, r)
     for r in radii:
         try:
-            check(law, r)
+            check(r)
         except ValueError as exc:
             raise ConfigError(f"config.{key}: {exc}") from exc
 

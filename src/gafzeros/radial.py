@@ -1,20 +1,12 @@
-"""Exact radial laws for the two determinantal ensembles.
+"""Exact radial laws for the two determinantal ensembles, and their tails.
 
-For the Ginibre ensemble the squared point moduli are independent Gamma(n,1)
-variables (Kostlan), so the count in a disk of radius r is a sum of
-independent Bernoullis with p_n = P[Gamma(n,1) < r^2].  For the hyperbolic
-model at index one the zero moduli are {U_n^{1/(2n)}} with independent
-uniforms, so p_n = r^{2n}.  Both tails reduce to a Poisson-binomial tail,
-computed here by an exact dynamic program run entirely in log space.
-``tail_log_brackets`` is the one entry into that program: it prices every
-level m at one radius (a single level is the list ``[m]``) in rounds.  A
-round is one forward sweep of that program, which reads the state of every
-pending level at that level's depth (the first m states of the absorbing
-program at level m are the plain pmf, which no level changes), and batched
-brackets of those states, priced as the sweep goes in chunks of at most
-``BRACKET_CELLS`` cells.  Levels whose brackets are still too wide go to the
-next round, deeper, which resumes from a state the earlier sweeps saved at
-a power-of-two depth instead of from index 1.
+Under either law the moduli are independent across indices, so the count in
+D(0, r) is a sum of independent Bernoullis.  ``RadialEnsemble.law`` is a
+law's one entry: built at r, which checks r's domain, it gives log p_k and
+log(1 - p_k), a memoised certified bound on the mass past depth n, the depth
+rule that meets a bound from the law's least depth on, and the refinement
+pad; its class samples the moduli.  ``tail_log_brackets`` prices the count's
+tail by an exact dynamic program in log space.
 """
 
 from __future__ import annotations
@@ -42,6 +34,11 @@ BRACKET_WIDTH = 1e-6  # ``tail_log_brackets`` deepens a read until it is this wi
 class RadialEnsemble(Enum):
     GINIBRE = "ginibre"
     HYPERBOLIC_ONE = "hyperbolic-one"
+
+    @property
+    def law(self) -> type[_Law]:
+        """This law's entry: ``law(r)`` holds its rules at r, ``law.sample`` its sampler."""
+        return {"ginibre": _Ginibre, "hyperbolic-one": _HyperbolicOne}[self.value]
 
 
 class TailBracket(NamedTuple):
@@ -77,53 +74,82 @@ class BernoulliProfile:
         return math.exp(self.log_neglected) if np.isfinite(self.log_neglected) else 0.0
 
 
-def _check_domain(ensemble: RadialEnsemble, r: float):
-    _num.check_radius(r)
-    if ensemble is RadialEnsemble.HYPERBOLIC_ONE and not r < 1:
-        raise ValueError("hyperbolic radial law needs r < 1")
+class _Law:
+    """A radial law's rules at radius r, one subclass per law (see the module docstring)."""
+
+    def __init__(self, r: float):
+        _num.check_radius(r)
+        self.r = r
+        self.neglected = functools.cache(self.neglected)
+
+    def profile_depth(self, min_terms: int | None) -> int:
+        """Depth of ``bernoulli_probs(ensemble, r, min_terms=min_terms)``."""
+        return self.depth(math.log(PROFILE_EPS), min_terms or 0, 1.5)
 
 
-def _log_neglected(ensemble: RadialEnsemble, r: float, n: int) -> float:
-    """log of an upper bound on sum_{k>n} p_k, the mass a depth-n profile drops.
+class _Ginibre(_Law):
+    """p_k = P[Gamma(k,1) < r^2] = P[Pois(r^2) >= k]: squared moduli are Gamma(k,1) (Kostlan)."""
 
-    Ginibre: p_k = P[Pois(r^2) >= k], and past k = n+1 each term is at most
-    q = (r^2/(n+2)) / (1 - r^2/(n+3)) times the one before, so the sum is at
-    most p_{n+1}/(1-q); that needs q < 1, which n >= 2r^2 + 3 gives.
-    """
-    if ensemble is RadialEnsemble.HYPERBOLIC_ONE:
-        # remainder sum_{k>n} r^{2k} = r^{2(n+1)}/(1-r^2)
-        return float((n + 1) * (2.0 * math.log(r)) - math.log1p(-r * r))
-    lam = r * r
-    q = (lam / (n + 2)) / (1.0 - lam / (n + 3))
-    if not q < 1.0:
-        raise ValueError("profile depth too small for a certified remainder bound")
-    return float(_num.log_gamma_lower(n + 1, lam, math.log(lam)) - math.log1p(-q))
+    pad = 0  # the growth loop moves past a read whose bound is not yet small enough
+
+    def logs(self, idx):
+        lam = self.r * self.r
+        log_p = _num.log_gamma_lower(idx, lam, math.log(lam))
+        # 1 - p_n = Q(n, lam) = P[Pois(lam) < n], accurate where p is within rounding
+        # of 1; where Q underflows, its log is the running log-sum of the terms k < n
+        lin_q = special.gammaincc(idx.astype(float), lam)
+        log_q = np.log(np.maximum(lin_q, 1e-300))
+        under = np.flatnonzero(~(lin_q > 1e-280))
+        k = np.arange(under.max(initial=-1) + 1)
+        log_q[under] = np.logaddexp.accumulate(k * math.log(lam) - lam
+                                               - special.gammaln(k + 1))[under]
+        return log_p, log_q
+
+    def neglected(self, n: int) -> float:
+        """Past k = n+1 each p_k is at most q = (r^2/(n+2)) / (1 - r^2/(n+3)) times
+        the one before, so the sum is at most p_{n+1}/(1-q) where q < 1."""
+        lam = self.r * self.r
+        q = (lam / (n + 2)) / (1.0 - lam / (n + 3))
+        if not q < 1.0:
+            raise ValueError("profile depth too small for a certified remainder bound")
+        return float(_num.log_gamma_lower(n + 1, lam, math.log(lam)) - math.log1p(-q))
+
+    def depth(self, log_mass: float, n: int, growth: float) -> int:
+        n = max(n, math.ceil(2 * self.r * self.r) + 4, 8)  # where ``neglected`` holds
+        while self.neglected(n) >= log_mass:
+            n = int(n * growth) + 4
+        return n
+
+    @staticmethod
+    def sample(rng, k):
+        return np.sqrt(rng.standard_gamma(k))
 
 
-def _depth_for_mass(ensemble: RadialEnsemble, r: float, log_mass: float, n: int,
-                    growth: float, neglected=None) -> int:
-    """A depth >= n whose neglected mass lies below exp(log_mass).
+class _HyperbolicOne(_Law):
+    """p_k = r^{2k}: the moduli are U_k^{1/(2k)} with independent uniforms."""
 
-    Hyperbolic: the least such depth, inverted in closed form.  Ginibre: n
-    grown by n -> int(n * growth) + 4 until the remainder bound is small
-    enough.  ``neglected(n)``, when given, is ``_log_neglected(ensemble, r, n)``
-    as the caller memoises it.
-    """
-    if ensemble is RadialEnsemble.HYPERBOLIC_ONE:
-        return max(n, math.ceil((log_mass + math.log1p(-r * r)) / (2.0 * math.log(r)) - 1.0))
-    neglected = neglected or functools.partial(_log_neglected, ensemble, r)
-    while neglected(n) >= log_mass:
-        n = int(n * growth) + 4
-    return n
+    pad = 8  # the closed form can return the read's own depth
 
+    def __init__(self, r: float):
+        super().__init__(r)
+        if not r < 1:
+            raise ValueError("hyperbolic radial law needs r < 1")
 
-def _profile_depth(ensemble: RadialEnsemble, r: float, min_terms: int | None,
-                   neglected=None) -> int:
-    """Depth of ``bernoulli_probs(ensemble, r, min_terms=min_terms)``."""
-    _check_domain(ensemble, r)
-    least = 1 if ensemble is RadialEnsemble.HYPERBOLIC_ONE else max(math.ceil(2 * r * r) + 4, 8)
-    return _depth_for_mass(ensemble, r, math.log(PROFILE_EPS), max(least, min_terms or 0), 1.5,
-                           neglected)
+    def logs(self, idx):
+        log_p = idx * (2.0 * math.log(self.r))
+        with np.errstate(divide="ignore"):
+            return log_p, np.log1p(-np.exp(log_p))
+
+    def neglected(self, n: int) -> float:  # sum_{k>n} r^{2k} = r^{2(n+1)}/(1-r^2)
+        return float((n + 1) * (2.0 * math.log(self.r)) - math.log1p(-self.r * self.r))
+
+    def depth(self, log_mass: float, n: int, growth: float) -> int:
+        r = self.r  # the least such depth, in closed form
+        return max(n, 1, math.ceil((log_mass + math.log1p(-r * r)) / (2.0 * math.log(r)) - 1.0))
+
+    @staticmethod
+    def sample(rng, k):
+        return rng.random(k.shape) ** (1.0 / (2.0 * k))
 
 
 def bernoulli_probs(ensemble: RadialEnsemble, r: float, *,
@@ -135,25 +161,9 @@ def bernoulli_probs(ensemble: RadialEnsemble, r: float, *,
     their individual probabilities are.  Every entry depends on its index
     alone, so a deeper profile extends a shallower one bit for bit.
     """
-    n = _profile_depth(ensemble, r, min_terms)
-    idx = np.arange(1, n + 1)
-    if ensemble is RadialEnsemble.HYPERBOLIC_ONE:
-        log_p = idx * (2.0 * math.log(r))
-        with np.errstate(divide="ignore"):
-            log_q = np.log1p(-np.exp(log_p))
-    else:
-        lam = r * r
-        log_p = _num.log_gamma_lower(idx, lam, math.log(lam))
-        # 1 - p_n = Q(n, lam) = P[Pois(lam) < n], accurate where p is within rounding
-        # of 1; where Q underflows, its log is the running log-sum of the terms k < n
-        lin_q = special.gammaincc(idx.astype(float), lam)
-        log_q = np.log(np.maximum(lin_q, 1e-300))
-        under = np.flatnonzero(~(lin_q > 1e-280))
-        k = np.arange(under.max(initial=-1) + 1)
-        log_q[under] = np.logaddexp.accumulate(k * math.log(lam) - lam
-                                               - special.gammaln(k + 1))[under]
-    return BernoulliProfile(ensemble=ensemble, r=r, log_probs=log_p, log_one_minus=log_q,
-                            log_neglected=_log_neglected(ensemble, r, n))
+    law = ensemble.law(r)
+    n = law.profile_depth(min_terms)
+    return BernoulliProfile(ensemble, r, *law.logs(np.arange(1, n + 1)), law.neglected(n))
 
 
 def sample_radii(ensemble: RadialEnsemble, rng: np.random.Generator, trials: int,
@@ -162,17 +172,11 @@ def sample_radii(ensemble: RadialEnsemble, rng: np.random.Generator, trials: int
 
     Row t holds the radii of draw t in index order (not sorted by size), and
     the rows come off ``rng`` one after another, so one call draws what
-    ``trials`` calls of one row each would.  Ginibre: the k-th squared radius
-    is a Gamma(k,1) draw, independent across indices, which is what makes the
-    count a Poisson-binomial sum.  Hyperbolic index one: U_k^{1/(2k)} with
-    independent uniforms.
+    ``trials`` calls of one row each would.
     """
     if trials < 1 or depth < 1:
         raise ValueError("trials and depth must be >= 1")
-    k = np.arange(1, depth + 1)
-    if ensemble is RadialEnsemble.GINIBRE:
-        return np.sqrt(rng.standard_gamma(np.broadcast_to(k.astype(float), (trials, depth))))
-    return rng.random((trials, depth)) ** (1.0 / (2.0 * k))
+    return ensemble.law.sample(rng, np.broadcast_to(np.arange(1.0, depth + 1), (trials, depth)))
 
 
 def _states(levels, depths, log_p, log_q, saved=None):
@@ -274,11 +278,9 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms) -> list[TailBracke
     """Tail brackets for every level in ``ms``, priced in rounds of one DP sweep each.
 
     Level m is read first at the depth of ``bernoulli_probs(min_terms=m + 8)``.
-    A round sweeps the DP to its deepest read, from index 1 or from the
-    deepest state an earlier round saved at or below its shallowest read
-    (``_states``), takes each read's state [pmf[:m], absorbed] at that
-    read's depth, and prices the states in batched brackets (``_brackets``,
-    in chunks of ``BRACKET_CELLS`` cells).
+    A round is one DP sweep to its deepest read, which may resume from a state
+    an earlier round saved (``_states``), and prices the state of each read at
+    its depth in batched brackets (``_brackets``).
     A read still wider than BRACKET_WIDTH moves to the next round at the
     depth whose neglected mass its survival step says would meet the target,
     at most four times per level.  Each bracket is the one a DP restarted at
@@ -290,8 +292,8 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms) -> list[TailBracke
     done = {0: TailBracket(0.0, 0.0)}
     levels = sorted({int(m) for m in ms if m > 0})
     if levels:
-        neglected = functools.cache(functools.partial(_log_neglected, ensemble, r))
-        reads = {m: _profile_depth(ensemble, r, m + 8, neglected) for m in levels}
+        law = ensemble.law(r)
+        reads = {m: law.profile_depth(m + 8) for m in levels}
         profile, refinements, saved = None, 0, {}
         while reads:
             deepest = max(reads.values())
@@ -299,7 +301,7 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms) -> list[TailBracke
                 profile = bernoulli_probs(ensemble, r, min_terms=deepest)
             states = _states(list(reads), list(reads.values()),
                              profile.log_probs, profile.log_one_minus, saved)
-            lower, upper, head = _brackets(states, [neglected(d) for d in reads.values()])
+            lower, upper, head = _brackets(states, [law.neglected(d) for d in reads.values()])
             met = upper - lower <= BRACKET_WIDTH
             wide = {}
             for i, (m, depth) in enumerate(reads.items()):
@@ -308,8 +310,6 @@ def tail_log_brackets(ensemble: RadialEnsemble, r: float, ms) -> list[TailBracke
                     continue
                 # the survival step at m gives the neglected mass that would meet the target
                 needed = math.log(BRACKET_WIDTH / 2.0) + head[i, 0] - head[i, 1]
-                start = depth + 8 if ensemble is RadialEnsemble.HYPERBOLIC_ONE else depth
-                # past a first-read depth that met PROFILE_EPS, which needs nothing more
-                wide[m] = _depth_for_mass(ensemble, r, needed, start, 1.4, neglected)
+                wide[m] = law.depth(needed, depth + law.pad, 1.4)
             reads, refinements = wide, refinements + 1
     return [done[m] for m in ms]

@@ -78,7 +78,7 @@ def reference_bracket(ens, r, m):
         if ens is HYP:
             n = max(n + 8, math.ceil((needed + math.log1p(-r * r)) / (2.0 * math.log(r)) - 1.0))
         else:
-            while radial._log_neglected(ens, r, n) >= needed:
+            while ens.law(r).neglected(n) >= needed:
                 n = int(n * 1.4) + 4
         profile = bernoulli_probs(ens, r, min_terms=n)
         br, survival = reference_tail(profile, m)
@@ -309,7 +309,7 @@ class TestSweep:
     def test_refinement_stops_after_four_rounds(self, monkeypatch):
         # with every depth left where it starts, no round can narrow a
         # bracket: each level is refined four times, then returned as it is
-        monkeypatch.setattr(radial, "_depth_for_mass", lambda ens, r, log_mass, n, *args: n)
+        monkeypatch.setattr(GIN.law, "depth", lambda law, log_mass, n, growth: n)
         rounds = []
         brackets = radial._brackets
 

@@ -1373,8 +1373,7 @@ class TestTuningSettings:
         (zeros.find_roots_many, [("polys", EMPTY)]),
         (radial.tail_log_brackets, [("ensemble", EMPTY), ("r", EMPTY), ("ms", EMPTY)]),
         (radial.bernoulli_probs, [("ensemble", EMPTY), ("r", EMPTY), ("min_terms", None)]),
-        (radial._profile_depth, [("ensemble", EMPTY), ("r", EMPTY), ("min_terms", EMPTY),
-                                 ("neglected", None)]),
+        (radial._Law.profile_depth, [("self", EMPTY), ("min_terms", EMPTY)]),
         (certified_log_series, [("log_terms", EMPTY), ("start", EMPTY),
                                 ("ratio_bound", EMPTY), ("rel_tol", EMPTY)]),
     ], ids=["certified_counts", "circle_mean_log_abs_many", "jensen_residuals", "count_replicas",
