@@ -137,8 +137,7 @@ class _HyperbolicOne(_Law):
 
     def logs(self, idx):
         log_p = idx * (2.0 * math.log(self.r))
-        with np.errstate(divide="ignore"):
-            return log_p, np.log1p(-np.exp(log_p))
+        return log_p, _num.log1mexp(-log_p)
 
     def neglected(self, n: int) -> float:  # sum_{k>n} r^{2k} = r^{2(n+1)}/(1-r^2)
         return float((n + 1) * (2.0 * math.log(self.r)) - math.log1p(-self.r * self.r))

@@ -115,6 +115,16 @@ class TestProfiles:
         assert prof.probs[1] == pytest.approx(0.0625, rel=1e-14)
         assert np.all(np.diff(prof.log_probs) < 0)  # strictly decreasing
 
+    def test_hyperbolic_log_one_minus_near_one(self):
+        # p_k = r^{2k} near 1: log(1 - p_k) to 1e-14 relative against 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        for r in (0.999, 0.99999):
+            prof = bernoulli_probs(HYP, r, min_terms=50)
+            for n in range(1, 51):
+                with mpmath.workdps(50):
+                    want = float(mpmath.log(1 - mpmath.mpf(r) ** (2 * n)))
+                assert prof.log_one_minus[n - 1] == pytest.approx(want, rel=1e-14, abs=0)
+
     def test_ginibre_monotone_past_r_squared(self):
         prof = bernoulli_probs(GIN, 2.0, min_terms=30)
         start = int(math.ceil(4.0))
