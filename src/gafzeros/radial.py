@@ -115,6 +115,7 @@ class _Ginibre(_Law):
         return float(_num.log_gamma_lower(n + 1, lam, math.log(lam)) - math.log1p(-q))
 
     def depth(self, log_mass: float, n: int, growth: float) -> int:
+        """n, grown by n -> int(n * growth) + 4 until its bound is below log_mass."""
         n = max(n, math.ceil(2 * self.r * self.r) + 4, 8)  # where ``neglected`` holds
         while self.neglected(n) >= log_mass:
             n = int(n * growth) + 4
@@ -143,7 +144,7 @@ class _HyperbolicOne(_Law):
         return float((n + 1) * (2.0 * math.log(self.r)) - math.log1p(-self.r * self.r))
 
     def depth(self, log_mass: float, n: int, growth: float) -> int:
-        r = self.r  # the least such depth, in closed form
+        r = self.r  # the least depth >= n whose bound is below log_mass, in closed form
         return max(n, 1, math.ceil((log_mass + math.log1p(-r * r)) / (2.0 * math.log(r)) - 1.0))
 
     @staticmethod
