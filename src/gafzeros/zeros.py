@@ -34,10 +34,10 @@ MEAN_TOL = 1e-8  # a circle mean stops when two levels of its walk agree within 
 HARD_FLOOR = 1e-300  # row moduli |f|/e^L at or below this are a hard failure, never clamped
 # Roots per block of ``find_roots_many``.  An Aberth iteration pays a fixed
 # numpy call cost per Horner step and per group of equal degree with an
-# active root, whatever the block's width, and larger blocks spread it over
-# more roots until their arrays fall out of cache.  Over the root solves of
-# a roots-jensen pass, iterating only the active roots, 512 and 1024 took
-# the same CPU time (0.26-0.27 s), 2048 and 4096 more (0.28 and 0.30-0.33 s).
+# active root, whatever the block's width; larger blocks spread it until their
+# arrays fall out of cache.  Root-solve CPU per roots-jensen pass (2-vCPU Xeon,
+# medians of two runs of 10 rotating rounds): 0.20-0.21 s at 512, 0.19-0.20 s
+# at 1024, 0.18 s at 2048, lower than 1024 in 15 of 20 rounds but not in all.
 ROOT_BLOCK = 1024
 ROOT_RESIDUAL_TOL = 1e-10  # of the backward-error scale, see ``find_roots_many``
 ROOT_MAX_ITER = 200
@@ -406,10 +406,12 @@ def _values(rows, z):
 def _values_with_pullback(rows, z):
     """z, p(z) and p'(z), overflowing iterates first pulled toward the origin.
 
-    Giant initial radii at high degree overflow.  Such an entry of z
-    (modified in place) is scaled by 0.7 until its values are finite, at most
-    200 times; each round evaluates the next 8 scalings of every such entry
-    in one Horner pass and keeps the first finite one.
+    Giant initial radii at high degree overflow.  Such an entry of z is
+    scaled by 0.7 until its values are finite, at most 200 times; each round
+    evaluates the next 8 scalings of every such entry in one Horner pass and
+    keeps the first finite one.  z is modified in place and returned: the
+    Newton polish passes all its roots, the Aberth loop a copy of its active
+    roots that overflowed, evaluated again here, and writes them back.
     """
     n = len(z)
     p, dp = _values(rows, z)
@@ -440,14 +442,18 @@ def _aberth_block(cs, at_zero):
     ``at_zero[j]`` holds the roots at 0 that polynomial j had stripped.  The
     roots of all polynomials sit in one vector, polynomial after polynomial.
     A root is active until its correction falls below 1e-14 (1 + |z|), then
-    frozen.  Each iteration evaluates the active roots in one Horner pass,
-    and forms their Aberth sums per group of equal degree d: an active
-    root's sum is one row of length d over all roots of its polynomial,
-    frozen ones included, so every root takes the floating-point steps of a
-    solve of its polynomial alone.  A frozen root is not evaluated again: a
-    solve that evaluates it only takes a correction of 0, and could pull it
-    back only if the step below 1e-14 (1 + |z|) that froze it had carried its
-    values from finite to overflow.
+    frozen.  Each iteration evaluates the held roots, a superset of the
+    active ones, in one Horner pass and reads only the active positions.
+    The held columns are copied down to the active ones once these are half
+    of them or fewer: at most log2(n) copies, not one per iteration.  Each
+    column is computed on its own, so a frozen held one changes no bit; it
+    is never read, pulled back or written to z.  An active root's Aberth sum,
+    per group of equal degree d, is one row of length d over all roots of
+    its polynomial, frozen ones included, so every root takes the
+    floating-point steps of a solve of its polynomial alone.  Such a solve
+    takes a correction of 0 at a frozen root, and could pull it back only if
+    the step below 1e-14 (1 + |z|) that froze it had carried its values
+    from finite to overflow.
     """
     degs = np.array([len(c) - 1 for c in cs])
     ends = np.cumsum(degs)
@@ -459,11 +465,16 @@ def _aberth_block(cs, at_zero):
     # each equal-degree group: its first root, degree and end
     groups = [(int(lo), int(d), int(lo + c * d)) for lo, d, c in zip(starts[at], ds, counts)]
     active = np.arange(n)
+    held, cols, pos = active, rows, active  # held roots, their columns, active positions
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(ROOT_MAX_ITER):
-            za, p, dp = _values_with_pullback(rows[:, np.concatenate([active, n + active])],
-                                              z[active])
-            z[active] = za
+            p, dp = _values(cols, z[held])
+            za, p, dp = z[active], p[pos], dp[pos]
+            bad = np.flatnonzero(~(np.isfinite(p) & np.isfinite(dp)))
+            if len(bad):
+                hb = np.concatenate([pos[bad], len(held) + pos[bad]])
+                za[bad], p[bad], dp[bad] = _values_with_pullback(cols[:, hb], za[bad])
+                z[active] = za
             dp = np.where(dp == 0, 1e-30, dp)
             w = p / dp
             s = np.empty_like(za)
@@ -482,9 +493,13 @@ def _aberth_block(cs, at_zero):
             za = za - corr
             z[active] = za
             # a NaN correction keeps its root active
-            active = active[~(np.abs(corr) <= 1e-14 * (1.0 + np.abs(za)))]
+            keep = ~(np.abs(corr) <= 1e-14 * (1.0 + np.abs(za)))
+            active, pos = active[keep], pos[keep]
             if not len(active):
                 break
+            if 2 * len(active) <= len(held):
+                held, cols = active, rows[:, np.concatenate([active, n + active])]
+                pos = np.arange(len(active))
         for _ in range(2):  # Newton polish
             z, p, dp = _values_with_pullback(rows, z)
             dp = np.where(dp == 0, 1e-30, dp)

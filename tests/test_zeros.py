@@ -285,9 +285,10 @@ def ref_initial_root_guesses(coeffs):
     return np.concatenate(guesses)
 
 
-def ref_find_roots(coeffs, *, residual_tol=1e-10, max_iter=200):
+def ref_find_roots(coeffs, *, residual_tol=1e-10, max_iter=200, active=None):
     # reference copy of the one-polynomial Aberth loop that find_roots_many
-    # batches; it evaluates all deg roots per step and pulls back all of them
+    # batches; it evaluates all deg roots per step and pulls back all of them.
+    # A list ``active`` gets the count of roots not yet frozen at each step.
     c = np.asarray(coeffs, dtype=complex)
     nz = np.nonzero(np.abs(c))[0]
     c = c[: nz[-1] + 1]
@@ -321,6 +322,8 @@ def ref_find_roots(coeffs, *, residual_tol=1e-10, max_iter=200):
 
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
+            if active is not None:
+                active.append(int(np.count_nonzero(~done)))
             z, p, dp = values_with_pullback(z)
             dp = np.where(dp == 0, 1e-30, dp)
             w = p / dp
@@ -391,6 +394,58 @@ class TestFindRootsMany:
         assert got[:8] == [solve_with(ref_find_roots, c) for c in polys[:8]]
         failed = sum(msg is not None for msg, _ in got[:8])
         assert 0 < failed < 8
+
+    def test_held_columns_shrink_by_halves(self, monkeypatch):
+        # each Aberth iteration evaluates its held roots, at most twice its
+        # active ones, and a block of n roots changes its held width at most
+        # log2(n) times
+        blocks, block, values = [], zeros._aberth_block, zeros._values
+
+        def recording_block(cs, at_zero):
+            blocks.append((cs, []))
+            return block(cs, at_zero)
+
+        def recording_values(rows, z):
+            blocks[-1][1].append(len(z))
+            return values(rows, z)
+
+        monkeypatch.setattr(zeros, "_aberth_block", recording_block)
+        monkeypatch.setattr(zeros, "_values", recording_values)
+        rng = np.random.default_rng(5)
+        find_roots_many([rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+                         for d in range(2, 200, 7)])
+        assert len(blocks) == 3
+        for cs, widths in blocks:
+            n = sum(len(c) - 1 for c in cs)
+            # the active roots of each step, from the one-polynomial reference
+            steps = []
+            for c in cs:
+                steps.append([])
+                ref_find_roots(c, active=steps[-1])
+            active = [sum(s[t] for s in steps if t < len(s))
+                      for t in range(max(map(len, steps)))]
+            *loop, polish1, polish2 = widths  # no pullback, then two polish passes
+            assert (polish1, polish2) == (n, n)
+            assert len(loop) == len(active)
+            assert all(a <= w <= 2 * a for w, a in zip(loop, active))
+            assert 0 < sum(a != b for a, b in zip(loop, loop[1:])) <= math.floor(math.log2(n))
+
+    def test_pullback_rounds_evaluate_only_active_roots(self, monkeypatch):
+        # a pullback round evaluates 8 scalings by 0.7 of each entry it pulls;
+        # a frozen root never joins one, so the rounds take as many entries as
+        # a loop that evaluates only its active roots
+        pulled = []
+        values = zeros._values
+
+        def recording(rows, z):
+            levels = z.reshape(8, -1) if len(z) % 8 == 0 else None
+            if levels is not None and np.array_equal(levels[1:], 0.7 * levels[:-1]):
+                pulled.append(levels.shape[1])
+            return values(rows, z)
+
+        monkeypatch.setattr(zeros, "_values", recording)
+        find_roots_many([c for c, _ in extreme_scale_draws(12)])
+        assert sum(pulled) == 402
 
     def test_failure_stays_with_its_polynomial(self, monkeypatch):
         rng = stream(22)
