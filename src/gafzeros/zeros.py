@@ -465,7 +465,7 @@ def _aberth_block(cs, at_zero):
     # each equal-degree group: its first root, degree and end
     groups = [(int(lo), int(d), int(lo + c * d)) for lo, d, c in zip(starts[at], ds, counts)]
     active = np.arange(n)
-    held, cols, pos = active, rows, active  # held roots, their columns, active positions
+    held, cols, pos = active, rows, active  # held roots, their columns, active positions in them
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(ROOT_MAX_ITER):
             p, dp = _values(cols, z[held])

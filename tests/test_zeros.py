@@ -432,7 +432,7 @@ class TestFindRootsMany:
 
     def test_pullback_rounds_evaluate_only_active_roots(self, monkeypatch):
         # a pullback round evaluates 8 scalings by 0.7 of each entry it pulls;
-        # a frozen root never joins one, so the rounds take as many entries as
+        # a frozen root never joins one, so the rounds take the 402 entries of
         # a loop that evaluates only its active roots
         pulled = []
         values = zeros._values
