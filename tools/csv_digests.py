@@ -6,8 +6,9 @@ The configs are every config of ``perfbench/workloads.py`` (both workloads,
 full size) at seeds 1, 2 and 3, and a fixed extra list that reaches every
 experiment: all four event kinds, Ginibre exact tails and exponent fits out
 to r = 30, hyperbolic-one exact tails out to r = 0.999, where p_k is near 1,
-scatter root solves of degree 69, 159 and 259, and the replica and
-radial-sampler experiments at threads 1 and 2.  Each line is
+scatter root solves of degree 69, 159 and 259, a jensen-check whose circle
+means walk to the node cap in groups split under ``zeros.GRID_BUDGET``, and
+the replica and radial-sampler experiments at threads 1 and 2.  Each line is
 ``<sha256>  <label>/<file name>``, in a fixed order.  The code run is that of
 the checkout holding this script, so to compare two commits, run it in each
 checkout (copy it into one that lacks it) and diff the two outputs.
@@ -64,6 +65,7 @@ EXTRA = [
      "r": [0.3, 0.99, 0.999], "m_min": 1, "m_max": 60},
     *({"experiment": "scatter", "seed": 1, "r": r, "m": m, "samples": 4}
       for r, m in ((4.0, 60), (6.0, 150), (8.0, 250))),
+    {"experiment": "jensen-check", "seed": 1, "trials": 1024, "r_min": 3.0, "r_max": 6.0},
 ]
 
 
