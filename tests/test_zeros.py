@@ -252,14 +252,42 @@ class TestRoots:
         tiny = 1e-310
         c = np.array([tiny, 0.0, 1.0, 0.0, 0.0, 0.0, tiny * 1j])
         want = np.repeat([math.exp(math.log(tiny) / 2), math.exp(-math.log(tiny) / 4)], [2, 4])
-        assert np.allclose(np.abs(zeros._initial_root_guesses(c)), want, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.abs(zeros._initial_root_guesses([c])), want, rtol=1e-12, atol=0.0)
         (roots,) = find_roots_many([c])
         roots = np.sort(np.abs(roots))
         assert np.allclose(roots, want, rtol=1e-6, atol=0.0)
         # a one-step edge past the float range keeps a finite, nonzero radius
         for edge in ([1.0, 5e-324], [5e-324, 1.0]):
-            radius = np.abs(zeros._initial_root_guesses(np.array(edge)))
+            radius = np.abs(zeros._initial_root_guesses([np.array(edge)]))
             assert np.all(np.isfinite(radius) & (radius > 0.0))
+
+    def test_block_start_points_match_reference(self):
+        # one array pass gives a block the start points of each polynomial
+        # alone, bit for bit: random rows of degree 2-200, planar rows at
+        # r = 4 and 8, and rows whose hull points lie on one line (equal
+        # magnitudes), with interior zero terms, with subnormal terms, and at
+        # the [1, 5e-324] clamp edges
+        rng = stream(43)
+        rows = []
+        for _ in range(60):
+            d = int(rng.integers(2, 201))
+            rows.append((rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+                        * np.exp(rng.uniform(-3.0, 3.0) * np.arange(d + 1)))
+        for r in (4.0, 8.0):
+            for k in range(3):
+                gaf = sample_truncated(PLANAR, r, stream(44, k))
+                rows.append(row_of(gaf, r)[: len(gaf.coeffs)])
+        rows += [np.array(c, dtype=complex) for c in (
+            [3.0, -3.0, 3j, -3j, 3.0, -3.0],
+            [2.0, 0.0, -2j, 0.0, 0.0, 2.0, 2j],
+            [1.0, 0.0, 0.0, 4.0, 0.0, 0.5, 0.0, 0.0, 1e-3],
+            [1e-310, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-310j],
+            [1.0, 5e-324, 1e-320, 0.0, 2.0, 1e-310],
+            [1.0, 5e-324], [5e-324, 1.0])]
+        want = [ref_initial_root_guesses(c) for c in rows]
+        assert same_bits(zeros._initial_root_guesses(rows), np.concatenate(want))
+        for c, w in zip(rows, want):
+            assert same_bits(zeros._initial_root_guesses([c]), w)
 
 
 def ref_initial_root_guesses(coeffs):
@@ -1304,6 +1332,47 @@ class TestBatchedWalker:
         # only a row alone outgrows the budget
         assert max(k * n for k, n in shapes if k > 1) <= 1024
         assert (8, 128) in shapes and (4, 256) in shapes and (2, 512) in shapes
+
+    def test_means_take_each_node_modulus_and_log_once(self, monkeypatch):
+        # a mean walk keeps log |f| per node, so the complex values entering
+        # np.abs and the values entering np.log add up, per row, to the
+        # row's last node count: walked alone, and in one batch split under
+        # a budget of 1024 values (a walk that maps every node again on
+        # each level takes about twice that)
+        seen = {}
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def abs(self, x, *args, **kwargs):
+                if np.iscomplexobj(x):
+                    seen["abs"] += np.size(x)
+                return np.abs(x, *args, **kwargs)
+
+            def log(self, x, *args, **kwargs):
+                seen["log"] += np.size(x)
+                return np.log(x, *args, **kwargs)
+
+        last = {}
+        walk = zeros._circle_grids
+
+        def recording(on_grid, size, start, cap, step):
+            def rec(rows, vals):
+                last.update(dict.fromkeys(rows.tolist(), vals.shape[1]))
+                return step(rows, vals)
+            return walk(on_grid, size, start, cap, rec)
+
+        monkeypatch.setattr(zeros, "_circle_grids", recording)
+        monkeypatch.setattr(zeros, "np", Counting())
+        rows = mixed_rows() + [(poly([0.0], 1.0), 1.0)]
+        for cases in [[row] for row in rows] + [rows]:
+            seen.update(abs=0, log=0)
+            last.clear()
+            with_settings(circle_mean_log_abs_many, cases, GRID_BUDGET=1024)
+            assert len(last) == len(cases)
+            assert seen == {"abs": sum(last.values()), "log": sum(last.values())}
+        assert max(last.values()) > zeros.MEAN_START_NODES
 
     def test_empty_batches(self, monkeypatch):
         # a chunk whose every count stays unresolved solves and walks nothing
