@@ -36,9 +36,8 @@ HARD_FLOOR = 1e-300  # row moduli |f|/e^L at or below this are a hard failure, n
 # numpy call cost per Horner step and per group of equal degree with an
 # active root, whatever the block's width; larger blocks spread it until their
 # arrays fall out of cache.  Root-solve CPU per roots-jensen pass (2-vCPU Xeon,
-# medians of two runs of 10 rotating rounds): 0.200-0.205 s at 512,
-# 0.177-0.182 s at 1024, 0.168-0.183 s at 2048, lowest in 8 and 4 of the 10
-# rounds of each run but not in all.
+# medians of two runs of 10 rotating rounds): 0.20-0.21 s at 512, 0.19-0.20 s
+# at 1024, 0.18 s at 2048, lower than 1024 in 15 of 20 rounds but not in all.
 ROOT_BLOCK = 1024
 ROOT_RESIDUAL_TOL = 1e-10  # of the backward-error scale, see ``find_roots_many``
 ROOT_MAX_ITER = 200
@@ -350,38 +349,31 @@ def count_replicas(model: GafModel, r, degree, seed, keys):
     return counts
 
 
-def _initial_root_guesses(cs):
-    """Start points of the polynomials cs, one after another, from their magnitude profiles.
+def _initial_root_guesses(coeffs):
+    """Starting points on circles read off the coefficient magnitude profile.
 
-    Upper convex hull of (k, log |c_k|) over the nonzero terms, subnormal ones
-    at their true logs, peeled for all polynomials in one array pass: each
-    round drops every point on or below the chord of its two neighbours left
-    in its polynomial, until none drops.  The test is that of a stack scan of
-    one polynomial, and the hull the same, unless three of its points lie on
-    one line only up to rounding (log |c_k| linear in k, but not exactly).
-    Each hull edge contributes points on the circle whose radius matches the
-    two dominant terms trading places (its log is kept within the float
-    range, and its radius comes from ``math.exp``, as ``np.exp`` differs in
-    the last bit on some arguments).
+    Upper convex hull of (n, log |c_n|) over the nonzero terms, subnormal ones
+    at their true logs; each hull edge contributes points on the circle whose
+    radius matches the two dominant terms trading places (its log is kept
+    within the float range).
     """
-    lens = np.array([len(c) for c in cs])
-    mag = np.abs(np.concatenate(cs))
-    at = np.flatnonzero((mag > 0.0) & (mag < np.inf))  # where log |c_k| is finite
-    poly = np.repeat(np.arange(len(cs)), lens)[at]
-    x = at - np.repeat(np.cumsum(lens) - lens, lens)[at]
-    y = np.log(mag[at])
-    while True:
-        x1, y1, x2, y2, x3, y3 = x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:]
-        drop = (poly[:-2] == poly[2:]) & ((y2 - y1) * (x3 - x1) <= (y3 - y1) * (x2 - x1))
-        if not drop.any():
-            break
-        keep = np.concatenate([[True], ~drop, [True]])
-        x, y, poly = x[keep], y[keep], poly[keep]
-    edge = np.flatnonzero(poly[:-1] == poly[1:])  # from hull point edge to edge + 1
-    cnt = x[edge + 1] - x[edge]
-    radius = [math.exp(t) for t in np.clip((y[edge] - y[edge + 1]) / cnt, -708.0, 709.0).tolist()]
-    first = np.searchsorted(poly[edge], poly[edge])  # each polynomial's first edge
-    seg = np.repeat(np.arange(len(edge)) - first, cnt)
+    with np.errstate(divide="ignore"):
+        logm = np.log(np.abs(coeffs))
+    pts = [(i, y) for i, y in enumerate(logm.tolist()) if math.isfinite(y)]
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    edges = list(zip(hull[:-1], hull[1:]))
+    cnt = np.array([k2 - k1 for (k1, _), (k2, _) in edges])
+    radius = [math.exp(min(max((u1 - u2) / (k2 - k1), -708.0), 709.0))
+              for (k1, u1), (k2, u2) in edges]
+    seg = np.repeat(np.arange(len(cnt)), cnt)
     each = np.repeat(cnt, cnt)
     j = np.arange(len(seg)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     ang = _TWO_PI * (j + 0.375) / each + 0.61 * seg
@@ -451,39 +443,30 @@ def _aberth_block(cs, at_zero):
     """``find_roots_many`` of the polynomials cs (degree >= 2, ascending), in one loop.
 
     ``at_zero[j]`` holds the roots at 0 that polynomial j had stripped.  The
-    roots of all polynomials sit in one vector, polynomial after polynomial,
-    and start from one ``_initial_root_guesses`` pass over the block.  A root
-    is active until its correction falls below 1e-14 (1 + |z|), then frozen.
-    Each iteration evaluates the held roots, a superset of the active ones,
-    in one Horner pass and reads only the active positions.  The held
-    columns are copied down to the active ones once these are half of them
-    or fewer: at most log2(n) copies, not one per iteration.  Each column is
-    computed on its own, so a frozen held one changes no bit; it is never
-    read, pulled back or written to z.  An active root's Aberth sum, per
-    group of equal degree d, is one row of length d over all roots of its
-    polynomial, frozen ones included, so every root takes the floating-point
-    steps of a solve of its polynomial alone.  Such a solve takes a
-    correction of 0 at a frozen root, and could pull it back only if the
-    step below 1e-14 (1 + |z|) that froze it had carried its values from
-    finite to overflow.  A group whose roots are all active broadcasts its
-    rows of differences, with the same bits and without the gather copy,
-    and puts inf on each root's own entry through a flat index built once
-    per block.
+    roots of all polynomials sit in one vector, polynomial after polynomial.
+    A root is active until its correction falls below 1e-14 (1 + |z|), then
+    frozen.  Each iteration evaluates the held roots, a superset of the
+    active ones, in one Horner pass and reads only the active positions.
+    The held columns are copied down to the active ones once these are half
+    of them or fewer: at most log2(n) copies, not one per iteration.  Each
+    column is computed on its own, so a frozen held one changes no bit; it
+    is never read, pulled back or written to z.  An active root's Aberth sum,
+    per group of equal degree d, is one row of length d over all roots of
+    its polynomial, frozen ones included, so every root takes the
+    floating-point steps of a solve of its polynomial alone.  Such a solve
+    takes a correction of 0 at a frozen root, and could pull it back only if
+    the step below 1e-14 (1 + |z|) that froze it had carried its values
+    from finite to overflow.
     """
     degs = np.array([len(c) - 1 for c in cs])
     ends = np.cumsum(degs)
     starts = ends - degs
     rows = _value_and_slope_rows(cs)
     n = int(ends[-1])
-    z = _initial_root_guesses(cs)
+    z = np.concatenate([_initial_root_guesses(c) for c in cs])
     ds, at, counts = np.unique(degs, return_index=True, return_counts=True)
-    # each equal-degree group: its first root, degree, end, and the flat
-    # index of each root's own entry in its (roots, d) row of differences
-    groups = []
-    for lo, d, c in zip(starts[at].tolist(), ds.tolist(), counts.tolist()):
-        i = np.arange(c * d)
-        groups.append((lo, d, lo + c * d, i * d + i % d))
-    group_ends = [hi for _, _, hi, _ in groups]
+    # each equal-degree group: its first root, degree and end
+    groups = [(int(lo), int(d), int(lo + c * d)) for lo, d, c in zip(starts[at], ds, counts)]
     active = np.arange(n)
     held, cols, pos = active, rows, active  # held roots, their columns, active positions in them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -498,19 +481,14 @@ def _aberth_block(cs, at_zero):
             dp = np.where(dp == 0, 1e-30, dp)
             w = p / dp
             s = np.empty_like(za)
-            bounds = np.searchsorted(active, group_ends)
-            for (lo, d, hi, diag), a, b in zip(groups, np.concatenate([[0], bounds[:-1]]), bounds):
+            bounds = np.searchsorted(active, [hi for _, _, hi in groups])
+            for (lo, d, hi), a, b in zip(groups, np.concatenate([[0], bounds[:-1]]), bounds):
                 if a == b:
                     continue
-                if b - a == hi - lo:  # every root of the group active: no gather
-                    diff = za[a:b].reshape(-1, d, 1) - z[lo:hi].reshape(-1, 1, d)
-                    diff = diff.reshape(b - a, d)
-                    np.put(diff, diag, np.inf)  # the root itself
-                else:
-                    k = active[a:b] - lo
-                    diff = z[lo:hi].reshape(-1, d)[k // d]
-                    np.subtract(za[a:b, None], diff, out=diff)
-                    diff[np.arange(b - a), k % d] = np.inf  # the root itself
+                k = active[a:b] - lo
+                diff = z[lo:hi].reshape(-1, d)[k // d]
+                np.subtract(za[a:b, None], diff, out=diff)
+                diff[np.arange(b - a), k % d] = np.inf  # the root itself
                 s[a:b] = np.divide(1.0, diff, out=diff).sum(axis=1)
             denom = 1.0 - w * s
             denom = np.where(denom == 0, 1e-30, denom)

@@ -252,21 +252,22 @@ class TestRoots:
         tiny = 1e-310
         c = np.array([tiny, 0.0, 1.0, 0.0, 0.0, 0.0, tiny * 1j])
         want = np.repeat([math.exp(math.log(tiny) / 2), math.exp(-math.log(tiny) / 4)], [2, 4])
-        assert np.allclose(np.abs(zeros._initial_root_guesses([c])), want, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.abs(zeros._initial_root_guesses(c)), want, rtol=1e-12, atol=0.0)
         (roots,) = find_roots_many([c])
         roots = np.sort(np.abs(roots))
         assert np.allclose(roots, want, rtol=1e-6, atol=0.0)
         # a one-step edge past the float range keeps a finite, nonzero radius
         for edge in ([1.0, 5e-324], [5e-324, 1.0]):
-            radius = np.abs(zeros._initial_root_guesses([np.array(edge)]))
+            radius = np.abs(zeros._initial_root_guesses(np.array(edge)))
             assert np.all(np.isfinite(radius) & (radius > 0.0))
 
-    def test_block_start_points_match_reference(self):
-        # one array pass gives a block the start points of each polynomial
-        # alone, bit for bit: random rows of degree 2-200, planar rows at
-        # r = 4 and 8, and rows whose hull points lie on one line (equal
-        # magnitudes), with interior zero terms, with subnormal terms, and at
-        # the [1, 5e-324] clamp edges
+    def test_start_points_match_reference(self):
+        # each polynomial's start points are those of the reference, bit for
+        # bit: random rows of degree 2-200, planar rows at r = 4 and 8, rows
+        # whose log |c_k| is linear in k only up to rounding (2^k and 0.5^k
+        # times unit phases, and a tent profile), rows whose hull points lie
+        # on one line (equal magnitudes), with interior zero terms, with
+        # subnormal terms, and at the [1, 5e-324] clamp edges
         rng = stream(43)
         rows = []
         for _ in range(60):
@@ -277,6 +278,11 @@ class TestRoots:
             for k in range(3):
                 gaf = sample_truncated(PLANAR, r, stream(44, k))
                 rows.append(row_of(gaf, r)[: len(gaf.coeffs)])
+        for d in (7, 40, 200):
+            k = np.arange(d + 1)
+            phases = np.exp(2j * math.pi * rng.random(d + 1))
+            rows += [2.0**k * phases, 0.5**k * phases,
+                     np.exp(np.minimum(0.7 * k, 30.0 - 0.2 * k)) * phases]
         rows += [np.array(c, dtype=complex) for c in (
             [3.0, -3.0, 3j, -3j, 3.0, -3.0],
             [2.0, 0.0, -2j, 0.0, 0.0, 2.0, 2j],
@@ -284,10 +290,8 @@ class TestRoots:
             [1e-310, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-310j],
             [1.0, 5e-324, 1e-320, 0.0, 2.0, 1e-310],
             [1.0, 5e-324], [5e-324, 1.0])]
-        want = [ref_initial_root_guesses(c) for c in rows]
-        assert same_bits(zeros._initial_root_guesses(rows), np.concatenate(want))
-        for c, w in zip(rows, want):
-            assert same_bits(zeros._initial_root_guesses([c]), w)
+        for c in rows:
+            assert same_bits(zeros._initial_root_guesses(c), ref_initial_root_guesses(c))
 
 
 def ref_initial_root_guesses(coeffs):
