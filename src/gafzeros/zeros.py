@@ -349,31 +349,44 @@ def count_replicas(model: GafModel, r, degree, seed, keys):
     return counts
 
 
-def _initial_root_guesses(coeffs):
-    """Starting points on circles read off the coefficient magnitude profile.
+def _initial_root_guesses(cs):
+    """Start points of the polynomials cs, one after another, from their magnitude profiles.
 
-    Upper convex hull of (n, log |c_n|) over the nonzero terms, subnormal ones
-    at their true logs; each hull edge contributes points on the circle whose
-    radius matches the two dominant terms trading places (its log is kept
-    within the float range).
+    Upper convex hull of (k, log |c_k|) over the nonzero terms, subnormal ones
+    at their true logs, by a stack scan of each polynomial; the logs, and the
+    radii and points of all hull edges, are taken in one array pass over the
+    block.  Each hull edge contributes points on the circle whose radius
+    matches the two dominant terms trading places (its log is kept within
+    the float range, and its radius comes from ``math.exp``, as ``np.exp``
+    differs in the last bit on some arguments).
     """
-    with np.errstate(divide="ignore"):
-        logm = np.log(np.abs(coeffs))
-    pts = [(i, y) for i, y in enumerate(logm.tolist()) if math.isfinite(y)]
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    edges = list(zip(hull[:-1], hull[1:]))
-    cnt = np.array([k2 - k1 for (k1, _), (k2, _) in edges])
-    radius = [math.exp(min(max((u1 - u2) / (k2 - k1), -708.0), 709.0))
-              for (k1, u1), (k2, u2) in edges]
-    seg = np.repeat(np.arange(len(cnt)), cnt)
+    lens = np.array([len(c) for c in cs])
+    mag = np.abs(np.concatenate(cs))
+    at = np.flatnonzero((mag > 0.0) & (mag < np.inf))  # where log |c_k| is finite
+    xs = (at - np.repeat(np.cumsum(lens) - lens, lens)[at]).tolist()
+    ys = np.log(mag[at]).tolist()
+    hulls, sizes = [], []
+    a = 0
+    for b in np.searchsorted(at, np.cumsum(lens)).tolist():
+        hull = []
+        for p in zip(xs[a:b], ys[a:b]):
+            while len(hull) >= 2:
+                (x1, y1), (x2, y2) = hull[-2], hull[-1]
+                if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1):
+                    hull.pop()
+                else:
+                    break
+            hull.append(p)
+        hulls += hull
+        sizes.append(len(hull))
+        a = b
+    x, y = (np.array(v) for v in zip(*hulls))
+    poly = np.repeat(np.arange(len(cs)), sizes)
+    edge = np.flatnonzero(poly[:-1] == poly[1:])  # from hull point edge to edge + 1
+    cnt = x[edge + 1] - x[edge]
+    radius = [math.exp(t) for t in np.clip((y[edge] - y[edge + 1]) / cnt, -708.0, 709.0).tolist()]
+    first = np.searchsorted(poly[edge], poly[edge])  # each polynomial's first edge
+    seg = np.repeat(np.arange(len(edge)) - first, cnt)
     each = np.repeat(cnt, cnt)
     j = np.arange(len(seg)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     ang = _TWO_PI * (j + 0.375) / each + 0.61 * seg
@@ -463,7 +476,7 @@ def _aberth_block(cs, at_zero):
     starts = ends - degs
     rows = _value_and_slope_rows(cs)
     n = int(ends[-1])
-    z = np.concatenate([_initial_root_guesses(c) for c in cs])
+    z = _initial_root_guesses(cs)
     ds, at, counts = np.unique(degs, return_index=True, return_counts=True)
     # each equal-degree group: its first root, degree and end
     groups = [(int(lo), int(d), int(lo + c * d)) for lo, d, c in zip(starts[at], ds, counts)]

@@ -252,13 +252,13 @@ class TestRoots:
         tiny = 1e-310
         c = np.array([tiny, 0.0, 1.0, 0.0, 0.0, 0.0, tiny * 1j])
         want = np.repeat([math.exp(math.log(tiny) / 2), math.exp(-math.log(tiny) / 4)], [2, 4])
-        assert np.allclose(np.abs(zeros._initial_root_guesses(c)), want, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.abs(zeros._initial_root_guesses([c])), want, rtol=1e-12, atol=0.0)
         (roots,) = find_roots_many([c])
         roots = np.sort(np.abs(roots))
         assert np.allclose(roots, want, rtol=1e-6, atol=0.0)
         # a one-step edge past the float range keeps a finite, nonzero radius
         for edge in ([1.0, 5e-324], [5e-324, 1.0]):
-            radius = np.abs(zeros._initial_root_guesses(np.array(edge)))
+            radius = np.abs(zeros._initial_root_guesses([np.array(edge)]))
             assert np.all(np.isfinite(radius) & (radius > 0.0))
 
     def test_start_points_match_reference(self):
@@ -290,8 +290,10 @@ class TestRoots:
             [1e-310, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-310j],
             [1.0, 5e-324, 1e-320, 0.0, 2.0, 1e-310],
             [1.0, 5e-324], [5e-324, 1.0])]
-        for c in rows:
-            assert same_bits(zeros._initial_root_guesses(c), ref_initial_root_guesses(c))
+        want = [ref_initial_root_guesses(c) for c in rows]
+        assert same_bits(zeros._initial_root_guesses(rows), np.concatenate(want))
+        for c, w in zip(rows, want):
+            assert same_bits(zeros._initial_root_guesses([c]), w)
 
 
 def ref_initial_root_guesses(coeffs):
