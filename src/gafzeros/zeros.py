@@ -36,8 +36,9 @@ HARD_FLOOR = 1e-300  # row moduli |f|/e^L at or below this are a hard failure, n
 # numpy call cost per Horner step and per group of equal degree with an
 # active root, whatever the block's width; larger blocks spread it until their
 # arrays fall out of cache.  Root-solve CPU per roots-jensen pass (2-vCPU Xeon,
-# medians of two runs of 10 rotating rounds): 0.20-0.21 s at 512, 0.19-0.20 s
-# at 1024, 0.18 s at 2048, lower than 1024 in 15 of 20 rounds but not in all.
+# medians of two runs of 10 rotating rounds): 0.206-0.210 s at 512,
+# 0.192-0.197 s at 1024, 0.170-0.184 s at 2048, lowest in 3 and 9 of the 10
+# rounds of each run but not in all.
 ROOT_BLOCK = 1024
 ROOT_RESIDUAL_TOL = 1e-10  # of the backward-error scale, see ``find_roots_many``
 ROOT_MAX_ITER = 200
@@ -456,20 +457,21 @@ def _aberth_block(cs, at_zero):
     """``find_roots_many`` of the polynomials cs (degree >= 2, ascending), in one loop.
 
     ``at_zero[j]`` holds the roots at 0 that polynomial j had stripped.  The
-    roots of all polynomials sit in one vector, polynomial after polynomial.
-    A root is active until its correction falls below 1e-14 (1 + |z|), then
-    frozen.  Each iteration evaluates the held roots, a superset of the
-    active ones, in one Horner pass and reads only the active positions.
-    The held columns are copied down to the active ones once these are half
-    of them or fewer: at most log2(n) copies, not one per iteration.  Each
-    column is computed on its own, so a frozen held one changes no bit; it
-    is never read, pulled back or written to z.  An active root's Aberth sum,
-    per group of equal degree d, is one row of length d over all roots of
-    its polynomial, frozen ones included, so every root takes the
-    floating-point steps of a solve of its polynomial alone.  Such a solve
-    takes a correction of 0 at a frozen root, and could pull it back only if
-    the step below 1e-14 (1 + |z|) that froze it had carried its values
-    from finite to overflow.
+    roots of all polynomials sit in one vector, polynomial after polynomial,
+    and start from one ``_initial_root_guesses`` pass over the block.  A root
+    is active until its correction falls below 1e-14 (1 + |z|), then frozen.
+    Each iteration evaluates the held roots, a superset of the active ones,
+    in one Horner pass and reads only the active positions.  The held
+    columns are copied down to the active ones once these are half of them
+    or fewer: at most log2(n) copies, not one per iteration.  Each column is
+    computed on its own, so a frozen held one changes no bit; it is never
+    read, pulled back or written to z.  An active root's Aberth sum, per
+    group of equal degree d, is one row of length d over all roots of its
+    polynomial, frozen ones included, so every root takes the floating-point
+    steps of a solve of its polynomial alone.  Such a solve takes a
+    correction of 0 at a frozen root, and could pull it back only if the
+    step below 1e-14 (1 + |z|) that froze it had carried its values from
+    finite to overflow.
     """
     degs = np.array([len(c) - 1 for c in cs])
     ends = np.cumsum(degs)

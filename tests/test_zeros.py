@@ -261,13 +261,13 @@ class TestRoots:
             radius = np.abs(zeros._initial_root_guesses([np.array(edge)]))
             assert np.all(np.isfinite(radius) & (radius > 0.0))
 
-    def test_start_points_match_reference(self):
-        # each polynomial's start points are those of the reference, bit for
-        # bit: random rows of degree 2-200, planar rows at r = 4 and 8, rows
-        # whose log |c_k| is linear in k only up to rounding (2^k and 0.5^k
-        # times unit phases, and a tent profile), rows whose hull points lie
-        # on one line (equal magnitudes), with interior zero terms, with
-        # subnormal terms, and at the [1, 5e-324] clamp edges
+    def test_block_start_points_match_reference(self):
+        # a block's start points are those of the reference, polynomial
+        # after polynomial, bit for bit: random rows of degree 2-200, planar
+        # rows at r = 4 and 8, rows whose log |c_k| is linear in k only up to
+        # rounding (2^k and 0.5^k times unit phases, and a tent profile), rows
+        # whose hull points lie on one line (equal magnitudes), with interior
+        # zero terms, with subnormal terms, and at the [1, 5e-324] clamp edges
         rng = stream(43)
         rows = []
         for _ in range(60):
