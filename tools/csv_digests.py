@@ -7,8 +7,10 @@ full size) at seeds 1, 2 and 3, and a fixed extra list that reaches every
 experiment: all four event kinds, Ginibre exact tails and exponent fits out
 to r = 30, hyperbolic-one exact tails out to r = 0.999, where p_k is near 1,
 scatter root solves of degree 69, 159 and 259, a jensen-check whose circle
-means walk to the node cap in groups split under ``zeros.GRID_BUDGET``, and
-the replica and radial-sampler experiments at threads 1 and 2.  Each line is
+means walk to the node cap in groups split under ``zeros.GRID_BUDGET``, the
+replica and radial-sampler experiments at threads 1 and 2, and two exact
+tails whose refinement rounds resume a saved sweep (Ginibre r = 15 over
+m = 1..900, hyperbolic-one r = 0.97 over m = 1..300).  Each line is
 ``<sha256>  <label>/<file name>``, in a fixed order.  The code run is that of
 the checkout holding this script, so to compare two commits, run it in each
 checkout (copy it into one that lacks it) and diff the two outputs.
@@ -66,6 +68,10 @@ EXTRA = [
     *({"experiment": "scatter", "seed": 1, "r": r, "m": m, "samples": 4}
       for r, m in ((4.0, 60), (6.0, 150), (8.0, 250))),
     {"experiment": "jensen-check", "seed": 1, "trials": 1024, "r_min": 3.0, "r_max": 6.0},
+    {"experiment": "exact-tail", "seed": 1, "ensemble": "ginibre", "r": [15.0], "m_min": 1,
+     "m_max": 900},
+    {"experiment": "exact-tail", "seed": 1, "ensemble": "hyperbolic-one", "r": [0.97],
+     "m_min": 1, "m_max": 300},
 ]
 
 
