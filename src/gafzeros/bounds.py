@@ -159,10 +159,14 @@ def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
     certified remainder of the indices past m^2.  The bound at n is the
     Chernoff factor e^{-n log(n/r^2) - r^2 + n} for n > r^2, where it holds,
     and the trivial 1 for n <= r^2.  The n log n and Poisson-product terms
-    are formed once up to max(ms); each m sums its own prefix, as a sum and
-    a product over n = 1..m alone would, and the
-    binomial factors, the sums with the remainders and the clamp are taken
-    for every m at once.
+    are formed once up to max(ms); each m sums its own Poisson prefix, as a
+    product over n = 1..m alone would, and the binomial factors, the sums
+    with the remainders and the clamp are taken for every m at once.  The
+    n log n prefixes come from one running sum: every n log n (n >= 2) is at
+    least 1, so a whole multiple of 2^-52, and the integer running sum in
+    units of 2^-52 is exact.  Its one correctly rounded ``float`` per level
+    has the bits of ``math.fsum`` of that prefix, which also rounds the
+    exact sum correctly.
     """
     ms = list(ms)
     if any(m < max(1.0, r * r) for m in ms):
@@ -170,15 +174,18 @@ def ginibre_tail_brackets(r: float, ms) -> list[TailBracket]:
     m_top = max(ms, default=1)
     lam = r * r
     n = np.arange(2, m_top + 1)
-    n_log_n = (n * np.log(n)).tolist()  # fsum reads a list of floats faster
+    unit = 2.0 ** 52
+    sum_n_log_n, total = [0.0], 0  # sum_n_log_n[k - 1] sums n log n over n = 2..k
+    for term in (n * np.log(n)).tolist():
+        total += int(term * unit)
+        sum_n_log_n.append(float(total) / unit)
     n = np.arange(1, m_top + 1)
     product_terms = np.where(n > lam, -n * np.log(n / lam) - lam + n, 0.0)
     m = np.array(ms, dtype=int)
     main = _num.lchoose(m * m, m) + np.array([product_terms[:k].sum() for k in ms])
     log_upper = np.logaddexp(main, [_poisson_tail_bound_series(lam, k * k + 1) for k in ms])
     log_upper = np.where(log_upper > 0.0, 0.0, log_upper)
-    return [TailBracket(0.5 * k * (k + 1) * math.log(r * r / 2.0)
-                        - math.fsum(n_log_n[:k - 1]), hi)
+    return [TailBracket(0.5 * k * (k + 1) * math.log(r * r / 2.0) - sum_n_log_n[k - 1], hi)
             for k, hi in zip(ms, log_upper.tolist())]
 
 

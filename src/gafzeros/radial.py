@@ -180,45 +180,65 @@ def sample_radii(ensemble: RadialEnsemble, rng: np.random.Generator, trials: int
 
 
 def _states(levels, depths, log_p, log_q, saved=None):
-    """(i, state) of every read i, shallowest first: the DP state
-    [log P[S = 0..m-1], log P[S >= m]] at level m = levels[i] >= 1 after the
-    first depths[i] indices.
+    """(i, state) of every read i, shallowest first: the DP state at level
+    m = levels[i] >= 1 after the first depths[i] indices, reversed, as
+    [log P[S >= m], log P[S = m-1], ..., log P[S = 0]].
 
     One forward sweep over the indices of (log_p, log_q) serves every read:
     the first m states of the absorbing DP at level m are the plain pmf, and
-    each level keeps its absorbing state log P[S >= m] beside it.
+    each level keeps its absorbing state log P[S >= m] beside it until its
+    read.  The levels are kept in read order, so the unread ones are a
+    suffix, and a step updates the absorbing states of that suffix alone;
+    every level still gets each step up to its depth.  The pmf steps in
+    place in one buffer behind a leading -inf cell.
 
     ``saved``, when given, maps a depth to the sweep state (levels, pmf,
-    absorbed) there, and is shared by the rounds of one radius.  The sweep
-    starts from the deepest saved depth at or below its shallowest read, with
-    the pmf up to its own top level and the absorbing states of its own
-    levels (ascending, and among the levels of the sweep that saved the
-    state).  It saves its state at every power-of-two depth it passes from
-    the last one at or below its shallowest read on: a later round reads no
-    shallower, so no earlier state would serve it.  A step acts on each cell
-    alone, so a resumed read has the bits of a sweep from index 1.
+    absorbed) there, and is shared by the rounds of one radius: the pmf up to
+    the top level of the sweep that saved it, and the levels still unread
+    there (read at that depth or deeper), ascending, with their absorbing
+    states.  The sweep starts from the deepest saved depth at or below its
+    shallowest read that holds all of its levels, with the pmf up to its own
+    top level.  It saves its state at every power-of-two depth it passes from
+    the last one at or below its shallowest read on: that one holds every
+    level of the sweep, and a later round reads no shallower and only levels
+    of this one, so no earlier state would serve it.  A step acts on each
+    cell alone, so a resumed read has the bits of a sweep from index 1.
     """
-    levels = np.asarray(levels)
-    below = levels - 1
-    order = np.argsort(depths, kind="stable").tolist()
-    first = depths[order[0]]
-    done = max((d for d in saved or () if d <= first), default=0)
+    order = np.argsort(depths, kind="stable")
+    levels, depths = np.asarray(levels)[order], np.asarray(depths)[order].tolist()
+    first, top = depths[0], int(levels.max())
+    done = max((d for d, (had, _, _) in (saved or {}).items()
+                if d <= first and np.isin(levels, had).all()), default=0)
+    buf = np.full(top + 1, -np.inf)
+    pmf = buf[1:]  # buf[:-1] is the pmf shifted up by one, from -inf
     if done:
-        had, pmf, absorbed = saved[done]
-        pmf, absorbed = pmf[:levels.max()], absorbed[np.searchsorted(had, levels)]
+        had, kept, absorbed = saved[done]
+        pmf[:] = kept[:top]
+        absorbed = absorbed[np.searchsorted(had, levels)]
     else:
-        pmf = np.full(int(levels.max()), -np.inf)
         pmf[0] = 0.0
         absorbed = np.full(len(levels), -np.inf)
-    for i in order:
-        for d, lp, lq in zip(range(done, depths[i]), log_p[done:depths[i]],
-                             log_q[done:depths[i]]):
-            absorbed = np.logaddexp(absorbed, pmf[below] + lp)
-            pmf = np.logaddexp(pmf + lq, np.concatenate(([-np.inf], pmf[:-1] + lp)))
+    below = levels - 1
+    stay, shift = np.empty(top), np.empty(top)
+    for k, (i, depth) in enumerate(zip(order.tolist(), depths)):
+        at, acc = below[k:], absorbed[k:]
+        for d, lp, lq in zip(range(done, depth), log_p[done:depth].tolist(),
+                             log_q[done:depth].tolist()):
+            lifted = pmf[at]
+            lifted += lp
+            np.logaddexp(acc, lifted, out=acc)
+            np.add(pmf, lq, out=stay)
+            np.add(buf[:-1], lp, out=shift)
+            np.logaddexp(stay, shift, out=pmf)
             if saved is not None and (d & (d + 1)) == 0 and 2 * (d + 1) > first:
-                saved[d + 1] = levels, pmf, absorbed
-        done = depths[i]
-        yield i, np.concatenate((pmf[:levels[i]], absorbed[i:i + 1]))
+                rank = np.argsort(levels[k:])
+                saved[d + 1] = levels[k:][rank], pmf.copy(), acc[rank]
+        done = depth
+        m = int(levels[k])
+        state = np.empty(m + 1)
+        state[0] = absorbed[k]
+        state[1:] = buf[m:0:-1]
+        yield i, state
 
 
 def _chunks(states):
@@ -236,7 +256,7 @@ def _chunks(states):
 
 
 def _brackets(states, log_neglected):
-    """Brackets from the DP states [log P[S = 0..m-1], log P[S >= m]], m >= 1.
+    """Brackets from the reversed DP states [log P[S >= m], log P[S = m-1..0]], m >= 1.
 
     The DP value over a profile's indices is an exact lower bound.  The upper
     end adds the neglected indices through P[T = j] <= mu^j / j!, with mu the
@@ -255,10 +275,10 @@ def _brackets(states, log_neglected):
     for chunk in _chunks(states):
         rows = [i for i, _ in chunk]
         sizes = np.array([len(state) for _, state in chunk])
-        # row k holds state k reversed, so acc[k, j] = log P[S >= m - j]
+        # row k holds state k, so acc[k, j] = log P[S >= m - j]
         rev = np.full((len(chunk), sizes.max()), -np.inf)
         for k, (_, state) in enumerate(chunk):
-            rev[k, :len(state)] = state[::-1]
+            rev[k, :len(state)] = state
         acc = np.logaddexp.accumulate(rev, axis=1)
         j = np.arange(rev.shape[1])
         ln = log_neglected[rows, None]

@@ -259,18 +259,28 @@ class TestSweep:
 
     def test_rounds_and_chunks(self, monkeypatch):
         # Ginibre r = 10 over m = 1..300 reads every level once, then the
-        # 121 levels that miss the width once more at depths 289..435; the
-        # second round resumes from the state the first saved at depth 256,
-        # so the radius sweeps 308 + 179 steps, not 308 + 435.  Each round
-        # prices its states, shallowest first, in chunks of at most
-        # BRACKET_CELLS cells
-        rounds, depths, starts = [], [], []
+        # 121 levels that miss the width once more at depths 289..435.  One
+        # of those was read in the first round before depth 256, so the
+        # second round resumes from the state the first saved at depth 128,
+        # the deepest that holds all of its levels unread, and the radius
+        # sweeps 308 + 307 steps, not 308 + 435.  Each round prices its
+        # states, shallowest first, in chunks of at most BRACKET_CELLS cells
+        rounds, depths, spans = [], [], []
         sweep, brackets, rows = radial._states, radial._brackets, _num.logsumexp_rows
+
+        class Sliced:
+            # the index spans a sweep steps over: the first starts where it resumes
+            def __init__(self, a):
+                self.a = a
+
+            def __getitem__(self, key):
+                spans[-1].append((key.start, key.stop))
+                return self.a[key]
 
         def reading(levels, reads, log_p, log_q, saved):
             depths.append(list(reads))
-            starts.append(max((d for d in saved if d <= min(reads)), default=0))
-            return sweep(levels, reads, log_p, log_q, saved)
+            spans.append([])
+            return sweep(levels, reads, Sliced(log_p), log_q, saved)
 
         def recording(states, log_neglected):
             rounds.append([])
@@ -288,8 +298,8 @@ class TestSweep:
         assert (len(depths[1]), min(depths[1]), max(depths[1])) == (121, 289, 435)
         assert [len(shapes) for shapes in rounds] == [7, 4]
         assert max(k * width for shapes in rounds for k, width in shapes) <= radial.BRACKET_CELLS
-        assert starts[0] == 0 and starts[1] >= 256
-        assert sum(max(d) - s for d, s in zip(depths, starts)) == 308 + 179
+        assert [s[0][0] for s in spans] == [0, 128]
+        assert [sum(b - a for a, b in s) for s in spans] == [308, 307]
 
     def test_resumed_sweep_keeps_the_bits_of_a_full_sweep(self):
         # a second sweep over some of the first sweep's levels, resumed from
@@ -298,9 +308,13 @@ class TestSweep:
         saved = {}
         first = dict(radial._states([3, 40, 90, 150], [60, 100, 130, 170],
                                     prof.log_probs, prof.log_one_minus, saved))
-        # from the last power of two at or below the shallowest read, 60
+        # from the last power of two at or below the shallowest read, 60; each
+        # holds the levels still unread there
         assert sorted(saved) == [32, 64, 128]
-        assert all(len(pmf) == 150 and len(absorbed) == 4 for _, pmf, absorbed in saved.values())
+        assert [saved[d][0].tolist() for d in (32, 64, 128)] == [[3, 40, 90, 150],
+                                                                [40, 90, 150], [90, 150]]
+        assert all(len(pmf) == 150 and len(absorbed) == len(had)
+                   for had, pmf, absorbed in saved.values())
         levels, reads = [40, 150], [270, 140]
         resumed = dict(radial._states(levels, reads, prof.log_probs, prof.log_one_minus, saved))
         fresh = dict(radial._states(levels, reads, prof.log_probs, prof.log_one_minus))

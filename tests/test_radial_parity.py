@@ -2,7 +2,10 @@
 
 The reference functions below keep every law's rules in ``if ensemble is``
 branches, one function per rule; the law entries behind ``bernoulli_probs``,
-``tail_log_brackets`` and ``sample_radii`` must give the same bits.
+``tail_log_brackets`` and ``sample_radii`` must give the same bits.  The
+reference sweep ``ref_states`` steps the absorbing state of every level to
+the sweep's end and saves all of them; the DP sweep behind
+``tail_log_brackets`` must read the same state bits.
 """
 
 import functools
@@ -80,6 +83,34 @@ def ref_sample_radii(ensemble, rng, trials, depth):
     return rng.random((trials, depth)) ** (1.0 / (2.0 * k))
 
 
+def ref_states(levels, depths, log_p, log_q, saved=None):
+    """(i, state) of every read, shallowest first, with the state
+    [log P[S = 0..m-1], log P[S >= m]] in index order.  Every step updates
+    the absorbing state of every level, and a saved state holds the pmf and
+    the absorbing states of all the levels of the sweep that saved it."""
+    levels = np.asarray(levels)
+    below = levels - 1
+    order = np.argsort(depths, kind="stable").tolist()
+    first = depths[order[0]]
+    done = max((d for d in saved or () if d <= first), default=0)
+    if done:
+        had, pmf, absorbed = saved[done]
+        pmf, absorbed = pmf[:levels.max()], absorbed[np.searchsorted(had, levels)]
+    else:
+        pmf = np.full(int(levels.max()), -np.inf)
+        pmf[0] = 0.0
+        absorbed = np.full(len(levels), -np.inf)
+    for i in order:
+        for d, lp, lq in zip(range(done, depths[i]), log_p[done:depths[i]],
+                             log_q[done:depths[i]]):
+            absorbed = np.logaddexp(absorbed, pmf[below] + lp)
+            pmf = np.logaddexp(pmf + lq, np.concatenate(([-np.inf], pmf[:-1] + lp)))
+            if saved is not None and (d & (d + 1)) == 0 and 2 * (d + 1) > first:
+                saved[d + 1] = levels, pmf, absorbed
+        done = depths[i]
+        yield i, np.concatenate((pmf[:levels[i]], absorbed[i:i + 1]))
+
+
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -128,3 +159,53 @@ def test_domain_checks_match():
         with pytest.raises(ValueError) as got:
             ens.law(r)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("ens, r, ms, starts, ref_starts", [
+    (GIN, 1.0, range(1, 301), [0], [0]),
+    (GIN, 6.0, range(1, 301), [0, 64], [0, 64]),
+    # one level of the second round was read at 204, before the saved 256
+    (GIN, 10.0, range(1, 301), [0, 128], [0, 256]),
+    (GIN, 15.0, range(1, 901), [0, 256], [0, 512]),
+    (GIN, 1.0, range(100, 801, 100), [0], [0]),
+    # one level of the second round was read at 15, before the saved 16
+    (HYP, 0.5, range(1, 121), [0, 8], [0, 16]),
+    (HYP, 0.9, range(1, 121), [0, 64], [0, 64]),
+    (HYP, 0.97, range(1, 301), [0, 256], [0, 256]),
+])
+def test_sweep_bits_and_saved_states(monkeypatch, ens, r, ms, starts, ref_starts):
+    # every round's sweep reads the reference's state bits, each state it
+    # saves holds the pmf and the levels read at that depth or deeper with
+    # the reference's bits, and it resumes where its levels were all unread
+    sweep, ref_saved, got_starts, want_starts = radial._states, {}, [], []
+
+    class Sliced:
+        # the first index span a sweep steps over starts where it resumes
+        def __init__(self, a):
+            self.a = a
+
+        def __getitem__(self, key):
+            if len(got_starts) < len(want_starts):
+                got_starts.append(key.start)
+            return self.a[key]
+
+    def both(levels, depths, log_p, log_q, saved):
+        before = dict(saved)
+        want_starts.append(max((d for d in ref_saved if d <= min(depths)), default=0))
+        got = list(sweep(levels, depths, Sliced(log_p), log_q, saved))
+        want = list(ref_states(levels, depths, log_p, log_q, ref_saved))
+        assert [i for i, _ in got] == [i for i, _ in want]
+        assert all(same_bits(g, w[::-1]) for (_, g), (_, w) in zip(got, want))
+        fresh = [d for d in saved if saved[d] is not before.get(d)]
+        assert fresh
+        for d in fresh:
+            had, pmf, absorbed = saved[d]
+            assert had.tolist() == sorted(m for m, depth in zip(levels, depths) if depth >= d)
+            ref_had, ref_pmf, ref_absorbed = ref_saved[d]
+            assert same_bits(pmf, ref_pmf[:len(pmf)]) and len(pmf) == max(levels)
+            assert same_bits(absorbed, ref_absorbed[np.searchsorted(ref_had, had)])
+        return iter(got)
+
+    monkeypatch.setattr(radial, "_states", both)
+    radial.tail_log_brackets(ens, r, ms)
+    assert (got_starts, want_starts) == (starts, ref_starts)
