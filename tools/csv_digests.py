@@ -8,9 +8,11 @@ experiment: all four event kinds, Ginibre exact tails and exponent fits out
 to r = 30, hyperbolic-one exact tails out to r = 0.999, where p_k is near 1,
 scatter root solves of degree 69, 159 and 259, a jensen-check whose circle
 means walk to the node cap in groups split under ``zeros.GRID_BUDGET``, the
-replica and radial-sampler experiments at threads 1 and 2, and two exact
-tails whose refinement rounds resume a saved sweep (Ginibre r = 15 over
-m = 1..900, hyperbolic-one r = 0.97 over m = 1..300).  Each line is
+replica and radial-sampler experiments at threads 1 and 2, two exact tails
+whose refinement rounds resume a saved sweep (Ginibre r = 15 over m = 1..900,
+hyperbolic-one r = 0.97 over m = 1..300), and a planar intensity-check at
+threads 1 and 2 whose last replica task is short (1500 samples: one full
+``experiments.REPLICA_BLOCK`` task and 476 more).  Each line is
 ``<sha256>  <label>/<file name>``, in a fixed order.  The code run is that of
 the checkout holding this script, so to compare two commits, run it in each
 checkout (copy it into one that lacks it) and diff the two outputs.
@@ -72,6 +74,8 @@ EXTRA = [
      "m_max": 900},
     {"experiment": "exact-tail", "seed": 1, "ensemble": "hyperbolic-one", "r": [0.97],
      "m_min": 1, "m_max": 300},
+    *({"experiment": "intensity-check", "seed": 1, "model": "planar", "r": 3.0,
+       "samples": 1500, "threads": threads} for threads in (1, 2)),
 ]
 
 
