@@ -441,10 +441,14 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
+# Replicas per task of the replica runners, the one cut of their keys: a
+# task's draws and start grids (1024 x 256 values) stay small.
+REPLICA_BLOCK = 1024
+
+
 def _map_blocks(fn, total, threads):
     """``fn(keys)`` over the REPLICA_BLOCK-sized ranges of 0..total-1, in order."""
-    size = zeros.REPLICA_BLOCK
-    blocks = [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    blocks = [range(lo, min(lo + REPLICA_BLOCK, total)) for lo in range(0, total, REPLICA_BLOCK)]
     if threads <= 1 or len(blocks) <= 1:
         return [fn(b) for b in blocks]
     with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -143,51 +143,43 @@ def _circle_max(on_grid, sel, n, degree, weight, size, reach):
     return (top + _rounding(size, reach, n)) / np.cos(np.pi * degree / (2 * n))
 
 
-# Grid values one level of the circle walk may hold; rows that outgrow it
-# walk on in groups (one row at the least), so that 1024 replicas at 65536
+# Grid values one level of the circle walk may hold, the walk's one cut:
+# before a level of n nodes is read, a walk of more rows is split into groups
+# of GRID_BUDGET // n (one row at the least), so that 1024 replicas at 65536
 # nodes take 16 MB per array instead of 1 GB.
 GRID_BUDGET = 2**20
 
 
-def _circle_grids(on_grid, count, start_nodes, max_nodes, step):
-    """Walk ``count`` rows of a node reader on grids doubling to max_nodes.
+def _circle_grids(on_grid, count, start_nodes, step):
+    """Walk ``count`` rows of a node reader on grids doubling to MAX_NODES.
 
     ``on_grid(rows, n, shift)`` gives the array the walk keeps per node: the
     values of a ``_coefficient_rows`` reader (counts), or a map of them taken
     node by node (means keep log |f|).  The first grid has start_nodes nodes
     from angle 0; each later one reads only the midpoints, one inverse FFT of
-    the new nodes, and interleaves them with the kept array.  ``step(rows,
-    vals)`` gets the rows still walking and their arrays, and returns the
-    mask of those that walk on, up to the first level of max_nodes or more.
-    Every row's array has the bits of a walk of its function alone.
+    the new nodes, and interleaves them with the kept array.  Rows past
+    ``GRID_BUDGET`` at a level are split before it is read, and the groups
+    walk in row order.  ``step(rows, vals)`` gets the rows still walking and
+    their arrays, and returns the mask of those that walk on, up to the
+    first level of MAX_NODES or more.  Every row's array has the bits of a
+    walk of its function alone.
     """
-    def doubled(rows, vals):
-        out = np.empty((len(rows), 2 * vals.shape[1]), dtype=vals.dtype)
-        out[:, 0::2] = vals
-        out[:, 1::2] = on_grid(rows, vals.shape[1], 0.5)
-        return out
-
-    # each walk is (rows, their values on a grid already stepped, or None
-    # before the start grid)
-    first = max(1, GRID_BUDGET // start_nodes)
-    walks = [(np.arange(g, min(g + first, count)), None)
-             for g in range(0, count, first)][::-1]
+    # each walk is (rows, their values on the last grid stepped, or None
+    # before the start grid); the last one is walked next
+    walks = [(np.arange(count), None)] if count else []
     while walks:
         rows, vals = walks.pop()
-        vals = on_grid(rows, start_nodes, 0.0) if vals is None else doubled(rows, vals)
-        while True:
-            keep = step(rows, vals)
-            n = vals.shape[1]
-            if n >= max_nodes or not keep.any():
-                break
-            if not keep.all():
-                rows, vals = rows[keep], vals[keep]
-            group = max(1, GRID_BUDGET // (2 * n))
-            if len(rows) > group:
-                walks.extend((rows[g: g + group], vals[g: g + group])
-                             for g in range(0, len(rows), group)[::-1])
-                break
-            vals = doubled(rows, vals)
+        n = start_nodes if vals is None else 2 * vals.shape[1]
+        group = max(1, GRID_BUDGET // n)
+        if len(rows) > group:
+            walks += [(rows[g: g + group], None if vals is None else vals[g: g + group])
+                      for g in range(0, len(rows), group)][::-1]
+            continue
+        vals = (on_grid(rows, n, 0.0) if vals is None else
+                np.stack((vals, on_grid(rows, n // 2, 0.5)), axis=2).reshape(len(rows), n))
+        keep = step(rows, vals)
+        if n < MAX_NODES and keep.any():
+            walks.append((rows, vals) if keep.all() else (rows[keep], vals[keep]))
 
 
 def _arc_terms(gafs, rs, rows):
@@ -289,7 +281,7 @@ def certified_counts(cases) -> list:
                                        f"at {n} nodes on |z| = {rs[i]}")
         return keep
 
-    _circle_grids(rows[0], len(gafs), COUNT_START_NODES, MAX_NODES, step)
+    _circle_grids(rows[0], len(gafs), COUNT_START_NODES, step)
     return out
 
 
@@ -318,10 +310,6 @@ def count_with_retry(f, r, log_floor):
     return res, 0
 
 
-# Replicas drawn and counted together by ``count_replicas``, and replicas per
-# worker task of the ``experiments`` runners: their draws and their start
-# grids (1024 x 256 values) stay small whatever the number of keys.
-REPLICA_BLOCK = 1024
 # The count floor of a truncated draw in units of its truncation's tail sd:
 # ``count_replicas`` and the jensen-check counts floor |f| at
 # log(TAIL_GUARD) + log_tail_sd.
@@ -331,23 +319,19 @@ TAIL_GUARD = 100.0
 def count_replicas(model: GafModel, r, degree, seed, keys):
     """Certified zero counts in |z| < r of independent truncated draws.
 
-    Replica k samples ``model`` at ``degree`` from ``stream(seed, k)``; blocks of
-    ``REPLICA_BLOCK`` replicas are counted together by one ``certified_counts`` call.
-    Every replica shares (model, degree, r), so a block reads the log floor
+    Replica k samples ``model`` at ``degree`` from ``stream(seed, k)``; all
+    keys are counted together by one ``certified_counts`` call.  Every
+    replica shares (model, degree, r), so the call reads the log floor
     ``log(TAIL_GUARD) + log_tail_sd`` once, from its first draw.  Returns one
     count per key, -1 where the replica's count is not certified.
     """
-    keys = list(keys)
-    counts = np.empty(len(keys), dtype=int)
-    log_guard = math.log(TAIL_GUARD)
-    for lo in range(0, len(keys), REPLICA_BLOCK):
-        gafs = [sample_truncated(model, r, stream(seed, k), degree=degree)
-                for k in keys[lo: lo + REPLICA_BLOCK]]
-        log_floor = log_guard + gafs[0].log_tail_sd
-        results = certified_counts([(gaf, r, log_floor) for gaf in gafs])
-        counts[lo: lo + len(results)] = [-1 if isinstance(res, InconclusiveCount) else res.count
-                                         for res in results]
-    return counts
+    gafs = [sample_truncated(model, r, stream(seed, k), degree=degree) for k in keys]
+    if not gafs:
+        return np.empty(0, dtype=int)
+    log_floor = math.log(TAIL_GUARD) + gafs[0].log_tail_sd
+    results = certified_counts([(gaf, r, log_floor) for gaf in gafs])
+    return np.array([-1 if isinstance(res, InconclusiveCount) else res.count
+                     for res in results], dtype=int)
 
 
 def _initial_root_guesses(cs):
@@ -641,7 +625,7 @@ def circle_mean_log_abs_many(cases) -> list:
                             if low[j] else float(new[j] + log_scale[rows[j]]))
         return ~stop
 
-    _circle_grids(log_moduli, len(fs), MEAN_START_NODES, MAX_NODES, step)
+    _circle_grids(log_moduli, len(fs), MEAN_START_NODES, step)
     return out
 
 

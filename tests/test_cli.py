@@ -15,8 +15,7 @@ import pytest
 import gafzeros
 from gafzeros import EventKind, GafModel, events, experiments, models
 from gafzeros.cli import main
-from gafzeros.experiments import EXPERIMENTS, ConfigError, RunConfig, emit_csv
-from gafzeros.zeros import REPLICA_BLOCK
+from gafzeros.experiments import EXPERIMENTS, REPLICA_BLOCK, ConfigError, RunConfig, emit_csv
 
 
 def write_config(tmp_path, name, data):
@@ -56,6 +55,11 @@ class TestConfigValidation:
         rc = main(["exact-tail", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
         assert "config.m_max" in capsys.readouterr().err
+
+    def test_kappa_radius_past_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"experiment": "kappa", "seed": 1, "r": [0.5, 1.0]})
+        assert main(["kappa", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config.r" in capsys.readouterr().err
 
     def test_bad_json(self, tmp_path, capsys):
         p = tmp_path / "broken.json"

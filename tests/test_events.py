@@ -377,6 +377,11 @@ class TestConditionedSampling:
         se = totals.std() / math.sqrt(len(totals))
         assert totals.mean() == pytest.approx(expect, abs=4.0 * se)
 
+    def test_n_max_below_the_structural_indices_raises(self):
+        ev = build_event(EventKind.PLANAR_DOMINATION, r=2.0, m=16)
+        with pytest.raises(ValueError, match="n_max must cover the structural indices"):
+            conditioned_sample(ev, stream(5, 0), ev.structural_max_index - 1)
+
     def test_hyperbolic_sampling_and_exact_count(self):
         ev = build_event(EventKind.HYPERBOLIC_DOMINATION,
                          GafModel.hyperbolic(1.0), r=0.5, m=6)

@@ -151,6 +151,11 @@ class TestSampleRadii:
         assert batch.shape == (5, 9)
         assert batch.tobytes() == rows.tobytes()
 
+    @pytest.mark.parametrize("trials, depth", [(0, 9), (5, 0)])
+    def test_no_trials_or_no_depth_raises(self, trials, depth):
+        with pytest.raises(ValueError, match="trials and depth must be >= 1"):
+            sample_radii(GIN, stream(74), trials, depth)
+
     def test_ginibre_squared_means(self):
         trials, depth = 4000, 12
         mean = (sample_radii(GIN, stream(71), trials, depth) ** 2).sum(axis=0) / trials

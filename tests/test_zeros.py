@@ -593,6 +593,29 @@ class TestJensen:
         assert len(solved) == len(resolved)
         assert all(same_bits(a, b) for a, b in zip(solved, resolved))
 
+    def test_zero_constant_term_raises(self):
+        with pytest.raises(ValueError, match=r"f\(0\) = 0"):
+            jensen_residuals([(poly([0.0, 1.0, 0.5], 2.5), 2.0, 2.5)])
+
+    def test_unsolved_case_keeps_its_slot(self, monkeypatch):
+        # no residual passes a negative tolerance, so the degree-20 draw's
+        # Aberth solve fails; the linear row, solved in closed form, checks
+        monkeypatch.setattr(zeros, "ROOT_RESIDUAL_TOL", -1.0)
+        gaf = sample_truncated(PLANAR, 2.5, stream(31), degree=20)
+        got = jensen_residuals([(gaf, 2.0, 2.5), (poly([1.0, -0.25], 2.5), 2.0, 2.5)])
+        assert isinstance(got[0], RootsDidNotConverge)
+        assert isinstance(got[1], zeros.JensenCheck) and got[1].residual < 1e-12
+
+    def test_unsettled_mean_keeps_its_slot(self, monkeypatch):
+        # a zero 1e-3 outside |z| = 2.5 keeps the mean there unsettled at a
+        # node cap of 256; the row with its zero at 4 settles
+        monkeypatch.setattr(zeros, "MAX_NODES", 256)
+        near = poly([1.0, -1.0 / (2.5 * 1.001)], 2.5)
+        got = jensen_residuals([(near, 2.0, 2.5), (poly([1.0, -0.25], 2.5), 2.0, 2.5)])
+        assert isinstance(got[0], InconclusiveCount)
+        assert str(got[0]) == "quadrature unstable at node cap (256 nodes)"
+        assert isinstance(got[1], zeros.JensenCheck) and got[1].residual < 1e-12
+
     def test_count_inequality(self):
         rng = stream(32)
         for _ in range(25):
@@ -1018,7 +1041,7 @@ class TestCoefficientPath:
                     levels.append(vals[0].copy())
                     return np.ones(1, dtype=bool)
 
-                zeros._circle_grids(on_grid, 1, start, 4096, step)
+                with_settings(zeros._circle_grids, on_grid, 1, start, step, MAX_NODES=4096)
                 assert len(levels[-1]) == 4096
                 for vals in levels:
                     n = len(vals)
@@ -1177,10 +1200,10 @@ class TestCountReplicas:
             assert retries == 0
         assert counts.tolist() == want
 
-    @pytest.mark.parametrize("replicas,reads", [(5, 1), (zeros.REPLICA_BLOCK + 1, 2)])
-    def test_one_tail_variance_per_block(self, monkeypatch, replicas, reads):
-        # the replicas of a block share (model, degree, r), so the block
-        # reads its floor once
+    @pytest.mark.parametrize("replicas", [5, experiments.REPLICA_BLOCK + 1])
+    def test_one_tail_variance_per_call(self, monkeypatch, replicas):
+        # the replicas of a call share (model, degree, r), so the call reads
+        # its floor once, however many replica tasks its keys would fill
         calls = []
         variance = models.log_tail_variance
 
@@ -1191,7 +1214,11 @@ class TestCountReplicas:
         monkeypatch.setattr(models, "log_tail_variance", counting)
         counts = count_replicas(PLANAR, 1.0, 8, 2, range(replicas))
         assert len(counts) == replicas
-        assert calls == [(PLANAR, 8, 1.0)] * reads
+        assert calls == [(PLANAR, 8, 1.0)]
+
+    def test_no_keys(self):
+        counts = count_replicas(PLANAR, 1.0, 8, 2, [])
+        assert counts.dtype == int and counts.shape == (0,)
 
     def test_unresolved_replica_counts_minus_one(self, monkeypatch):
         # a floor above every |f| on the circle leaves each replica unresolved
@@ -1287,7 +1314,7 @@ class TestBatchedWalker:
                 levels.append(vals.copy())
                 return np.ones(len(rows), dtype=bool)
 
-            zeros._circle_grids(on_grid, len(gafs), start, 1024, step)
+            with_settings(zeros._circle_grids, on_grid, len(gafs), start, step, MAX_NODES=1024)
             for j, (gaf, r) in enumerate(zip(gafs, rs)):
                 ref = FftReference(gaf)
                 want = ref.grid(r, start, 0.0)
@@ -1326,11 +1353,11 @@ class TestBatchedWalker:
         shapes = []
         walk = zeros._circle_grids
 
-        def recording(on_grid, size, start, cap, step):
+        def recording(on_grid, size, start, step):
             def rec(rows, vals):
                 shapes.append(vals.shape)
                 return step(rows, vals)
-            return walk(on_grid, size, start, cap, rec)
+            return walk(on_grid, size, start, rec)
 
         monkeypatch.setattr(zeros, "_circle_grids", recording)
         self.check_counts([WALKER_BOUNDS[j % len(WALKER_BOUNDS)] for j in range(18)], MAX_NODES)
@@ -1338,6 +1365,48 @@ class TestBatchedWalker:
         # only a row alone outgrows the budget
         assert max(k * n for k, n in shapes if k > 1) <= 1024
         assert (8, 128) in shapes and (4, 256) in shapes and (2, 512) in shapes
+
+    def test_start_grid_split_under_value_budget(self, monkeypatch):
+        # 18 rows on a start grid of 128 nodes pass a budget of 1000 values
+        # alone: the walk reads groups of 7 rows at 128 nodes, 3 at 256 and
+        # single rows on, each row stopping at its own level, and no grid
+        # read holds more than the budget; every row's levels have the bits
+        # of a walk of that row alone
+        monkeypatch.setattr(zeros, "GRID_BUDGET", 1000)
+        monkeypatch.setattr(zeros, "MAX_NODES", 1024)
+        gafs, rs = [gaf for gaf, _ in mixed_rows()], [s for _, s in mixed_rows()]
+        last = [128 << (j % 4) for j in range(len(gafs))]  # each row's last level
+
+        def walk(on_grid, ids):
+            # every grid read (rows, nodes), and the levels of row k as levels[ids[k]]
+            reads, levels = [], {i: [] for i in ids}
+
+            def reading(rows, n, shift):
+                reads.append((len(rows), n))
+                return on_grid(rows, n, shift)
+
+            def step(rows, vals):
+                for k, v in zip(rows.tolist(), vals):
+                    levels[ids[k]].append(v.copy())
+                return np.array([last[ids[k]] > vals.shape[1] for k in rows.tolist()])
+
+            zeros._circle_grids(reading, len(ids), 128, step)
+            return reads, levels
+
+        reads, levels = walk(zeros._coefficient_rows(gafs, rs)[0], range(len(gafs)))
+        assert max(k * n for k, n in reads) <= 1000
+        assert {(k, n) for k, n in reads if k > 1} == {(7, 128), (4, 128), (3, 128), (2, 128)}
+        for j, (gaf, r) in enumerate(zip(gafs, rs)):
+            _, alone = walk(zeros._coefficient_rows([gaf], [r])[0], [j])
+            assert [len(v) for v in levels[j]] == [128 << i for i in range(j % 4 + 1)]
+            assert len(alone[j]) == len(levels[j])
+            assert all(same_bits(a, b) for a, b in zip(levels[j], alone[j]))
+
+    def test_zero_rows_read_nothing(self):
+        def fail(*args):
+            raise AssertionError("a walk of no rows read a grid")
+
+        zeros._circle_grids(fail, 0, 128, fail)
 
     def test_means_take_each_node_modulus_and_log_once(self, monkeypatch):
         # a mean walk keeps log |f| per node, so the complex values entering
@@ -1363,11 +1432,11 @@ class TestBatchedWalker:
         last = {}
         walk = zeros._circle_grids
 
-        def recording(on_grid, size, start, cap, step):
+        def recording(on_grid, size, start, step):
             def rec(rows, vals):
                 last.update(dict.fromkeys(rows.tolist(), vals.shape[1]))
                 return step(rows, vals)
-            return walk(on_grid, size, start, cap, rec)
+            return walk(on_grid, size, start, rec)
 
         monkeypatch.setattr(zeros, "_circle_grids", recording)
         monkeypatch.setattr(zeros, "np", Counting())
@@ -1440,13 +1509,13 @@ class TestOneWalk:
         walks, widths = [], []
         walk = zeros._circle_grids
 
-        def counting(on_grid, size, start, cap, step):
+        def counting(on_grid, size, start, step):
             walks.append(size)
 
             def rec(rows, vals):
                 widths.append(vals.shape[1])
                 return step(rows, vals)
-            return walk(on_grid, size, start, cap, rec)
+            return walk(on_grid, size, start, rec)
 
         monkeypatch.setattr(zeros, "_circle_grids", counting)
         (res,) = zeros.certified_counts([(gaf, r, math.log(100.0) + gaf.log_tail_sd)])
@@ -1490,6 +1559,8 @@ class TestTuningSettings:
     """Walk, root, DP, count-floor and bracket settings are module constants, not parameters."""
 
     @pytest.mark.parametrize("entry, params", [
+        (zeros._circle_grids, [("on_grid", EMPTY), ("count", EMPTY), ("start_nodes", EMPTY),
+                               ("step", EMPTY)]),
         (zeros.certified_counts, [("cases", EMPTY)]),
         (zeros.circle_mean_log_abs_many, [("cases", EMPTY)]),
         (zeros.jensen_residuals, [("cases", EMPTY)]),
@@ -1506,7 +1577,7 @@ class TestTuningSettings:
         (radial._Law.profile_depth, [("self", EMPTY), ("min_terms", EMPTY)]),
         (certified_log_series, [("log_terms", EMPTY), ("start", EMPTY),
                                 ("ratio_bound", EMPTY), ("rel_tol", EMPTY)]),
-    ], ids=["certified_counts", "circle_mean_log_abs_many", "jensen_residuals", "count_replicas",
+    ], ids=["_circle_grids", "certified_counts", "circle_mean_log_abs_many", "jensen_residuals", "count_replicas",
             "mc_tail_estimate", "direct_mc_tail", "_jensen_chunk", "find_roots_many",
             "tail_log_brackets", "bernoulli_probs", "_profile_depth", "certified_log_series"])
     def test_parameter_lists(self, entry, params):
