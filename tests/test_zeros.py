@@ -1368,10 +1368,10 @@ class TestBatchedWalker:
 
     def test_start_grid_split_under_value_budget(self, monkeypatch):
         # 18 rows on a start grid of 128 nodes pass a budget of 1000 values
-        # alone: the walk reads groups of 7 rows at 128 nodes, 3 at 256 and
-        # single rows on, each row stopping at its own level, and no grid
-        # read holds more than the budget; every row's levels have the bits
-        # of a walk of that row alone
+        # alone: the walk reads groups of at most 7 rows at 128 nodes, 3 at
+        # 256 (128 midpoints each) and single rows on, each row stopping at
+        # its own level, and no grid read holds more than the budget; every
+        # row's levels have the bits of a walk of that row alone
         monkeypatch.setattr(zeros, "GRID_BUDGET", 1000)
         monkeypatch.setattr(zeros, "MAX_NODES", 1024)
         gafs, rs = [gaf for gaf, _ in mixed_rows()], [s for _, s in mixed_rows()]
